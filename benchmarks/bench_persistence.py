@@ -1,7 +1,6 @@
-"""Persistent recycler + process-based stage two: restart and GIL sweeps.
+"""Persistent recycler: restart and tier sweeps.
 
-Three experiments motivated by the ROADMAP's "scale past the GIL and across
-restarts" item:
+Two experiments motivated by the ROADMAP's "scale across restarts" item:
 
 * **restart** — the same multi-chunk T4 queries against (a) a fresh
   database (cold: every chunk fetched and Steim-decoded), and (b) the
@@ -12,10 +11,6 @@ restarts" item:
   (the paper's network-attached INGV archive, modeled by the loader's
   per-chunk fetch latency — the regime where restarts without the
   persistent tier hurt most).  Speedups compare stage-two seconds;
-* **executor** — one cold multi-chunk T4 query per (executor, workers)
-  combination: the thread pipeline is GIL-bound on decode CPU, the
-  process pipeline decodes in spawn workers over the shared chunk store
-  (pools are warmed before measuring, as in steady-state serving);
 * **clients-tier** — N pooled client threads drain a T4 workload with the
   working set (a) in the memory tier and (b) only in the disk tier right
   after a restart, showing what a restarted server's first wave of
@@ -116,23 +111,6 @@ def measure_restart(
     return cold, warm
 
 
-def measure_executor(
-    repository, queries: list[str], workdir: str, executor: str, workers: int
-):
-    """One cold pass of the query set with the given stage-two executor."""
-    db, _ = prepare(
-        "lazy", repository, workdir=workdir,
-        options=TwoStageOptions(io_threads=workers, executor=executor),
-    )
-    try:
-        if executor == "process" and workers > 1:
-            db.database.warm_process_executor(workers)
-        db.drop_caches()  # both tiers cold: decode work is genuine
-        return run_queries(db, queries)
-    finally:
-        db.close()
-
-
 def measure_clients(db, queries: list[str], clients: int) -> float:
     """Wall seconds for N pooled client threads to drain the workload."""
     pool = db.session_pool(size=clients)
@@ -166,7 +144,7 @@ def run(args: argparse.Namespace) -> ReportTable:
 
     table = ReportTable(
         title=(
-            f"Persistent recycler + process stage two (sf-{args.sf} "
+            f"Persistent recycler (sf-{args.sf} "
             f"{args.scale}, {stats.num_files} chunks, "
             f"{stats.num_samples:,} samples)"
         ),
@@ -212,29 +190,6 @@ def run(args: argparse.Namespace) -> ReportTable:
                     round(cold["stage2_s"] / max(warm["stage2_s"], 1e-9), 2),
                 )
 
-        # -- thread vs process executor on cold scans -------------------
-        thread_baseline: dict[int, float] = {}
-        for executor in ("thread", "process"):
-            for workers in args.workers:
-                if executor == "process" and workers == 1:
-                    continue  # 1-worker process mode degenerates to serial
-                workdir = os.path.join(scratch, f"exec-{executor}{workers}")
-                outcome = measure_executor(
-                    repository, queries, workdir, executor, workers
-                )
-                results_identical &= outcome["tables"] == reference
-                if executor == "thread":
-                    thread_baseline[workers] = outcome["stage2_s"]
-                base = thread_baseline.get(workers)
-                table.add_row(
-                    "executor", executor, 1, workers, len(queries),
-                    round(outcome["wall_s"], 4),
-                    round(outcome["stage2_s"], 4), outcome["loaded"],
-                    outcome["rehydrated"],
-                    round(base / max(outcome["stage2_s"], 1e-9), 2)
-                    if base else 1.0,
-                )
-
         # -- client sweep over memory vs disk tier ----------------------
         workdir = os.path.join(scratch, "tiers")
         db, _ = prepare(
@@ -273,10 +228,6 @@ def run(args: argparse.Namespace) -> ReportTable:
         f"{args.fetch_latency_ms:g}ms modeled fetch per chunk"
     )
     table.add_note(
-        "executor: cold decode with thread vs process stage two (process "
-        "pool pre-warmed); speedup is vs the thread row at equal workers"
-    )
-    table.add_note(
         "clients-tier: throughput right after a restart (disk tier only) "
         "vs a fully warm memory tier; speedup is vs memory @ first "
         "client count"
@@ -294,7 +245,7 @@ def parse_int_list(text: str) -> list[int]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="persistence benchmark (restart × executor × tier)"
+        description="persistence benchmark (restart × tier)"
     )
     parser.add_argument("--workers", type=parse_int_list, default=[1, 2, 4])
     parser.add_argument("--clients", type=parse_int_list, default=[1, 2, 4])

@@ -2,9 +2,9 @@
 
 Four experiments motivated by the ROADMAP's scale-out item:
 
-* **executor-compare** — one cold multi-chunk T4 query per stage-two
-  executor (serial / thread / process) at the same ``io_threads``: the
-  within-query decode-parallelism baseline sharding is measured against,
+* **executor-compare** — one cold multi-chunk T4 query on the serial
+  loop and on the thread pool: the within-query decode-parallelism
+  baseline sharding is measured against,
   re-measured on this runner (the JSON artifact embeds ``cpu_count`` so a
   1-core result is read as what it is);
 * **cold-scatter** — one cold whole-table aggregate per shard count in
@@ -166,14 +166,14 @@ def measure_cold_scatter(
 
 
 def measure_cold_executor(
-    repository, executor: str, io_threads: int, span: TimeSpan, workdir: str
+    repository, io_threads: int, span: TimeSpan, workdir: str
 ) -> tuple[float, int]:
-    """One cold multi-chunk T4 query with the given decode executor."""
+    """One cold multi-chunk T4 query with the given decode pool size."""
     db, _ = prepare(
         "lazy",
         repository,
         workdir=workdir,
-        options=TwoStageOptions(io_threads=io_threads, executor=executor),
+        options=TwoStageOptions(io_threads=io_threads),
     )
     try:
         sql = t4_query(
@@ -246,19 +246,16 @@ def run(args: argparse.Namespace) -> tuple[ReportTable, int]:
     mismatches = 0
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-shard-") as root:
-        # -- decode-executor baseline (thread vs process, cold) ---------
+        # -- decode-executor baseline (serial vs thread pool, cold) -----
         serial_seconds = None
-        for index, (executor, io_threads) in enumerate(
-            [("thread", 1), ("thread", args.executor_threads),
-             ("process", args.executor_threads)]
-        ):
+        for index, io_threads in enumerate([1, args.executor_threads]):
             seconds, chunks = measure_cold_executor(
-                repository, executor, io_threads, span,
+                repository, io_threads, span,
                 os.path.join(root, f"exec{index}"),
             )
             if serial_seconds is None:
                 serial_seconds = seconds
-            label = "serial" if io_threads == 1 else executor
+            label = "serial" if io_threads == 1 else "thread"
             table.add_row(
                 f"executor {label} x{io_threads} ({chunks} chunks)",
                 0, 1, 1, round(seconds, 4), round(1 / seconds, 2),
@@ -381,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--executor-threads", type=int, default=4,
-        help="io_threads for the thread/process executor baseline",
+        help="io_threads for the thread executor baseline",
     )
     parser.add_argument(
         "--scan-rounds", type=int, default=6,

@@ -11,10 +11,11 @@ Heuristic, tuned to the engine's vocabulary: a ``for``/``async for``
 loop qualifies when its iterable mentions a fetch schedule
 (``schedule``, ``fetch_order``, ``as_completed``), and a ``while`` loop
 when its test does; in both cases the body must also perform chunk
-materialization (``get_or_load``, ``load_chunk``, ``_fetch_one``,
-``decode``/``produce`` helpers, or draining ``future.result()``).  Such a
-loop must call one of the cancellation polls (``check_cancelled``,
-``raise_if_cancelled``, ``_check_cancelled``) somewhere in its body.
+materialization (``get_or_load``, ``fetch_chunk``, ``load_chunk``,
+``_fetch_one``, the scan loop's ``fetch`` callback, or draining
+``future.result()``).  Such a loop must call one of the cancellation polls
+(``check_cancelled``, ``raise_if_cancelled``, ``_check_cancelled``, or the
+scan loop's ``poll`` callback) somewhere in its body.
 Claim/bookkeeping sweeps over the same schedules fetch nothing and are
 deliberately not flagged, and neither are ``while`` loops that gate on
 other conditions (draining ``while pending:`` gathers poll explicitly
@@ -36,15 +37,19 @@ __all__ = ["CancellationChecker"]
 SCHEDULE_PATTERN = re.compile(r"schedule|fetch_order|as_completed")
 FETCH_CALLS = {
     "get_or_load",
+    "fetch_chunk",
     "load_chunk",
     "load_chunk_range",
     "_fetch_one",
-    "decode",
-    "decode_chunk_to_store",
-    "produce",
+    "fetch",
     "result",
 }
-POLL_CALLS = {"check_cancelled", "raise_if_cancelled", "_check_cancelled"}
+POLL_CALLS = {
+    "check_cancelled",
+    "raise_if_cancelled",
+    "_check_cancelled",
+    "poll",
+}
 
 
 @register

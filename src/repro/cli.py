@@ -98,10 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="decode threads for the parallel stage-two pipeline",
     )
     query.add_argument(
-        "--executor", default=None, choices=("thread", "process"),
-        help="stage-two decode executor (process = GIL-free workers)",
-    )
-    query.add_argument(
         "--clients", type=int, default=1,
         help="run the query from N concurrent sessions and report throughput",
     )
@@ -161,10 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="decode threads for the parallel stage-two pipeline",
     )
     cache.add_argument(
-        "--executor", default=None, choices=("thread", "process"),
-        help="stage-two decode executor",
-    )
-    cache.add_argument(
         "--result-cache", action="store_true",
         help="enable the semantic result recycler and report its counters",
     )
@@ -214,10 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--io-threads", type=int, default=None,
         help="decode threads for the parallel stage-two pipeline",
-    )
-    serve.add_argument(
-        "--executor", default=None, choices=("thread", "process"),
-        help="stage-two decode executor",
     )
     serve.add_argument(
         "--result-cache", action="store_true",
@@ -387,14 +375,12 @@ def _run_concurrent_clients(db, sql: str, clients: int) -> int:
 
 
 def _two_stage_options(args: argparse.Namespace):
-    """TwoStageOptions from the shared --io-threads/--executor/... flags."""
+    """TwoStageOptions from the shared --io-threads/--shards/... flags."""
     from .core.two_stage import TwoStageOptions
 
     option_kwargs = {}
     if getattr(args, "io_threads", None) is not None:
         option_kwargs["io_threads"] = args.io_threads
-    if getattr(args, "executor", None) is not None:
-        option_kwargs["executor"] = args.executor
     if getattr(args, "result_cache", False):
         option_kwargs["result_cache"] = True
     if getattr(args, "shared_scan", False):

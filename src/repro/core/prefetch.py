@@ -328,9 +328,7 @@ class WorkloadPrefetcher:
             if warm_via is not None:
                 warm_via(uri, self.table_name)
             else:
-                database.recycler.get_or_load(
-                    uri, lambda u: database.load_chunk(u, self.table_name)
-                )
+                database.fetch_chunk(uri, self.table_name)
         except Exception:
             with self._lock:
                 self.stats.failed += 1

@@ -187,9 +187,6 @@ class Registrar:
             self._record_chunk_stats(uri, file_id, file_meta)
         self.database.insert("F", f_builder.finish())
         self.database.insert("S", s_builder.finish())
-        # Decode workers snapshot the loader at pool creation; the file ids
-        # assigned above must be visible to the next pool.
-        self.database.reset_process_executor()
         elapsed = time.perf_counter() - started
         return RegistrarReport(
             num_files=len(uris),

@@ -14,9 +14,9 @@ classifies every surviving chunk by the tier it will be served from
 cost-ordered fetch schedule.  The resulting
 :class:`~repro.engine.chunk_planner.ChunkPlan` rides inside one
 :class:`~repro.engine.algebra.ParallelChunkScan`, whose serial
-(``io_threads == 1``), thread and process executors all honor the same
-schedule — fetch order is identical across them, and assembly order keeps
-results bit-identical to unscheduled execution.
+(``io_threads == 1``) and pooled execution honor the same schedule — fetch
+order is identical across them, and assembly order keeps results
+bit-identical to unscheduled execution.
 
 When a selection sits directly on the scan, it is pushed into the chunk
 pipeline (the paper's second rewrite rule) and doubles as the pruning
@@ -122,7 +122,6 @@ def rewrite_actual_scans(
     report: RewriteReport,
     push_selections: bool = True,
     io_threads: int = 1,
-    executor: str = "thread",
     prune_chunks: bool = True,
     shared: bool = False,
     shards: int = 0,
@@ -181,7 +180,6 @@ def rewrite_actual_scans(
             scan.schema,
             pushed_predicate=predicate,
             io_threads=io_threads,
-            executor=executor,
             shared=shared,
             shards=shards,
         )
@@ -242,7 +240,6 @@ def make_runtime_optimizer(
     config: SommelierConfig,
     report: RewriteReport,
     io_threads: int = 1,
-    executor: str = "thread",
     push_selections: bool = True,
     prune_chunks: bool = True,
     shared: bool = False,
@@ -275,8 +272,7 @@ def make_runtime_optimizer(
                     report,
                     push_selections=push_selections,
                     io_threads=io_threads,
-                    executor=executor,
-                    prune_chunks=prune_chunks,
+                            prune_chunks=prune_chunks,
                     shared=shared,
                     shards=shards,
                 )

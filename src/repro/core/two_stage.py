@@ -60,14 +60,7 @@ class TwoStageOptions:
     """Knobs for the compile-time and run-time optimizers.
 
     ``io_threads`` sizes the shared decode pool of the morsel-style
-    stage-two pipeline (1 = the serial per-chunk union).  It defaults to
-    ``None``, which inherits ``parallel_threads`` — the historical knob
-    kept for compatibility with existing callers.
-
-    ``executor`` picks where parallel stage-two decodes run: ``"thread"``
-    (the in-process pool; GIL-bound on CPU-heavy decode) or ``"process"``
-    (a spawn-based worker pool over the shared on-disk chunk store; decode
-    CPU scales with cores).
+    stage-two pipeline (1 = the serial per-chunk union).
 
     ``prune_chunks`` lets the runtime optimizer drop chunks whose min/max
     statistics cannot satisfy the query's literal predicates before any
@@ -97,17 +90,13 @@ class TwoStageOptions:
     by (station, time-bucket) hash into that many shard worker processes,
     each owning its own chunk store + recycler, and per-shard sub-plans run
     in parallel with results merged bit-identically to serial order.  When
-    set it overrides ``executor``/``io_threads`` for chunk scans, and it
+    set it overrides ``io_threads`` for chunk scans, and it
     cannot be combined with ``shared_scan`` (both reorganize the same scan
     dispatch).  0 (the default) disables sharding.
     """
 
-    EXECUTORS = ("thread", "process")
-
     rules: RuleSet = field(default_factory=RuleSet)
-    parallel_threads: int = 4
-    io_threads: int | None = None
-    executor: str = "thread"
+    io_threads: int = 4
     push_selections_into_chunks: bool = True
     infer_time_bounds: bool = True
     prune_chunks: bool = True
@@ -119,11 +108,6 @@ class TwoStageOptions:
     shards: int = 0
 
     def __post_init__(self) -> None:
-        if self.executor not in self.EXECUTORS:
-            raise PlanError(
-                f"unknown stage-two executor {self.executor!r}; "
-                f"choose from {self.EXECUTORS}"
-            )
         if self.shards < 0:
             raise PlanError("shards must be >= 0 (0 disables sharding)")
         if self.shards and self.shared_scan:
@@ -131,12 +115,6 @@ class TwoStageOptions:
                 "shared_scan and shards cannot be combined: both take over "
                 "stage-two chunk dispatch"
             )
-
-    @property
-    def effective_io_threads(self) -> int:
-        return (
-            self.parallel_threads if self.io_threads is None else self.io_threads
-        )
 
 
 @dataclass
@@ -307,8 +285,7 @@ class TwoStageCompiler:
             self.database,
             self.config,
             report,
-            io_threads=self.options.effective_io_threads,
-            executor=self.options.executor,
+            io_threads=self.options.io_threads,
             push_selections=self.options.push_selections_into_chunks,
             prune_chunks=self.options.prune_chunks,
             shared=self.options.shared_scan,

@@ -405,12 +405,11 @@ class ParallelChunkScan(LogicalPlan):
     The scheduler-driven replacement for a serial ``Union`` of per-chunk
     accesses.  The node carries a
     :class:`~repro.engine.chunk_planner.ChunkPlan` — the statistics-pruned,
-    cost-ordered contract of the chunk planner — and all three executors
-    honor it identically: fetches are issued in ``plan.fetch_order``
-    (most expensive first, so remote latency overlaps cheap hits) while
-    output rows follow the plan's assembly order, so results are
-    bit-identical across serial (``io_threads == 1``), thread and process
-    execution.  Cached chunks are served from the Recycler; loads of the
+    cost-ordered contract of the chunk planner — and every source honors
+    it identically: fetches are issued in ``plan.fetch_order`` (most
+    expensive first, so remote latency overlaps cheap hits) while output
+    rows follow the plan's assembly order, so results are bit-identical
+    across serial (``io_threads == 1``) and pooled execution.  Cached chunks are served from the Recycler; loads of the
     same URI issued by concurrent queries are coalesced (single-flight).
     """
 
@@ -421,7 +420,6 @@ class ParallelChunkScan(LogicalPlan):
         schema: Schema,
         pushed_predicate: Expression | None = None,
         io_threads: int = 4,
-        executor: str = "thread",
         shared: bool = False,
         shards: int = 0,
     ) -> None:
@@ -437,18 +435,14 @@ class ParallelChunkScan(LogicalPlan):
         self.schema = schema
         self.pushed_predicate = pushed_predicate
         self.io_threads = io_threads
-        # "thread" decodes on the shared in-process pool; "process" routes
-        # decodes through the database's spawn-based worker pool over the
-        # shared on-disk chunk store (GIL-free stage two).
-        self.executor = executor
         # Route through the database's SharedScanScheduler: concurrent
         # scans of the same table share chunk materialization, predicate
         # masks and assemblies (bit-identical results by construction).
         self.shared = shared
         # Scatter-gather over N shard worker processes, each owning a
         # partition of the chunk stats catalog plus its own chunk store and
-        # recycler.  0 disables sharding; when > 0 it overrides the
-        # executor/io_threads knobs for this scan.
+        # recycler.  0 disables sharding; when > 0 it overrides
+        # ``io_threads`` for this scan.
         self.shards = shards
 
     @property
@@ -472,5 +466,5 @@ class ParallelChunkScan(LogicalPlan):
             suffix = f", shards={self.shards}{suffix}"
         return (
             f"ParallelChunkScan({len(self.uris)} chunks, "
-            f"io_threads={self.io_threads}, executor={self.executor}{suffix})"
+            f"io_threads={self.io_threads}{suffix})"
         )

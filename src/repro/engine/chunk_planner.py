@@ -17,8 +17,8 @@ and fetched everything.  The :class:`ChunkPlanner` sits between the two:
 3. **Schedule** — the fetch order starts the most expensive fetches first
    so remote latency overlaps cheap work; assembly order stays the given
    URI order so results are bit-identical to unscheduled execution.  The
-   same :class:`ChunkPlan` drives the serial, thread and process executors,
-   so all three fetch in the same order.
+   same :class:`ChunkPlan` drives serial and pooled execution, so both
+   fetch in the same order.
 
 The planner is attached to the engine :class:`~repro.engine.database.
 Database`; its cumulative counters feed ``repro cache`` and the pruning
@@ -92,6 +92,11 @@ class ChunkPlan:
     @property
     def uris(self) -> tuple[str, ...]:
         return tuple(chunk.uri for chunk in self.chunks)
+
+    @property
+    def schedule(self) -> tuple[int, ...]:
+        """``fetch_order``, or assembly order for a plan built without one."""
+        return self.fetch_order or tuple(range(len(self.chunks)))
 
     @property
     def total_cost_seconds(self) -> float:

@@ -462,7 +462,7 @@ class ChunkStore:
         """Load an entry without touching hit/miss stats.
 
         Falls back to a filesystem probe when the in-memory index has no
-        entry — another process (a stage-two decode worker) may have
+        entry — another process sharing the store root may have
         committed it after this store object scanned the directory.
         Entries whose payload files do not match the manifest (size or
         row count) are quarantined, never served.

@@ -19,11 +19,10 @@ hidden ``<T>.#rowid`` column used by join indexes.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -52,8 +51,8 @@ def qualify_chunk(raw: Table, table_name: str) -> Table:
 
     Column names gain the ``table.`` prefix and a hidden rowid column of -1
     (chunk rows are synthetic: they have no stable base-table position).
-    Shared by :meth:`Database.load_chunk` and the process-pool decode
-    workers so both produce byte-identical chunk tables.
+    Shared by :meth:`Database.load_chunk` and the shard workers so both
+    produce byte-identical chunk tables.
     """
     qualified = raw.with_prefix(table_name)
     rowids = Column(INT64, np.full(raw.num_rows, -1, dtype=np.int64))
@@ -87,10 +86,6 @@ class Database:
     # and nothing slow may run while one of these locks is held.
     _GUARDED = {
         "_io_executor_lock": ("_io_executor", "_io_executor_workers"),
-        "_process_executor_lock": (
-            "_process_executor",
-            "_process_executor_workers",
-        ),
         "_shard_lock": ("shard_coordinator",),
         "_load_accounting_lock": ("chunk_seconds_total",),
     }
@@ -156,14 +151,6 @@ class Database:
         self._io_executor_workers = 0
         self._retired_io_executors: list[ThreadPoolExecutor] = []
         self._io_executor_lock = make_lock("Database._io_executor_lock")
-        # Process pool for the GIL-free stage two: workers decode chunks
-        # and commit them to the shared chunk store; the parent mmaps them
-        # back.  Created lazily (spawn context), invalidated whenever the
-        # chunk loader changes (workers hold a pickled snapshot of it).
-        self._process_executor: ProcessPoolExecutor | None = None
-        self._process_executor_workers = 0
-        self._retired_process_executors: list[ProcessPoolExecutor] = []
-        self._process_executor_lock = make_lock("Database._process_executor_lock")
         self._load_accounting_lock = make_lock("Database._load_accounting_lock")
         # Scatter-gather coordinator for sharded stage two: created on the
         # first sharded scan (or on reopen of a sharded checkpoint) and
@@ -248,8 +235,7 @@ class Database:
 
     def set_chunk_loader(self, loader: ChunkLoader) -> None:
         self.chunk_loader = loader
-        # Any live process pool holds a pickled snapshot of the old loader.
-        self.reset_process_executor()
+        # Live shard workers hold a pickled snapshot of the old loader.
         with self._shard_lock:
             if self.shard_coordinator is not None:
                 self.shard_coordinator.reset_pools()
@@ -273,43 +259,6 @@ class Database:
                 )
                 self._io_executor_workers = threads
             return self._io_executor
-
-    def process_executor(self, workers: int) -> ProcessPoolExecutor:
-        """The shared decode process pool, grown to at least ``workers``.
-
-        Workers are initialized with a pickled snapshot of the chunk loader
-        and the chunk-store root (spawn context: safe in threaded parents).
-        They decode chunks and commit them to the store; the parent mmaps
-        the results back, so decoded samples never cross the process
-        boundary by pickling.
-        """
-        if self.chunk_store is None:
-            raise ExecutionError(
-                "process-based stage two requires the chunk store "
-                "(Database(spill_chunks=True))"
-            )
-        if self.chunk_loader is None:
-            raise ExecutionError(
-                "no chunk loader installed; register a repository first"
-            )
-        from . import chunk_worker
-
-        workers = max(1, workers)
-        with self._process_executor_lock:
-            if (
-                self._process_executor is None
-                or self._process_executor_workers < workers
-            ):
-                if self._process_executor is not None:
-                    self._retire_process_executor(self._process_executor)
-                self._process_executor = ProcessPoolExecutor(
-                    max_workers=workers,
-                    mp_context=multiprocessing.get_context("spawn"),
-                    initializer=chunk_worker.initialize_worker,
-                    initargs=(self.chunk_loader, self.chunk_store.root),
-                )
-                self._process_executor_workers = workers
-            return self._process_executor
 
     def sharding(self, shards: int, bucket_ms: int | None = None):
         """The scatter-gather coordinator for ``shards`` shard workers.
@@ -344,34 +293,6 @@ class Database:
                 self.shard_coordinator = coordinator
             return coordinator
 
-    def _retire_process_executor(self, pool: ProcessPoolExecutor) -> None:
-        # Caller holds self._process_executor_lock.  Unlike retired thread
-        # pools, a retired process pool is shut down immediately: in-flight
-        # futures still complete, but idle spawned workers (a whole
-        # interpreter each) exit instead of lingering until close().
-        pool.shutdown(wait=False)
-        self._retired_process_executors.append(pool)
-
-    def reset_process_executor(self) -> None:
-        """Retire the decode pool (the loader snapshot it holds is stale)."""
-        with self._process_executor_lock:
-            if self._process_executor is not None:
-                self._retire_process_executor(self._process_executor)
-                self._process_executor = None
-                self._process_executor_workers = 0
-
-    def warm_process_executor(self, workers: int) -> None:
-        """Spin up ``workers`` decode processes ahead of the first query.
-
-        Spawned workers pay an import cost on first use; steady-state
-        serving (and honest benchmarking of decode speed) wants that paid
-        up front.
-        """
-        from . import chunk_worker
-
-        pool = self.process_executor(workers)
-        list(pool.map(chunk_worker.worker_ready, range(max(1, workers))))
-
     def account_chunk_seconds(self, seconds: float) -> None:
         """Fold decode time observed off the main path into the totals."""
         with self._load_accounting_lock:
@@ -400,6 +321,20 @@ class Database:
         qualified = qualify_chunk(raw, table_name)
         self.chunk_stats.observe_table(uri, qualified, loading_cost=elapsed)
         return qualified, elapsed
+
+    def fetch_chunk(
+        self, uri: str, table_name: str
+    ) -> tuple[Table, str, float]:
+        """One chunk through the two-tier recycler (the local chunk source).
+
+        Returns ``(chunk, outcome, cost_seconds)`` with the recycler's
+        outcomes: ``loaded`` (fetched and decoded by :meth:`load_chunk`),
+        ``rehydrated`` (mmap from the disk tier), ``hit`` or ``coalesced``
+        (single-flight: a concurrent fetch of the same URI paid).
+        """
+        return self.recycler.get_or_load(
+            uri, lambda u: self.load_chunk(u, table_name)
+        )
 
     def adopt_store_stats(self) -> int:
         """Recover decode-derived chunk statistics from store sidecars.
@@ -569,16 +504,6 @@ class Database:
             self.shard_coordinator = None
         if coordinator is not None:
             coordinator.close()
-        with self._process_executor_lock:
-            doomed_processes = list(self._retired_process_executors)
-            self._retired_process_executors.clear()
-            active_process = self._process_executor
-            self._process_executor = None
-            self._process_executor_workers = 0
-        for retired in doomed_processes:
-            retired.shutdown(wait=False)
-        if active_process is not None:
-            active_process.shutdown(wait=True)
         with self._io_executor_lock:
             doomed_pools = list(self._retired_io_executors)
             self._retired_io_executors.clear()

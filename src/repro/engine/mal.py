@@ -13,11 +13,6 @@ a program counter.  Two instruction kinds matter for the paper:
 * :class:`CallRuntimeOptimizer` — hand control to a callback that may
   *rewrite every instruction after the program counter* before execution
   resumes (this is where scan(D) becomes the union of chunk accesses).
-
-:class:`LoadChunks` is the bulk-loading statement the paper's Run-time
-Optimizer injects ("for each required file, it inserts a statement into the
-MAL plan to load its actual data"); it supports multi-threaded loading to
-mirror MonetDB's per-file parallelization.
 """
 
 from __future__ import annotations
@@ -34,7 +29,6 @@ __all__ = [
     "MalInstruction",
     "EvalPlan",
     "CallRuntimeOptimizer",
-    "LoadChunks",
     "ReturnValue",
     "MalProgram",
 ]
@@ -91,53 +85,6 @@ class CallRuntimeOptimizer(MalInstruction):
 
     def describe(self) -> str:
         return f"call runtime-optimizer({self.input_var})"
-
-
-@dataclass
-class LoadChunks(MalInstruction):
-    """Bulk-load chunks into the recycler, optionally in parallel.
-
-    Mirrors the per-file load statements MonetDB's Run-time Optimizer
-    injects; each file forms its own slice so loading parallelizes over
-    files (the paper's static parallelization strategy — and its
-    low-chunk-count underutilization caveat — follow directly).
-
-    Loads go through the Recycler's single-flight path on the database's
-    shared I/O pool, so concurrent queries preloading the same chunk list
-    decode every chunk exactly once between them.
-    """
-
-    uris: Sequence[str]
-    table_name: str
-    threads: int = 1
-
-    def execute(self, ctx: ExecutionContext, program: "MalProgram") -> None:
-        database = ctx.database
-        missing = [uri for uri in self.uris if uri not in database.recycler]
-
-        def load_one(uri: str) -> tuple[Table, str, float]:
-            return database.recycler.get_or_load(
-                uri, lambda u: database.load_chunk(u, self.table_name)
-            )
-
-        if self.threads > 1 and len(missing) > 1:
-            pool = database.io_executor(self.threads)
-            results = list(pool.map(load_one, missing))
-        else:
-            results = [load_one(uri) for uri in missing]
-        for table, outcome, cost in results:
-            if outcome == "loaded":
-                ctx.stats.chunks_loaded += 1
-                ctx.stats.chunk_rows_loaded += table.num_rows
-                ctx.stats.chunk_load_seconds += cost
-            else:  # raced with a concurrent query's load of the same chunk
-                ctx.stats.chunks_from_cache += 1
-
-    def describe(self) -> str:
-        return (
-            f"load {len(self.uris)} chunk(s) of {self.table_name} "
-            f"(threads={self.threads})"
-        )
 
 
 @dataclass

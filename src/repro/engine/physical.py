@@ -20,7 +20,6 @@ projections and final result delivery.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import as_completed
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -32,6 +31,7 @@ from .errors import ExecutionError, PlanError, QueryCancelled
 from .expressions import Comparison, ColumnRef, Expression, conjuncts
 from .hashjoin import composite_codes_pair, equi_join_pairs
 from .predicates import extract_time_bounds
+from .scan import filter_piece, record_outcome, run_schedule
 from .table import Schema, Table
 from .types import FLOAT64, INT64, STRING, TIMESTAMP
 
@@ -230,34 +230,10 @@ def _execute_cache_scan(plan: algebra.CacheScan, ctx: ExecutionContext) -> Table
         # degrade gracefully to a chunk access.
         fallback = algebra.ChunkAccess(plan.uri, plan.table_name, plan.schema)
         return _execute_chunk_access(fallback, ctx)
-    ctx.stats.chunks_from_cache += 1
-    return _align_chunk(cached, plan.schema)
-
-
-def _record_chunk_outcome(
-    ctx: ExecutionContext,
-    uri: str,
-    chunk: Table,
-    outcome: str,
-    cost_seconds: float,
-) -> None:
-    """Account one recycler ``get_or_load`` outcome into the exec stats."""
-    if outcome == "loaded":
-        ctx.stats.chunks_loaded += 1
-        ctx.stats.chunk_rows_loaded += chunk.num_rows
-        ctx.stats.chunk_load_seconds += cost_seconds
-    elif outcome == "rehydrated":  # mmap re-hydrate from the disk tier
-        ctx.stats.chunks_rehydrated += 1
-    else:  # "hit" or "coalesced": another query (or this one) paid the cost
-        ctx.stats.chunks_from_cache += 1
-    if outcome in ("loaded", "rehydrated"):
-        # A full chunk is in hand: enrich the planner's statistics (no-op
-        # when already enriched).  This is what turns value-predicate
-        # pruning on for subsequent queries — including mmap re-hydrates
-        # and process-worker decodes that bypass Database.load_chunk.
-        ctx.database.chunk_stats.observe_table(
-            uri, chunk, loading_cost=cost_seconds if outcome == "loaded" else None
-        )
+    record_outcome(
+        ctx.stats, ctx.database, plan.uri, "hit", cached.num_rows, 0.0
+    )
+    return filter_piece(cached, plan.schema.names, None)
 
 
 def _execute_chunk_access(plan: algebra.ChunkAccess, ctx: ExecutionContext) -> Table:
@@ -265,39 +241,53 @@ def _execute_chunk_access(plan: algebra.ChunkAccess, ctx: ExecutionContext) -> T
     in_situ = _try_in_situ_access(plan, ctx)
     if in_situ is not None:
         return in_situ
+    # The one-chunk case of the private scan below.
+    return _scan_local(ctx, plan, (plan.uri,), (0,), io_threads=1)[0]
+
+
+def _scan_local(
+    ctx: ExecutionContext,
+    plan: "algebra.ChunkAccess | algebra.ParallelChunkScan",
+    uris: Sequence[str],
+    schedule: Sequence[int],
+    io_threads: int,
+) -> list[Table]:
+    """Filtered pieces of ``uris`` (in that order) from the local recycler.
+
+    Fetches are issued in ``schedule`` order — serially on the query thread
+    with ``io_threads == 1``, through the database's shared I/O pool
+    otherwise; each chunk is accounted and filtered on the query thread as
+    it completes.
+    """
     database = ctx.database
-    chunk, outcome, cost_seconds = database.recycler.get_or_load(
-        plan.uri, lambda uri: database.load_chunk(uri, plan.table_name)
-    )
-    _record_chunk_outcome(ctx, plan.uri, chunk, outcome, cost_seconds)
-    result = _align_chunk(chunk, plan.schema)
-    if plan.pushed_predicate is not None:
-        mask = np.asarray(plan.pushed_predicate.evaluate(result), dtype=np.bool_)
-        result = result.filter(mask)
-    return result
+    names = plan.schema.names
+    pieces: list[Table | None] = [None] * len(uris)
+
+    def fetch(index: int) -> tuple[Table, str, float]:
+        return database.fetch_chunk(uris[index], plan.table_name)
+
+    def ingest(index: int, fetched: tuple[Table, str, float]) -> None:
+        chunk, outcome, cost = fetched
+        record_outcome(
+            ctx.stats, database, uris[index], outcome, chunk.num_rows, cost, chunk
+        )
+        pieces[index] = filter_piece(chunk, names, plan.pushed_predicate)
+
+    pool = database.io_executor(io_threads) if io_threads > 1 else None
+    run_schedule(schedule, fetch, ingest, ctx.check_cancelled, pool)
+    return pieces
 
 
 def _execute_parallel_chunk_scan(
     plan: algebra.ParallelChunkScan, ctx: ExecutionContext
 ) -> Table:
-    """The chunk scheduler: planned fetch order over any executor.
+    """The planned chunk scan: one loop, the source picked by the plan.
 
-    Fetches are issued in the chunk plan's scheduled order (most expensive
-    tier first, so remote fetch latency overlaps cheap cache hits and
-    re-hydrates) — serially on the query thread with ``io_threads == 1``,
-    through the database's shared I/O pool otherwise; as each chunk
-    completes it is aligned and filtered on the query thread while the
-    remaining decodes keep running.  The final concatenation follows the
-    plan's assembly (URI) order, so every executor produces bit-identical
-    rows.
-
-    With ``plan.executor == "process"`` the actual Steim decode happens in
-    the database's spawn-based worker pool: a worker commits the decoded
-    chunk to the shared on-disk chunk store and the parent mmaps it back.
-    The I/O threads then only wait on worker receipts and re-hydrate, so
-    decode CPU scales past the GIL.  Warm chunks never reach the workers:
-    the recycler's single-flight slot serves memory hits and disk-tier
-    re-hydrates first, exactly as in thread mode.
+    Private scans fetch from the local recycler; ``plan.shared`` and
+    ``plan.shards`` plug a shared-scan delivery or a shard worker into the
+    same :func:`~repro.engine.scan.run_schedule`.  Whatever the source and
+    the completion order, the final concatenation follows the plan's
+    assembly (URI) order, so every path produces bit-identical rows.
     """
     if not plan.uris:
         return Table.empty(plan.schema)
@@ -306,88 +296,16 @@ def _execute_parallel_chunk_scan(
         # Scatter-gather path: the plan is split by the shard layout and
         # executed inside shard worker processes, each owning its own
         # chunk store + recycler; the coordinator merges filtered pieces
-        # back in plan (assembly) order, bit-identical to the serial path.
+        # back in plan (assembly) order.
         return database.sharding(plan.shards).execute(plan, ctx)
     if plan.shared:
         # Cooperative path: concurrent scans of this table share chunk
         # materialization, predicate masks and assemblies through the
-        # database's scheduler (bit-identical to the private path below).
+        # database's scheduler.
         return database.shared_scans.execute(plan, ctx)
-
-    use_processes = (
-        plan.executor == "process"
-        and plan.io_threads > 1
-        and len(plan.uris) > 1
+    return Table.concat_all(
+        _scan_local(ctx, plan, plan.uris, plan.plan.schedule, plan.io_threads)
     )
-    if use_processes:
-        from . import chunk_worker
-
-        process_pool = database.process_executor(plan.io_threads)
-        store = database.chunk_store
-
-        def load_one(uri: str) -> tuple[Table, float]:
-            receipt = process_pool.submit(
-                chunk_worker.decode_chunk_to_store, uri, plan.table_name
-            )
-            _, _, cost = receipt.result()
-            database.account_chunk_seconds(cost)
-            rehydrated = store.get(uri)
-            if rehydrated is None:
-                raise ExecutionError(
-                    f"decode worker reported {uri!r} done but the chunk "
-                    "store has no committed entry"
-                )
-            return rehydrated[0], cost
-    else:
-
-        def load_one(uri: str) -> tuple[Table, float]:
-            return database.load_chunk(uri, plan.table_name)
-
-    def decode(uri: str) -> tuple[Table, str, float]:
-        return database.recycler.get_or_load(uri, load_one)
-
-    chunk_plan = plan.plan
-    uris = plan.uris
-    pieces: list[Table | None] = [None] * len(uris)
-    # Scheduled fetch order (descending estimated cost); assembly stays in
-    # plan order below, so scheduling never changes the result.
-    schedule = chunk_plan.fetch_order or tuple(range(len(uris)))
-
-    def ingest(index: int, chunk: Table, outcome: str, cost: float) -> None:
-        _record_chunk_outcome(ctx, uris[index], chunk, outcome, cost)
-        piece = _align_chunk(chunk, plan.schema)
-        if plan.pushed_predicate is not None:
-            mask = np.asarray(
-                plan.pushed_predicate.evaluate(piece), dtype=np.bool_
-            )
-            piece = piece.filter(mask)
-        pieces[index] = piece
-
-    if plan.io_threads > 1 and len(uris) > 1:
-        executor = database.io_executor(plan.io_threads)
-        futures = {
-            executor.submit(decode, uris[index]): index
-            for index in schedule
-        }
-        try:
-            for future in as_completed(futures):
-                # Between chunk completions is the natural cancellation
-                # point: pending decodes are revoked by the except below.
-                ctx.check_cancelled()
-                chunk, outcome, cost = future.result()
-                ingest(futures[future], chunk, outcome, cost)
-        except BaseException:
-            # Don't leave doomed decodes occupying the shared pool.
-            for pending in futures:
-                pending.cancel()
-            raise
-    else:
-        for index in schedule:
-            ctx.check_cancelled()
-            chunk, outcome, cost = decode(uris[index])
-            ingest(index, chunk, outcome, cost)
-
-    return Table.concat_all([piece for piece in pieces if piece is not None])
 
 
 def _try_in_situ_access(
@@ -417,17 +335,10 @@ def _try_in_situ_access(
     if loaded is None:
         return None
     table, cost_seconds = loaded
-    ctx.stats.chunks_loaded += 1
-    ctx.stats.chunk_rows_loaded += table.num_rows
-    ctx.stats.chunk_load_seconds += cost_seconds
-    result = _align_chunk(table, plan.schema)
-    mask = np.asarray(plan.pushed_predicate.evaluate(result), dtype=np.bool_)
-    return result.filter(mask)
-
-
-def _align_chunk(chunk: Table, schema: Schema) -> Table:
-    """Project a cached/loaded chunk to the schema the plan expects."""
-    return chunk.project(list(schema.names))
+    record_outcome(
+        ctx.stats, database, plan.uri, "loaded", table.num_rows, cost_seconds
+    )
+    return filter_piece(table, plan.schema.names, plan.pushed_predicate)
 
 
 # -- row-level operators ---------------------------------------------------------

@@ -1,0 +1,105 @@
+"""The one chunk-scan loop: fetch → account → align → mask → filter → place.
+
+The run-time rewrite ``scan(a) → ∪ (cache-scan(f) | chunk-access(f))`` is
+executed by every stage-two path through the three functions here; a path
+differs only in the *source* it plugs into :func:`run_schedule` as
+``fetch`` — the local recycler (private scans and the one-chunk
+operators), a shared-scan delivery, or a shard worker's own recycler.
+
+Everything here must stay importable by a spawn-context child.
+"""
+
+from __future__ import annotations
+
+from concurrent.futures import Executor, as_completed
+from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
+
+import numpy as np
+
+from .table import Table
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .database import Database
+    from .expressions import Expression
+    from .physical import ExecStats
+
+__all__ = ["filter_piece", "record_outcome", "run_schedule"]
+
+Fetched = TypeVar("Fetched")
+
+
+def filter_piece(
+    chunk: Table, names: Sequence[str], predicate: "Expression | None"
+) -> Table:
+    """Project a chunk to the plan's schema and apply the pushed predicate."""
+    piece = chunk.project(list(names))
+    if predicate is not None:
+        mask = np.asarray(predicate.evaluate(piece), dtype=np.bool_)
+        piece = piece.filter(mask)
+    return piece
+
+
+def record_outcome(
+    stats: "ExecStats",
+    database: "Database",
+    uri: str,
+    outcome: str,
+    rows: int,
+    cost: float,
+    chunk: Table | None = None,
+) -> None:
+    """Account one chunk fetch outcome into a query's exec stats.
+
+    ``chunk`` is passed only when the *whole* chunk is in hand (not for
+    shard receipts or in-situ partial decodes): it enriches the planner's
+    statistics (no-op when already enriched), which is what turns
+    value-predicate pruning on for subsequent queries — including mmap
+    re-hydrates that bypass ``Database.load_chunk``.
+    """
+    if outcome == "loaded":
+        stats.chunks_loaded += 1
+        stats.chunk_rows_loaded += rows
+        stats.chunk_load_seconds += cost
+    elif outcome == "rehydrated":  # mmap re-hydrate from the disk tier
+        stats.chunks_rehydrated += 1
+    else:  # "hit" or "coalesced": another query (or this one) paid the cost
+        stats.chunks_from_cache += 1
+    if chunk is not None and outcome in ("loaded", "rehydrated"):
+        database.chunk_stats.observe_table(
+            uri, chunk, loading_cost=cost if outcome == "loaded" else None
+        )
+
+
+def run_schedule(
+    schedule: Sequence[int],
+    fetch: Callable[[int], Fetched],
+    ingest: Callable[[int, Fetched], None],
+    poll: Callable[[], None],
+    pool: Executor | None = None,
+) -> None:
+    """Fetch every scheduled chunk, ingesting each on the calling thread.
+
+    ``schedule`` is the chunk plan's fetch order (most expensive tier
+    first, so remote latency overlaps cheap hits); ``fetch(index)`` runs
+    serially here, or on ``pool`` when one is given, and ``ingest(index,
+    fetched)`` runs on the calling thread as each fetch completes while
+    the remaining ones keep running.  Callers place results by ``index``,
+    so completion order never changes the assembled rows.  ``poll()`` is
+    the cancellation point at every chunk boundary; on any exception the
+    still-pending fetches are revoked so doomed work never occupies the
+    shared pool.
+    """
+    if pool is None or len(schedule) < 2:
+        for index in schedule:
+            poll()
+            ingest(index, fetch(index))
+        return
+    futures = {pool.submit(fetch, index): index for index in schedule}
+    try:
+        for future in as_completed(futures):
+            poll()
+            ingest(futures[future], future.result())
+    except BaseException:
+        for pending in futures:
+            pending.cancel()
+        raise

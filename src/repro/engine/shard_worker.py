@@ -1,17 +1,15 @@
 """Shard worker processes: per-shard plan execution for scatter-gather.
 
-Where :mod:`~repro.engine.chunk_worker` ships one decode task per chunk and
-leaves alignment/filtering to the parent, a *shard* worker owns a whole
-partition of the warehouse: its own :class:`~repro.engine.chunk_store.
-ChunkStore` (under ``<workdir>/shards/shard-NN/chunks``), its own budgeted
+A *shard* worker owns a whole partition of the warehouse: its own
+:class:`~repro.engine.chunk_store.ChunkStore` (under
+``<workdir>/shards/shard-NN/chunks``), its own budgeted
 :class:`~repro.engine.recycler.Recycler` in front of it, and its own decode
 kernels.  The parent's :class:`~repro.engine.sharding.ScatterGatherCoordinator`
 splits a :class:`~repro.engine.chunk_planner.ChunkPlan` into per-shard
-:class:`ShardTask`\\ s; :func:`execute_shard_plan` runs one of them end to
-end — fetch in the sub-plan's scheduled order, align, apply the pushed
-predicate — and ships the *filtered* pieces back by pickle together with
-per-chunk outcome receipts (so the parent's ``ExecStats`` and chunk-stats
-catalog stay exact without ever seeing the full chunks).
+:class:`ShardTask`\\ s; :func:`execute_shard_plan` runs one through the one
+scan loop (:mod:`~repro.engine.scan`) and ships the *filtered* pieces back
+by pickle with per-chunk outcome receipts (so the parent's ``ExecStats`` and
+chunk-stats catalog stay exact without ever seeing the full chunks).
 
 Worker state persists across tasks: the recycler stays warm between queries,
 and because decoded chunks are committed to the shard's on-disk store, a
@@ -31,10 +29,9 @@ import os
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from .database import qualify_chunk
 from .errors import ExecutionError, FormatError, QueryCancelled
+from .scan import filter_piece, run_schedule
 from .table import Table
 
 __all__ = [
@@ -67,7 +64,7 @@ class ShardTask:
     fetch_order: tuple[int, ...]
     column_names: tuple[str, ...]
     predicate: object | None
-    cancel_path: str | None
+    cancel_path: str
 
 
 @dataclass
@@ -146,8 +143,8 @@ def shard_worker_ready(_token: int = 0) -> tuple[int, str]:
     return _SHARD_ID, _active_kernel()
 
 
-def _check_cancelled(cancel_path: str | None) -> None:
-    if cancel_path is not None and os.path.exists(cancel_path):
+def _check_cancelled(cancel_path: str) -> None:
+    if os.path.exists(cancel_path):
         raise QueryCancelled(
             f"shard {_SHARD_ID}: query cancelled by coordinator"
         )
@@ -195,20 +192,22 @@ def execute_shard_plan(task: ShardTask) -> ShardResult:
     _require_initialized()
     pieces: list[Table | None] = [None] * len(task.uris)
     receipts: list[tuple[str, str, int, float, dict | None]] = []
-    schedule = task.fetch_order or tuple(range(len(task.uris)))
-    columns = list(task.column_names)
-    for index in schedule:
-        _check_cancelled(task.cancel_path)
-        chunk, receipt = _fetch_one(task.uris[index], task.table_name)
+
+    def fetch(index: int):
+        return _fetch_one(task.uris[index], task.table_name)
+
+    def ingest(index: int, fetched) -> None:
+        chunk, receipt = fetched
         receipts.append(receipt)
-        piece = chunk.project(columns)
-        if task.predicate is not None:
-            mask = np.asarray(task.predicate.evaluate(piece), dtype=np.bool_)
-            piece = piece.filter(mask)
-        pieces[index] = piece
+        pieces[index] = filter_piece(chunk, task.column_names, task.predicate)
+
+    run_schedule(
+        task.fetch_order, fetch, ingest,
+        lambda: _check_cancelled(task.cancel_path),
+    )
     return ShardResult(
         shard_id=_SHARD_ID,
-        pieces=[piece for piece in pieces if piece is not None],
+        pieces=pieces,
         receipts=receipts,
         kernel=_active_kernel(),
     )

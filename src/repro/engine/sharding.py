@@ -36,6 +36,7 @@ from typing import TYPE_CHECKING
 
 from . import shard_worker
 from .errors import CatalogError, ExecutionError, QueryCancelled, StorageError
+from .scan import record_outcome
 from .table import Table
 from ..util.lock_sanitizer import make_lock
 
@@ -137,9 +138,8 @@ class ShardLayout:
         assembly: dict[int, list[int]] = {}
         for index, owner in enumerate(owners):
             assembly.setdefault(owner, []).append(index)
-        schedule = plan.fetch_order or tuple(range(len(plan.chunks)))
         fetch: dict[int, list[int]] = {owner: [] for owner in assembly}
-        for index in schedule:
+        for index in plan.schedule:
             fetch[owners[index]].append(index)
         return {
             owner: (tuple(assembly[owner]), tuple(fetch[owner]))
@@ -289,7 +289,9 @@ class ScatterGatherCoordinator:
         self.layout.refresh(self.database)
         chunk_plan = plan.plan
         split = self.layout.split(chunk_plan)
-        cancel_path = self._make_cancel_path() if ctx.cancel is not None else None
+        # Only a name until a broadcast creates the file: a failed shard
+        # stops its siblings through it even when the caller has no token.
+        cancel_path = os.path.join(self._cancel_dir, uuid.uuid4().hex)
         futures: dict[object, tuple[int, tuple[int, ...]]] = {}
         failures: list[tuple[int, BaseException]] = []
         for shard_id, (assembly, fetch) in sorted(split.items()):
@@ -332,7 +334,6 @@ class ScatterGatherCoordinator:
                 )
                 if (
                     not broadcast
-                    and cancel_path is not None
                     and ctx.cancel is not None
                     and ctx.cancel.cancelled
                 ):
@@ -344,16 +345,15 @@ class ScatterGatherCoordinator:
                     except BaseException as exc:
                         failures.append((shard_id, exc))
                         # Stop the healthy shards: their work is doomed.
-                        if cancel_path is not None and not broadcast:
+                        if not broadcast:
                             broadcast = self._broadcast_cancel(cancel_path)
                         continue
                     self._ingest(result, assembly, ctx, pieces)
         finally:
-            if cancel_path is not None:
-                try:
-                    os.unlink(cancel_path)
-                except OSError:
-                    pass
+            try:
+                os.unlink(cancel_path)
+            except OSError:
+                pass
         if failures:
             self._raise_failures(failures, ctx)
         ctx.check_cancelled()
@@ -381,16 +381,14 @@ class ScatterGatherCoordinator:
         pieces: list,
     ) -> None:
         for receipt in result.receipts:
-            _, outcome, num_rows, cost, _ = receipt
+            uri, outcome, num_rows, cost, _ = receipt
+            # Outcomes are those of the shard's own recycler; the worker's
+            # decode time never passed through Database.load_chunk.
+            record_outcome(
+                ctx.stats, self.database, uri, outcome, num_rows, cost
+            )
             if outcome == "loaded":
-                ctx.stats.chunks_loaded += 1
-                ctx.stats.chunk_rows_loaded += num_rows
-                ctx.stats.chunk_load_seconds += cost
                 self.database.account_chunk_seconds(cost)
-            elif outcome == "rehydrated":
-                ctx.stats.chunks_rehydrated += 1
-            else:  # "hit" / "coalesced" in the shard's own recycler
-                ctx.stats.chunks_from_cache += 1
             self._adopt_receipt(receipt)
         ctx.stats.chunks_from_shards += len(result.pieces)
         with self._stats_lock:
@@ -440,13 +438,10 @@ class ScatterGatherCoordinator:
 
     # -- cancellation ------------------------------------------------------
 
-    def _make_cancel_path(self) -> str:
-        os.makedirs(self._cancel_dir, exist_ok=True)
-        return os.path.join(self._cancel_dir, uuid.uuid4().hex)
-
     def _broadcast_cancel(self, cancel_path: str) -> bool:
         """Fan the parent's cancellation out to every shard worker."""
         try:
+            os.makedirs(self._cancel_dir, exist_ok=True)
             with open(cancel_path, "w", encoding="utf-8"):
                 pass
         except OSError:

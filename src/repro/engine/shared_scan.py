@@ -42,19 +42,17 @@ never outlive the recycler's view of the data by more than one wave.
 Results are bit-identical to private scans by construction: pieces are
 filtered with the same pushed predicate and concatenated in the same
 assembly (plan) order as :func:`~repro.engine.physical` does privately;
-owned chunks are fetched in the plan's schedule order through the same
-shared I/O pool when ``io_threads > 1``.
+owned chunks go through the same :func:`~repro.engine.scan.run_schedule`
+loop, in the plan's schedule order and on the same shared I/O pool.
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import as_completed
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .errors import ExecutionError
+from .scan import filter_piece, record_outcome, run_schedule
 from .table import Table
 from ..util.lock_sanitizer import make_lock
 
@@ -277,110 +275,91 @@ class SharedScanScheduler:
         names: tuple[str, ...],
     ) -> Table:
         uris = plan.uris
-        schedule = plan.plan.fetch_order or tuple(range(len(uris)))
         # Claim phase: sweep the whole schedule first, so concurrent
         # consumers partition the chunk set instead of colliding one URI
         # at a time.
-        owned: list[tuple[int, _Delivery]] = []
-        joined: list[tuple[int, _Delivery]] = []
+        owned: dict[int, _Delivery] = {}
+        joined: dict[int, _Delivery] = {}
         with scan_pass.lock:
-            for index in schedule:
+            for index in plan.plan.schedule:
                 uri = uris[index]
                 delivery = scan_pass.deliveries.get(uri)
                 if delivery is None or delivery.error is not None:
                     delivery = _Delivery(uri)
                     scan_pass.deliveries[uri] = delivery
-                    owned.append((index, delivery))
+                    owned[index] = delivery
                 else:
-                    joined.append((index, delivery))
+                    joined[index] = delivery
 
         pieces: list[Table | None] = [None] * len(uris)
 
         def finish(index: int, delivery: _Delivery) -> None:
             pieces[index] = self._piece(delivery, plan, predicate_key, names)
 
-        try:
-            self._materialize_owned(plan, ctx, owned, finish)
-        except BaseException as exc:
-            for _, delivery in owned:
-                delivery.abandon(exc)
-            raise
-        for index, delivery in joined:
-            finish(index, self._await_delivery(scan_pass, delivery, plan, ctx))
+        self._materialize_owned(plan, ctx, owned, finish)
+        for index, delivery in joined.items():
+            self._await_delivery(scan_pass, index, delivery, plan, ctx, finish)
 
-        return Table.concat_all([p for p in pieces if p is not None])
+        return Table.concat_all(pieces)
 
     def _materialize_owned(
         self,
         plan: "algebra.ParallelChunkScan",
         ctx: "ExecutionContext",
-        owned: list[tuple[int, _Delivery]],
+        owned: dict[int, _Delivery],
         finish,
     ) -> None:
         """Produce every claimed chunk, publishing each as it lands.
 
-        Mirrors the private scheduler: fetches are issued in schedule
-        order — through the database's shared I/O pool when the plan asks
-        for parallelism — while accounting and piece building stay on the
-        query thread.
+        ``owned`` maps plan index → claimed delivery in schedule order.
+        The source plugged into the one scan loop is the local recycler
+        plus a publish; accounting and piece building stay on the query
+        thread.  Unwinding abandons every claimed-but-unpublished
+        delivery, so waiters never block on a dead owner.
         """
-        from .physical import _record_chunk_outcome
-
         database = self.database
 
-        def produce(delivery: _Delivery) -> tuple[Table, str, float]:
-            try:
-                chunk, outcome, cost = database.recycler.get_or_load(
-                    delivery.uri,
-                    lambda u: database.load_chunk(u, plan.table_name),
-                )
-            except BaseException as exc:
-                delivery.abandon(exc)
-                raise
-            delivery.publish(chunk)
-            return chunk, outcome, cost
+        def produce(index: int) -> tuple[Table, str, float]:
+            delivery = owned[index]
+            fetched = database.fetch_chunk(delivery.uri, plan.table_name)
+            delivery.publish(fetched[0])
+            return fetched
 
-        if plan.io_threads > 1 and len(owned) > 1:
-            executor = database.io_executor(plan.io_threads)
-            futures = {
-                executor.submit(produce, delivery): (index, delivery)
-                for index, delivery in owned
-            }
-            try:
-                for future in as_completed(futures):
-                    ctx.check_cancelled()
-                    chunk, outcome, cost = future.result()
-                    index, delivery = futures[future]
-                    _record_chunk_outcome(
-                        ctx, delivery.uri, chunk, outcome, cost
-                    )
-                    with self._lock:
-                        self._deliveries_produced += 1
-                    finish(index, delivery)
-            except BaseException:
-                for pending in futures:
-                    pending.cancel()
-                raise
-        else:
-            for index, delivery in owned:
-                ctx.check_cancelled()
-                chunk, outcome, cost = produce(delivery)
-                _record_chunk_outcome(ctx, delivery.uri, chunk, outcome, cost)
-                with self._lock:
-                    self._deliveries_produced += 1
-                finish(index, delivery)
+        def ingest(index: int, fetched: tuple[Table, str, float]) -> None:
+            chunk, outcome, cost = fetched
+            delivery = owned[index]
+            record_outcome(
+                ctx.stats, database, delivery.uri, outcome, chunk.num_rows,
+                cost, chunk,
+            )
+            with self._lock:
+                self._deliveries_produced += 1
+            finish(index, delivery)
+
+        pool = (
+            database.io_executor(plan.io_threads)
+            if plan.io_threads > 1
+            else None
+        )
+        try:
+            run_schedule(
+                tuple(owned), produce, ingest, ctx.check_cancelled, pool
+            )
+        except BaseException as exc:
+            for delivery in owned.values():
+                delivery.abandon(exc)
+            raise
 
     def _await_delivery(
         self,
         scan_pass: _ScanPass,
+        index: int,
         delivery: _Delivery,
         plan: "algebra.ParallelChunkScan",
         ctx: "ExecutionContext",
-    ) -> _Delivery:
+        finish,
+    ) -> None:
         """Wait for another consumer's delivery, re-claiming if abandoned."""
-        from .physical import _record_chunk_outcome
-
-        database = self.database
         while True:
             # Owner progress wakes us immediately; the timeout only bounds
             # how long our own cancel token can go unchecked.
@@ -395,7 +374,7 @@ class SharedScanScheduler:
                 ctx.stats.chunks_shared += 1
                 with self._lock:
                     self._deliveries_shared += 1
-                return delivery
+                return finish(index, delivery)
             # The owner unwound without publishing: take over (or join a
             # newer claimant's delivery).
             with scan_pass.lock:
@@ -408,20 +387,9 @@ class SharedScanScheduler:
                     owned = False
                 delivery = current
             if owned:
-                ctx.check_cancelled()
-                try:
-                    chunk, outcome, cost = database.recycler.get_or_load(
-                        delivery.uri,
-                        lambda u: database.load_chunk(u, plan.table_name),
-                    )
-                except BaseException as exc:
-                    delivery.abandon(exc)
-                    raise
-                delivery.publish(chunk)
-                _record_chunk_outcome(ctx, delivery.uri, chunk, outcome, cost)
-                with self._lock:
-                    self._deliveries_produced += 1
-                return delivery
+                return self._materialize_owned(
+                    plan, ctx, {index: delivery}, finish
+                )
 
     def _piece(
         self,
@@ -438,17 +406,10 @@ class SharedScanScheduler:
         sides produce identical tables), so the memo rides on the
         GIL-atomicity of single dict operations instead of a lock.
         """
-        from .physical import _align_chunk
-
         piece_key = (predicate_key, names)
         piece = delivery.pieces.get(piece_key)
         if piece is not None:
             return piece
         assert delivery.chunk is not None
-        piece = _align_chunk(delivery.chunk, plan.schema)
-        if plan.pushed_predicate is not None:
-            mask = np.asarray(
-                plan.pushed_predicate.evaluate(piece), dtype=np.bool_
-            )
-            piece = piece.filter(mask)
+        piece = filter_piece(delivery.chunk, names, plan.pushed_predicate)
         return delivery.pieces.setdefault(piece_key, piece)

@@ -1,5 +1,7 @@
 """Per-checker fixtures: one known-bad and one known-good snippet each."""
 
+import pytest
+
 
 class TestCounterPlumbing:
     def test_field_missing_from_merge_fires(self, run_checker):
@@ -236,6 +238,39 @@ class TestCancellation:
             """,
         )
         assert findings == []
+
+    RUN_SCHEDULE = """
+        def run_schedule(schedule, fetch, ingest, poll, pool=None):
+            if pool is None:
+                for index in schedule:
+                    {serial_poll}
+                    ingest(index, fetch(index))
+                return
+            futures = {{pool.submit(fetch, i): i for i in schedule}}
+            for future in as_completed(futures):
+                {pooled_poll}
+                ingest(futures[future], future.result())
+        """
+
+    def test_run_schedule_with_poll_in_both_loops_is_clean(self, run_checker):
+        source = self.RUN_SCHEDULE.format(
+            serial_poll="poll()", pooled_poll="poll()"
+        )
+        assert run_checker("cancellation", source) == []
+
+    @pytest.mark.parametrize(
+        "serial_poll, pooled_poll, guard",
+        [("pass", "poll()", "schedule"), ("poll()", "pass", "as_completed")],
+    )
+    def test_run_schedule_without_poll_fires(
+        self, run_checker, serial_poll, pooled_poll, guard
+    ):
+        source = self.RUN_SCHEDULE.format(
+            serial_poll=serial_poll, pooled_poll=pooled_poll
+        )
+        findings = run_checker("cancellation", source)
+        assert len(findings) == 1
+        assert guard in findings[0].message
 
     def test_claim_only_sweep_is_not_flagged(self, run_checker):
         # Bookkeeping over the schedule fetches nothing: nothing to cancel.

@@ -69,3 +69,137 @@ def test_untouched_token_does_not_interfere(lazy_db):
     assert result.table.num_rows == 1
     (count_row,) = result.table.rows()
     assert count_row[0] > 0
+
+
+# -- faults through the one scan loop (engine/scan.run_schedule) -------------
+
+COUNT_ALL = "SELECT COUNT(*) AS n FROM dataview"  # all 8 chunks
+# Same chunks, different pushed predicate: under shared_scan this consumer
+# joins the victim's *deliveries* (not its assembly) and must re-claim them.
+COUNT_MASKED = COUNT_ALL + " WHERE D.sample_value > -1000000000"
+
+
+class _FaultOnNthLoad:
+    """Delegating chunk loader that fires ``fault`` inside its Nth load."""
+
+    def __init__(self, inner, nth, fault):
+        self._inner = inner
+        self._nth = nth
+        self._fault = fault
+        self._lock = threading.Lock()
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def load(self, uri, table_name):
+        with self._lock:
+            self.calls += 1
+            fire = self.calls == self._nth
+        if fire:
+            self._fault()
+        return self._inner.load(uri, table_name)
+
+
+class _InjectedFault(Exception):
+    pass
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["private", "shared"])
+@pytest.mark.parametrize("fault", ["cancel", "raise"])
+def test_fault_mid_scan_unwinds_the_one_loop(tiny_repo, shared, fault):
+    import time
+
+    from repro.core.loading import prepare
+    from repro.core.two_stage import TwoStageOptions
+
+    reference, _ = prepare(
+        "lazy", tiny_repo[0], options=TwoStageOptions(io_threads=1)
+    )
+    expected = {
+        sql: reference.query(sql).table.to_dicts()
+        for sql in (COUNT_ALL, COUNT_MASKED)
+    }
+    reference.close()
+
+    db, _ = prepare(
+        "lazy",
+        tiny_repo[0],
+        options=TwoStageOptions(io_threads=2, shared_scan=shared),
+    )
+    scheduler = db.database.shared_scans
+    token = CancelToken()
+
+    def fire():
+        # Shared: hold the fault until the waiter has joined our deliveries.
+        deadline = time.monotonic() + 10
+        while (
+            shared
+            and scheduler.stats_snapshot()["consumers_total"] < 2
+            and time.monotonic() < deadline
+        ):
+            time.sleep(0.005)
+        if fault == "cancel":
+            token.cancel()
+        else:
+            raise _InjectedFault("injected on the 2nd chunk")
+
+    real_loader = db.database.chunk_loader
+    real_loader.io_delay_ms = 20.0  # keep fetches in flight while we unwind
+    loader = _FaultOnNthLoad(real_loader, 2, fire)
+    db.database.set_chunk_loader(loader)
+    waited: list = []
+    try:
+        waiter = threading.Thread(
+            target=lambda: waited.append(db.query(COUNT_MASKED))
+        )
+        if shared:
+            # The victim claims every chunk first; the waiter then blocks
+            # on those deliveries until the fault abandons them.
+            victim_error: list = []
+
+            def victim():
+                try:
+                    db.query(COUNT_ALL, cancel=token)
+                except BaseException as exc:
+                    victim_error.append(exc)
+
+            victim_thread = threading.Thread(target=victim)
+            victim_thread.start()
+            while loader.calls < 1:
+                time.sleep(0.001)
+            waiter.start()
+            victim_thread.join(timeout=30)
+            waiter.join(timeout=30)
+            assert not victim_thread.is_alive() and not waiter.is_alive()
+            (error,) = victim_error
+        else:
+            with pytest.raises((QueryCancelled, _InjectedFault)) as caught:
+                db.query(COUNT_ALL, cancel=token)
+            error = caught.value
+        assert isinstance(
+            error, QueryCancelled if fault == "cancel" else _InjectedFault
+        )
+
+        # Nothing of the dead scan is left on the shared pool: a sentinel
+        # queued behind it runs, and no revoked fetch ever reached the loader.
+        db.database.io_executor(2).submit(lambda: None).result(timeout=10)
+        if shared:
+            # Abandoned deliveries were re-claimed, not inherited as errors.
+            (result,) = waited
+            assert result.table.to_dicts() == expected[COUNT_MASKED]
+            stats = result.stats
+            assert (
+                stats.chunks_loaded + stats.chunks_from_cache
+                + stats.chunks_rehydrated + stats.chunks_shared
+            ) == 8
+            assert not scheduler._passes
+        else:
+            assert loader.calls < 8
+
+        # The next query on the same database is bit-identical.
+        real_loader.io_delay_ms = 0.0
+        for sql in (COUNT_ALL, COUNT_MASKED):
+            assert db.query(sql).table.to_dicts() == expected[sql]
+    finally:
+        db.close()

@@ -106,7 +106,7 @@ class TestLazyExecution:
         db, _ = prepare(
             "lazy",
             tiny_repo[0],
-            options=TwoStageOptions(parallel_threads=4),
+            options=TwoStageOptions(io_threads=4),
         )
         start, end = two_day_range
         sql = t4_query(
@@ -122,7 +122,7 @@ class TestLazyExecution:
         db, _ = prepare(
             "lazy",
             tiny_repo[0],
-            options=TwoStageOptions(parallel_threads=1),
+            options=TwoStageOptions(io_threads=1),
         )
         start, end = two_day_range
         sql = t4_query(

@@ -1,9 +1,9 @@
 """Sharded scatter-gather execution: identity, failure, cancellation.
 
 Shard workers are real spawn processes (each imports numpy), so this file
-follows the process-stage-two playbook: a handful of end-to-end checks
-that reuse databases where possible, with the cheap layout/validation
-plumbing tested without any pool.
+keeps to a handful of end-to-end checks that reuse databases where
+possible, with the cheap layout/validation plumbing tested without any
+pool.
 """
 
 from __future__ import annotations
@@ -204,6 +204,37 @@ class TestFailureAndCancellation:
                 db.query(COUNT_ALL)
             # ...and the next one runs on a respawned worker.
             assert db.query(COUNT_ALL).table.num_rows == 1
+        finally:
+            db.close()
+
+    def test_failed_shard_stops_siblings_without_a_token(self, tiny_repo):
+        import os
+
+        db, _ = prepare(
+            "lazy", tiny_repo[0], options=TwoStageOptions(shards=2)
+        )
+        try:
+            # Before the workers spawn (they pickle the loader): shard 0
+            # no longer knows its chunks and fails at its first fetch,
+            # while shard 1 is still inside a slow one.
+            loader = db.database.chunk_loader
+            loader.io_delay_ms = 150.0
+            coordinator = db.database.sharding(2)
+            coordinator.layout.refresh(db.database)
+            owners = {
+                uri: coordinator.layout.shard_of(uri)
+                for uri in list(loader._file_ids)
+            }
+            assert set(owners.values()) == {0, 1}
+            for uri, owner in owners.items():
+                if owner == 0:
+                    del loader._file_ids[uri]
+            coordinator.warm_pools()
+
+            with pytest.raises(ExecutionError, match="never registered"):
+                db.query(COUNT_ALL)  # no CancelToken
+            assert coordinator.stats_snapshot()["cancel_broadcasts"] == 1
+            assert os.listdir(os.path.join(coordinator.root, ".cancel")) == []
         finally:
             db.close()
 

@@ -96,3 +96,70 @@ def test_lazy_equals_eager_on_random_t2(db_pair, start_hour, duration_hours):
         assert a["window_start_ts"] == b["window_start_ts"]
         assert a["window_max_val"] == pytest.approx(b["window_max_val"])
         assert a["window_mean_val"] == pytest.approx(b["window_mean_val"])
+
+
+# -- one scan loop, every remaining source: rows and counter conservation ----
+
+SCAN_QUERIES = [
+    # Whole-span aggregate (every ISK chunk), a time-sliced row query
+    # (pruned plan, in-situ eligible) and a value predicate (mask + filter).
+    "SELECT COUNT(*) AS n, AVG(D.sample_value) AS mean FROM dataview "
+    "WHERE F.station = 'ISK' AND F.channel = 'BHE'",
+    "SELECT D.sample_time, D.sample_value FROM dataview "
+    f"WHERE F.station = 'FIAM' AND D.sample_time >= {EPOCH_2010_MS + 2 * HOUR_MS} "
+    f"AND D.sample_time < {EPOCH_2010_MS + 5 * HOUR_MS}",
+    "SELECT COUNT(*) AS n, MAX(D.sample_value) AS top FROM dataview "
+    "WHERE D.sample_value > 100",
+]
+
+SCAN_CONFIGS = [
+    pytest.param(dict(io_threads=threads, **source), False,
+                 id=f"{name}-io{threads}")
+    for threads in (1, 4)
+    for name, source in (
+        ("private", {}), ("shared", {"shared_scan": True}), ("shards", {"shards": 2})
+    )
+] + [pytest.param(dict(io_threads=1), True, id="in-situ")]
+
+
+@pytest.fixture(scope="module")
+def serial_reference(tiny_repo):
+    from repro.core.two_stage import TwoStageOptions
+
+    db, _ = prepare("lazy", tiny_repo[0], options=TwoStageOptions(io_threads=1))
+    try:
+        return [db.query(sql).table.to_dicts() for sql in SCAN_QUERIES]
+    finally:
+        db.close()
+
+
+@pytest.mark.parametrize("options, in_situ", SCAN_CONFIGS)
+def test_every_scan_source_matches_serial_and_conserves_chunks(
+    tiny_repo, serial_reference, options, in_situ
+):
+    from repro.core.two_stage import TwoStageOptions
+
+    db, _ = prepare("lazy", tiny_repo[0], options=TwoStageOptions(**options))
+    if in_situ:
+        db.database.chunk_access_strategy = "in_situ"
+    try:
+        # Two passes: cold (loads) then warm (hits), same conservation law.
+        for sql, expected in list(zip(SCAN_QUERIES, serial_reference)) * 2:
+            result = db.query(sql)
+            assert result.table.to_dicts() == expected
+            stats = result.stats
+            planned = sum(len(p.chunks) for p in result.rewrite.chunk_plans)
+            assert planned > 0
+            fetched = (
+                stats.chunks_loaded
+                + stats.chunks_rehydrated
+                + stats.chunks_from_cache
+            )
+            if options.get("shards"):
+                assert fetched == stats.chunks_from_shards == planned
+                assert stats.chunks_shared == 0
+            else:
+                assert fetched + stats.chunks_shared == planned
+                assert stats.chunks_from_shards == 0
+    finally:
+        db.close()
