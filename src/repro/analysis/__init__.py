@@ -1,11 +1,13 @@
 """Static-analysis framework enforcing the engine's unwritten contracts.
 
-Eight PRs in, correctness of the scatter-gather engine rests on
-conventions no type checker knows about: every :class:`ExecStats` counter
-must flow through ``merge()`` into ``counters_snapshot()``, types crossing
-the shard pickle boundary need ``__reduce__``, chunk loops must poll the
-:class:`~repro.engine.physical.CancelToken`, and chunk-store renames must
-be fsync-preceded.  This package makes those contracts machine-checked:
+Correctness of the scatter-gather engine rests on conventions no type
+checker knows about: chunk loops must poll the
+:class:`~repro.engine.physical.CancelToken`, chunk-store renames must be
+fsync-preceded, guarded fields are written under their lock, and no
+coroutine reaches a blocking call.  (Counter plumbing and pickle identity
+are enforced by construction instead: counters are
+:class:`~repro.util.counters.Counters` dataclasses, ``DataType`` is an
+``Enum``.)  This package makes the remaining contracts machine-checked:
 
 * :mod:`~repro.analysis.findings` — the :class:`Finding` model
   (checker id, severity, file:line, message);

@@ -4,11 +4,9 @@ from .async_blocking import AsyncBlockingChecker
 from .async_reach import AsyncReachChecker
 from .blocking_under_lock import BlockingUnderLockChecker
 from .cancellation import CancellationChecker
-from .counter_plumbing import CounterPlumbingChecker
 from .durability import DurabilityChecker
 from .lock_discipline import LockDisciplineChecker
 from .lock_order import LockOrderChecker
-from .pickle_boundary import PickleBoundaryChecker
 from .swallow import SwallowChecker
 
 __all__ = [
@@ -16,10 +14,8 @@ __all__ = [
     "AsyncReachChecker",
     "BlockingUnderLockChecker",
     "CancellationChecker",
-    "CounterPlumbingChecker",
     "DurabilityChecker",
     "LockDisciplineChecker",
     "LockOrderChecker",
-    "PickleBoundaryChecker",
     "SwallowChecker",
 ]

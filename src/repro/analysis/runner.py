@@ -2,7 +2,7 @@
 
 The runner makes two passes: every checker's per-module :meth:`check` over
 each file, then every checker's :meth:`check_project` over the full module
-list (for cross-module invariants such as the pickle boundary).  Findings
+list (for cross-module invariants such as lock-acquisition order).  Findings
 on lines carrying a matching ``# repro: ignore[...]`` comment are counted
 as suppressed, not reported; anything else makes ``repro analyze`` exit
 nonzero.

@@ -237,9 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = commands.add_parser(
         "analyze",
-        help="run the repo's AST invariant checkers (counter plumbing, "
-        "pickle boundaries, async blocking, cancellation polls, "
-        "durability, lock discipline); nonzero exit on findings",
+        help="run the repo's AST invariant checkers (async blocking, "
+        "cancellation polls, durability, lock discipline, lock order); "
+        "nonzero exit on findings",
     )
     analyze.add_argument(
         "--root", action="append", default=None,

@@ -24,10 +24,11 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from concurrent.futures import Future
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
+from ..util.counters import Counters
 from ..util.lock_sanitizer import make_lock
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -37,21 +38,13 @@ __all__ = ["PrefetchStats", "WorkloadPrefetcher"]
 
 
 @dataclass
-class PrefetchStats:
+class PrefetchStats(Counters):
     """Cumulative counters (``repro cache`` and the pruning benchmark)."""
 
     issued: int = 0
     completed: int = 0
     failed: int = 0
     hits: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "issued": self.issued,
-            "completed": self.completed,
-            "failed": self.failed,
-            "hits": self.hits,
-        }
 
 
 @dataclass
@@ -209,7 +202,7 @@ class WorkloadPrefetcher:
 
     def stats_snapshot(self) -> dict[str, int]:
         with self._lock:
-            return self.stats.as_dict()
+            return asdict(self.stats)
 
     def invalidate_warmed(self) -> int:
         """Forget every warmed URI; returns how many were dropped.

@@ -48,7 +48,7 @@ I/O.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -63,6 +63,7 @@ from ..engine.expressions import (
 )
 from ..engine.predicates import is_numeric_literal, oriented_bound_conjuncts
 from ..engine.table import Table
+from ..util.counters import Counters
 from ..util.lock_sanitizer import make_lock
 
 __all__ = ["ResultCacheStats", "ResultCache", "normalize_plan"]
@@ -354,7 +355,7 @@ def normalize_plan(plan: algebra.LogicalPlan) -> NormalizedPlan:
 
 
 @dataclass
-class ResultCacheStats:
+class ResultCacheStats(Counters):
     """Cumulative counters (``repro cache`` and the benchmark)."""
 
     lookups: int = 0
@@ -366,19 +367,6 @@ class ResultCacheStats:
     invalidations: int = 0
     bytes_inserted: int = 0
     bytes_evicted: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "lookups": self.lookups,
-            "exact_hits": self.exact_hits,
-            "subsumption_hits": self.subsumption_hits,
-            "misses": self.misses,
-            "insertions": self.insertions,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-            "bytes_inserted": self.bytes_inserted,
-            "bytes_evicted": self.bytes_evicted,
-        }
 
 
 @dataclass
@@ -442,11 +430,12 @@ class ResultCache:
 
     def stats_snapshot(self) -> dict[str, int]:
         with self._lock:
-            snapshot = self.stats.as_dict()
-            snapshot["entries"] = len(self._entries)
-            snapshot["budget_bytes"] = self.budget_bytes
-            snapshot["bytes_cached"] = self._bytes_cached
-            return snapshot
+            return {
+                **asdict(self.stats),
+                "entries": len(self._entries),
+                "budget_bytes": self.budget_bytes,
+                "bytes_cached": self._bytes_cached,
+            }
 
     # -- the serving path --------------------------------------------------
 

@@ -82,15 +82,6 @@ class SommelierSession:
     def explain(self, sql: str) -> str:
         return self.db.explain(sql)
 
-    def cache_stats(self) -> dict:
-        """Per-tier recycler statistics of the shared engine.
-
-        The tiers are shared across sessions (that is the point of the
-        recycler); this is the monitoring hook a server front end polls,
-        and what ``repro cache`` prints.
-        """
-        return self.db.database.recycler.tier_stats()
-
     def _accumulate(
         self, result: "QueryResult", derivation: "DerivationReport"
     ) -> None:
@@ -140,36 +131,31 @@ class SessionPool:
             raise ExecutionError("session pool size must be positive")
         self.db = db
         self.size = size
-        self._idle: "queue.LifoQueue[SommelierSession]" = queue.LifoQueue()
+        # ``None`` in the queue is close()'s wake-up for blocked waiters.
+        self._idle: "queue.LifoQueue[SommelierSession | None]" = (
+            queue.LifoQueue()
+        )
         self._created = 0
         self._checked_out = 0
         self._lock = make_lock("SessionPool._lock")
         self._closed = False
 
     def acquire(self, timeout: float | None = None) -> SommelierSession:
-        """Check a session out; blocks up to ``timeout`` when all are busy."""
-        if self._closed:
-            raise ExecutionError("session pool is closed")
+        """Check a session out; blocks up to ``timeout`` when all are busy.
+
+        A waiter still blocked when the pool closes raises instead of
+        waiting for a session that will never be re-queued.
+        """
+        session = self.try_acquire()
+        if session is not None:
+            return session
         try:
-            session = self._idle.get_nowait()
+            return self._check_out(self._idle.get(timeout=timeout))
         except queue.Empty:
-            session = None
-        if session is None:
-            with self._lock:
-                if self._created < self.size:
-                    self._created += 1
-                    session = self.db.session()
-        if session is None:
-            try:
-                session = self._idle.get(timeout=timeout)
-            except queue.Empty:
-                raise ExecutionError(
-                    f"no session became free within {timeout}s "
-                    f"(pool size {self.size})"
-                ) from None
-        with self._lock:
-            self._checked_out += 1
-        return session
+            raise ExecutionError(
+                f"no session became free within {timeout}s "
+                f"(pool size {self.size})"
+            ) from None
 
     def try_acquire(self) -> SommelierSession | None:
         """Non-blocking checkout: a session, or None when all are busy.
@@ -181,16 +167,21 @@ class SessionPool:
         if self._closed:
             raise ExecutionError("session pool is closed")
         try:
-            session = self._idle.get_nowait()
+            return self._check_out(self._idle.get_nowait())
         except queue.Empty:
-            session = None
+            pass
+        with self._lock:
+            if self._created >= self.size:
+                return None
+            self._created += 1
+            session = self.db.session()
+        return self._check_out(session)
+
+    def _check_out(self, session: SommelierSession | None) -> SommelierSession:
         if session is None:
-            with self._lock:
-                if self._created < self.size:
-                    self._created += 1
-                    session = self.db.session()
-        if session is None:
-            return None
+            # close()'s wake-up: pass it on to the next blocked waiter.
+            self._idle.put(None)
+            raise ExecutionError("session pool is closed")
         with self._lock:
             self._checked_out += 1
         return session
@@ -243,9 +234,13 @@ class SessionPool:
         self._closed = True
         while True:
             try:
-                self._idle.get_nowait().close()
+                session = self._idle.get_nowait()
             except queue.Empty:
                 break
+            if session is not None:
+                session.close()
+        # Wake blocked acquire()s; each one passes the wake-up on.
+        self._idle.put(None)
 
     def __enter__(self) -> "SessionPool":
         return self

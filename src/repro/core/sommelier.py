@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from ..engine import algebra
 from ..engine.chunk_store import _fsync_dir, _fsync_file
@@ -46,6 +46,7 @@ from .query_types import QueryType, classify_plan
 from .registrar import Registrar, RegistrarReport, XseedChunkLoader
 from .schema import SommelierConfig, create_seismology_schema
 from .two_stage import QueryResult, TwoStageCompiler, TwoStageOptions
+from ..util.counters import Counters
 from ..util.lock_sanitizer import make_lock
 
 __all__ = ["SommelierDB"]
@@ -62,7 +63,7 @@ DURABLE_TABLES = ("F", "S")
 
 
 @dataclass
-class SommelierStats:
+class SommelierStats(Counters):
     """Cumulative facade-level counters."""
 
     queries_executed: int = 0
@@ -75,18 +76,6 @@ class SommelierStats:
     chunks_shared: int = 0
     shard_subplans: int = 0
     chunks_from_shards: int = 0
-
-    def merge(self, other: "SommelierStats") -> None:
-        self.queries_executed += other.queries_executed
-        self.derivations += other.derivations
-        self.windows_materialized += other.windows_materialized
-        self.chunks_loaded_total += other.chunks_loaded_total
-        self.result_cache_hits += other.result_cache_hits
-        self.result_cache_subsumed += other.result_cache_subsumed
-        self.shared_scan_attached += other.shared_scan_attached
-        self.chunks_shared += other.chunks_shared
-        self.shard_subplans += other.shard_subplans
-        self.chunks_from_shards += other.chunks_from_shards
 
     @classmethod
     def delta_from(
@@ -605,18 +594,7 @@ class SommelierDB:
         snapshot = dict(self.database.recycler.tier_stats())
         snapshot.update(self.planner_stats())
         with self._stats_lock:
-            snapshot["facade"] = {
-                "queries_executed": self.stats.queries_executed,
-                "derivations": self.stats.derivations,
-                "windows_materialized": self.stats.windows_materialized,
-                "chunks_loaded_total": self.stats.chunks_loaded_total,
-                "result_cache_hits": self.stats.result_cache_hits,
-                "result_cache_subsumed": self.stats.result_cache_subsumed,
-                "shared_scan_attached": self.stats.shared_scan_attached,
-                "chunks_shared": self.stats.chunks_shared,
-                "shard_subplans": self.stats.shard_subplans,
-                "chunks_from_shards": self.stats.chunks_from_shards,
-            }
+            snapshot["facade"] = asdict(self.stats)
         return snapshot
 
     def planner_stats(self) -> dict:

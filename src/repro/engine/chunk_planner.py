@@ -27,7 +27,7 @@ benchmark.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .predicates import (
@@ -35,6 +35,7 @@ from .predicates import (
     literal_bounds_by_column,
     range_may_satisfy,
 )
+from ..util.counters import Counters
 from ..util.lock_sanitizer import make_lock
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -140,21 +141,13 @@ class ChunkPlan:
 
 
 @dataclass
-class PlannerStats:
+class PlannerStats(Counters):
     """Cumulative counters (``repro cache`` and the pruning benchmark)."""
 
     plans_built: int = 0
     chunks_considered: int = 0
     chunks_pruned: int = 0
     chunks_scheduled: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "plans_built": self.plans_built,
-            "chunks_considered": self.chunks_considered,
-            "chunks_pruned": self.chunks_pruned,
-            "chunks_scheduled": self.chunks_scheduled,
-        }
 
 
 class ChunkPlanner:
@@ -219,7 +212,7 @@ class ChunkPlanner:
 
     def stats_snapshot(self) -> dict[str, int]:
         with self._lock:
-            return self.stats.as_dict()
+            return asdict(self.stats)
 
     # -- pruning -----------------------------------------------------------
 

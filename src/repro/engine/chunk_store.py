@@ -40,7 +40,7 @@ import hashlib
 import json
 import os
 import shutil
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -49,6 +49,7 @@ from .errors import StorageError
 from .table import Field, Schema, Table
 from .types import STRING, type_by_name
 from .column import Column
+from ..util.counters import Counters
 from ..util.lock_sanitizer import make_lock
 
 __all__ = ["ChunkStoreStats", "ChunkStore"]
@@ -86,7 +87,7 @@ def _fsync_dir(path: str) -> None:
 
 
 @dataclass
-class ChunkStoreStats:
+class ChunkStoreStats(Counters):
     """Counters of the disk tier (mirrors :class:`RecyclerStats`)."""
 
     spills: int = 0
@@ -97,16 +98,6 @@ class ChunkStoreStats:
     invalid_entries: int = 0
     swept_dirs: int = 0
     restored_entries: int = 0
-
-    def reset(self) -> None:
-        self.spills = 0
-        self.rehydrates = 0
-        self.misses = 0
-        self.bytes_spilled = 0
-        self.bytes_rehydrated = 0
-        self.invalid_entries = 0
-        self.swept_dirs = 0
-        self.restored_entries = 0
 
 
 class ChunkStore:
@@ -587,12 +578,5 @@ class ChunkStore:
             return {
                 "entries": len(self._index),
                 "bytes_stored": sum(p for _, p, _ in self._index.values()),
-                "spills": self.stats.spills,
-                "rehydrates": self.stats.rehydrates,
-                "misses": self.stats.misses,
-                "bytes_spilled": self.stats.bytes_spilled,
-                "bytes_rehydrated": self.stats.bytes_rehydrated,
-                "invalid_entries": self.stats.invalid_entries,
-                "swept_dirs": self.stats.swept_dirs,
-                "restored_entries": self.stats.restored_entries,
+                **asdict(self.stats),
             }

@@ -34,6 +34,7 @@ from .predicates import extract_time_bounds
 from .scan import filter_piece, record_outcome, run_schedule
 from .table import Schema, Table
 from .types import FLOAT64, INT64, STRING, TIMESTAMP
+from ..util.counters import Counters
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .database import Database
@@ -76,7 +77,7 @@ class CancelToken:
 
 
 @dataclass
-class ExecStats:
+class ExecStats(Counters):
     """Counters accumulated during plan evaluation."""
 
     rows_scanned: int = 0
@@ -102,44 +103,6 @@ class ExecStats:
     # result (exact repeat) or by re-filtering a covering one (subsumed).
     results_from_cache: int = 0
     results_subsumed: int = 0
-
-    def reset(self) -> None:
-        self.rows_scanned = 0
-        self.chunks_loaded = 0
-        self.chunks_from_cache = 0
-        self.chunks_rehydrated = 0
-        self.chunks_pruned = 0
-        self.chunks_prefetched = 0
-        self.chunk_rows_loaded = 0
-        self.chunk_load_seconds = 0.0
-        self.shared_scan_attached = 0
-        self.chunks_shared = 0
-        self.shard_subplans = 0
-        self.chunks_from_shards = 0
-        self.joins_executed = 0
-        self.join_index_hits = 0
-        self.rows_joined = 0
-        self.results_from_cache = 0
-        self.results_subsumed = 0
-
-    def merge(self, other: "ExecStats") -> None:
-        self.rows_scanned += other.rows_scanned
-        self.chunks_loaded += other.chunks_loaded
-        self.chunks_from_cache += other.chunks_from_cache
-        self.chunks_rehydrated += other.chunks_rehydrated
-        self.chunks_pruned += other.chunks_pruned
-        self.chunks_prefetched += other.chunks_prefetched
-        self.chunk_rows_loaded += other.chunk_rows_loaded
-        self.chunk_load_seconds += other.chunk_load_seconds
-        self.shared_scan_attached += other.shared_scan_attached
-        self.chunks_shared += other.chunks_shared
-        self.shard_subplans += other.shard_subplans
-        self.chunks_from_shards += other.chunks_from_shards
-        self.joins_executed += other.joins_executed
-        self.join_index_hits += other.join_index_hits
-        self.rows_joined += other.rows_joined
-        self.results_from_cache += other.results_from_cache
-        self.results_subsumed += other.results_subsumed
 
 
 @dataclass

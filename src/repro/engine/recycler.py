@@ -42,11 +42,12 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from .errors import StorageError
 from .table import Table
+from ..util.counters import Counters
 from ..util.lock_sanitizer import Lockable, make_lock, make_rlock
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -86,7 +87,7 @@ class RecyclerEntry:
 
 
 @dataclass
-class RecyclerStats:
+class RecyclerStats(Counters):
     """Counters for experiments (cache effectiveness, Section VI-C hot runs).
 
     ``coalesced`` counts :meth:`Recycler.get_or_load` calls that piggybacked
@@ -98,26 +99,14 @@ class RecyclerStats:
 
     hits: int = 0
     misses: int = 0
+    coalesced: int = 0
     insertions: int = 0
     evictions: int = 0
     bytes_evicted: int = 0
-    coalesced: int = 0
     rehydrates: int = 0
     spills: int = 0
     bytes_spilled: int = 0
     spill_errors: int = 0
-
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.insertions = 0
-        self.evictions = 0
-        self.bytes_evicted = 0
-        self.coalesced = 0
-        self.rehydrates = 0
-        self.spills = 0
-        self.bytes_spilled = 0
-        self.spill_errors = 0
 
 
 class _InflightLoad:
@@ -232,16 +221,7 @@ class Recycler:
                 "budget_bytes": self.budget_bytes,
                 "bytes_resident": self._bytes_cached,
                 "bytes_mapped": self._bytes_mapped,
-                "hits": self.stats.hits,
-                "misses": self.stats.misses,
-                "coalesced": self.stats.coalesced,
-                "insertions": self.stats.insertions,
-                "evictions": self.stats.evictions,
-                "bytes_evicted": self.stats.bytes_evicted,
-                "rehydrates": self.stats.rehydrates,
-                "spills": self.stats.spills,
-                "bytes_spilled": self.stats.bytes_spilled,
-                "spill_errors": self.stats.spill_errors,
+                **asdict(self.stats),
             }
         if self.store is None:
             disk: dict[str, int] = {"enabled": 0}

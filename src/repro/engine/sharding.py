@@ -32,12 +32,14 @@ import os
 import uuid
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 from . import shard_worker
 from .errors import CatalogError, ExecutionError, QueryCancelled, StorageError
 from .scan import record_outcome
 from .table import Table
+from ..util.counters import Counters
 from ..util.lock_sanitizer import make_lock
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -46,7 +48,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .database import Database
     from .physical import ExecutionContext
 
-__all__ = ["DEFAULT_BUCKET_MS", "ShardLayout", "ScatterGatherCoordinator"]
+__all__ = [
+    "DEFAULT_BUCKET_MS",
+    "ShardLayout",
+    "ScatterGatherCoordinator",
+    "ShardingStats",
+]
 
 # Day-granularity time buckets: one mseed file covers one instrument-day in
 # the paper's repository layout, so (station, day) is the natural unit.
@@ -165,6 +172,17 @@ class ShardLayout:
         return cls(shards, bucket_ms)
 
 
+@dataclass
+class ShardingStats(Counters):
+    """Cumulative coordinator counters (``counters_snapshot()["sharding"]``)."""
+
+    queries: int = 0
+    subplans: int = 0
+    chunks_routed: int = 0
+    worker_crashes: int = 0
+    cancel_broadcasts: int = 0
+
+
 class ScatterGatherCoordinator:
     """Parent-side dispatcher: split, scatter, cancel, gather, merge.
 
@@ -181,15 +199,7 @@ class ScatterGatherCoordinator:
     # Machine-checked (repro analyze, lock-discipline / blocking-under-lock):
     # scatter-gather counters are snapshot under the stats lock, which must
     # stay cheap — no pool work may run while it is held.
-    _GUARDED = {
-        "_stats_lock": (
-            "queries",
-            "subplans",
-            "chunks_routed",
-            "worker_crashes",
-            "cancel_broadcasts",
-        )
-    }
+    _GUARDED = {"_stats_lock": ("stats",)}
 
     def __init__(
         self,
@@ -209,11 +219,7 @@ class ScatterGatherCoordinator:
         # Bumped by Database.sharding() when the shard count changes, so
         # the façade can invalidate layout-dependent bookkeeping.
         self.layout_epoch = 1
-        self.queries = 0
-        self.subplans = 0
-        self.chunks_routed = 0
-        self.worker_crashes = 0
-        self.cancel_broadcasts = 0
+        self.stats = ShardingStats()
 
     # -- worker pools ------------------------------------------------------
 
@@ -318,9 +324,9 @@ class ScatterGatherCoordinator:
             futures[future] = (shard_id, assembly)
         ctx.stats.shard_subplans += len(futures)
         with self._stats_lock:
-            self.queries += 1
-            self.subplans += len(futures)
-            self.chunks_routed += len(chunk_plan.chunks)
+            self.stats.queries += 1
+            self.stats.subplans += len(futures)
+            self.stats.chunks_routed += len(chunk_plan.chunks)
 
         pieces: list[Table | None] = [None] * len(chunk_plan.chunks)
         broadcast = False
@@ -423,7 +429,7 @@ class ScatterGatherCoordinator:
                 # a fresh worker (its store-backed cache survives).
                 self._reset_pool(shard_id)
                 with self._stats_lock:
-                    self.worker_crashes += 1
+                    self.stats.worker_crashes += 1
         if ctx.cancel is not None and ctx.cancel.cancelled:
             for _, exc in failures:
                 if isinstance(exc, QueryCancelled):
@@ -447,7 +453,7 @@ class ScatterGatherCoordinator:
         except OSError:
             return False
         with self._stats_lock:
-            self.cancel_broadcasts += 1
+            self.stats.cancel_broadcasts += 1
         return True
 
     # -- introspection / lifecycle -----------------------------------------
@@ -464,11 +470,7 @@ class ScatterGatherCoordinator:
                 "shards": self.shards,
                 "bucket_ms": self.layout.bucket_ms,
                 "epoch": self.layout_epoch,
-                "queries": self.queries,
-                "subplans": self.subplans,
-                "chunks_routed": self.chunks_routed,
-                "worker_crashes": self.worker_crashes,
-                "cancel_broadcasts": self.cancel_broadcasts,
+                **asdict(self.stats),
                 "worker_kernels": {
                     str(shard): kernel
                     for shard, kernel in sorted(self._worker_kernels.items())

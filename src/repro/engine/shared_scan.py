@@ -49,11 +49,13 @@ loop, in the plan's schedule order and on the same shared I/O pool.
 from __future__ import annotations
 
 import threading
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 from .errors import ExecutionError
 from .scan import filter_piece, record_outcome, run_schedule
 from .table import Table
+from ..util.counters import Counters
 from ..util.lock_sanitizer import make_lock
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -61,11 +63,23 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .database import Database
     from .physical import ExecutionContext
 
-__all__ = ["SharedScanScheduler"]
+__all__ = ["SharedScanScheduler", "SharedScanStats"]
 
 # How often waiters wake to honor their own CancelToken while another
 # consumer materializes a chunk for them.
 _CANCEL_POLL_SECONDS = 0.05
+
+
+@dataclass
+class SharedScanStats(Counters):
+    """Cumulative scheduler counters (``counters_snapshot()["shared_scan"]``)."""
+
+    passes_started: int = 0
+    consumers_total: int = 0
+    consumers_attached: int = 0
+    deliveries_produced: int = 0
+    deliveries_shared: int = 0
+    assemblies_shared: int = 0
 
 
 class _Delivery:
@@ -153,41 +167,19 @@ class SharedScanScheduler:
 
     # Machine-checked (repro analyze, lock-discipline): the shared-scan
     # counters feed counters_snapshot() and must never race.
-    _GUARDED = {
-        "_lock": (
-            "_passes_started",
-            "_consumers_total",
-            "_consumers_attached",
-            "_deliveries_produced",
-            "_deliveries_shared",
-            "_assemblies_shared",
-        )
-    }
+    _GUARDED = {"_lock": ("stats",)}
 
     def __init__(self, database: "Database") -> None:
         self.database = database
         self._lock = make_lock("SharedScanScheduler._lock")
         self._passes: dict[str, _ScanPass] = {}
-        # Cumulative counters for counters_snapshot() / the benchmarks.
-        self._passes_started = 0
-        self._consumers_total = 0
-        self._consumers_attached = 0
-        self._deliveries_produced = 0
-        self._deliveries_shared = 0
-        self._assemblies_shared = 0
+        self.stats = SharedScanStats()
 
     # -- monitoring --------------------------------------------------------
 
     def stats_snapshot(self) -> dict[str, int]:
         with self._lock:
-            return {
-                "passes_started": self._passes_started,
-                "consumers_total": self._consumers_total,
-                "consumers_attached": self._consumers_attached,
-                "deliveries_produced": self._deliveries_produced,
-                "deliveries_shared": self._deliveries_shared,
-                "assemblies_shared": self._assemblies_shared,
-            }
+            return asdict(self.stats)
 
     # -- execution ---------------------------------------------------------
 
@@ -202,11 +194,11 @@ class SharedScanScheduler:
             if scan_pass is None:
                 scan_pass = _ScanPass(plan.table_name)
                 self._passes[plan.table_name] = scan_pass
-                self._passes_started += 1
+                self.stats.passes_started += 1
             elif scan_pass.consumers > 0:
                 ctx.stats.shared_scan_attached += 1
-                self._consumers_attached += 1
-            self._consumers_total += 1
+                self.stats.consumers_attached += 1
+            self.stats.consumers_total += 1
             scan_pass.consumers += 1
         try:
             return self._consume(scan_pass, plan, ctx)
@@ -262,7 +254,7 @@ class SharedScanScheduler:
                 assert assembly.table is not None
                 ctx.stats.chunks_shared += len(plan.uris)
                 with self._lock:
-                    self._assemblies_shared += 1
+                    self.stats.assemblies_shared += 1
                 return assembly.table
             # The assembler unwound without publishing: take over.
 
@@ -333,7 +325,7 @@ class SharedScanScheduler:
                 cost, chunk,
             )
             with self._lock:
-                self._deliveries_produced += 1
+                self.stats.deliveries_produced += 1
             finish(index, delivery)
 
         pool = (
@@ -373,7 +365,7 @@ class SharedScanScheduler:
                     )
                 ctx.stats.chunks_shared += 1
                 with self._lock:
-                    self._deliveries_shared += 1
+                    self.stats.deliveries_shared += 1
                 return finish(index, delivery)
             # The owner unwound without publishing: take over (or join a
             # newer claimant's delivery).

@@ -30,6 +30,7 @@ from .column import Column
 from .errors import StorageError, TypeMismatchError
 from .table import Schema, Table
 from .types import STRING, DataType, type_by_name
+from ..util.counters import Counters
 from ..util.lock_sanitizer import make_rlock
 
 __all__ = ["PageId", "BufferPool", "PagedColumnStore", "PoolStats"]
@@ -47,19 +48,13 @@ class PageId:
 
 
 @dataclass
-class PoolStats:
+class PoolStats(Counters):
     """Counters exposed by the buffer pool for benchmarks and tests."""
 
     hits: int = 0
     misses: int = 0
     evictions: int = 0
     bytes_read: int = 0
-
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.bytes_read = 0
 
     @property
     def total_accesses(self) -> int:

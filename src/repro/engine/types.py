@@ -14,7 +14,7 @@ coerces them through :func:`parse_timestamp`.
 from __future__ import annotations
 
 import datetime as _dt
-from dataclasses import dataclass
+import enum
 from typing import Any
 
 import numpy as np
@@ -37,9 +37,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DataType:
+@enum.unique
+class DataType(enum.Enum):
     """A logical column type.
+
+    Members are singletons, so the engine compares types by identity
+    (``dtype is STRING``) and a pickle round-trip — e.g. a Table shipped
+    back from a shard worker — resolves to the same member.  Each value
+    leads with the member's label: ``INT64`` and ``TIMESTAMP`` share a
+    dtype and numericness, and equal values would make one an alias of
+    the other (``@enum.unique`` turns any such alias into an import error).
 
     Attributes:
         name: Logical name used in schemas and SQL (``INT64``, ``STRING``...).
@@ -47,18 +54,20 @@ class DataType:
         is_numeric: Whether arithmetic is defined on the type.
     """
 
-    name: str
-    numpy_dtype: np.dtype
-    is_numeric: bool
+    INT64 = ("INT64", np.dtype(np.int64), True)
+    FLOAT64 = ("FLOAT64", np.dtype(np.float64), True)
+    STRING = ("STRING", np.dtype(object), False)
+    BOOL = ("BOOL", np.dtype(np.bool_), False)
+    TIMESTAMP = ("TIMESTAMP", np.dtype(np.int64), True)
+
+    def __init__(self, label: str, numpy_dtype: np.dtype, is_numeric: bool):
+        self.numpy_dtype = numpy_dtype
+        self.is_numeric = is_numeric
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return self.name
 
-    def __reduce__(self):
-        # The engine compares types by identity (``dtype is STRING``), so a
-        # pickle round-trip — e.g. a Table shipped back from a shard worker —
-        # must resolve to the module singletons, not a fresh instance.
-        return (type_by_name, (self.name,))
+    __str__ = __repr__
 
     def coerce_value(self, value: Any) -> Any:
         """Coerce a single Python value to this type.
@@ -101,14 +110,13 @@ class DataType:
         return np.empty(capacity, dtype=self.numpy_dtype)
 
 
-INT64 = DataType("INT64", np.dtype(np.int64), True)
-FLOAT64 = DataType("FLOAT64", np.dtype(np.float64), True)
-STRING = DataType("STRING", np.dtype(object), False)
-BOOL = DataType("BOOL", np.dtype(np.bool_), False)
-TIMESTAMP = DataType("TIMESTAMP", np.dtype(np.int64), True)
+INT64 = DataType.INT64
+FLOAT64 = DataType.FLOAT64
+STRING = DataType.STRING
+BOOL = DataType.BOOL
+TIMESTAMP = DataType.TIMESTAMP
 
-ALL_TYPES = (INT64, FLOAT64, STRING, BOOL, TIMESTAMP)
-_BY_NAME = {t.name: t for t in ALL_TYPES}
+ALL_TYPES = tuple(DataType)
 
 _EPOCH = _dt.datetime(1970, 1, 1, tzinfo=_dt.timezone.utc)
 
@@ -116,7 +124,7 @@ _EPOCH = _dt.datetime(1970, 1, 1, tzinfo=_dt.timezone.utc)
 def type_by_name(name: str) -> DataType:
     """Look up a :class:`DataType` by its logical name (case-insensitive)."""
     try:
-        return _BY_NAME[name.upper()]
+        return DataType[name.upper()]
     except KeyError:
         raise TypeMismatchError(f"unknown type name {name!r}") from None
 

@@ -36,7 +36,7 @@ import asyncio
 import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from ..core.session import SessionPool, SommelierSession
 from ..core.sommelier import SommelierDB
@@ -45,6 +45,7 @@ from ..engine.errors import EngineError, QueryCancelled, SQLError
 from ..engine.physical import CancelToken
 from .admission import AdmissionController, AdmissionRejected, ClientRateLimiter
 from .http import ChunkedWriter, HttpError, HttpRequest, read_request, send_json
+from ..util.counters import Counters
 
 __all__ = ["ServerConfig", "ServerStats", "SommelierServer", "ServerHandle",
            "start_in_thread"]
@@ -73,7 +74,7 @@ class ServerConfig:
 
 
 @dataclass
-class ServerStats:
+class ServerStats(Counters):
     """Front-end request counters (all owned by the event loop)."""
 
     requests_total: int = 0
@@ -85,19 +86,6 @@ class ServerStats:
     bad_requests: int = 0
     errors: int = 0
     rows_streamed: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "requests_total": self.requests_total,
-            "queries_ok": self.queries_ok,
-            "rejected_saturated": self.rejected_saturated,
-            "rejected_rate_limited": self.rejected_rate_limited,
-            "rejected_draining": self.rejected_draining,
-            "timeouts": self.timeouts,
-            "bad_requests": self.bad_requests,
-            "errors": self.errors,
-            "rows_streamed": self.rows_streamed,
-        }
 
 
 def _retry_after_header(seconds: float) -> dict[str, str]:
@@ -424,7 +412,7 @@ class SommelierServer:
         """
         return {
             "server": {
-                **self.stats.as_dict(),
+                **asdict(self.stats),
                 "draining": int(self._draining),
             },
             "admission": self.admission.stats(),

@@ -3,146 +3,6 @@
 import pytest
 
 
-class TestCounterPlumbing:
-    def test_field_missing_from_merge_fires(self, run_checker):
-        findings = run_checker(
-            "counter-plumbing",
-            """
-            class ExecStats:
-                rows_scanned: int = 0
-                chunks_loaded: int = 0
-
-                def reset(self):
-                    self.rows_scanned = 0
-                    self.chunks_loaded = 0
-
-                def merge(self, other):
-                    self.rows_scanned += other.rows_scanned
-            """,
-        )
-        assert len(findings) == 1
-        assert "chunks_loaded" in findings[0].message
-        assert "merge" in findings[0].message
-
-    def test_fully_plumbed_class_is_clean(self, run_checker):
-        findings = run_checker(
-            "counter-plumbing",
-            """
-            class ExecStats:
-                rows_scanned: int = 0
-
-                def reset(self):
-                    self.rows_scanned = 0
-
-                def merge(self, other):
-                    self.rows_scanned += other.rows_scanned
-            """,
-        )
-        assert findings == []
-
-    def test_facade_key_missing_fires(self, run_checker):
-        findings = run_checker(
-            "counter-plumbing",
-            """
-            class SommelierStats:
-                queries_executed: int = 0
-                derivations: int = 0
-
-                def merge(self, other):
-                    self.queries_executed += other.queries_executed
-                    self.derivations += other.derivations
-
-            def counters_snapshot(self):
-                snapshot = {}
-                snapshot["facade"] = {"queries_executed": 1}
-                return snapshot
-            """,
-        )
-        assert len(findings) == 1
-        assert "derivations" in findings[0].message
-        assert "facade" in findings[0].message
-
-    def test_missing_reset_method_fires(self, run_checker):
-        findings = run_checker(
-            "counter-plumbing",
-            """
-            class ExecStats:
-                rows_scanned: int = 0
-
-                def merge(self, other):
-                    self.rows_scanned += other.rows_scanned
-            """,
-        )
-        assert any("reset" in f.message for f in findings)
-
-
-class TestPickleBoundary:
-    BAD = """
-        class Marker:
-            def __init__(self, name):
-                self.name = name
-
-        UNIT = Marker("unit")
-
-        def is_unit(value):
-            return value is UNIT
-    """
-
-    def test_identity_compared_singleton_without_reduce_fires(
-        self, run_checker
-    ):
-        findings = run_checker("pickle-boundary", self.BAD)
-        assert len(findings) == 1
-        assert "__reduce__" in findings[0].message
-        assert "UNIT" in findings[0].message
-
-    def test_reduce_makes_singleton_safe(self, run_checker):
-        findings = run_checker(
-            "pickle-boundary",
-            """
-            class Marker:
-                def __init__(self, name):
-                    self.name = name
-
-                def __reduce__(self):
-                    return (by_name, (self.name,))
-
-            UNIT = Marker("unit")
-
-            def is_unit(value):
-                return value is UNIT
-            """,
-        )
-        assert findings == []
-
-    def test_uncompared_singleton_is_not_flagged(self, run_checker):
-        findings = run_checker(
-            "pickle-boundary",
-            """
-            class Marker:
-                pass
-
-            UNIT = Marker()
-            """,
-        )
-        assert findings == []
-
-    def test_enum_singletons_are_safe(self, run_checker):
-        findings = run_checker(
-            "pickle-boundary",
-            """
-            import enum
-
-            class Mode(enum.Enum):
-                LAZY = "lazy"
-
-            def check(value):
-                return value is Mode.LAZY
-            """,
-        )
-        assert findings == []
-
-
 class TestAsyncBlocking:
     def test_time_sleep_in_coroutine_fires(self, run_checker):
         findings = run_checker(

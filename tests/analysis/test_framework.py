@@ -24,11 +24,9 @@ EXPECTED_CHECKERS = {
     "async-reach",
     "blocking-under-lock",
     "cancellation",
-    "counter-plumbing",
     "durability",
     "lock-discipline",
     "lock-order",
-    "pickle-boundary",
     "swallow",
 }
 

@@ -1,10 +1,14 @@
 """Unit tests for the logical type system."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.engine.errors import TypeMismatchError
+from repro.engine.table import Field, Schema
 from repro.engine.types import (
+    ALL_TYPES,
     BOOL,
     FLOAT64,
     INT64,
@@ -133,3 +137,25 @@ class TestTypeByName:
     def test_unknown_raises(self):
         with pytest.raises(TypeMismatchError):
             type_by_name("DECIMAL")
+
+
+class TestPickleIdentity:
+    """Types cross the shard-worker pickle boundary and stay singletons."""
+
+    @pytest.mark.parametrize("dtype", ALL_TYPES, ids=lambda t: t.name)
+    def test_member_round_trips_to_itself(self, dtype):
+        assert pickle.loads(pickle.dumps(dtype)) is dtype
+
+    def test_schema_round_trip_keeps_member_identity(self):
+        schema = Schema([Field(t.name.lower(), t) for t in ALL_TYPES])
+        restored = pickle.loads(pickle.dumps(schema))
+        assert restored == schema
+        assert all(
+            mine.dtype is theirs.dtype
+            for mine, theirs in zip(restored.fields, schema.fields)
+        )
+
+    def test_timestamp_is_not_an_alias_of_int64(self):
+        assert TIMESTAMP is not INT64
+        assert TIMESTAMP.numpy_dtype == INT64.numpy_dtype
+        assert len(ALL_TYPES) == 5

@@ -191,6 +191,32 @@ class TestSessions:
         pool.release(held)
         assert held.closed
 
+    def test_close_wakes_blocked_waiters(self, parallel_db):
+        import threading
+
+        from repro.engine.errors import ExecutionError
+
+        pool = parallel_db.session_pool(size=1)
+        held = pool.acquire()
+        outcome: list[object] = []
+
+        def waiter() -> None:
+            try:
+                outcome.append(pool.acquire())
+            except ExecutionError as exc:
+                outcome.append(exc)
+
+        thread = threading.Thread(target=waiter, daemon=True)
+        thread.start()
+        thread.join(timeout=0.1)
+        assert thread.is_alive()  # blocked: the only session is held
+        pool.close()
+        pool.release(held)
+        thread.join(timeout=2.0)
+        assert not thread.is_alive()
+        assert isinstance(outcome[0], ExecutionError)
+        assert "closed" in str(outcome[0])
+
     def test_client_closed_session_is_discarded_not_requeued(
         self, parallel_db
     ):

@@ -17,6 +17,7 @@ from urllib.parse import quote
 import pytest
 
 from repro.core.loading import prepare
+from repro.core.two_stage import TwoStageOptions
 from repro.data.ingv import EPOCH_2010_MS
 from repro.serving import ServerConfig, ServingClient, start_in_thread
 
@@ -120,6 +121,88 @@ class TestWireProtocol:
         assert wire["server"]["queries_ok"] == 1
         assert wire["admission"]["admitted_total"] == 1
         assert wire["pool"]["in_use"] == 0
+        # Golden key sets: every section and key of /stats is held here, so
+        # a refactor of how counters are rendered cannot drop or rename one.
+        assert key_sets(wire, GOLDEN_WIRE_KEYS) == GOLDEN_WIRE_KEYS
+        assert key_sets(local, GOLDEN_COUNTER_KEYS) == GOLDEN_COUNTER_KEYS
+
+    def test_opt_in_counter_sections_hold_their_keys(self, tiny_repo):
+        options = TwoStageOptions(shards=2, prefetch=True, result_cache=True)
+        db, _ = prepare("lazy", tiny_repo[0], options=options)
+        try:
+            snapshot = db.counters_snapshot()
+        finally:
+            db.close()
+        expected = {
+            **GOLDEN_COUNTER_KEYS,
+            **GOLDEN_OPT_IN_KEYS,
+            "decode_kernel": GOLDEN_COUNTER_KEYS["decode_kernel"]
+            | {"shard_workers"},
+        }
+        assert key_sets(snapshot, expected) == expected
+
+
+def key_sets(snapshot: dict, like: dict) -> dict:
+    """Section -> key set of ``snapshot``, with the sections of ``like``."""
+    assert set(snapshot) == set(like)
+    return {section: set(snapshot[section]) for section in snapshot}
+
+
+GOLDEN_COUNTER_KEYS = {
+    "memory": {
+        "entries", "budget_bytes", "bytes_resident", "bytes_mapped",
+        "hits", "misses", "coalesced", "insertions", "evictions",
+        "bytes_evicted", "rehydrates", "spills", "bytes_spilled",
+        "spill_errors",
+    },
+    "disk": {
+        "enabled", "entries", "bytes_stored", "spills", "rehydrates",
+        "misses", "bytes_spilled", "bytes_rehydrated", "invalid_entries",
+        "swept_dirs", "restored_entries",
+    },
+    "planner": {
+        "plans_built", "chunks_considered", "chunks_pruned",
+        "chunks_scheduled",
+    },
+    "chunk_stats": {"chunks_tracked", "chunks_enriched"},
+    "shared_scan": {
+        "passes_started", "consumers_total", "consumers_attached",
+        "deliveries_produced", "deliveries_shared", "assemblies_shared",
+    },
+    "decode_kernel": {"active", "available", "numba"},
+    "facade": {
+        "queries_executed", "derivations", "windows_materialized",
+        "chunks_loaded_total", "result_cache_hits", "result_cache_subsumed",
+        "shared_scan_attached", "chunks_shared", "shard_subplans",
+        "chunks_from_shards",
+    },
+}
+GOLDEN_OPT_IN_KEYS = {
+    "sharding": {
+        "shards", "bucket_ms", "epoch", "queries", "subplans",
+        "chunks_routed", "worker_crashes", "cancel_broadcasts",
+        "worker_kernels",
+    },
+    "prefetch": {"issued", "completed", "failed", "hits"},
+    "result_cache": {
+        "lookups", "exact_hits", "subsumption_hits", "misses",
+        "insertions", "evictions", "invalidations", "bytes_inserted",
+        "bytes_evicted", "entries", "budget_bytes", "bytes_cached",
+    },
+}
+GOLDEN_WIRE_KEYS = {
+    "server": {
+        "requests_total", "queries_ok", "rejected_saturated",
+        "rejected_rate_limited", "rejected_draining", "timeouts",
+        "bad_requests", "errors", "rows_streamed", "draining",
+    },
+    "admission": {
+        "capacity", "max_queue", "active", "queued", "admitted_total",
+        "rejected_total", "service_ewma_ms",
+    },
+    "pool": {"size", "created", "in_use", "idle"},
+    "counters": set(GOLDEN_COUNTER_KEYS),
+}
 
 
 class TestAdmissionControl:
