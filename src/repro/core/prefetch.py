@@ -25,9 +25,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from concurrent.futures import Future
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Mapping
 
-import numpy as np
 from ..util.counters import Counters
 from ..util.lock_sanitizer import make_lock
 
@@ -51,7 +50,7 @@ class PrefetchStats(Counters):
 class _SessionHistory:
     """What a session did last, per (station, channel) group."""
 
-    last_max_time: dict[tuple[str, str], float]
+    last_max_time: dict[tuple[str, str], int]
     forward_streak: int = 0
 
 
@@ -59,16 +58,8 @@ class WorkloadPrefetcher:
     """Predicts and warms the chunks a session is likely to need next."""
 
     # Machine-checked (repro analyze, lock-discipline / blocking-under-lock):
-    # the successor index swaps atomically and no warm-up I/O runs under it.
-    _GUARDED = {
-        "_lock": (
-            "_successors",
-            "_chunk_time",
-            "_chunk_group",
-            "_indexed_files",
-            "_futures",
-        )
-    }
+    # the future list swaps atomically and no warm-up I/O runs under it.
+    _GUARDED = {"_lock": ("_futures",)}
 
     def __init__(
         self,
@@ -102,33 +93,19 @@ class WorkloadPrefetcher:
         self._max_warmed = max(1, max_warmed)
         self._inflight: set[str] = set()
         self._futures: list[Future] = []
-        # uri -> (successor uri, own start time, group key); rebuilt when
-        # the registered file count changes.
-        self._successors: dict[str, str] = {}
-        self._chunk_time: dict[str, float] = {}
-        self._chunk_group: dict[str, tuple[str, str]] = {}
-        self._indexed_files = -1
 
     # -- the serving-path hooks --------------------------------------------
 
-    def record_hits(
-        self,
-        required_uris: list[str],
-        resident_uris: "list[str] | None" = None,
-        loaded_uris: "list[str] | None" = None,
-    ) -> int:
+    def record_hits(self, outcomes: "Mapping[str, str]") -> int:
         """How many of a query's chunks a prefetch had warmed *and kept*.
 
-        ``resident_uris`` is the set the query's chunk plan classified as
-        recycler-resident — residency *when the plan was made*, not now:
-        by the time this runs, the query itself has re-loaded anything
-        evicted, so probing the recycler after the fact would count cold
-        loads as hits.  ``loaded_uris`` is what the plan sent to the
-        loader: only those are dropped from the warmed set (the warm copy
-        is provably gone), so a chunk the planner *pruned* while it sits
-        warm in the cache is neither a hit nor forgotten.  Callers without
-        a plan (tests, ad-hoc use) omit both and get a live recycler
-        probe, with every non-resident chunk treated as reloaded.
+        ``outcomes`` maps each chunk the query fetched to how the cache
+        that served it answered (``QueryResult.chunk_outcomes``) — the
+        parent recycler's, or the owning shard worker's under sharding.
+        A warmed chunk served as a ``"hit"`` is a prefetch hit; any other
+        outcome means the warm copy was gone, so the URI leaves the warmed
+        set.  A warmed chunk the planner *pruned* was never fetched: it is
+        neither a hit nor forgotten.
 
         Each warm counts as a hit at most once: the first query served
         from a warmed chunk consumes its warmed status (a dashboard
@@ -137,25 +114,15 @@ class WorkloadPrefetcher:
         contribution, the rest are the recycler's).  A later re-warm of
         the same URI earns a fresh hit.
         """
-        if resident_uris is None:
-            recycler = self.database.recycler
-            resident = {uri for uri in required_uris if uri in recycler}
-        else:
-            resident = set(resident_uris)
-        if loaded_uris is None:
-            reloaded = {uri for uri in required_uris if uri not in resident}
-        else:
-            reloaded = set(loaded_uris)
         hits = 0
         with self._lock:
-            for uri in required_uris:
+            for uri, outcome in outcomes.items():
                 if uri not in self._warmed:
                     continue
-                if uri in resident:
+                # Consumed by this hit, or the warm copy is gone.
+                del self._warmed[uri]
+                if outcome == "hit":
                     hits += 1
-                    del self._warmed[uri]  # consumed: once per warm
-                elif uri in reloaded:
-                    self._warmed.pop(uri, None)
             self.stats.hits += hits
         return hits
 
@@ -166,7 +133,6 @@ class WorkloadPrefetcher:
         """
         if not required_uris:
             return []
-        self._refresh_index()
         predictions = self._predict(session_id, required_uris)
         if not predictions:
             return []
@@ -204,31 +170,21 @@ class WorkloadPrefetcher:
         with self._lock:
             return asdict(self.stats)
 
-    def invalidate_warmed(self) -> int:
-        """Forget every warmed URI; returns how many were dropped.
-
-        Called when the shard layout changes: the warmed bookkeeping would
-        otherwise credit hits for chunks that now live in (and must be
-        re-warmed into) a different shard's recycler.
-        """
-        with self._lock:
-            dropped = len(self._warmed)
-            self._warmed.clear()
-        return dropped
-
     # -- prediction --------------------------------------------------------
 
     def _predict(self, session_id: int, required_uris: list[str]) -> list[str]:
         """Successor chunks of the touched set, scaled by session history."""
+        directory = self.database.chunk_directory()
         with self._lock:
             history = self._sessions.get(session_id)
             # The newest chunk per instrument group this query touched.
-            frontier: dict[tuple[str, str], tuple[float, str]] = {}
+            frontier: dict[tuple[str, str], tuple[int, str]] = {}
             for uri in required_uris:
-                group = self._chunk_group.get(uri)
-                when = self._chunk_time.get(uri)
-                if group is None or when is None:
+                entry = directory.entries.get(uri)
+                if entry is None:
                     continue
+                station, channel, when = entry
+                group = (station, channel)
                 best = frontier.get(group)
                 if best is None or when > best[0]:
                     frontier[group] = (when, uri)
@@ -260,7 +216,7 @@ class WorkloadPrefetcher:
             for _, uri in sorted(frontier.values()):
                 cursor = uri
                 for _ in range(depth):
-                    cursor = self._successors.get(cursor)
+                    cursor = directory.successors.get(cursor)
                     if cursor is None:
                         break
                     # Residency (not warming history) decides skipping, so
@@ -269,48 +225,6 @@ class WorkloadPrefetcher:
                     if cursor not in required:
                         predictions.append(cursor)
             return predictions
-
-    def _refresh_index(self) -> None:
-        """(Re)build the successor chains from F and S given metadata."""
-        catalog = self.database.catalog
-        files = catalog.table("F").data
-        if files.num_rows == self._indexed_files:
-            return
-        segments = catalog.table("S").data
-        start_by_file: dict[int, int] = {}
-        if segments.num_rows:
-            file_ids = segments.column("file_id").values
-            starts = segments.column("start_time").values
-            order = np.argsort(starts, kind="stable")
-            for row in order[::-1]:
-                # Iterating descending start time, the last write wins —
-                # i.e. the *earliest* start per file survives.
-                start_by_file[int(file_ids[row])] = int(starts[row])
-        chains: dict[tuple[str, str], list[tuple[float, str]]] = {}
-        chunk_time: dict[str, float] = {}
-        chunk_group: dict[str, tuple[str, str]] = {}
-        for row in range(files.num_rows):
-            uri = files.column("uri")[row]
-            group = (
-                files.column("station")[row],
-                files.column("channel")[row],
-            )
-            start = start_by_file.get(int(files.column("file_id")[row]))
-            if start is None:
-                continue
-            chains.setdefault(group, []).append((float(start), uri))
-            chunk_time[uri] = float(start)
-            chunk_group[uri] = group
-        successors: dict[str, str] = {}
-        for chain in chains.values():
-            chain.sort()
-            for (_, this_uri), (_, next_uri) in zip(chain, chain[1:]):
-                successors[this_uri] = next_uri
-        with self._lock:
-            self._successors = successors
-            self._chunk_time = chunk_time
-            self._chunk_group = chunk_group
-            self._indexed_files = files.num_rows
 
     # -- the warming task --------------------------------------------------
 

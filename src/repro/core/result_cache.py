@@ -36,19 +36,22 @@ URI-sorted and filters are order-preserving masks) — bit-identical by the
 same argument the chunk planner uses, and asserted end-to-end by
 ``benchmarks/bench_result_cache.py`` and its CI gate.
 
-Budget and invalidation mirror the :class:`~repro.engine.recycler.Recycler`:
-entries charge their table bytes against a budget and are evicted by
-``compute_cost × access_frequency / size``; the facade invalidates on
-``register_repository`` (new chunks can extend any result) and on
-derived-metadata changes (entries touching H).  Everything is guarded by
-one mutex — lookups are dictionary probes plus containment tests, never
-I/O.
+The budget mirrors the :class:`~repro.engine.recycler.Recycler`: entries
+charge their table bytes and are evicted by ``compute_cost ×
+access_frequency / size``.  Freshness is the catalog's write versions
+(:meth:`~repro.engine.catalog.Catalog.versions`), read before the result
+was computed: an entry whose versions no longer match is a miss, dropped
+and counted in ``invalidations``; ``admit`` refuses results a write
+overtook and drops stale entries before evicting by score.  One mutex
+guards everything — lookups are dictionary probes, version compares and
+containment tests, never I/O.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -377,6 +380,7 @@ class _CacheEntry:
     table: Table
     compute_seconds: float
     nbytes: int
+    versions: tuple
     access_count: int = 1
     last_access: float = field(default_factory=time.monotonic)
 
@@ -393,23 +397,26 @@ class ResultCache:
     :meth:`serve` before compiling stage one and :meth:`admit`\\ s every
     executed result.  All methods are safe under concurrent queries;
     tables are immutable so served references never race with eviction.
+    ``versions`` is the catalog's ``versions``; without one, entries never
+    go stale.
     """
 
-    def __init__(self, budget_bytes: int = 256 * 1024 * 1024) -> None:
+    def __init__(
+        self,
+        budget_bytes: int = 256 * 1024 * 1024,
+        versions: Callable[[Iterable[str]], tuple] | None = None,
+    ) -> None:
         if budget_bytes <= 0:
             raise ValueError("result cache budget must be positive")
         self.budget_bytes = budget_bytes
         self.stats = ResultCacheStats()
+        self._versions = versions if versions is not None else lambda _: ()
         self._lock = make_lock("ResultCache._lock")
         self._entries: dict[tuple, _CacheEntry] = {}
         # template fingerprint -> exact fingerprints sharing it (the
         # subsumption candidate index).
         self._by_template: dict[tuple, set[tuple]] = {}
         self._bytes_cached = 0
-        # Bumped by every invalidation; admissions carry the generation
-        # observed before executing, so a result computed against
-        # since-invalidated inputs is never (re-)admitted.
-        self._generation = 0
 
     # -- introspection -----------------------------------------------------
 
@@ -421,12 +428,6 @@ class ResultCache:
     def bytes_cached(self) -> int:
         with self._lock:
             return self._bytes_cached
-
-    @property
-    def generation(self) -> int:
-        """The invalidation epoch; capture before executing, pass to admit."""
-        with self._lock:
-            return self._generation
 
     def stats_snapshot(self) -> dict[str, int]:
         with self._lock:
@@ -440,9 +441,9 @@ class ResultCache:
     # -- the serving path --------------------------------------------------
 
     def serve(
-        self, normalized: NormalizedPlan
+        self, normalized: NormalizedPlan, versions: tuple = ()
     ) -> tuple[Table, str] | None:
-        """A cached answer for the plan, or None.
+        """A cached answer for the plan at catalog ``versions``, or None.
 
         Returns ``(table, outcome)`` with outcome ``"exact"`` or
         ``"subsumed"``.  The re-filter for a subsumed answer runs outside
@@ -451,13 +452,13 @@ class ResultCache:
         refilter: tuple[_CacheEntry, list] | None = None
         with self._lock:
             self.stats.lookups += 1
-            entry = self._entries.get(normalized.fingerprint)
+            entry = self._current(normalized.fingerprint, versions)
             if entry is not None:
                 entry.access_count += 1
                 entry.last_access = time.monotonic()
                 self.stats.exact_hits += 1
                 return entry.table, "exact"
-            candidate = self._find_subsuming(normalized)
+            candidate = self._find_subsuming(normalized, versions)
             if candidate is None:
                 self.stats.misses += 1
                 return None
@@ -469,15 +470,25 @@ class ResultCache:
         entry, differing = refilter
         return self._refilter(entry, normalized, differing), "subsumed"
 
+    def _current(self, fingerprint: tuple, versions: tuple) -> _CacheEntry | None:
+        """Caller holds the lock.  The entry, unless a write outdated it."""
+        entry = self._entries.get(fingerprint)
+        if entry is not None and entry.versions != versions:
+            self._evict_entry(fingerprint)
+            self.stats.invalidations += 1
+            return None
+        return entry
+
     def _find_subsuming(
-        self, normalized: NormalizedPlan
+        self, normalized: NormalizedPlan, versions: tuple
     ) -> tuple[_CacheEntry, list[str]] | None:
         """Caller holds the lock.  Best covering entry + differing columns."""
         if not normalized.refilterable:
             return None
         best: tuple[_CacheEntry, list[str]] | None = None
-        for fingerprint in self._by_template.get(normalized.template, ()):
-            entry = self._entries.get(fingerprint)
+        # A copy: _current drops stale peers from the set it came from.
+        for fingerprint in list(self._by_template.get(normalized.template, ())):
+            entry = self._current(fingerprint, versions)
             if entry is None:
                 continue
             differing = self._covering_diff(entry.normalized, normalized)
@@ -538,23 +549,23 @@ class ResultCache:
         normalized: NormalizedPlan,
         table: Table,
         compute_seconds: float,
-        generation: int | None = None,
+        versions: tuple = (),
     ) -> bool:
-        """Cache one delivered result; returns False when it cannot fit.
+        """Cache one delivered result; returns False when it is not kept.
 
-        ``generation`` is the value of :attr:`generation` observed before
-        the result was computed: if an invalidation ran in between (a
-        concurrent registration or window materialization), the result
-        reflects inputs that no longer exist and must not enter the cache
-        — admitting it after the invalidation would resurrect exactly the
-        staleness the invalidation flushed.
+        ``versions`` are the catalog versions read *before* the result was
+        computed.  A result a write overtook (a concurrent registration or
+        window materialization) no longer matches the catalog and is
+        refused.  Entries other writes outdated are dropped before any
+        eviction by score, so stale entries never hold budget.
         """
         nbytes = table.nbytes
         if nbytes > self.budget_bytes:
             return False
         with self._lock:
-            if generation is not None and generation != self._generation:
+            if versions != self._versions(normalized.base_tables):
                 return False
+            self._drop_stale()
             self._evict_entry(normalized.fingerprint)
             while self._entries and (
                 self._bytes_cached + nbytes > self.budget_bytes
@@ -568,6 +579,7 @@ class ResultCache:
                 table=table,
                 compute_seconds=max(compute_seconds, 0.0),
                 nbytes=nbytes,
+                versions=versions,
             )
             self._entries[normalized.fingerprint] = entry
             self._by_template.setdefault(normalized.template, set()).add(
@@ -590,30 +602,13 @@ class ResultCache:
             if not peers:
                 del self._by_template[entry.normalized.template]
 
-    # -- invalidation ------------------------------------------------------
-
-    def invalidate_all(self) -> int:
-        """Drop everything (new data registered: any result may change)."""
-        with self._lock:
-            dropped = len(self._entries)
-            self._entries.clear()
-            self._by_template.clear()
-            self._bytes_cached = 0
-            self._generation += 1
-            self.stats.invalidations += dropped
-            return dropped
-
-    def invalidate_tables(self, tables) -> int:
-        """Drop entries whose plans read any of the given base tables."""
-        doomed_tables = set(tables)
-        with self._lock:
-            doomed = [
-                fingerprint
-                for fingerprint, entry in self._entries.items()
-                if entry.normalized.base_tables & doomed_tables
-            ]
-            for fingerprint in doomed:
-                self._evict_entry(fingerprint)
-            self._generation += 1
-            self.stats.invalidations += len(doomed)
-            return len(doomed)
+    def _drop_stale(self) -> None:
+        """Caller holds the lock.  Drop every entry a write has outdated."""
+        current: dict[frozenset[str], tuple] = {}
+        for entry in list(self._entries.values()):
+            tables = entry.normalized.base_tables
+            if tables not in current:
+                current[tables] = self._versions(tables)
+            if entry.versions != current[tables]:
+                self._evict_entry(entry.normalized.fingerprint)
+                self.stats.invalidations += 1

@@ -113,9 +113,8 @@ class SommelierDB:
     wraps this facade with per-session counters.
     """
 
-    # Machine-checked (repro analyze, lock-discipline): session ids must be
-    # unique and the shard-epoch merge must happen exactly once per epoch.
-    _GUARDED = {"_stats_lock": ("_session_counter", "_shard_epoch_seen")}
+    # Machine-checked (repro analyze, lock-discipline): unique session ids.
+    _GUARDED = {"_stats_lock": ("_session_counter",)}
 
     def __init__(
         self,
@@ -148,17 +147,15 @@ class SommelierDB:
         if self.options.result_cache:
             from .result_cache import ResultCache
 
-            self.result_cache = ResultCache(self.options.result_cache_bytes)
+            self.result_cache = ResultCache(
+                self.options.result_cache_bytes,
+                versions=database.catalog.versions,
+            )
         self.stats = SommelierStats()
         self._stats_lock = make_lock("SommelierDB._stats_lock")
         self._derivation_lock = make_lock("SommelierDB._derivation_lock")
         self._session_counter = 0
         self._closed = False
-        # Shard-layout generation last reconciled with the caches: when the
-        # coordinator's epoch moves past it (shard count changed), cached
-        # results and warmed-URI bookkeeping reference the old layout and
-        # are invalidated before the next query runs.
-        self._shard_epoch_seen = 0
         # Shard layout recovered from a checkpoint (applied by open()).
         self._restored_sharding = None
         self._wire_prefetcher()
@@ -371,14 +368,9 @@ class SommelierDB:
         """Eagerly load the given metadata of every chunk (Registrar)."""
         report = Registrar(self.database, threads=threads).register(repository)
         if self.options.shards and self.database.chunk_loader is not None:
-            # Materialize the coordinator now so its layout epoch is
-            # established before the first query (a lazily created
-            # coordinator would look like a layout change one query later).
+            # Materialize the coordinator now so the ``sharding`` section
+            # of planner_stats() (and /stats) exists before the first query.
             self.database.sharding(self.options.shards)
-        if self.result_cache is not None:
-            # New chunks can extend any cached answer: results computed
-            # before the registration are no longer trustworthy.
-            self.result_cache.invalidate_all()
         return report
 
     # -- querying ------------------------------------------------------------------
@@ -406,35 +398,21 @@ class SommelierDB:
         execution with :class:`~repro.engine.errors.QueryCancelled` at the
         next operator entry or chunk boundary.
         """
-        if self._closed:
-            raise ExecutionError("database is closed")
         if cancel is not None:
             cancel.raise_if_cancelled()
-        self._reconcile_shard_epoch()
-        plan = self.bind(sql)
-        # Derivation inserts into H; serialize it so concurrent queries for
-        # overlapping windows cannot double-materialize (single-stage
-        # execution afterwards is lock-free).
-        with self._derivation_lock:
-            derivation = self.views.ensure_for_query(plan)
+        plan, derivation = self._bind_and_derive(sql)
         normalized = None
-        generation = 0
+        versions = ()
         if self.result_cache is not None:
-            if derivation.windows_inserted:
-                # H just changed: cached answers that read derived
-                # metadata may be stale.  (The repeat of *this* query is
-                # unaffected — its own windows are now materialized, so
-                # the next derivation inserts nothing.)
-                self.result_cache.invalidate_tables(self.config.derived_tables)
             from .result_cache import normalize_plan
 
             started = time.perf_counter()
-            # Captured before executing: if any invalidation lands while
-            # the query runs, admit() below must reject the (potentially
-            # stale) result instead of resurrecting it.
-            generation = self.result_cache.generation
             normalized = normalize_plan(plan)
-            served = self.result_cache.serve(normalized)
+            # Read after this query's own derivation and before executing:
+            # a write landing while the query runs leaves the result
+            # tagged with pre-write versions, so it is never served.
+            versions = self.database.catalog.versions(normalized.base_tables)
+            served = self.result_cache.serve(normalized, versions)
             if served is not None:
                 table, outcome = served
                 stats = ExecStats()
@@ -455,19 +433,15 @@ class SommelierDB:
             result = self.compiler.execute_two_stage(plan, cancel=cancel)
         else:
             result = self.compiler.execute_single_stage(plan, cancel=cancel)
-        if self.result_cache is not None and normalized is not None:
+        if normalized is not None:
             self.result_cache.admit(
-                normalized, result.table, result.seconds,
-                generation=generation,
+                normalized, result.table, result.seconds, versions
             )
         if self.prefetcher is not None and result.rewrite.required_uris:
-            # Count which of this query's chunks an earlier prefetch had
-            # warmed (plan-time residency — the query itself re-warms
-            # whatever it loads), then kick off the next predictions.
+            # Credit the chunks an earlier prefetch warmed and this query
+            # then found resident, then kick off the next predictions.
             result.stats.chunks_prefetched = self.prefetcher.record_hits(
-                result.rewrite.required_uris,
-                result.rewrite.cached_uris,
-                result.rewrite.loaded_uris,
+                result.chunk_outcomes
             )
             self.prefetcher.note_query(
                 session_id, result.rewrite.required_uris
@@ -476,28 +450,20 @@ class SommelierDB:
         result.seconds += derivation.seconds
         return result, derivation
 
-    def _reconcile_shard_epoch(self) -> None:
-        """Invalidate layout-dependent caches after a shard-layout change.
+    def _bind_and_derive(
+        self, sql: str
+    ) -> tuple[algebra.LogicalPlan, DerivationReport]:
+        """Bind ``sql`` and run Algorithm 1 for it (every entry point).
 
-        A window insert (or any write) routed under one layout leaves
-        cached results and warmed-URI bookkeeping that silently reference
-        the old chunk placement; when the coordinator's epoch moves, both
-        are dropped wholesale before the next query is served.
+        Derivation inserts into H; it is serialized so concurrent queries
+        for overlapping windows cannot double-materialize (execution
+        afterwards is lock-free).
         """
-        coordinator = self.database.shard_coordinator
-        if coordinator is None:
-            return
-        epoch = coordinator.layout_epoch
-        if epoch == self._shard_epoch_seen:
-            return
-        with self._stats_lock:
-            if epoch == self._shard_epoch_seen:
-                return
-            self._shard_epoch_seen = epoch
-        if self.result_cache is not None:
-            self.result_cache.invalidate_all()
-        if self.prefetcher is not None:
-            self.prefetcher.invalidate_warmed()
+        if self._closed:
+            raise ExecutionError("database is closed")
+        plan = self.bind(sql)
+        with self._derivation_lock:
+            return plan, self.views.ensure_for_query(plan)
 
     def session(self) -> "SommelierSession":
         """A per-client handle with its own stats over this shared database."""
@@ -530,8 +496,7 @@ class SommelierDB:
         """
         from .sampling import ChunkSampler
 
-        plan = self.bind(sql)
-        self.views.ensure_for_query(plan)
+        self._bind_and_derive(sql)
         sampler = ChunkSampler(
             self.database, self.config, self.compiler,
             fraction=fraction, seed=seed,
@@ -651,9 +616,6 @@ class SommelierDB:
         self.views = PartialViewManager(
             self.database, self.config, self.compiler, self.lazy
         )
-        if self.result_cache is not None:
-            # Entries that read H answered against the truncated state.
-            self.result_cache.invalidate_tables(self.config.derived_tables)
 
     @property
     def closed(self) -> bool:

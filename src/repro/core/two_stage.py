@@ -127,6 +127,8 @@ class QueryResult:
     stage_two_seconds: float = 0.0
     stats: ExecStats = field(default_factory=ExecStats)
     rewrite: RewriteReport = field(default_factory=RewriteReport)
+    # uri -> fetch outcome of every chunk stage two fetched.
+    chunk_outcomes: dict[str, str] = field(default_factory=dict)
     join_order: list[str] = field(default_factory=list)
     two_stage: bool = False
     # How the result recycler served this query: "exact", "subsumed", or
@@ -376,6 +378,7 @@ class TwoStageCompiler:
             stage_two_seconds=max(elapsed - stage_one, 0.0),
             stats=ctx.stats,
             rewrite=compiled.rewrite,
+            chunk_outcomes=ctx.chunk_outcomes,
             join_order=compiled.join_order,
             two_stage=compiled.two_stage,
         )

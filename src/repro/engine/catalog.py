@@ -10,11 +10,20 @@ rewritten at run time — is driven by it.
 Base tables always keep an authoritative in-memory :class:`Table`; tables
 can additionally be *paged* to disk so scans pay buffer-pool costs (see
 :mod:`repro.engine.storage`).
+
+Every base table carries a write ``version``: each write takes a fresh
+number from one process-wide sequence *after* the new rows are in place,
+so a reader that sees a version also sees its rows.  Anything derived
+from catalog state (the result cache, the chunk directory) records the
+versions it was built from and is current exactly while
+:meth:`Catalog.versions` still returns them — nothing is told to
+invalidate.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Iterable, Sequence
 
@@ -22,6 +31,10 @@ from .errors import CatalogError
 from .table import Schema, Table
 
 __all__ = ["TableKind", "ForeignKey", "BaseTable", "ViewDefinition", "Catalog"]
+
+# ``next()`` on a count is atomic under the GIL: concurrent writers never
+# share a version, and a version is never reused for another table state.
+_WRITE_VERSIONS = itertools.count(1)
 
 
 class TableKind(enum.Enum):
@@ -61,6 +74,7 @@ class BaseTable:
     foreign_keys: tuple[ForeignKey, ...] = ()
     data: Table = dataclass_field(default=None)  # type: ignore[assignment]
     paged: bool = False
+    version: int = dataclass_field(default_factory=lambda: next(_WRITE_VERSIONS))
 
     def __post_init__(self) -> None:
         if self.data is None:
@@ -90,15 +104,22 @@ class BaseTable:
                 f"({rows.schema.names} vs {self.schema.names})"
             )
         self.data = self.data.concat(rows)
+        self.mark_written()
 
     def replace(self, rows: Table) -> None:
         """Replace the entire in-memory image."""
         if rows.schema.names != self.schema.names:
             raise CatalogError(f"replace on {self.name!r}: schema mismatch")
         self.data = rows
+        self.mark_written()
 
     def truncate(self) -> None:
         self.data = Table.empty(self.schema)
+        self.mark_written()
+
+    def mark_written(self) -> None:
+        """Take a fresh version; call once the written rows are in place."""
+        self.version = next(_WRITE_VERSIONS)
 
 
 @dataclass(frozen=True)
@@ -172,6 +193,19 @@ class Catalog:
         return {
             t.name for t in self._tables.values() if t.kind is TableKind.ACTUAL
         }
+
+    def versions(self, names: Iterable[str]) -> tuple[tuple[str, int], ...]:
+        """The ``(table, version)`` pairs an answer over ``names`` depends on.
+
+        A lazy actual-data table *is* "the chunks the metadata names", so
+        naming any ACTUAL table adds every GMd (METADATA) table: registering
+        a repository writes only F and S, yet changes ``COUNT(*)`` over D.
+        """
+        tables = {name: self.table(name) for name in names}
+        if any(t.kind is TableKind.ACTUAL for t in tables.values()):
+            for t in self.tables_of_kind(TableKind.METADATA):
+                tables[t.name] = t
+        return tuple(sorted((name, t.version) for name, t in tables.items()))
 
     # -- views ----------------------------------------------------------------
 

@@ -23,6 +23,7 @@ import os
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -41,9 +42,59 @@ from .table import Field, Schema, Table
 from .types import INT64
 from ..util.lock_sanitizer import make_lock
 
-__all__ = ["ChunkLoader", "Database", "qualify_chunk"]
+__all__ = ["ChunkDirectory", "ChunkLoader", "Database", "qualify_chunk"]
 
 ROWID = "#rowid"
+
+
+@dataclass(frozen=True)
+class ChunkDirectory:
+    """Where each registered chunk sits in instrument and time.
+
+    The one index over the given-metadata tables F and S, read by shard
+    placement and by the prefetcher's successor prediction.  ``entries``
+    maps a chunk URI to ``(station, channel, earliest segment start)``;
+    ``successors`` maps a URI to the next chunk in time of the same
+    station and channel; ``versions`` are the catalog versions of F and S
+    the directory was built from.
+    """
+
+    versions: tuple = ()
+    entries: dict[str, tuple[str, str, int]] = field(default_factory=dict)
+    successors: dict[str, str] = field(default_factory=dict)
+
+    @classmethod
+    def build(cls, catalog: Catalog) -> "ChunkDirectory":
+        # Versions first: rows written after this read make the directory
+        # look stale (rebuilt next time), never current.
+        versions = catalog.versions(("F", "S"))
+        files = catalog.table("F").data
+        segments = catalog.table("S").data
+        earliest: dict[int, int] = {}
+        for file_id, start in zip(
+            segments.column("file_id").values.tolist(),
+            segments.column("start_time").values.tolist(),
+        ):
+            earliest[file_id] = min(start, earliest.get(file_id, start))
+        entries = {
+            uri: (station, channel, earliest[file_id])
+            for uri, station, channel, file_id in zip(
+                files.column("uri").values.tolist(),
+                files.column("station").values.tolist(),
+                files.column("channel").values.tolist(),
+                files.column("file_id").values.tolist(),
+            )
+            if file_id in earliest
+        }
+        # Sorted by (station, channel, start, uri): each instrument's
+        # chunks are adjacent and in time order.
+        ordered = sorted((*entry, uri) for uri, entry in entries.items())
+        successors = {
+            uri: later
+            for (s1, c1, _, uri), (s2, c2, _, later) in zip(ordered, ordered[1:])
+            if (s1, c1) == (s2, c2)
+        }
+        return cls(versions, entries, successors)
 
 
 def qualify_chunk(raw: Table, table_name: str) -> Table:
@@ -157,6 +208,7 @@ class Database:
         # rebuilt when the requested shard count changes.
         self.shard_coordinator = None
         self._shard_lock = make_lock("Database._shard_lock")
+        self._chunk_directory = ChunkDirectory()
 
     # -- scanning -----------------------------------------------------------
 
@@ -194,6 +246,7 @@ class Database:
             image = self.paged_store.read_table(table_name)
             start_row = image.num_rows
             self.paged_store.store_table(table_name, image.concat(rows))
+            base.mark_written()
         else:
             start_row = base.num_rows
             base.append(rows)
@@ -208,6 +261,7 @@ class Database:
             if rows.schema.names != base.schema.names:
                 raise CatalogError(f"replace on {table_name!r}: schema mismatch")
             self.paged_store.store_table(table_name, rows)
+            base.mark_written()
         else:
             base.replace(rows)
         for (indexed_table, _), index in self.hash_indexes.items():
@@ -225,6 +279,19 @@ class Database:
         base.paged = True
         base.data = Table.empty(base.schema)
         return written
+
+    def chunk_directory(self) -> ChunkDirectory:
+        """The :class:`ChunkDirectory` for the current F and S contents.
+
+        Rebuilt only when a write moved F's or S's version.  Concurrent
+        rebuilds are harmless: each builds a complete directory and the
+        reference swap is atomic.
+        """
+        directory = self._chunk_directory
+        if directory.versions != self.catalog.versions(("F", "S")):
+            directory = ChunkDirectory.build(self.catalog)
+            self._chunk_directory = directory
+        return directory
 
     def drop_caches(self) -> None:
         """Simulate a server restart: cold buffer pool, cold recycler."""
@@ -264,10 +331,10 @@ class Database:
         """The scatter-gather coordinator for ``shards`` shard workers.
 
         Created lazily; asking for a different shard count (or bucket
-        width) rebuilds the coordinator and bumps its ``layout_epoch`` so
-        layout-dependent bookkeeping upstream (result cache, prefetcher
-        warmed set) knows to invalidate.  Shard stores live under
-        ``<workdir>/shards/`` and survive coordinator rebuilds.
+        width) rebuilds the coordinator and bumps its ``layout_epoch``
+        (the ``sharding.epoch`` gauge).  Rows are identical at every shard
+        count, so nothing upstream depends on the layout.  Shard stores
+        live under ``<workdir>/shards/`` and survive coordinator rebuilds.
         """
         from .sharding import DEFAULT_BUCKET_MS, ScatterGatherCoordinator
 

@@ -113,6 +113,9 @@ class ExecutionContext:
     stage_results: dict[str, Table] = field(default_factory=dict)
     stats: ExecStats = field(default_factory=ExecStats)
     cancel: CancelToken | None = None
+    # uri -> how its fetch was served ("loaded", "rehydrated", "hit",
+    # "coalesced"), filled by scan.record_outcome on the query thread.
+    chunk_outcomes: dict[str, str] = field(default_factory=dict)
 
     def check_cancelled(self) -> None:
         if self.cancel is not None:
@@ -193,9 +196,7 @@ def _execute_cache_scan(plan: algebra.CacheScan, ctx: ExecutionContext) -> Table
         # degrade gracefully to a chunk access.
         fallback = algebra.ChunkAccess(plan.uri, plan.table_name, plan.schema)
         return _execute_chunk_access(fallback, ctx)
-    record_outcome(
-        ctx.stats, ctx.database, plan.uri, "hit", cached.num_rows, 0.0
-    )
+    record_outcome(ctx, plan.uri, "hit", cached.num_rows, 0.0)
     return filter_piece(cached, plan.schema.names, None)
 
 
@@ -231,9 +232,7 @@ def _scan_local(
 
     def ingest(index: int, fetched: tuple[Table, str, float]) -> None:
         chunk, outcome, cost = fetched
-        record_outcome(
-            ctx.stats, database, uris[index], outcome, chunk.num_rows, cost, chunk
-        )
+        record_outcome(ctx, uris[index], outcome, chunk.num_rows, cost, chunk)
         pieces[index] = filter_piece(chunk, names, plan.pushed_predicate)
 
     pool = database.io_executor(io_threads) if io_threads > 1 else None
@@ -298,9 +297,7 @@ def _try_in_situ_access(
     if loaded is None:
         return None
     table, cost_seconds = loaded
-    record_outcome(
-        ctx.stats, database, plan.uri, "loaded", table.num_rows, cost_seconds
-    )
+    record_outcome(ctx, plan.uri, "loaded", table.num_rows, cost_seconds)
     return filter_piece(table, plan.schema.names, plan.pushed_predicate)
 
 

@@ -19,9 +19,8 @@ import numpy as np
 from .table import Table
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .database import Database
     from .expressions import Expression
-    from .physical import ExecStats
+    from .physical import ExecutionContext
 
 __all__ = ["filter_piece", "record_outcome", "run_schedule"]
 
@@ -40,22 +39,25 @@ def filter_piece(
 
 
 def record_outcome(
-    stats: "ExecStats",
-    database: "Database",
+    ctx: "ExecutionContext",
     uri: str,
     outcome: str,
     rows: int,
     cost: float,
     chunk: Table | None = None,
 ) -> None:
-    """Account one chunk fetch outcome into a query's exec stats.
+    """Account one chunk fetch outcome into a query's context.
 
+    The outcome is counted in the exec stats and kept per URI in
+    ``ctx.chunk_outcomes`` (what the prefetcher credits hits from).
     ``chunk`` is passed only when the *whole* chunk is in hand (not for
     shard receipts or in-situ partial decodes): it enriches the planner's
     statistics (no-op when already enriched), which is what turns
     value-predicate pruning on for subsequent queries — including mmap
     re-hydrates that bypass ``Database.load_chunk``.
     """
+    ctx.chunk_outcomes[uri] = outcome
+    stats = ctx.stats
     if outcome == "loaded":
         stats.chunks_loaded += 1
         stats.chunk_rows_loaded += rows
@@ -65,7 +67,7 @@ def record_outcome(
     else:  # "hit" or "coalesced": another query (or this one) paid the cost
         stats.chunks_from_cache += 1
     if chunk is not None and outcome in ("loaded", "rehydrated"):
-        database.chunk_stats.observe_table(
+        ctx.database.chunk_stats.observe_table(
             uri, chunk, loading_cost=cost if outcome == "loaded" else None
         )
 

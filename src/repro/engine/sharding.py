@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 from . import shard_worker
-from .errors import CatalogError, ExecutionError, QueryCancelled, StorageError
+from .errors import ExecutionError, QueryCancelled, StorageError
 from .scan import record_outcome
 from .table import Table
 from ..util.counters import Counters
@@ -45,7 +45,7 @@ from ..util.lock_sanitizer import make_lock
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from . import algebra
     from .chunk_planner import ChunkPlan
-    from .database import Database
+    from .database import ChunkDirectory, Database
     from .physical import ExecutionContext
 
 __all__ = [
@@ -68,12 +68,11 @@ def _stable_hash(text: str) -> int:
 class ShardLayout:
     """Deterministic chunk placement by (station, time-bucket) hash.
 
-    The layout indexes the F/S metadata tables (like the prefetcher's
-    successor index) to learn each chunk URI's station and earliest start
-    time; the index refreshes whenever the registered file count changes.
-    Only the parameters — shard count and bucket width — are persisted; the
-    assignment function is pure, so a reopened database routes every chunk
-    to the same shard that spilled it.
+    A chunk's station and earliest start time come from the database's
+    :class:`~repro.engine.database.ChunkDirectory` (the F/S index the
+    prefetcher reads too).  Only the parameters — shard count and bucket
+    width — are persisted; the assignment function is pure, so a reopened
+    database routes every chunk to the same shard that spilled it.
     """
 
     def __init__(self, shards: int, bucket_ms: int = DEFAULT_BUCKET_MS) -> None:
@@ -83,56 +82,19 @@ class ShardLayout:
             raise StorageError("shard time bucket must be positive")
         self.shards = int(shards)
         self.bucket_ms = int(bucket_ms)
-        self._lock = make_lock("ShardLayout._lock")
-        # uri -> (station, bucket) partition keys from the metadata tables.
-        self._keys: dict[str, tuple[str, int]] = {}
-        self._indexed_files = -1
 
-    def shard_of(self, uri: str) -> int:
+    def shard_of(self, uri: str, directory: "ChunkDirectory") -> int:
         """The owning shard of a chunk URI (stable across restarts)."""
-        with self._lock:
-            key = self._keys.get(uri)
-        if key is None:
+        entry = directory.entries.get(uri)
+        if entry is None:
             # Not described by F/S (ad-hoc URI): hash the URI itself —
             # still deterministic, so placement never flaps.
             return _stable_hash(uri) % self.shards
-        station, bucket = key
-        return _stable_hash(f"{station}|{bucket}") % self.shards
-
-    def refresh(self, database: "Database") -> None:
-        """(Re)build the URI → partition-key index from F and S."""
-        try:
-            files = database.catalog.table("F").data
-            segments = database.catalog.table("S").data
-        except CatalogError:
-            return  # no metadata tables: URI-hash placement still works
-        if files.num_rows == self._indexed_files:
-            return
-        start_by_file: dict[int, int] = {}
-        if segments.num_rows:
-            file_ids = segments.column("file_id").values
-            starts = segments.column("start_time").values
-            for row in range(len(file_ids)):
-                file_id = int(file_ids[row])
-                start = int(starts[row])
-                previous = start_by_file.get(file_id)
-                if previous is None or start < previous:
-                    start_by_file[file_id] = start
-        keys: dict[str, tuple[str, int]] = {}
-        for row in range(files.num_rows):
-            start = start_by_file.get(int(files.column("file_id")[row]))
-            if start is None:
-                continue
-            keys[files.column("uri")[row]] = (
-                str(files.column("station")[row]),
-                start // self.bucket_ms,
-            )
-        with self._lock:
-            self._keys = keys
-            self._indexed_files = files.num_rows
+        station, _channel, start = entry
+        return _stable_hash(f"{station}|{start // self.bucket_ms}") % self.shards
 
     def split(
-        self, plan: "ChunkPlan"
+        self, plan: "ChunkPlan", directory: "ChunkDirectory"
     ) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
         """Partition a chunk plan; returns shard → (assembly, fetch) indexes.
 
@@ -141,7 +103,7 @@ class ShardLayout:
         its scheduled fetch order, so each shard preserves the global
         discipline within its slice.
         """
-        owners = [self.shard_of(chunk.uri) for chunk in plan.chunks]
+        owners = [self.shard_of(chunk.uri, directory) for chunk in plan.chunks]
         assembly: dict[int, list[int]] = {}
         for index, owner in enumerate(owners):
             assembly.setdefault(owner, []).append(index)
@@ -216,8 +178,8 @@ class ScatterGatherCoordinator:
         self._pool_lock = make_lock("ScatterGatherCoordinator._pool_lock")
         self._stats_lock = make_lock("ScatterGatherCoordinator._stats_lock")
         self._worker_kernels: dict[int, str] = {}
-        # Bumped by Database.sharding() when the shard count changes, so
-        # the façade can invalidate layout-dependent bookkeeping.
+        # Bumped by Database.sharding() when the shard count changes; a
+        # monitoring gauge only (``sharding.epoch`` in /stats).
         self.layout_epoch = 1
         self.stats = ShardingStats()
 
@@ -292,9 +254,8 @@ class ScatterGatherCoordinator:
         self, plan: "algebra.ParallelChunkScan", ctx: "ExecutionContext"
     ) -> Table:
         """Run one planned chunk scan across the shards and merge the rows."""
-        self.layout.refresh(self.database)
         chunk_plan = plan.plan
-        split = self.layout.split(chunk_plan)
+        split = self.layout.split(chunk_plan, self.database.chunk_directory())
         # Only a name until a broadcast creates the file: a failed shard
         # stops its siblings through it even when the caller has no token.
         cancel_path = os.path.join(self._cancel_dir, uuid.uuid4().hex)
@@ -370,8 +331,7 @@ class ScatterGatherCoordinator:
 
     def warm_chunk(self, uri: str, table_name: str) -> None:
         """Prefetch one chunk into its owning shard's recycler."""
-        self.layout.refresh(self.database)
-        shard_id = self.layout.shard_of(uri)
+        shard_id = self.layout.shard_of(uri, self.database.chunk_directory())
         receipt = self._pool(shard_id).submit(
             shard_worker.warm_chunk, uri, table_name
         ).result()
@@ -390,9 +350,7 @@ class ScatterGatherCoordinator:
             uri, outcome, num_rows, cost, _ = receipt
             # Outcomes are those of the shard's own recycler; the worker's
             # decode time never passed through Database.load_chunk.
-            record_outcome(
-                ctx.stats, self.database, uri, outcome, num_rows, cost
-            )
+            record_outcome(ctx, uri, outcome, num_rows, cost)
             if outcome == "loaded":
                 self.database.account_chunk_seconds(cost)
             self._adopt_receipt(receipt)

@@ -321,8 +321,7 @@ class SharedScanScheduler:
             chunk, outcome, cost = fetched
             delivery = owned[index]
             record_outcome(
-                ctx.stats, database, delivery.uri, outcome, chunk.num_rows,
-                cost, chunk,
+                ctx, delivery.uri, outcome, chunk.num_rows, cost, chunk
             )
             with self._lock:
                 self.stats.deliveries_produced += 1

@@ -21,6 +21,11 @@ def day_sql(day: int, station="ISK", channel="BHE") -> str:
     )
 
 
+def fetch_outcomes(db, *uris: str) -> dict[str, str]:
+    """Fetch ``uris`` as a query would; the per-chunk outcomes it reports."""
+    return {uri: db.database.fetch_chunk(uri, "D")[1] for uri in uris}
+
+
 def station_uris(db, station: str) -> list[str]:
     files = db.database.catalog.table("F").data
     return sorted(
@@ -55,10 +60,10 @@ class TestPrediction:
     def test_hits_counted_once_warmed(self, lazy_db):
         prefetcher = WorkloadPrefetcher(lazy_db.database)
         day0, day1 = station_uris(lazy_db, "ISK")
-        assert prefetcher.record_hits([day0]) == 0
+        assert prefetcher.record_hits(fetch_outcomes(lazy_db, day0)) == 0
         prefetcher.note_query(1, [day0])
         prefetcher.wait_idle()
-        assert prefetcher.record_hits([day1]) == 1
+        assert prefetcher.record_hits(fetch_outcomes(lazy_db, day1)) == 1
         assert prefetcher.stats_snapshot()["hits"] == 1
 
     def test_evicted_chunk_is_no_hit_and_warmable_again(self, lazy_db):
@@ -67,32 +72,28 @@ class TestPrediction:
         prefetcher.note_query(1, [day0])
         prefetcher.wait_idle()
         assert day1 in lazy_db.database.recycler
-        # Evict everything: the warmed chunk is gone from the cache.
+        # Evict everything: the warmed chunk is gone from the cache, so
+        # the query needing it reports a cold load.
         lazy_db.database.recycler.clear()
-        assert prefetcher.record_hits([day1]) == 0
+        assert prefetcher.record_hits({day1: "loaded"}) == 0
         assert prefetcher.stats_snapshot()["hits"] == 0
         # ...and it is predictable (and warmable) again.
         assert prefetcher.note_query(1, [day0]) == [day1]
         prefetcher.wait_idle()
         assert day1 in lazy_db.database.recycler
-        assert prefetcher.record_hits([day1]) == 1
+        assert prefetcher.record_hits(fetch_outcomes(lazy_db, day1)) == 1
 
     def test_pruned_but_resident_chunk_keeps_warm_status(self, lazy_db):
-        # A warmed chunk the planner prunes from a later query is neither
-        # a hit nor forgotten: only cold-reloaded chunks leave the set.
+        # A warmed chunk the planner prunes from a later query is never
+        # fetched: neither a hit nor forgotten.
         prefetcher = WorkloadPrefetcher(lazy_db.database)
         day0, day1 = station_uris(lazy_db, "ISK")
         prefetcher.note_query(1, [day0])
         prefetcher.wait_idle()
-        hits = prefetcher.record_hits(
-            [day0, day1], resident_uris=[], loaded_uris=[day0]
-        )
-        assert hits == 0
+        assert prefetcher.record_hits({day0: "loaded"}) == 0
         with prefetcher._lock:
             assert day1 in prefetcher._warmed  # pruned, still warm
-        assert prefetcher.record_hits(
-            [day1], resident_uris=[day1], loaded_uris=[]
-        ) == 1
+        assert prefetcher.record_hits(fetch_outcomes(lazy_db, day1)) == 1
 
     def test_session_history_is_bounded(self, lazy_db):
         prefetcher = WorkloadPrefetcher(lazy_db.database)
@@ -126,16 +127,16 @@ class TestWarmedBookkeeping:
         prefetcher.wait_idle()
         # A dashboard re-reading the still-resident chunk: the first query
         # is the prefetcher's contribution, the repeats are the recycler's.
-        assert prefetcher.record_hits([day1]) == 1
-        assert prefetcher.record_hits([day1]) == 0
-        assert prefetcher.record_hits([day1]) == 0
+        for expected in (1, 0, 0):
+            hits = prefetcher.record_hits(fetch_outcomes(lazy_db, day1))
+            assert hits == expected
         assert prefetcher.stats_snapshot()["hits"] == 1
         # A fresh warm of the same URI earns a fresh (single) hit.
         lazy_db.database.recycler.clear()
         prefetcher.note_query(1, [day0])
         prefetcher.wait_idle()
-        assert prefetcher.record_hits([day1]) == 1
-        assert prefetcher.record_hits([day1]) == 0
+        assert prefetcher.record_hits(fetch_outcomes(lazy_db, day1)) == 1
+        assert prefetcher.record_hits(fetch_outcomes(lazy_db, day1)) == 0
         assert prefetcher.stats_snapshot()["hits"] == 2
 
     def test_warmed_set_is_lru_bounded(self, lazy_db):
@@ -162,8 +163,8 @@ class TestWarmedBookkeeping:
         for round_no in range(50):
             uri = uris[round_no % len(uris)]
             prefetcher._warm_one(uri)
-            # Pruned while warm: neither resident-hit nor reloaded.
-            prefetcher.record_hits([uri], resident_uris=[], loaded_uris=[])
+            # Pruned while warm: the query fetched nothing.
+            prefetcher.record_hits({})
             with prefetcher._lock:
                 assert len(prefetcher._warmed) <= 4
         assert prefetcher.stats_snapshot()["hits"] == 0
@@ -201,11 +202,29 @@ class TestFacadeIntegration:
             prefetch_db.prefetcher.wait_idle()
             # Evict the warmed chunk; the next query cold-loads it, and by
             # hit-recording time it is resident again — the counter must
-            # use plan-time residency, not an after-the-fact probe.
+            # use the fetch outcome, not an after-the-fact probe.
             prefetch_db.database.recycler.clear()
             second = session.query(day_sql(1))
         assert second.stats.chunks_prefetched == 0
         assert second.stats.chunks_loaded >= 1
+
+    def test_sharded_session_counts_prefetch_hits(self, tiny_repo):
+        """Warm-ups land in the owning shard's recycler; the hit is read
+        off the shard's fetch outcome, not the parent's residency."""
+        db, _ = prepare(
+            "lazy", tiny_repo[0],
+            options=TwoStageOptions(prefetch=True, shards=2),
+        )
+        try:
+            with db.session() as session:
+                session.query(day_sql(0))
+                db.prefetcher.wait_idle()
+                second = session.query(day_sql(1))
+            assert second.stats.chunks_loaded == 0
+            assert second.stats.chunks_prefetched == 1
+            assert db.prefetcher.stats_snapshot()["hits"] == 1
+        finally:
+            db.close()
 
     def test_prefetch_disabled_by_default(self, lazy_db):
         assert lazy_db.prefetcher is None

@@ -237,12 +237,35 @@ class TestInvalidation:
         )
         try:
             db.query(AGG_SQL.format(start, end))
-            assert cache_stats(db)["entries"] == 1
+            assert db.query(AGG_SQL.format(start, end)).result_cache == "exact"
             db.register_repository(tiny_repo[0])
-            assert cache_stats(db)["entries"] == 0
+            assert db.query(AGG_SQL.format(start, end)).result_cache is None
             assert cache_stats(db)["invalidations"] == 1
         finally:
             db.close()
+
+    def test_count_over_d_follows_a_new_repository(
+        self, tiny_repo, tiny_fiam_repo
+    ):
+        """The plan binds only D, but lazy D is "the chunks F names": a
+        registration that writes just F and S must still outdate it."""
+        sql = "SELECT COUNT(*) AS n FROM D"
+        db, _ = prepare(
+            "lazy", tiny_repo[0], options=TwoStageOptions(result_cache=True)
+        )
+        fresh, _ = prepare("lazy", tiny_repo[0])
+        try:
+            before = db.query(sql).table.to_dicts()
+            assert db.query(sql).result_cache == "exact"
+            db.register_repository(tiny_fiam_repo[0])
+            fresh.register_repository(tiny_fiam_repo[0])
+            after = db.query(sql)
+            assert after.result_cache is None
+            assert after.table.to_dicts() == fresh.query(sql).table.to_dicts()
+            assert after.table.to_dicts() != before
+        finally:
+            db.close()
+            fresh.close()
 
     def test_reset_derived_metadata_drops_h_entries_only(
         self, cached_db, day_range
@@ -254,11 +277,10 @@ class TestInvalidation:
         )
         cached_db.query(t5_query(params))  # reads H (derived)
         cached_db.query(AGG_SQL.format(start, end))  # reads F/S/D only
-        assert cache_stats(cached_db)["entries"] == 2
         cached_db.reset_derived_metadata()
-        assert cache_stats(cached_db)["entries"] == 1
         repeat = cached_db.query(AGG_SQL.format(start, end))
         assert repeat.result_cache == "exact"
+        assert cached_db.query(t5_query(params)).result_cache is None
 
     def test_new_window_materialization_invalidates_h_entries(
         self, cached_db, day_range
@@ -352,24 +374,52 @@ class TestBudget:
         assert cache.stats.evictions >= 1
 
 
-class TestGenerations:
-    def test_stale_admit_is_rejected_after_invalidation(self, lazy_db):
-        """A result computed before an invalidation must not be admitted
-        after it — that would resurrect exactly what the invalidation
-        flushed (the concurrent-registration race)."""
-        cache = ResultCache()
-        normalized = normalize_plan(
-            lazy_db.bind("SELECT COUNT(*) AS n FROM gmdview")
-        )
-        table = lazy_db.query("SELECT COUNT(*) AS n FROM gmdview").table
-        generation = cache.generation
-        cache.invalidate_all()  # lands while the query is "executing"
-        assert not cache.admit(normalized, table, 0.1, generation=generation)
+def append_one_segment(db) -> None:
+    """A write to S, as a concurrent registration would make."""
+    segments = db.database.catalog.table("S")
+    segments.append(segments.data.slice(0, 1))
+
+
+class TestVersions:
+    def test_stale_admit_is_refused(self, lazy_db):
+        """A result computed before a write carries the pre-write versions:
+        it is refused at admission, and an entry a later write outdates is
+        dropped at its next lookup."""
+        catalog = lazy_db.database.catalog
+        cache = ResultCache(versions=catalog.versions)
+        sql = "SELECT COUNT(*) AS n FROM gmdview"
+        normalized = normalize_plan(lazy_db.bind(sql))
+        versions = catalog.versions(normalized.base_tables)
+        table = lazy_db.query(sql).table
+        append_one_segment(lazy_db)  # lands while the query is "executing"
+        assert not cache.admit(normalized, table, 0.1, versions)
         assert len(cache) == 0
-        assert cache.admit(
-            normalized, table, 0.1, generation=cache.generation
-        )
-        assert len(cache) == 1
+        versions = catalog.versions(normalized.base_tables)
+        assert cache.admit(normalized, table, 0.1, versions)
+        assert cache.serve(normalized, versions) is not None
+        append_one_segment(lazy_db)
+        now = catalog.versions(normalized.base_tables)
+        assert cache.serve(normalized, now) is None
+        assert len(cache) == 0
+        assert cache.stats.invalidations == 1
+
+    def test_write_during_execution_is_never_served(
+        self, cached_db, day_range, monkeypatch
+    ):
+        sql = AGG_SQL.format(*day_range)
+        execute = cached_db.compiler.execute_two_stage
+
+        def overtaken(plan, cancel=None):
+            result = execute(plan, cancel=cancel)
+            append_one_segment(cached_db)
+            return result
+
+        monkeypatch.setattr(cached_db.compiler, "execute_two_stage", overtaken)
+        cached_db.query(sql)
+        monkeypatch.undo()
+        repeat = cached_db.query(sql)
+        assert repeat.result_cache is None  # the overtaken result was not kept
+        assert cached_db.query(sql).result_cache == "exact"
 
 
 class TestSessions:

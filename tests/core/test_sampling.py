@@ -4,8 +4,8 @@
 import pytest
 
 from repro.core.sampling import ChunkSampler
-from repro.engine.errors import PlanError
-from repro.workloads import QueryParams, t4_query
+from repro.engine.errors import ExecutionError, PlanError
+from repro.workloads import QueryParams, t4_query, t5_query
 
 MILLIS_PER_DAY = 24 * 3600 * 1000
 
@@ -102,3 +102,34 @@ class TestChunkSampler:
         approx = lazy_db.approximate_query(t4_sql, fraction=1.0)
         if approx.chunks_sampled > 1:
             assert approx.estimate_by_name("avg_value").standard_error is not None
+
+
+class TestFacadeEntryPoint:
+    def test_derivation_runs_under_the_derivation_lock(
+        self, lazy_db, day_range, monkeypatch
+    ):
+        """Both entry points run Algorithm 1 serialized, so concurrent
+        derivations cannot double-insert H windows."""
+        start, end = day_range
+        sql = t5_query(
+            QueryParams(
+                station="ISK", channel="BHE", start_ms=start, end_ms=end,
+                max_val_threshold=-1e12,
+            )
+        )
+        held: list[bool] = []
+        ensure = lazy_db.views.ensure_for_query
+
+        def recording(plan):
+            held.append(lazy_db._derivation_lock.locked())
+            return ensure(plan)
+
+        monkeypatch.setattr(lazy_db.views, "ensure_for_query", recording)
+        lazy_db.query(sql)
+        lazy_db.approximate_query(sql, fraction=1.0)
+        assert held == [True, True]
+
+    def test_closed_database_refuses(self, lazy_db, t4_sql):
+        lazy_db.close()
+        with pytest.raises(ExecutionError, match="closed"):
+            lazy_db.approximate_query(t4_sql)

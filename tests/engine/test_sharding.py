@@ -8,6 +8,7 @@ pool.
 
 from __future__ import annotations
 
+import hashlib
 import threading
 import time
 
@@ -16,6 +17,7 @@ import pytest
 from repro.core.loading import prepare
 from repro.core.two_stage import TwoStageOptions
 from repro.data.ingv import EPOCH_2010_MS
+from repro.engine.database import ChunkDirectory
 from repro.engine.errors import (
     ExecutionError,
     PlanError,
@@ -56,16 +58,16 @@ class TestLayout:
     def test_placement_is_deterministic_and_in_range(self):
         layout = ShardLayout(4)
         uris = [f"ingv://repo/ISK/BHE/day-{d}.mseed" for d in range(16)]
-        first = [layout.shard_of(uri) for uri in uris]
-        assert first == [ShardLayout(4).shard_of(uri) for uri in uris]
+        unknown = ChunkDirectory()  # URIs F/S do not describe
+        first = [layout.shard_of(uri, unknown) for uri in uris]
+        assert first == [ShardLayout(4).shard_of(uri, unknown) for uri in uris]
         assert all(0 <= shard < 4 for shard in first)
 
     def test_split_preserves_assembly_and_fetch_order(self, lazy_db):
         report = lazy_db.query(COUNT_ALL).rewrite
         (plan,) = report.chunk_plans
         layout = ShardLayout(3)
-        layout.refresh(lazy_db.database)
-        split = layout.split(plan)
+        split = layout.split(plan, lazy_db.database.chunk_directory())
         schedule = plan.fetch_order or tuple(range(len(plan.chunks)))
         seen_assembly: list[int] = []
         for _shard_id, (assembly, fetch) in split.items():
@@ -75,6 +77,32 @@ class TestLayout:
             assert [pos[i] for i in fetch] == sorted(pos[i] for i in fetch)
             seen_assembly.extend(assembly)
         assert sorted(seen_assembly) == list(range(len(plan.chunks)))
+
+    def test_placement_hashes_station_and_start_bucket(self, lazy_db):
+        """shard_of, read off the chunk directory, equals the hash of
+        (station, earliest segment start // bucket) taken from F and S."""
+        catalog = lazy_db.database.catalog
+        files = catalog.table("F").data
+        segments = catalog.table("S").data
+        earliest: dict[int, int] = {}
+        for file_id, start in zip(
+            segments.column("file_id").values.tolist(),
+            segments.column("start_time").values.tolist(),
+        ):
+            earliest[file_id] = min(start, earliest.get(file_id, start))
+        layout = ShardLayout(4)
+        directory = lazy_db.database.chunk_directory()
+        uris = files.column("uri").values.tolist()
+        assert len(uris) == 8
+        for uri, station, file_id in zip(
+            uris,
+            files.column("station").values.tolist(),
+            files.column("file_id").values.tolist(),
+        ):
+            key = f"{station}|{earliest[file_id] // layout.bucket_ms}"
+            digest = hashlib.md5(key.encode("utf-8")).digest()[:8]
+            expected = int.from_bytes(digest, "big") % 4
+            assert layout.shard_of(uri, directory) == expected
 
     def test_checkpoint_roundtrip_and_malformed_payloads(self):
         layout = ShardLayout(2, bucket_ms=3600_000)
@@ -220,9 +248,9 @@ class TestFailureAndCancellation:
             loader = db.database.chunk_loader
             loader.io_delay_ms = 150.0
             coordinator = db.database.sharding(2)
-            coordinator.layout.refresh(db.database)
+            directory = db.database.chunk_directory()
             owners = {
-                uri: coordinator.layout.shard_of(uri)
+                uri: coordinator.layout.shard_of(uri, directory)
                 for uri in list(loader._file_ids)
             }
             assert set(owners.values()) == {0, 1}
@@ -310,9 +338,10 @@ class TestPersistenceAndInvalidation:
         finally:
             reopened.close()
 
-    def test_layout_change_invalidates_result_cache_and_warmed(
-        self, tiny_repo
-    ):
+    def test_layout_change_keeps_rows(self, tiny_repo, serial_expected):
+        """Rows are bit-identical at every shard count, so a reshard is not
+        an input of any answer: cached results stay servable and executed
+        ones match serial execution."""
         db, _ = prepare(
             "lazy",
             tiny_repo[0],
@@ -320,20 +349,16 @@ class TestPersistenceAndInvalidation:
         )
         try:
             first = db.query(T4)
-            repeat = db.query(T4)
-            assert repeat.result_cache  # served without re-execution
-            if db.prefetcher is not None:
-                db.prefetcher.wait_idle()
-                db.prefetcher._warmed["stale://uri"] = None
 
             db._apply_shards(4)  # the restart/reconfigure path
 
             after = db.query(T4)
-            # Same rows, but not served from the pre-reshard cache entry.
             assert after.table.to_dicts() == first.table.to_dicts()
-            assert not after.result_cache
-            if db.prefetcher is not None:
-                assert "stale://uri" not in db.prefetcher._warmed
-            assert db.planner_stats()["sharding"]["shards"] == 4
+            assert after.result_cache == "exact"
+            executed = db.query(COUNT_ALL)
+            assert executed.result_cache is None
+            assert executed.table.to_dicts() == serial_expected[COUNT_ALL]
+            sharding = db.planner_stats()["sharding"]
+            assert (sharding["shards"], sharding["epoch"]) == (4, 2)
         finally:
             db.close()
