@@ -277,15 +277,18 @@ def run(args: argparse.Namespace) -> tuple[ReportTable, int]:
         # -- shared-scan fan-out (dashboard regime) ---------------------
         # The same scan-heavy aggregate from every client in lockstep
         # waves, warm; shared_scan=True runs each wave's chunk pass once.
+        # Both arms keep every other option at its default, so the
+        # baseline is what a user gets without asking for sharing.
         sql = fanout_query(span)
         mismatches = 0
         baselines: dict[int, float] = {}
         for shared in (False, True):
+            options = TwoStageOptions(shared_scan=shared)
             db, _ = prepare(
                 "lazy",
                 repository,
                 workdir=os.path.join(workdir, f"fanout{int(shared)}"),
-                options=TwoStageOptions(io_threads=1, shared_scan=shared),
+                options=options,
             )
             try:
                 expected = db.query(sql).table.to_dicts()  # warm + baseline
@@ -300,7 +303,8 @@ def run(args: argparse.Namespace) -> tuple[ReportTable, int]:
                         baselines[clients] = qps
                     table.add_row(
                         "fanout shared" if shared else "fanout private",
-                        clients, 1, clients * args.fanout_rounds,
+                        clients, options.io_threads,
+                        clients * args.fanout_rounds,
                         round(wall, 4), round(qps, 2),
                         round(qps / baselines[clients], 2),
                     )

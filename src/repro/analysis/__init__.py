@@ -1,6 +1,6 @@
 """Static-analysis framework enforcing the engine's unwritten contracts.
 
-Correctness of the scatter-gather engine rests on conventions no type
+Correctness of the concurrent engine rests on conventions no type
 checker knows about: chunk loops must poll the
 :class:`~repro.engine.physical.CancelToken`, chunk-store renames must be
 fsync-preceded, guarded fields are written under their lock, and no

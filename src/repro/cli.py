@@ -111,11 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="co-schedule overlapping concurrent scans so each chunk is "
         "fetched and decoded once per wave",
     )
-    query.add_argument(
-        "--shards", type=int, default=None,
-        help="partition stage two across N shard worker processes "
-        "(scatter-gather; 0 disables)",
-    )
 
     explain = commands.add_parser(
         "explain",
@@ -164,11 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--shared-scan", action="store_true",
         help="co-schedule overlapping concurrent scans and report counters",
     )
-    cache.add_argument(
-        "--shards", type=int, default=None,
-        help="partition stage two across N shard worker processes and "
-        "report the coordinator's counters",
-    )
 
     serve = commands.add_parser(
         "serve",
@@ -215,11 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--shared-scan", action="store_true",
         help="co-schedule overlapping concurrent scans so each chunk is "
         "fetched and decoded once per wave",
-    )
-    serve.add_argument(
-        "--shards", type=int, default=None,
-        help="partition stage two across N shard worker processes "
-        "(scatter-gather; 0 disables)",
     )
 
     bench = commands.add_parser(
@@ -375,7 +360,7 @@ def _run_concurrent_clients(db, sql: str, clients: int) -> int:
 
 
 def _two_stage_options(args: argparse.Namespace):
-    """TwoStageOptions from the shared --io-threads/--shards/... flags."""
+    """TwoStageOptions from the shared --io-threads/--shared-scan/... flags."""
     from .core.two_stage import TwoStageOptions
 
     option_kwargs = {}
@@ -385,8 +370,6 @@ def _two_stage_options(args: argparse.Namespace):
         option_kwargs["result_cache"] = True
     if getattr(args, "shared_scan", False):
         option_kwargs["shared_scan"] = True
-    if getattr(args, "shards", None) is not None:
-        option_kwargs["shards"] = args.shards
     return TwoStageOptions(**option_kwargs) if option_kwargs else None
 
 

@@ -73,11 +73,6 @@ class WorkloadPrefetcher:
         self.table_name = table_name
         self.depth = max(1, depth)
         self.io_threads = max(1, io_threads)
-        # Optional warming override ``(uri, table_name) -> None``: sharded
-        # databases route warm-ups to the chunk's owning shard worker (the
-        # parent recycler never serves sharded scans, so warming it would
-        # waste memory without ever producing a hit).
-        self.warm_via = None
         self.stats = PrefetchStats()
         self._lock = make_lock("WorkloadPrefetcher._lock")
         # Per-session history, bounded: long-running serving creates an
@@ -100,8 +95,7 @@ class WorkloadPrefetcher:
         """How many of a query's chunks a prefetch had warmed *and kept*.
 
         ``outcomes`` maps each chunk the query fetched to how the cache
-        that served it answered (``QueryResult.chunk_outcomes``) — the
-        parent recycler's, or the owning shard worker's under sharding.
+        that served it answered (``QueryResult.chunk_outcomes``).
         A warmed chunk served as a ``"hit"`` is a prefetch hit; any other
         outcome means the warm copy was gone, so the URI leaves the warmed
         set.  A warmed chunk the planner *pruned* was never fetched: it is
@@ -229,13 +223,8 @@ class WorkloadPrefetcher:
     # -- the warming task --------------------------------------------------
 
     def _warm_one(self, uri: str) -> None:
-        database = self.database
-        warm_via = self.warm_via
         try:
-            if warm_via is not None:
-                warm_via(uri, self.table_name)
-            else:
-                database.fetch_chunk(uri, self.table_name)
+            self.database.fetch_chunk(uri, self.table_name)
         except Exception:
             with self._lock:
                 self.stats.failed += 1

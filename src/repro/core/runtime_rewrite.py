@@ -124,7 +124,6 @@ def rewrite_actual_scans(
     io_threads: int = 1,
     prune_chunks: bool = True,
     shared: bool = False,
-    shards: int = 0,
 ) -> algebra.LogicalPlan:
     """Replace scans of actual-data tables by planned chunk access paths.
 
@@ -181,7 +180,6 @@ def rewrite_actual_scans(
             pushed_predicate=predicate,
             io_threads=io_threads,
             shared=shared,
-            shards=shards,
         )
 
     def transform(node: algebra.LogicalPlan) -> algebra.LogicalPlan:
@@ -243,7 +241,6 @@ def make_runtime_optimizer(
     push_selections: bool = True,
     prune_chunks: bool = True,
     shared: bool = False,
-    shards: int = 0,
 ):
     """Build the callback installed into ``CallRuntimeOptimizer``."""
 
@@ -272,9 +269,8 @@ def make_runtime_optimizer(
                     report,
                     push_selections=push_selections,
                     io_threads=io_threads,
-                            prune_chunks=prune_chunks,
+                    prune_chunks=prune_chunks,
                     shared=shared,
-                    shards=shards,
                 )
                 new_tail.append(EvalPlan(instruction.var, rewritten))
             else:

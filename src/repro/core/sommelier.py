@@ -74,8 +74,6 @@ class SommelierStats(Counters):
     result_cache_subsumed: int = 0
     shared_scan_attached: int = 0
     chunks_shared: int = 0
-    shard_subplans: int = 0
-    chunks_from_shards: int = 0
 
     @classmethod
     def delta_from(
@@ -96,8 +94,6 @@ class SommelierStats(Counters):
         delta.result_cache_subsumed = result.stats.results_subsumed
         delta.shared_scan_attached = result.stats.shared_scan_attached
         delta.chunks_shared = result.stats.chunks_shared
-        delta.shard_subplans = result.stats.shard_subplans
-        delta.chunks_from_shards = result.stats.chunks_from_shards
         return delta
 
 
@@ -156,9 +152,6 @@ class SommelierDB:
         self._derivation_lock = make_lock("SommelierDB._derivation_lock")
         self._session_counter = 0
         self._closed = False
-        # Shard layout recovered from a checkpoint (applied by open()).
-        self._restored_sharding = None
-        self._wire_prefetcher()
 
     # -- construction ----------------------------------------------------------
 
@@ -204,7 +197,9 @@ class SommelierDB:
         ``lazy=False`` to reopen an eager database.  Not restored: hash /
         join indexes (rebuild with ``database.build_*_indexes``) and
         derived metadata H (re-derived on demand).  A workdir without a
-        checkpoint opens as a fresh (unregistered) database.
+        checkpoint opens as a fresh (unregistered) database.  Pointer keys
+        this build does not know (left by older builds) are ignored, and
+        workdir directories it does not own are never touched.
         """
         db = cls.create(
             workdir=workdir,
@@ -219,52 +214,7 @@ class SommelierDB:
         # even a crash that lost the checkpoint: adopt them so the planner
         # can prune by value without re-decoding anything.
         db.database.adopt_store_stats()
-        # Checkpointed shard layout: a caller that leaves ``shards`` at 0
-        # inherits the layout the closing process ran with, so the reopened
-        # database scatters to the same shard stores (per-shard warm
-        # restart).  Explicit caller options always win.
-        restored = db._restored_sharding
-        if (
-            restored is not None
-            and db.options.shards == 0
-            and not db.options.shared_scan
-        ):
-            db._apply_shards(restored.shards, bucket_ms=restored.bucket_ms)
-        elif db.options.shards and db.database.chunk_loader is not None:
-            db.database.sharding(db.options.shards)
         return db
-
-    def _apply_shards(self, shards: int, bucket_ms: int | None = None) -> None:
-        """Switch this facade to sharded stage two (checkpoint restore)."""
-        import dataclasses
-
-        self.options = dataclasses.replace(self.options, shards=int(shards))
-        self.compiler = TwoStageCompiler(self.database, self.config, self.options)
-        self.views = PartialViewManager(
-            self.database, self.config, self.compiler, self.lazy
-        )
-        if self.database.chunk_loader is not None:
-            self.database.sharding(self.options.shards, bucket_ms=bucket_ms)
-        self._wire_prefetcher()
-
-    def _wire_prefetcher(self) -> None:
-        """Point prefetch warm-ups at the right cache for the current mode.
-
-        Sharded databases warm the owning shard worker's recycler (the
-        parent recycler never serves sharded scans); unsharded ones keep
-        the classic parent-recycler warm path.
-        """
-        if self.prefetcher is None:
-            return
-        if self.options.shards > 0:
-            shards = self.options.shards
-
-            def warm_in_shard(uri: str, table_name: str) -> None:
-                self.database.sharding(shards).warm_chunk(uri, table_name)
-
-            self.prefetcher.warm_via = warm_in_shard
-        else:
-            self.prefetcher.warm_via = None
 
     # -- durability ------------------------------------------------------------
 
@@ -286,19 +236,6 @@ class SommelierDB:
         # Per-chunk statistics ride in the same durable pointers file, so a
         # reopened database prunes as well as the one that closed.
         pointers["chunk_stats"] = self.database.chunk_stats.to_json()
-        # The shard layout is two parameters — placement is a pure hash —
-        # so checkpointing {shards, bucket_ms} is enough for a reopened
-        # database to route every chunk back to the shard that spilled it.
-        coordinator = self.database.shard_coordinator
-        if coordinator is not None:
-            pointers["sharding"] = coordinator.layout.to_json()
-        elif self.options.shards:
-            from ..engine.sharding import DEFAULT_BUCKET_MS
-
-            pointers["sharding"] = {
-                "shards": self.options.shards,
-                "bucket_ms": DEFAULT_BUCKET_MS,
-            }
         for base in self.database.catalog.tables():
             if base.paged and self.database.paged_store.has_table(base.name):
                 # Pages are already on disk (page_out wrote them); record
@@ -343,11 +280,6 @@ class SommelierDB:
                 loader.assign(uri, int(file_id))
             self.database.set_chunk_loader(loader)
         self.database.chunk_stats.load_json(pointers.get("chunk_stats"))
-        from ..engine.sharding import ShardLayout
-
-        self._restored_sharding = ShardLayout.from_json(
-            pointers.get("sharding")
-        )
         for spec in pointers.get("tables", []):
             name = spec["name"]
             base = self.database.catalog.table(name)
@@ -366,12 +298,7 @@ class SommelierDB:
         self, repository: FileRepository, threads: int = 8
     ) -> RegistrarReport:
         """Eagerly load the given metadata of every chunk (Registrar)."""
-        report = Registrar(self.database, threads=threads).register(repository)
-        if self.options.shards and self.database.chunk_loader is not None:
-            # Materialize the coordinator now so the ``sharding`` section
-            # of planner_stats() (and /stats) exists before the first query.
-            self.database.sharding(self.options.shards)
-        return report
+        return Registrar(self.database, threads=threads).register(repository)
 
     # -- querying ------------------------------------------------------------------
 
@@ -583,18 +510,6 @@ class SommelierDB:
                 "numba": steim_kernels.NUMBA_AVAILABLE,
             },
         }
-        coordinator = self.database.shard_coordinator
-        if coordinator is not None:
-            stats["sharding"] = coordinator.stats_snapshot()
-            # Each worker reports the kernel it actually decodes with, so a
-            # parent/worker divergence (e.g. numba importable in only one
-            # of them) is visible instead of silent.
-            stats["decode_kernel"]["shard_workers"] = {
-                str(shard): kernel
-                for shard, kernel in sorted(
-                    coordinator.worker_kernels().items()
-                )
-            }
         if self.prefetcher is not None:
             stats["prefetch"] = self.prefetcher.stats_snapshot()
         if self.result_cache is not None:

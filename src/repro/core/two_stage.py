@@ -85,14 +85,8 @@ class TwoStageOptions:
     re-filtering; ``result_cache_bytes`` is its budget.  Off by default —
     the experiments that measure stage costs must re-execute.
 
-    ``shards`` > 0 routes stage-two chunk scans through the scatter-gather
-    coordinator (:mod:`repro.engine.sharding`): the catalog is partitioned
-    by (station, time-bucket) hash into that many shard worker processes,
-    each owning its own chunk store + recycler, and per-shard sub-plans run
-    in parallel with results merged bit-identically to serial order.  When
-    set it overrides ``io_threads`` for chunk scans, and it
-    cannot be combined with ``shared_scan`` (both reorganize the same scan
-    dispatch).  0 (the default) disables sharding.
+    The fields are independent: every combination is legal and returns
+    rows bit-identical to cold serial execution.
     """
 
     rules: RuleSet = field(default_factory=RuleSet)
@@ -105,16 +99,6 @@ class TwoStageOptions:
     prefetch_depth: int = 2
     result_cache: bool = False
     result_cache_bytes: int = 256 * 1024 * 1024
-    shards: int = 0
-
-    def __post_init__(self) -> None:
-        if self.shards < 0:
-            raise PlanError("shards must be >= 0 (0 disables sharding)")
-        if self.shards and self.shared_scan:
-            raise PlanError(
-                "shared_scan and shards cannot be combined: both take over "
-                "stage-two chunk dispatch"
-            )
 
 
 @dataclass
@@ -246,8 +230,12 @@ class TwoStageCompiler:
 
     # -- compilation -----------------------------------------------------------
 
-    def compile(self, plan: algebra.LogicalPlan) -> CompiledQuery:
-        """Split, order and emit the MAL program for a bound plan."""
+    def _order(self, plan: algebra.LogicalPlan):
+        """Optimize, split off the upper chain, color and order the joins.
+
+        Returns ``(rebuild, colored, ordered)``: ``rebuild`` re-applies the
+        upper operators over a replacement join block.
+        """
         plan = standard_optimize(plan)
         rebuild, join_block = _split_upper_chain(plan)
         graph = build_query_graph(join_block)
@@ -258,7 +246,11 @@ class TwoStageCompiler:
         ordered = order_joins(
             colored, self.database.table_num_rows, self.options.rules
         )
+        return rebuild, colored, ordered
 
+    def compile(self, plan: algebra.LogicalPlan) -> CompiledQuery:
+        """Split, order and emit the MAL program for a bound plan."""
+        rebuild, colored, ordered = self._order(plan)
         report = RewriteReport()
         if not colored.black_vertices:
             # Metadata-only query (T1/T2/T3): stage one answers everything,
@@ -291,7 +283,6 @@ class TwoStageCompiler:
             push_selections=self.options.push_selections_into_chunks,
             prune_chunks=self.options.prune_chunks,
             shared=self.options.shared_scan,
-            shards=self.options.shards,
         )
         program = MalProgram(
             [
@@ -318,16 +309,7 @@ class TwoStageCompiler:
         Used for eagerly loaded databases: the ordered plan scans ``D``
         directly (it is populated), so no run-time rewrite happens.
         """
-        plan = standard_optimize(plan)
-        rebuild, join_block = _split_upper_chain(plan)
-        graph = build_query_graph(join_block)
-        if self.options.infer_time_bounds:
-            _infer_time_bound_predicates(graph, self.config)
-        red_tables = self.database.catalog.metadata_table_names()
-        colored = ColoredGraph(graph, red_tables)
-        ordered = order_joins(
-            colored, self.database.table_num_rows, self.options.rules
-        )
+        rebuild, _, ordered = self._order(plan)
         return rebuild(ordered.plan), ordered.join_order
 
     # -- execution ----------------------------------------------------------------

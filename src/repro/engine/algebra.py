@@ -409,8 +409,9 @@ class ParallelChunkScan(LogicalPlan):
     it identically: fetches are issued in ``plan.fetch_order`` (most
     expensive first, so remote latency overlaps cheap hits) while output
     rows follow the plan's assembly order, so results are bit-identical
-    across serial (``io_threads == 1``) and pooled execution.  Cached chunks are served from the Recycler; loads of the
-    same URI issued by concurrent queries are coalesced (single-flight).
+    across serial (``io_threads == 1``) and pooled execution.  Cached chunks
+    are served from the Recycler; loads of the same URI issued by
+    concurrent queries are coalesced (single-flight).
     """
 
     def __init__(
@@ -421,7 +422,6 @@ class ParallelChunkScan(LogicalPlan):
         pushed_predicate: Expression | None = None,
         io_threads: int = 4,
         shared: bool = False,
-        shards: int = 0,
     ) -> None:
         from .chunk_planner import ChunkPlan
 
@@ -439,11 +439,6 @@ class ParallelChunkScan(LogicalPlan):
         # scans of the same table share chunk materialization, predicate
         # masks and assemblies (bit-identical results by construction).
         self.shared = shared
-        # Scatter-gather over N shard worker processes, each owning a
-        # partition of the chunk stats catalog plus its own chunk store and
-        # recycler.  0 disables sharding; when > 0 it overrides
-        # ``io_threads`` for this scan.
-        self.shards = shards
 
     @property
     def uris(self) -> tuple[str, ...]:
@@ -462,8 +457,6 @@ class ParallelChunkScan(LogicalPlan):
             suffix = f", pruned={len(self.plan.pruned)}{suffix}"
         if self.shared:
             suffix = f", shared{suffix}"
-        if self.shards:
-            suffix = f", shards={self.shards}{suffix}"
         return (
             f"ParallelChunkScan({len(self.uris)} chunks, "
             f"io_threads={self.io_threads}{suffix})"

@@ -51,8 +51,8 @@ ROWID = "#rowid"
 class ChunkDirectory:
     """Where each registered chunk sits in instrument and time.
 
-    The one index over the given-metadata tables F and S, read by shard
-    placement and by the prefetcher's successor prediction.  ``entries``
+    The one index over the given-metadata tables F and S, read by the
+    prefetcher's successor prediction.  ``entries``
     maps a chunk URI to ``(station, channel, earliest segment start)``;
     ``successors`` maps a URI to the next chunk in time of the same
     station and channel; ``versions`` are the catalog versions of F and S
@@ -102,8 +102,8 @@ def qualify_chunk(raw: Table, table_name: str) -> Table:
 
     Column names gain the ``table.`` prefix and a hidden rowid column of -1
     (chunk rows are synthetic: they have no stable base-table position).
-    Shared by :meth:`Database.load_chunk` and the shard workers so both
-    produce byte-identical chunk tables.
+    Shared by the whole-chunk and in-situ loads so both produce
+    identically shaped chunk tables.
     """
     qualified = raw.with_prefix(table_name)
     rowids = Column(INT64, np.full(raw.num_rows, -1, dtype=np.int64))
@@ -137,7 +137,6 @@ class Database:
     # and nothing slow may run while one of these locks is held.
     _GUARDED = {
         "_io_executor_lock": ("_io_executor", "_io_executor_workers"),
-        "_shard_lock": ("shard_coordinator",),
         "_load_accounting_lock": ("chunk_seconds_total",),
     }
 
@@ -203,11 +202,6 @@ class Database:
         self._retired_io_executors: list[ThreadPoolExecutor] = []
         self._io_executor_lock = make_lock("Database._io_executor_lock")
         self._load_accounting_lock = make_lock("Database._load_accounting_lock")
-        # Scatter-gather coordinator for sharded stage two: created on the
-        # first sharded scan (or on reopen of a sharded checkpoint) and
-        # rebuilt when the requested shard count changes.
-        self.shard_coordinator = None
-        self._shard_lock = make_lock("Database._shard_lock")
         self._chunk_directory = ChunkDirectory()
 
     # -- scanning -----------------------------------------------------------
@@ -302,10 +296,6 @@ class Database:
 
     def set_chunk_loader(self, loader: ChunkLoader) -> None:
         self.chunk_loader = loader
-        # Live shard workers hold a pickled snapshot of the old loader.
-        with self._shard_lock:
-            if self.shard_coordinator is not None:
-                self.shard_coordinator.reset_pools()
 
     def io_executor(self, threads: int) -> ThreadPoolExecutor:
         """The shared chunk-I/O pool, grown to at least ``threads`` workers.
@@ -326,39 +316,6 @@ class Database:
                 )
                 self._io_executor_workers = threads
             return self._io_executor
-
-    def sharding(self, shards: int, bucket_ms: int | None = None):
-        """The scatter-gather coordinator for ``shards`` shard workers.
-
-        Created lazily; asking for a different shard count (or bucket
-        width) rebuilds the coordinator and bumps its ``layout_epoch``
-        (the ``sharding.epoch`` gauge).  Rows are identical at every shard
-        count, so nothing upstream depends on the layout.  Shard stores
-        live under ``<workdir>/shards/`` and survive coordinator rebuilds.
-        """
-        from .sharding import DEFAULT_BUCKET_MS, ScatterGatherCoordinator
-
-        shards = int(shards)
-        if shards < 1:
-            raise ExecutionError("sharded execution needs at least one shard")
-        wanted_bucket = int(bucket_ms) if bucket_ms else DEFAULT_BUCKET_MS
-        with self._shard_lock:
-            coordinator = self.shard_coordinator
-            if (
-                coordinator is None
-                or coordinator.shards != shards
-                or coordinator.layout.bucket_ms != wanted_bucket
-            ):
-                epoch = 1
-                if coordinator is not None:
-                    epoch = coordinator.layout_epoch + 1
-                    coordinator.close()
-                coordinator = ScatterGatherCoordinator(
-                    self, shards, bucket_ms=wanted_bucket
-                )
-                coordinator.layout_epoch = epoch
-                self.shard_coordinator = coordinator
-            return coordinator
 
     def account_chunk_seconds(self, seconds: float) -> None:
         """Fold decode time observed off the main path into the totals."""
@@ -562,15 +519,10 @@ class Database:
         return self._tempdir is None
 
     def close(self) -> None:
-        # Detach everything under the locks, then tear it down outside
-        # them: shutdown(wait=True) joins worker threads/processes, and a
-        # worker that re-enters this database (chunk accounting, store
-        # commits) must never find close() still holding an executor lock.
-        with self._shard_lock:
-            coordinator = self.shard_coordinator
-            self.shard_coordinator = None
-        if coordinator is not None:
-            coordinator.close()
+        # Detach the pools under the lock, then tear them down outside it:
+        # shutdown(wait=True) joins worker threads, and a worker that
+        # re-enters this database (chunk accounting, store commits) must
+        # never find close() still holding the executor lock.
         with self._io_executor_lock:
             doomed_pools = list(self._retired_io_executors)
             self._retired_io_executors.clear()

@@ -92,10 +92,6 @@ class ExecStats(Counters):
     # pass / consumed chunks another attached query materialized.
     shared_scan_attached: int = 0
     chunks_shared: int = 0
-    # Scatter-gather outcomes: sub-plans dispatched to shard workers and
-    # chunks whose filtered rows came back from them.
-    shard_subplans: int = 0
-    chunks_from_shards: int = 0
     joins_executed: int = 0
     join_index_hits: int = 0
     rows_joined: int = 0
@@ -245,21 +241,15 @@ def _execute_parallel_chunk_scan(
 ) -> Table:
     """The planned chunk scan: one loop, the source picked by the plan.
 
-    Private scans fetch from the local recycler; ``plan.shared`` and
-    ``plan.shards`` plug a shared-scan delivery or a shard worker into the
-    same :func:`~repro.engine.scan.run_schedule`.  Whatever the source and
+    Private scans fetch from the local recycler; ``plan.shared`` wraps that
+    source in a shared-scan delivery driven by the same
+    :func:`~repro.engine.scan.run_schedule`.  Whatever the source and
     the completion order, the final concatenation follows the plan's
     assembly (URI) order, so every path produces bit-identical rows.
     """
     if not plan.uris:
         return Table.empty(plan.schema)
     database = ctx.database
-    if plan.shards > 0:
-        # Scatter-gather path: the plan is split by the shard layout and
-        # executed inside shard worker processes, each owning its own
-        # chunk store + recycler; the coordinator merges filtered pieces
-        # back in plan (assembly) order.
-        return database.sharding(plan.shards).execute(plan, ctx)
     if plan.shared:
         # Cooperative path: concurrent scans of this table share chunk
         # materialization, predicate masks and assemblies through the

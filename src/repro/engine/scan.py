@@ -4,9 +4,7 @@ The run-time rewrite ``scan(a) → ∪ (cache-scan(f) | chunk-access(f))`` is
 executed by every stage-two path through the three functions here; a path
 differs only in the *source* it plugs into :func:`run_schedule` as
 ``fetch`` — the local recycler (private scans and the one-chunk
-operators), a shared-scan delivery, or a shard worker's own recycler.
-
-Everything here must stay importable by a spawn-context child.
+operators), or a shared-scan delivery wrapped around it.
 """
 
 from __future__ import annotations
@@ -51,7 +49,7 @@ def record_outcome(
     The outcome is counted in the exec stats and kept per URI in
     ``ctx.chunk_outcomes`` (what the prefetcher credits hits from).
     ``chunk`` is passed only when the *whole* chunk is in hand (not for
-    shard receipts or in-situ partial decodes): it enriches the planner's
+    in-situ partial decodes): it enriches the planner's
     statistics (no-op when already enriched), which is what turns
     value-predicate pruning on for subsequent queries — including mmap
     re-hydrates that bypass ``Database.load_chunk``.

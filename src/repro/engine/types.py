@@ -42,11 +42,11 @@ class DataType(enum.Enum):
     """A logical column type.
 
     Members are singletons, so the engine compares types by identity
-    (``dtype is STRING``) and a pickle round-trip — e.g. a Table shipped
-    back from a shard worker — resolves to the same member.  Each value
-    leads with the member's label: ``INT64`` and ``TIMESTAMP`` share a
-    dtype and numericness, and equal values would make one an alias of
-    the other (``@enum.unique`` turns any such alias into an import error).
+    (``dtype is STRING``) and a pickle or ``copy.deepcopy`` round-trip
+    resolves to the same member.  Each value leads with the member's
+    label: ``INT64`` and ``TIMESTAMP`` share a dtype and numericness, and
+    equal values would make one an alias of the other (``@enum.unique``
+    turns any such alias into an import error).
 
     Attributes:
         name: Logical name used in schemas and SQL (``INT64``, ``STRING``...).

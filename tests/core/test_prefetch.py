@@ -208,12 +208,12 @@ class TestFacadeIntegration:
         assert second.stats.chunks_prefetched == 0
         assert second.stats.chunks_loaded >= 1
 
-    def test_sharded_session_counts_prefetch_hits(self, tiny_repo):
-        """Warm-ups land in the owning shard's recycler; the hit is read
-        off the shard's fetch outcome, not the parent's residency."""
+    def test_shared_scan_session_counts_prefetch_hits(self, tiny_repo):
+        """Under shared scans the hit is read off the delivery's fetch
+        outcome, exactly as for a private scan."""
         db, _ = prepare(
             "lazy", tiny_repo[0],
-            options=TwoStageOptions(prefetch=True, shards=2),
+            options=TwoStageOptions(prefetch=True, shared_scan=True),
         )
         try:
             with db.session() as session:

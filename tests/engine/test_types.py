@@ -140,7 +140,7 @@ class TestTypeByName:
 
 
 class TestPickleIdentity:
-    """Types cross the shard-worker pickle boundary and stay singletons."""
+    """Types survive a pickle round-trip as the same singleton members."""
 
     @pytest.mark.parametrize("dtype", ALL_TYPES, ids=lambda t: t.name)
     def test_member_round_trips_to_itself(self, dtype):

@@ -117,7 +117,10 @@ SCAN_CONFIGS = [
                  id=f"{name}-io{threads}")
     for threads in (1, 4)
     for name, source in (
-        ("private", {}), ("shared", {"shared_scan": True}), ("shards", {"shards": 2})
+        ("private", {}),
+        ("shared", {"shared_scan": True}),
+        ("shared+prefetch+result_cache",
+         {"shared_scan": True, "prefetch": True, "result_cache": True}),
     )
 ] + [pytest.param(dict(io_threads=1), True, id="in-situ")]
 
@@ -143,23 +146,26 @@ def test_every_scan_source_matches_serial_and_conserves_chunks(
     if in_situ:
         db.database.chunk_access_strategy = "in_situ"
     try:
-        # Two passes: cold (loads) then warm (hits), same conservation law.
-        for sql, expected in list(zip(SCAN_QUERIES, serial_reference)) * 2:
-            result = db.query(sql)
-            assert result.table.to_dicts() == expected
-            stats = result.stats
-            planned = sum(len(p.chunks) for p in result.rewrite.chunk_plans)
-            assert planned > 0
-            fetched = (
-                stats.chunks_loaded
-                + stats.chunks_rehydrated
-                + stats.chunks_from_cache
-            )
-            if options.get("shards"):
-                assert fetched == stats.chunks_from_shards == planned
-                assert stats.chunks_shared == 0
-            else:
+        # Two passes: cold (loads) then warm (hits), same conservation law;
+        # with the result cache on, the warm pass is answered from it.
+        for round_no in range(2):
+            warm_cached = round_no == 1 and options.get("result_cache", False)
+            for sql, expected in zip(SCAN_QUERIES, serial_reference):
+                result = db.query(sql)
+                assert result.table.to_dicts() == expected
+                stats = result.stats
+                fetched = (
+                    stats.chunks_loaded
+                    + stats.chunks_rehydrated
+                    + stats.chunks_from_cache
+                )
+                if warm_cached:
+                    assert result.result_cache == "exact"
+                    assert fetched == stats.chunks_shared == 0
+                    continue
+                assert result.result_cache is None
+                planned = sum(len(p.chunks) for p in result.rewrite.chunk_plans)
+                assert planned > 0
                 assert fetched + stats.chunks_shared == planned
-                assert stats.chunks_from_shards == 0
     finally:
         db.close()

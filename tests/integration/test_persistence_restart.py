@@ -5,7 +5,10 @@ The restart contract: after a checkpointing close, reopening the workdir
 (2) serves stage two from the persistent chunk store — no re-decode.
 """
 
+import json
+import multiprocessing
 import os
+import shutil
 
 import pytest
 
@@ -129,3 +132,66 @@ class TestWarmRestart:
         assert result.table == expected
         assert result.stats.chunks_loaded == 0
         reopened.close()
+
+
+def _tree(root: str) -> dict[str, bytes]:
+    """Relative path -> contents of every file under ``root``."""
+    contents = {}
+    for directory, _, files in os.walk(root):
+        for name in files:
+            path = os.path.join(directory, name)
+            with open(path, "rb") as handle:
+                contents[os.path.relpath(path, root)] = handle.read()
+    return contents
+
+
+class TestShardedCheckpoint:
+    """Workdirs written by sharded builds (a ``sharding`` pointer key and
+    ``shards/shard-NN/chunks`` stores) reopen as ordinary databases."""
+
+    ROWS = (
+        "SELECT D.sample_time, D.sample_value FROM dataview "
+        "WHERE F.station = 'FIAM' ORDER BY D.sample_time LIMIT 500"
+    )
+
+    def test_reopens_unsharded(self, tiny_repo, tmp_path):
+        workdir = str(tmp_path / "db")
+        db, _ = prepare("lazy", tiny_repo[0], workdir=workdir)
+        db.query(T4)
+        db.close()
+        # Turn the checkpoint into the sharded layout: the pointer key and
+        # two per-shard chunk stores holding real spilled chunks.
+        pointers_path = os.path.join(workdir, "catalog.json")
+        with open(pointers_path, encoding="utf-8") as handle:
+            pointers = json.load(handle)
+        pointers["sharding"] = {"shards": 2, "bucket_ms": 24 * 3600 * 1000}
+        with open(pointers_path, "w", encoding="utf-8") as handle:
+            json.dump(pointers, handle)
+        shards_root = os.path.join(workdir, "shards")
+        for shard_id in range(2):
+            shutil.copytree(
+                os.path.join(workdir, "chunks"),
+                os.path.join(shards_root, f"shard-{shard_id:02d}", "chunks"),
+            )
+        before = _tree(shards_root)
+        assert before
+
+        fresh, _ = prepare("lazy", tiny_repo[0])
+        try:
+            expected = [fresh.query(sql).table for sql in (T4, self.ROWS)]
+        finally:
+            fresh.close()
+
+        reopened = SommelierDB.open(workdir)
+        try:
+            assert reopened.database.chunk_loader is not None
+            got = [reopened.query(sql).table for sql in (T4, self.ROWS)]
+            assert got == expected
+            assert multiprocessing.active_children() == []
+        finally:
+            reopened.close()
+        # Never delete user data: the orphaned stores are byte-identical,
+        # and the next checkpoint drops the key it no longer understands.
+        assert _tree(shards_root) == before
+        with open(pointers_path, encoding="utf-8") as handle:
+            assert "sharding" not in json.load(handle)

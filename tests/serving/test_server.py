@@ -127,18 +127,13 @@ class TestWireProtocol:
         assert key_sets(local, GOLDEN_COUNTER_KEYS) == GOLDEN_COUNTER_KEYS
 
     def test_opt_in_counter_sections_hold_their_keys(self, tiny_repo):
-        options = TwoStageOptions(shards=2, prefetch=True, result_cache=True)
+        options = TwoStageOptions(prefetch=True, result_cache=True)
         db, _ = prepare("lazy", tiny_repo[0], options=options)
         try:
             snapshot = db.counters_snapshot()
         finally:
             db.close()
-        expected = {
-            **GOLDEN_COUNTER_KEYS,
-            **GOLDEN_OPT_IN_KEYS,
-            "decode_kernel": GOLDEN_COUNTER_KEYS["decode_kernel"]
-            | {"shard_workers"},
-        }
+        expected = {**GOLDEN_COUNTER_KEYS, **GOLDEN_OPT_IN_KEYS}
         assert key_sets(snapshot, expected) == expected
 
 
@@ -173,16 +168,10 @@ GOLDEN_COUNTER_KEYS = {
     "facade": {
         "queries_executed", "derivations", "windows_materialized",
         "chunks_loaded_total", "result_cache_hits", "result_cache_subsumed",
-        "shared_scan_attached", "chunks_shared", "shard_subplans",
-        "chunks_from_shards",
+        "shared_scan_attached", "chunks_shared",
     },
 }
 GOLDEN_OPT_IN_KEYS = {
-    "sharding": {
-        "shards", "bucket_ms", "epoch", "queries", "subplans",
-        "chunks_routed", "worker_crashes", "cancel_broadcasts",
-        "worker_kernels",
-    },
     "prefetch": {"issued", "completed", "failed", "hits"},
     "result_cache": {
         "lookups", "exact_hits", "subsumption_hits", "misses",
