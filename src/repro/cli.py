@@ -67,6 +67,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="The DBMS - your Big Data Sommelier (ICDE'15 reproduction)",
     )
     commands = parser.add_subparsers(dest="command", required=True)
+    # Stage-two execution options shared by every command that runs queries
+    # (read back by _two_stage_options).
+    execution = argparse.ArgumentParser(add_help=False)
+    execution.add_argument(
+        "--io-threads", type=int, default=None,
+        help="decode threads for the parallel stage-two pipeline",
+    )
+    execution.add_argument(
+        "--result-cache", action="store_true",
+        help="enable the semantic result recycler (repeats and subsumed "
+        "queries are served without re-executing)",
+    )
+    execution.add_argument(
+        "--shared-scan", action="store_true",
+        help="co-schedule overlapping concurrent scans so each chunk is "
+        "fetched and decoded once per wave",
+    )
 
     build = commands.add_parser("build", help="build a synthetic repository")
     _add_dataset_args(build)
@@ -76,7 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_dataset_args(inspect)
 
-    query = commands.add_parser("query", help="run SQL against a repository")
+    query = commands.add_parser(
+        "query", help="run SQL against a repository", parents=[execution]
+    )
     _add_dataset_args(query)
     query.add_argument("--sql", required=True, help="the SELECT statement")
     query.add_argument(
@@ -94,22 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--limit", type=int, default=20, help="max rows to print"
     )
     query.add_argument(
-        "--io-threads", type=int, default=None,
-        help="decode threads for the parallel stage-two pipeline",
-    )
-    query.add_argument(
         "--clients", type=int, default=1,
         help="run the query from N concurrent sessions and report throughput",
-    )
-    query.add_argument(
-        "--result-cache", action="store_true",
-        help="enable the semantic result recycler (repeats and subsumed "
-        "queries are served without re-executing)",
-    )
-    query.add_argument(
-        "--shared-scan", action="store_true",
-        help="co-schedule overlapping concurrent scans so each chunk is "
-        "fetched and decoded once per wave",
     )
 
     explain = commands.add_parser(
@@ -133,6 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cache = commands.add_parser(
         "cache",
+        parents=[execution],
         help="print per-tier recycler statistics (memory + on-disk store) "
         "plus chunk-planner and prefetch counters",
     )
@@ -147,21 +153,10 @@ def build_parser() -> argparse.ArgumentParser:
         "a checkpoint",
     )
     cache.add_argument("--json", action="store_true", help="emit JSON")
-    cache.add_argument(
-        "--io-threads", type=int, default=None,
-        help="decode threads for the parallel stage-two pipeline",
-    )
-    cache.add_argument(
-        "--result-cache", action="store_true",
-        help="enable the semantic result recycler and report its counters",
-    )
-    cache.add_argument(
-        "--shared-scan", action="store_true",
-        help="co-schedule overlapping concurrent scans and report counters",
-    )
 
     serve = commands.add_parser(
         "serve",
+        parents=[execution],
         help="run the asyncio HTTP/JSON query service over a repository "
         "(admission control, rate limits, /stats; Ctrl-C drains)",
     )
@@ -192,19 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workdir", default=None,
         help="persistent database directory; reopened warm when it holds "
         "a checkpoint",
-    )
-    serve.add_argument(
-        "--io-threads", type=int, default=None,
-        help="decode threads for the parallel stage-two pipeline",
-    )
-    serve.add_argument(
-        "--result-cache", action="store_true",
-        help="enable the semantic result recycler",
-    )
-    serve.add_argument(
-        "--shared-scan", action="store_true",
-        help="co-schedule overlapping concurrent scans so each chunk is "
-        "fetched and decoded once per wave",
     )
 
     bench = commands.add_parser(

@@ -5,8 +5,9 @@ Composes the engine substrate into the system of Sections III–V:
 * :mod:`schema` — the seismology warehouse schema (F, S, D, H + views);
 * :mod:`registrar` — eager given-metadata loading;
 * :mod:`coloring` — query-graph coloring and join-order rules R1–R4;
-* :mod:`two_stage` — plan decomposition Q = Qf ⋈ Qs and MAL emission;
-* :mod:`runtime_rewrite` — rewrite rule (1): scan(a) → chunk unions;
+* :mod:`two_stage` — plan decomposition Q = Qf ⋈ Qs and the stage driver;
+* :mod:`runtime_rewrite` — rewrite rule (1): scan(a) → one planned chunk
+  scan;
 * :mod:`partial_views` — Algorithm 1, incremental DMd derivation;
 * :mod:`query_types` — the Table-I taxonomy (T1–T5);
 * :mod:`loading` — the five loading approaches of the evaluation;

@@ -23,14 +23,14 @@ pipeline (the paper's second rewrite rule) and doubles as the pruning
 predicate; the chunk itself is cached unfiltered so later queries with
 different predicates still benefit.
 
-The classic per-chunk union — cache-scan for chunks in ``C``, chunk-access
-otherwise — remains the rewrite shape for the *in-situ* chunk access
-strategy, whose sub-chunk selective decode lives inside the ``ChunkAccess``
-operator.
+The paper's per-chunk union — cache-scan for chunks in ``C``, chunk-access
+otherwise — is that one scan node under every chunk access strategy: the
+*in-situ* strategy's sub-chunk selective decode is a fetch source inside
+the scan, not a separate operator.
 
-The rewrite happens inside the MAL program: the Run-time Optimizer locates
-the pending ``EvalPlan`` instructions and replaces the relevant plan
-subtrees.
+The rewrite builds a new plan and leaves its input untouched;
+:meth:`~repro.core.two_stage.TwoStageCompiler.plan_stage_two` calls it
+once per execution with the chunks that execution's stage one named.
 """
 
 from __future__ import annotations
@@ -40,15 +40,12 @@ from typing import TYPE_CHECKING
 
 from ..engine import algebra
 from ..engine.database import Database
-from ..engine.errors import ExecutionError
-from ..engine.mal import EvalPlan, MalProgram
-from ..engine.physical import ExecutionContext
 from .schema import SommelierConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine.chunk_planner import ChunkPlan
 
-__all__ = ["RewriteReport", "make_runtime_optimizer", "rewrite_actual_scans"]
+__all__ = ["RewriteReport", "rewrite_actual_scans"]
 
 
 @dataclass
@@ -65,53 +62,6 @@ class RewriteReport:
     # perf_counter() timestamp at which stage one handed over control —
     # the stage boundary used for the paper's stage-time breakdowns.
     stage_boundary_perf: float | None = None
-
-
-def _tail_scans_actual_tables(
-    program: MalProgram, next_pc: int, config: SommelierConfig
-) -> bool:
-    """Does any pending EvalPlan scan an actual-data table?"""
-    actual = set(config.actual_tables)
-
-    def plan_has_actual_scan(node: algebra.LogicalPlan) -> bool:
-        if isinstance(node, algebra.Scan) and node.table_name in actual:
-            return True
-        return any(plan_has_actual_scan(c) for c in node.children())
-
-    return any(
-        isinstance(instruction, EvalPlan)
-        and plan_has_actual_scan(instruction.plan)
-        for instruction in program.instructions[next_pc:]
-    )
-
-
-def _required_uris(
-    ctx: ExecutionContext,
-    input_var: str,
-    config: SommelierConfig,
-    report: RewriteReport,
-) -> list[str]:
-    """Distinct chunk URIs named by the stage-one result.
-
-    Falls back to *every* registered chunk when the metadata branch did not
-    expose the URI column — the paper's only-AD case where "there is no
-    alternative to paying the price for loading all AD anyway".
-    """
-    stage_one = ctx.stage_results[input_var]
-    if stage_one.schema.has(config.uri_column):
-        uris = sorted(set(stage_one.column(config.uri_column).to_list()))
-    else:
-        loader = ctx.database.chunk_loader
-        known = getattr(loader, "_file_ids", None)
-        if known is None:
-            raise ExecutionError(
-                "stage one lacks the chunk URI column and the chunk loader "
-                "cannot enumerate chunks"
-            )
-        uris = sorted(known)
-        report.used_all_chunks_fallback = True
-    report.required_uris = list(uris)
-    return uris
 
 
 def rewrite_actual_scans(
@@ -131,27 +81,13 @@ def rewrite_actual_scans(
     candidate URIs are pruned against per-chunk statistics (when
     ``prune_chunks`` and a predicate allow it), classified by serving tier
     and cost-ordered.  The surviving chunks become one
-    :class:`~repro.engine.algebra.ParallelChunkScan` driven by that plan on
-    every executor; the in-situ access strategy instead keeps the classic
-    serial union of cache-scans / chunk-accesses (its selective decode
-    lives inside ``ChunkAccess``), built from the same pruned plan.
+    :class:`~repro.engine.algebra.ParallelChunkScan` driven by that plan
+    under every chunk access strategy.  In-situ scans stay private even
+    when ``shared``: their partial decodes are not whole chunks, and a
+    shared delivery must be one.
     """
     actual = set(config.actual_tables)
-    cached = database.recycler.cached_uris()
-    in_situ = database.chunk_access_strategy == "in_situ"
-
-    def make_access(uri: str, scan: algebra.Scan,
-                    predicate) -> algebra.LogicalPlan:
-        if uri in cached:
-            access: algebra.LogicalPlan = algebra.CacheScan(
-                uri, scan.table_name, scan.schema
-            )
-            if predicate is not None:
-                access = algebra.Select(access, predicate)
-            return access
-        return algebra.ChunkAccess(
-            uri, scan.table_name, scan.schema, pushed_predicate=predicate
-        )
+    shared = shared and database.chunk_access_strategy != "in_situ"
 
     def make_chunk_set(
         scan: algebra.Scan, predicate, planning_predicate
@@ -161,18 +97,6 @@ def rewrite_actual_scans(
         )
         report.chunk_plans.append(chunk_plan)
         report.pruned_uris.extend(p.uri for p in chunk_plan.pruned)
-        if in_situ:
-            # Sub-chunk selective decode needs the per-chunk access
-            # operator; scheduling is moot (decodes are partial), but the
-            # planner's pruning still applies.
-            if not chunk_plan.chunks:
-                return algebra.EmptyRelation(scan.schema)
-            return algebra.Union(
-                [
-                    make_access(chunk.uri, scan, predicate)
-                    for chunk in chunk_plan.chunks
-                ]
-            )
         return algebra.ParallelChunkScan(
             chunk_plan,
             scan.table_name,
@@ -231,59 +155,3 @@ def _rebuild(node: algebra.LogicalPlan, transform) -> algebra.LogicalPlan:
     if isinstance(node, algebra.Distinct):
         return algebra.Distinct(transform(node.child))
     return node
-
-
-def make_runtime_optimizer(
-    database: Database,
-    config: SommelierConfig,
-    report: RewriteReport,
-    io_threads: int = 1,
-    push_selections: bool = True,
-    prune_chunks: bool = True,
-    shared: bool = False,
-):
-    """Build the callback installed into ``CallRuntimeOptimizer``."""
-
-    def runtime_optimize(
-        ctx: ExecutionContext, program: MalProgram, next_pc: int
-    ) -> None:
-        import time
-
-        report.stage_boundary_perf = time.perf_counter()
-        # A metadata-only query (T1/T2/T3) has no actual-data scans left in
-        # the program tail: nothing to rewrite, nothing to load.
-        if not _tail_scans_actual_tables(program, next_pc, config):
-            return
-        call = program.instructions[next_pc - 1]
-        input_var = getattr(call, "input_var", "qf")
-        uris = _required_uris(ctx, input_var, config, report)
-
-        new_tail: list = []
-        for instruction in program.instructions[next_pc:]:
-            if isinstance(instruction, EvalPlan):
-                rewritten = rewrite_actual_scans(
-                    instruction.plan,
-                    database,
-                    config,
-                    uris,
-                    report,
-                    push_selections=push_selections,
-                    io_threads=io_threads,
-                    prune_chunks=prune_chunks,
-                    shared=shared,
-                )
-                new_tail.append(EvalPlan(instruction.var, rewritten))
-            else:
-                new_tail.append(instruction)
-        program.replace_from(next_pc, new_tail)
-
-        # Post-planning accounting: what survives, where it comes from,
-        # what statistics proved irrelevant.
-        pruned = set(report.pruned_uris)
-        ctx.stats.chunks_pruned += len(report.pruned_uris)
-        cached = database.recycler.cached_uris()
-        survivors = [uri for uri in uris if uri not in pruned]
-        report.cached_uris = sorted(set(survivors) & cached)
-        report.loaded_uris = [uri for uri in survivors if uri not in cached]
-
-    return runtime_optimize

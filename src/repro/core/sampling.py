@@ -33,7 +33,6 @@ import numpy as np
 from ..engine import algebra
 from ..engine.database import Database
 from ..engine.errors import PlanError
-from ..engine.mal import EvalPlan
 from ..engine.physical import ExecutionContext, execute_plan
 from ..engine.sql import bind_sql
 from .runtime_rewrite import RewriteReport, rewrite_actual_scans
@@ -111,25 +110,19 @@ class ChunkSampler:
         """Estimate a scalar aggregate query from a sample of its chunks."""
         plan = bind_sql(sql, self.database)
         aggregate, projection = _find_scalar_aggregate(plan)
-        compiled = self.compiler.compile(plan)
         ctx = ExecutionContext(self.database)
-
         # Stage one runs exactly (metadata is cheap).
-        first = compiled.program.instructions[0]
-        assert isinstance(first, EvalPlan)
-        first.execute(ctx, compiled.program)
-        stage_one = ctx.stage_results[first.var]
-        if stage_one.schema.has(self.config.uri_column):
-            uris = sorted(set(stage_one.column(self.config.uri_column).to_list()))
-        else:
-            uris = sorted(getattr(self.database.chunk_loader, "_file_ids", {}))
+        _, report = self.compiler.plan_stage_two(
+            self.compiler.compile(plan), ctx
+        )
+        uris = report.required_uris
 
         sample = self._choose(uris)
         partials = {
             spec.output_name: _Partials() for spec in aggregate.aggregates
         }
         for uri in sample:
-            self._accumulate(compiled.qs_plan, aggregate, ctx, uri, partials)
+            self._accumulate(aggregate, ctx, uri, partials)
 
         scale = len(uris) / len(sample) if sample else 1.0
         estimates = [
@@ -157,7 +150,6 @@ class ChunkSampler:
 
     def _accumulate(
         self,
-        qs_plan: algebra.LogicalPlan,
         aggregate: algebra.Aggregate,
         ctx: ExecutionContext,
         uri: str,

@@ -35,7 +35,6 @@ import time
 from dataclasses import asdict, dataclass
 
 from ..engine import algebra
-from ..engine.chunk_store import _fsync_dir, _fsync_file
 from ..engine.database import Database
 from ..engine.errors import ExecutionError
 from ..engine.physical import ExecStats
@@ -47,6 +46,7 @@ from .registrar import Registrar, RegistrarReport, XseedChunkLoader
 from .schema import SommelierConfig, create_seismology_schema
 from .two_stage import QueryResult, TwoStageCompiler, TwoStageOptions
 from ..util.counters import Counters
+from ..util.durable import fsync_dir, fsync_file
 from ..util.lock_sanitizer import make_lock
 
 __all__ = ["SommelierDB"]
@@ -255,9 +255,9 @@ class SommelierDB:
         # treats as "no checkpoint" — silently discarding paged tables.
         with open(staging, "w", encoding="utf-8") as handle:
             json.dump(pointers, handle)
-            _fsync_file(handle)
+            fsync_file(handle)
         os.replace(staging, path)
-        _fsync_dir(self.database.workdir)
+        fsync_dir(self.database.workdir)
 
     def _restore_catalog_pointers(self) -> bool:
         """Load the checkpoint, if one exists and parses; returns success."""
@@ -442,7 +442,7 @@ class SommelierDB:
                 f"query type: {query_type.value}\n"
                 f"join order: {' -> '.join(compiled.join_order)}\n"
                 f"two-stage: {compiled.two_stage}\n"
-                f"MAL program:\n{compiled.program.listing()}"
+                f"MAL program:\n{compiled.listing()}"
             )
         ordered, join_order = self.compiler.compile_single_stage(plan)
         return (
@@ -461,8 +461,8 @@ class SommelierDB:
         """
         if not self.lazy:
             return "eager database: no stage-two chunk plan (data is in D)"
-        compiled = self.compiler.plan_stage_two(self.bind(sql))
-        report = compiled.rewrite
+        compiled = self.compiler.compile(self.bind(sql))
+        _, report = self.compiler.plan_stage_two(compiled)
         lines = [
             f"stage one named {len(report.required_uris)} candidate "
             f"chunk(s); {len(report.pruned_uris)} pruned by statistics"

@@ -2,13 +2,19 @@
 
 The Compile-time Optimizer here does what Section V-2 describes for
 MonetDB: it splits the query plan into ``Q = Qf ⋈ Qs`` — ``Qf`` being the
-highest branch whose leaves are all metadata tables — orders the joins with
-rules R1–R4, and emits a MAL program of the shape::
+highest branch whose leaves are all metadata tables — and orders the joins
+with rules R1–R4.  The result is an immutable :class:`CompiledQuery`; every
+execution follows the same program (MonetDB's self-rewriting MAL program,
+run here as direct calls)::
 
     [00] qf     := eval(Qf)                 # stage one: metadata only
     [01] call runtime-optimizer(qf)         # rewrite scan(a) per rule (1)
     [02] result := eval(Qs)                 # stage two: lazy-loaded data
     [03] return result
+
+The rewrite of step [01] yields a fresh plan per execution and never
+touches the compiled query, so one compiled query can run any number of
+times, concurrently too.
 
 It also performs *time-bound inference*: selection predicates on the
 actual-data time attribute imply bounds on segment metadata
@@ -27,15 +33,9 @@ from typing import Callable
 
 from ..engine import algebra
 from ..engine.database import Database
-from ..engine.errors import PlanError
+from ..engine.errors import ExecutionError, PlanError
 from ..engine.expressions import Expression
 from ..engine.join_graph import QueryGraph, build_query_graph
-from ..engine.mal import (
-    CallRuntimeOptimizer,
-    EvalPlan,
-    MalProgram,
-    ReturnValue,
-)
 from ..engine.optimizer import optimize as standard_optimize
 from ..engine.predicates import oriented_literal_comparisons
 from ..engine.physical import (
@@ -47,7 +47,7 @@ from ..engine.physical import (
 )
 from ..engine.table import Table
 from .coloring import ColoredGraph, RuleSet, order_joins
-from .runtime_rewrite import RewriteReport, make_runtime_optimizer
+from .runtime_rewrite import RewriteReport, rewrite_actual_scans
 from .schema import SommelierConfig
 
 __all__ = ["TwoStageOptions", "QueryResult", "CompiledQuery", "TwoStageCompiler"]
@@ -120,16 +120,31 @@ class QueryResult:
     result_cache: str | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class CompiledQuery:
-    """A compiled MAL program plus compile-time artifacts."""
+    """The compile-time split of one query; immutable and reusable.
 
-    program: MalProgram
-    qf_plan: algebra.LogicalPlan | None
+    ``qf_plan`` is stage one (metadata tables only); ``qs_plan`` is stage
+    two, reading stage one back through ``ResultScan("qf")`` and still
+    scanning the actual-data tables — rule (1) rewrites those per execution
+    (:meth:`TwoStageCompiler.plan_stage_two`), never in place.
+    """
+
+    qf_plan: algebra.LogicalPlan
     qs_plan: algebra.LogicalPlan
-    rewrite: RewriteReport
-    join_order: list[str]
+    join_order: tuple[str, ...]
     two_stage: bool
+
+    def listing(self) -> str:
+        """The MAL-style program listing every execution follows."""
+        return "\n".join(
+            [
+                f"[00] qf := eval\n{self.qf_plan.pretty(1)}",
+                "[01] call runtime-optimizer(qf)",
+                f"[02] result := eval\n{self.qs_plan.pretty(1)}",
+                "[03] return result",
+            ]
+        )
 
 
 def _is_join_block(plan: algebra.LogicalPlan) -> bool:
@@ -216,7 +231,7 @@ def _infer_time_bound_predicates(
 
 
 class TwoStageCompiler:
-    """Compile-time optimizer producing two-stage MAL programs."""
+    """Compile-time optimizer and driver of two-stage execution."""
 
     def __init__(
         self,
@@ -249,12 +264,11 @@ class TwoStageCompiler:
         return rebuild, colored, ordered
 
     def compile(self, plan: algebra.LogicalPlan) -> CompiledQuery:
-        """Split, order and emit the MAL program for a bound plan."""
+        """Split a bound plan into stage one and stage two."""
         rebuild, colored, ordered = self._order(plan)
-        report = RewriteReport()
         if not colored.black_vertices:
             # Metadata-only query (T1/T2/T3): stage one answers everything,
-            # but we keep the uniform program shape — the runtime optimizer
+            # but we keep the uniform two-step shape — the runtime optimizer
             # simply finds no actual-data scans to rewrite.
             qf_plan = ordered.plan
             qs_plan = rebuild(
@@ -274,30 +288,10 @@ class TwoStageCompiler:
                 algebra.ResultScan("qf", ordered.metadata_branch.schema),
             )
             qs_plan = rebuild(qs_join)
-
-        callback = make_runtime_optimizer(
-            self.database,
-            self.config,
-            report,
-            io_threads=self.options.io_threads,
-            push_selections=self.options.push_selections_into_chunks,
-            prune_chunks=self.options.prune_chunks,
-            shared=self.options.shared_scan,
-        )
-        program = MalProgram(
-            [
-                EvalPlan("qf", qf_plan),
-                CallRuntimeOptimizer(callback, "qf"),
-                EvalPlan("result", qs_plan),
-                ReturnValue("result"),
-            ]
-        )
         return CompiledQuery(
-            program=program,
             qf_plan=qf_plan,
             qs_plan=qs_plan,
-            rewrite=report,
-            join_order=ordered.join_order,
+            join_order=tuple(ordered.join_order),
             two_stage=bool(colored.black_vertices),
         )
 
@@ -314,26 +308,63 @@ class TwoStageCompiler:
 
     # -- execution ----------------------------------------------------------------
 
-    def plan_stage_two(self, plan: algebra.LogicalPlan) -> CompiledQuery:
-        """Run stage one and the runtime rewrite, but fetch no chunks.
+    def plan_stage_two(
+        self, compiled: CompiledQuery, ctx: ExecutionContext | None = None
+    ) -> tuple[algebra.LogicalPlan, RewriteReport]:
+        """Everything between the two stages: stage one, then rule (1).
 
-        The ``repro explain`` path: after this returns, the compiled
-        query's :class:`~repro.core.runtime_rewrite.RewriteReport` carries
-        the chunk plans the scheduler *would* execute — chunks pruned,
-        predicted serving tier and cost-ordered fetch schedule — without
-        paying for stage two.
+        Evaluates ``Qf`` into ``ctx.stage_results["qf"]``, marks the stage
+        boundary, and rewrites every actual-data scan of ``Qs`` into a
+        planned chunk scan over the chunks stage one named.  Returns the
+        rewritten ``Qs`` and a report new to this call; fetches no chunk,
+        so ``repro explain`` stops here — the report carries the chunk
+        plans stage two *would* execute (chunks pruned, predicted serving
+        tier, cost-ordered fetch schedule).
         """
-        compiled = self.compile(plan)
-        ctx = ExecutionContext(self.database)
-        program = compiled.program
-        program.pc = 0
-        program.result_var = None
-        for instruction in list(program.instructions):
-            program.pc += 1
-            instruction.execute(ctx, program)
-            if isinstance(instruction, CallRuntimeOptimizer):
-                break
-        return compiled
+        if ctx is None:
+            ctx = ExecutionContext(self.database)
+        report = RewriteReport()
+        stage_one = execute_plan(compiled.qf_plan, ctx)
+        ctx.stage_results["qf"] = stage_one
+        report.stage_boundary_perf = time.perf_counter()
+        if not compiled.two_stage:
+            # Metadata-only query (T1/T2/T3): nothing to rewrite or load.
+            return compiled.qs_plan, report
+        uri_column = self.config.uri_column
+        if stage_one.schema.has(uri_column):
+            uris = sorted(set(stage_one.column(uri_column).to_list()))
+        else:
+            # No metadata branch exposed the URI column — the paper's
+            # only-AD case where "there is no alternative to paying the
+            # price for loading all AD anyway".
+            known = getattr(self.database.chunk_loader, "_file_ids", None)
+            if known is None:
+                raise ExecutionError(
+                    "stage one lacks the chunk URI column and the chunk "
+                    "loader cannot enumerate chunks"
+                )
+            uris = sorted(known)
+            report.used_all_chunks_fallback = True
+        report.required_uris = list(uris)
+        rewritten = rewrite_actual_scans(
+            compiled.qs_plan,
+            self.database,
+            self.config,
+            uris,
+            report,
+            push_selections=self.options.push_selections_into_chunks,
+            io_threads=self.options.io_threads,
+            prune_chunks=self.options.prune_chunks,
+            shared=self.options.shared_scan,
+        )
+        # What survives pruning, and which tier it is expected from.
+        pruned = set(report.pruned_uris)
+        ctx.stats.chunks_pruned += len(report.pruned_uris)
+        cached = self.database.recycler.cached_uris()
+        survivors = [uri for uri in uris if uri not in pruned]
+        report.cached_uris = sorted(set(survivors) & cached)
+        report.loaded_uris = [uri for uri in survivors if uri not in cached]
+        return rewritten, report
 
     def execute_two_stage(
         self,
@@ -346,22 +377,27 @@ class TwoStageCompiler:
         entry and chunk boundaries; a serving front end sets it to abort a
         timed-out request mid-stage-two.
         """
-        compiled = self.compile(plan)
+        return self.execute_compiled(self.compile(plan), cancel=cancel)
+
+    def execute_compiled(
+        self, compiled: CompiledQuery, cancel: CancelToken | None = None
+    ) -> QueryResult:
+        """Run an already compiled query (any number of times)."""
         ctx = ExecutionContext(self.database, cancel=cancel)
         started = time.perf_counter()
-        result = compiled.program.run(ctx)
+        rewritten, report = self.plan_stage_two(compiled, ctx)
+        result = execute_plan(rewritten, ctx)
         elapsed = time.perf_counter() - started
-        boundary = compiled.rewrite.stage_boundary_perf
-        stage_one = (boundary - started) if boundary is not None else elapsed
+        stage_one = report.stage_boundary_perf - started
         return QueryResult(
             table=drop_hidden_columns(result),
             seconds=elapsed,
             stage_one_seconds=stage_one,
             stage_two_seconds=max(elapsed - stage_one, 0.0),
             stats=ctx.stats,
-            rewrite=compiled.rewrite,
+            rewrite=report,
             chunk_outcomes=ctx.chunk_outcomes,
-            join_order=compiled.join_order,
+            join_order=list(compiled.join_order),
             two_stage=compiled.two_stage,
         )
 

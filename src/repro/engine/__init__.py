@@ -4,7 +4,7 @@ This package is the generic DBMS the paper's contribution plugs into:
 columns and tables (:mod:`column`, :mod:`table`), a catalog with data-kind
 classification (:mod:`catalog`), logical algebra and a rule-based optimizer
 (:mod:`algebra`, :mod:`optimizer`), vectorized physical operators
-(:mod:`physical`), a MAL-like rewritable program layer (:mod:`mal`), paged
+(:mod:`physical`) with the one chunk-scan loop (:mod:`scan`), paged
 storage with a buffer pool (:mod:`storage`), the Recycler chunk cache
 (:mod:`recycler`), index structures (:mod:`indexes`) and a SQL front-end
 (:mod:`sql`).

@@ -2,14 +2,15 @@
 
 Plans are trees of :class:`LogicalPlan` nodes.  Besides the classic
 operators (scan, select, project, join, aggregate, union, sort, limit) the
-module defines the paper's three additional access paths (Section III,
+module defines the paper's additional access paths (Section III,
 "Physical Query Plan"):
 
 * :class:`ResultScan` — re-reads the result of an already-evaluated
   sub-plan (used to feed ``result-scan(Qf)`` into stage two);
-* :class:`CacheScan` — reads one chunk's rows from the Recycler;
-* :class:`ChunkAccess` — extracts, transforms and ingests one external
-  chunk (the lazy-loading operator).
+* :class:`ParallelChunkScan` — rule (1)'s ``∪ (cache-scan(f) |
+  chunk-access(f))`` as one node: each planned chunk is read from the
+  Recycler when cached and otherwise extracted, transformed and ingested
+  from the external repository (the lazy-loading operator).
 
 Schemas are resolved eagerly at node construction; every node knows its
 output :class:`~repro.engine.table.Schema` and the set of base tables in its
@@ -44,8 +45,6 @@ __all__ = [
     "Distinct",
     "EmptyRelation",
     "ResultScan",
-    "CacheScan",
-    "ChunkAccess",
     "ParallelChunkScan",
     "AGGREGATE_FUNCTIONS",
 ]
@@ -244,8 +243,8 @@ class Aggregate(LogicalPlan):
 class Union(LogicalPlan):
     """Union-all over children with identical schemas.
 
-    This is the operator the run-time rewrite produces: the union of
-    per-chunk accesses replacing a single ``scan(a)`` (rewrite rule (1)).
+    The paper's rewrite rule (1) is a union of per-chunk accesses; here
+    that union is the single :class:`ParallelChunkScan` node.
     """
 
     def __init__(self, children: Sequence[LogicalPlan]) -> None:
@@ -354,56 +353,11 @@ class ResultScan(LogicalPlan):
         return f"ResultScan({self.tag})"
 
 
-class CacheScan(LogicalPlan):
-    """Access path reading one chunk's rows from the Recycler cache."""
-
-    def __init__(self, uri: str, table_name: str, schema: Schema) -> None:
-        self.uri = uri
-        self.table_name = table_name
-        self.schema = schema
-
-    def base_tables(self) -> set[str]:
-        return {self.table_name}
-
-    def describe(self) -> str:
-        return f"CacheScan({self.uri})"
-
-
-class ChunkAccess(LogicalPlan):
-    """Access path lazily ingesting one external chunk (file).
-
-    The strategy for accessing a single chunk is pluggable (full load or
-    in-situ selective decode — the NoDB-style accessor of Section VII);
-    ``pushed_predicate`` carries a selection pushed into the access per the
-    second rewrite rule of Section III.
-    """
-
-    def __init__(
-        self,
-        uri: str,
-        table_name: str,
-        schema: Schema,
-        pushed_predicate: Expression | None = None,
-    ) -> None:
-        self.uri = uri
-        self.table_name = table_name
-        self.schema = schema
-        self.pushed_predicate = pushed_predicate
-
-    def base_tables(self) -> set[str]:
-        return {self.table_name}
-
-    def describe(self) -> str:
-        if self.pushed_predicate is not None:
-            return f"ChunkAccess({self.uri}, push={self.pushed_predicate!r})"
-        return f"ChunkAccess({self.uri})"
-
-
 class ParallelChunkScan(LogicalPlan):
     """Access path ingesting a planned chunk set through one scheduler.
 
-    The scheduler-driven replacement for a serial ``Union`` of per-chunk
-    accesses.  The node carries a
+    Rule (1)'s union of per-chunk cache-scans and chunk-accesses as one
+    node.  It carries a
     :class:`~repro.engine.chunk_planner.ChunkPlan` — the statistics-pruned,
     cost-ordered contract of the chunk planner — and every source honors
     it identically: fetches are issued in ``plan.fetch_order`` (most
@@ -411,7 +365,11 @@ class ParallelChunkScan(LogicalPlan):
     rows follow the plan's assembly order, so results are bit-identical
     across serial (``io_threads == 1``) and pooled execution.  Cached chunks
     are served from the Recycler; loads of the same URI issued by
-    concurrent queries are coalesced (single-flight).
+    concurrent queries are coalesced (single-flight).  The chunk access
+    strategy picks how an uncached chunk is read (whole, or in situ: only
+    the time window ``pushed_predicate`` needs — the NoDB-style accessor of
+    Section VII); ``pushed_predicate`` is a selection pushed into the
+    access per the second rewrite rule of Section III.
     """
 
     def __init__(

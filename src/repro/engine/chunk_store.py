@@ -50,40 +50,25 @@ from .table import Field, Schema, Table
 from .types import STRING, type_by_name
 from .column import Column
 from ..util.counters import Counters
+from ..util.durable import (
+    OLD_SUFFIX,
+    STAGING_PREFIX,
+    fsync_dir,
+    fsync_file,
+    replace_dir,
+    settle_replaced,
+    staging_dir,
+    staging_pid_alive,
+)
 from ..util.lock_sanitizer import make_lock
 
 __all__ = ["ChunkStoreStats", "ChunkStore"]
 
 MANIFEST_NAME = "manifest.json"
 STORE_VERSION = 1
-# Directory-name suffixes of non-entry states: a replaced entry moved
-# aside mid-commit, and a torn entry moved aside by read verification.
-OLD_SUFFIX = ".old"
+# Directory-name suffix of a torn entry moved aside by read verification
+# (a replaced entry moved aside mid-commit carries OLD_SUFFIX).
 QUARANTINE_SUFFIX = ".quarantine"
-
-
-def _fsync_file(handle) -> None:
-    handle.flush()
-    os.fsync(handle.fileno())
-
-
-def _fsync_dir(path: str) -> None:
-    """Persist a directory's entries (rename/create durability).
-
-    Best-effort: some filesystems refuse O_RDONLY fsync on directories;
-    losing the sync there degrades to the pre-durability behavior instead
-    of failing the write path.
-    """
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
 
 
 @dataclass
@@ -115,17 +100,11 @@ class ChunkStore:
     parses and matches the requested URI.
     """
 
-    # Machine-checked (repro analyze, lock-discipline / blocking-under-lock):
-    # staging names must be unique, and the file I/O around them is
-    # deliberately outside the lock — only the counter bump is inside.
-    _GUARDED = {"_lock": ("_tmp_counter",)}
-
     def __init__(self, root: str) -> None:
         self.root = root
         self.stats = ChunkStoreStats()
         os.makedirs(root, exist_ok=True)
         self._lock = make_lock("ChunkStore._lock")
-        self._tmp_counter = 0
         # uri -> (dirname, payload_bytes, loading_cost)
         self._index: dict[str, tuple[str, int, float]] = {}
         # Stats sidecars parsed during the startup scan, served (and
@@ -165,7 +144,7 @@ class ChunkStore:
     @staticmethod
     def _is_non_entry(name: str) -> bool:
         return (
-            name.startswith(".tmp-")
+            name.startswith(STAGING_PREFIX)
             or OLD_SUFFIX in name
             or name.endswith(QUARANTINE_SUFFIX)
         )
@@ -187,8 +166,8 @@ class ChunkStore:
             path = os.path.join(self.root, name)
             if not os.path.isdir(path):
                 continue
-            if name.startswith(".tmp-"):
-                if self._staging_pid_alive(name):
+            if name.startswith(STAGING_PREFIX):
+                if staging_pid_alive(name):
                     continue
                 shutil.rmtree(path, ignore_errors=True)
                 self.stats.swept_dirs += 1
@@ -196,43 +175,13 @@ class ChunkStore:
                 shutil.rmtree(path, ignore_errors=True)
                 self.stats.swept_dirs += 1
             elif OLD_SUFFIX in name:
-                final = os.path.join(
-                    self.root, name[: name.index(OLD_SUFFIX)]
-                )
-                if not os.path.isdir(final) and (
-                    self._read_manifest(path) is not None
+                if settle_replaced(
+                    self.root, name,
+                    lambda old: self._read_manifest(old) is not None,
                 ):
-                    try:
-                        os.rename(path, final)
-                        self.stats.restored_entries += 1
-                        continue
-                    except OSError:
-                        pass
-                shutil.rmtree(path, ignore_errors=True)
-                self.stats.swept_dirs += 1
-
-    @staticmethod
-    def _staging_pid_alive(name: str) -> bool:
-        """Does the process that staged ``.tmp-<pid>-<n>`` still run?
-
-        Unparseable names count as dead (sweepable); a PID we may not
-        signal counts as alive (conservative — the dir is at worst kept
-        one open longer).
-        """
-        parts = name.split("-")
-        try:
-            pid = int(parts[1])
-        except (IndexError, ValueError):
-            return False
-        if pid == os.getpid():
-            return True
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return False
-        except OSError:
-            return True
-        return True
+                    self.stats.restored_entries += 1
+                else:
+                    self.stats.swept_dirs += 1
 
     @staticmethod
     def _read_manifest(entry_dir: str) -> dict | None:
@@ -327,12 +276,7 @@ class ChunkStore:
         wins benignly (content for one URI is identical by the
         loader-purity contract).
         """
-        with self._lock:
-            self._tmp_counter += 1
-            staging = os.path.join(
-                self.root, f".tmp-{os.getpid()}-{self._tmp_counter}"
-            )
-        os.makedirs(staging, exist_ok=True)
+        staging = staging_dir(self.root)
         payload = 0
         try:
             columns = []
@@ -350,7 +294,7 @@ class ChunkStore:
                         np.save(handle,
                                 np.ascontiguousarray(column.values),
                                 allow_pickle=False)
-                    _fsync_file(handle)
+                    fsync_file(handle)
                 nbytes = os.path.getsize(file_path)
                 payload += nbytes
                 columns.append(
@@ -384,11 +328,11 @@ class ChunkStore:
                 os.path.join(staging, MANIFEST_NAME), "w", encoding="utf-8"
             ) as handle:
                 json.dump(manifest, handle)
-                _fsync_file(handle)
-            _fsync_dir(staging)
+                fsync_file(handle)
+            fsync_dir(staging)
             final = self._entry_dir(uri)
-            self._replace_dir(staging, final)
-            _fsync_dir(self.root)
+            replace_dir(staging, final)
+            fsync_dir(self.root)
         except BaseException:
             shutil.rmtree(staging, ignore_errors=True)
             raise
@@ -398,36 +342,6 @@ class ChunkStore:
             self.stats.spills += 1
             self.stats.bytes_spilled += payload
         return payload
-
-    def _replace_dir(self, staging: str, final: str) -> None:
-        """Move a staged entry into place, tolerating a concurrent winner.
-
-        A replace moves the old entry aside under a *writer-unique* name
-        and deletes it only after the new one is committed, so at every
-        instant a committed entry is reachable — as ``final``, or as the
-        ``final.old-*`` copy the open-time sweep restores if a crash hits
-        between the two renames.  Unique names mean concurrent replacers
-        of the same URI never delete each other's safety copy.
-        """
-        with self._lock:
-            self._tmp_counter += 1
-            doomed = (
-                f"{final}{OLD_SUFFIX}-{os.getpid()}-{self._tmp_counter}"
-            )
-        if os.path.isdir(final):
-            try:
-                os.rename(final, doomed)
-            except OSError:
-                pass
-        try:
-            os.rename(staging, final)
-        except OSError:
-            # Lost the race to a concurrent writer of the same URI: their
-            # committed entry is equivalent; drop ours.
-            if not os.path.isdir(final):
-                raise
-            shutil.rmtree(staging, ignore_errors=True)
-        shutil.rmtree(doomed, ignore_errors=True)
 
     # -- read path ---------------------------------------------------------
 

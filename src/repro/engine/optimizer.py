@@ -144,8 +144,7 @@ def _pushdown(
         ]
         return algebra.Union(children)
 
-    if isinstance(plan, (algebra.Scan, algebra.ResultScan, algebra.CacheScan,
-                         algebra.ChunkAccess)):
+    if isinstance(plan, (algebra.Scan, algebra.ResultScan)):
         return _wrap_select(plan, pending)
 
     # Pipeline-breaking operators: recurse without crossing them, then apply

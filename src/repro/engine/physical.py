@@ -158,10 +158,6 @@ def execute_plan(plan: algebra.LogicalPlan, ctx: ExecutionContext) -> Table:
         return Table.empty(plan.schema)
     if isinstance(plan, algebra.ResultScan):
         return _execute_result_scan(plan, ctx)
-    if isinstance(plan, algebra.CacheScan):
-        return _execute_cache_scan(plan, ctx)
-    if isinstance(plan, algebra.ChunkAccess):
-        return _execute_chunk_access(plan, ctx)
     if isinstance(plan, algebra.ParallelChunkScan):
         return _execute_parallel_chunk_scan(plan, ctx)
     raise PlanError(f"no physical implementation for {type(plan).__name__}")
@@ -185,54 +181,47 @@ def _execute_result_scan(plan: algebra.ResultScan, ctx: ExecutionContext) -> Tab
         ) from None
 
 
-def _execute_cache_scan(plan: algebra.CacheScan, ctx: ExecutionContext) -> Table:
-    cached = ctx.database.recycler.get(plan.uri)
-    if cached is None:
-        # The chunk fell out of the cache between planning and execution:
-        # degrade gracefully to a chunk access.
-        fallback = algebra.ChunkAccess(plan.uri, plan.table_name, plan.schema)
-        return _execute_chunk_access(fallback, ctx)
-    record_outcome(ctx, plan.uri, "hit", cached.num_rows, 0.0)
-    return filter_piece(cached, plan.schema.names, None)
-
-
-def _execute_chunk_access(plan: algebra.ChunkAccess, ctx: ExecutionContext) -> Table:
-    ctx.check_cancelled()
-    in_situ = _try_in_situ_access(plan, ctx)
-    if in_situ is not None:
-        return in_situ
-    # The one-chunk case of the private scan below.
-    return _scan_local(ctx, plan, (plan.uri,), (0,), io_threads=1)[0]
-
-
 def _scan_local(
-    ctx: ExecutionContext,
-    plan: "algebra.ChunkAccess | algebra.ParallelChunkScan",
-    uris: Sequence[str],
-    schedule: Sequence[int],
-    io_threads: int,
+    ctx: ExecutionContext, plan: algebra.ParallelChunkScan
 ) -> list[Table]:
-    """Filtered pieces of ``uris`` (in that order) from the local recycler.
+    """Filtered pieces of the plan's chunks (assembly order), fetched locally.
 
-    Fetches are issued in ``schedule`` order — serially on the query thread
-    with ``io_threads == 1``, through the database's shared I/O pool
+    Fetches are issued in the plan's schedule — serially on the query
+    thread with ``io_threads == 1``, through the database's shared I/O pool
     otherwise; each chunk is accounted and filtered on the query thread as
-    it completes.
+    it completes.  A chunk comes from the first source that has it: a
+    resident chunk is a recycler hit; otherwise, when an in-situ window
+    applies, only that window is decoded; otherwise
+    :meth:`~repro.engine.database.Database.fetch_chunk` serves it from
+    either recycler tier or loads it.
     """
     database = ctx.database
+    uris = plan.uris
     names = plan.schema.names
+    window = _in_situ_window(plan, database)
     pieces: list[Table | None] = [None] * len(uris)
 
-    def fetch(index: int) -> tuple[Table, str, float]:
-        return database.fetch_chunk(uris[index], plan.table_name)
+    def fetch(index: int) -> tuple[Table, str, float, bool]:
+        uri = uris[index]
+        if window is not None and uri not in database.recycler:
+            partial = database.load_chunk_range(uri, plan.table_name, *window)
+            if partial is not None:
+                chunk, cost = partial
+                return chunk, "loaded", cost, False
+        return (*database.fetch_chunk(uri, plan.table_name), True)
 
-    def ingest(index: int, fetched: tuple[Table, str, float]) -> None:
-        chunk, outcome, cost = fetched
-        record_outcome(ctx, uris[index], outcome, chunk.num_rows, cost, chunk)
+    def ingest(index: int, fetched: tuple[Table, str, float, bool]) -> None:
+        chunk, outcome, cost, whole = fetched
+        # A partial decode is never passed as the chunk: it would enrich
+        # the statistics with a window's ranges as if they were the file's.
+        record_outcome(
+            ctx, uris[index], outcome, chunk.num_rows, cost,
+            chunk if whole else None,
+        )
         pieces[index] = filter_piece(chunk, names, plan.pushed_predicate)
 
-    pool = database.io_executor(io_threads) if io_threads > 1 else None
-    run_schedule(schedule, fetch, ingest, ctx.check_cancelled, pool)
+    pool = database.io_executor(plan.io_threads) if plan.io_threads > 1 else None
+    run_schedule(plan.plan.schedule, fetch, ingest, ctx.check_cancelled, pool)
     return pieces
 
 
@@ -255,23 +244,21 @@ def _execute_parallel_chunk_scan(
         # materialization, predicate masks and assemblies through the
         # database's scheduler.
         return database.shared_scans.execute(plan, ctx)
-    return Table.concat_all(
-        _scan_local(ctx, plan, plan.uris, plan.plan.schedule, plan.io_threads)
-    )
+    return Table.concat_all(_scan_local(ctx, plan))
 
 
-def _try_in_situ_access(
-    plan: algebra.ChunkAccess, ctx: ExecutionContext
-) -> Table | None:
-    """NoDB-style selective access: decode only the needed time window.
+def _in_situ_window(
+    plan: algebra.ParallelChunkScan, database: "Database"
+) -> tuple[int | None, int | None] | None:
+    """The time window a NoDB-style selective decode of this scan needs.
 
-    Requires the database's 'in_situ' strategy, a pushed predicate with
-    extractable literal time bounds, and a range-capable loader.  The
-    partial result is NOT admitted to the recycler (it does not represent
-    the whole chunk); correctness is unaffected — later queries simply load
+    Requires the database's 'in_situ' strategy and a pushed predicate with
+    extractable literal time bounds on the table's time column; the loader
+    must also be range-capable, which the fetch learns per chunk.  Partial
+    decodes are NOT admitted to the recycler (they do not represent the
+    whole chunk); correctness is unaffected — later queries simply load
     what they need themselves.
     """
-    database = ctx.database
     if database.chunk_access_strategy != "in_situ":
         return None
     if plan.pushed_predicate is None:
@@ -279,16 +266,7 @@ def _try_in_situ_access(
     time_column = database.in_situ_time_columns.get(plan.table_name)
     if time_column is None:
         return None
-    bounds = extract_time_bounds(plan.pushed_predicate, time_column)
-    if bounds is None:
-        return None
-    low, high = bounds
-    loaded = database.load_chunk_range(plan.uri, plan.table_name, low, high)
-    if loaded is None:
-        return None
-    table, cost_seconds = loaded
-    record_outcome(ctx, plan.uri, "loaded", table.num_rows, cost_seconds)
-    return filter_piece(table, plan.schema.names, plan.pushed_predicate)
+    return extract_time_bounds(plan.pushed_predicate, time_column)
 
 
 # -- row-level operators ---------------------------------------------------------

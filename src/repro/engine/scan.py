@@ -1,10 +1,10 @@
 """The one chunk-scan loop: fetch → account → align → mask → filter → place.
 
 The run-time rewrite ``scan(a) → ∪ (cache-scan(f) | chunk-access(f))`` is
-executed by every stage-two path through the three functions here; a path
-differs only in the *source* it plugs into :func:`run_schedule` as
-``fetch`` — the local recycler (private scans and the one-chunk
-operators), or a shared-scan delivery wrapped around it.
+one ``ParallelChunkScan``, executed by every stage-two path through the
+three functions here; a path differs only in the *source* it plugs into
+:func:`run_schedule` as ``fetch`` — the local one (recycler, or an in-situ
+window decode), or a shared-scan delivery wrapped around it.
 """
 
 from __future__ import annotations

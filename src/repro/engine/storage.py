@@ -19,6 +19,7 @@ length-prefixed encoding for strings.
 from __future__ import annotations
 
 import os
+import shutil
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -31,6 +32,16 @@ from .errors import StorageError, TypeMismatchError
 from .table import Schema, Table
 from .types import STRING, DataType, type_by_name
 from ..util.counters import Counters
+from ..util.durable import (
+    OLD_SUFFIX,
+    STAGING_PREFIX,
+    fsync_dir,
+    fsync_file,
+    replace_dir,
+    settle_replaced,
+    staging_dir,
+    staging_pid_alive,
+)
 from ..util.lock_sanitizer import make_rlock
 
 __all__ = ["PageId", "BufferPool", "PagedColumnStore", "PoolStats"]
@@ -157,6 +168,9 @@ class PagedColumnStore:
     Layout: ``root/<table>/<column>.pages`` holds the concatenated page
     payloads; an in-memory directory keeps per-page offsets (rebuilt from a
     sidecar ``.idx`` file on open, so stores survive process restarts).
+    A table is written all or nothing: its files are staged and fsynced in
+    a ``.tmp-*`` directory and swapped in with one directory replace, so a
+    crash mid-write leaves the previous version readable.
     """
 
     MAGIC = b"RPST"
@@ -181,31 +195,58 @@ class PagedColumnStore:
     # -- write path ----------------------------------------------------------
 
     def store_table(self, name: str, table: Table) -> int:
-        """Persist every column of ``table``; returns bytes written."""
-        self.pool.invalidate_table(name)
-        table_dir = os.path.join(self.root, name)
-        os.makedirs(table_dir, exist_ok=True)
+        """Persist every column of ``table``; returns bytes written.
+
+        Replaces the table's previous version atomically and durably.
+        """
+        staging = staging_dir(self.root)
+        written: dict[tuple[str, str], tuple[DataType, list, int]] = {}
         total = 0
+        try:
+            for fld, column in zip(table.schema, table.columns):
+                pages, nbytes = self._write_column(staging, fld.name, column)
+                written[(name, fld.name)] = (column.dtype, pages, len(column))
+                total += nbytes
+            fsync_dir(staging)
+            replace_dir(staging, os.path.join(self.root, name))
+            fsync_dir(self.root)
+        except BaseException:
+            shutil.rmtree(staging, ignore_errors=True)
+            raise
+        self.pool.invalidate_table(name)
+        for key in [k for k in self._directory if k[0] == name]:
+            del self._directory[key]
+        self._directory.update(written)
         self._schemas[name] = table.schema
-        for fld, column in zip(table.schema, table.columns):
-            total += self._store_column(name, fld.name, column)
         return total
 
-    def _store_column(self, table: str, column_name: str, column: Column) -> int:
+    def _write_column(
+        self, table_dir: str, column_name: str, column: Column
+    ) -> tuple[list[tuple[int, int, int]], int]:
+        """Write one column's pages and index into ``table_dir``."""
         safe = column_name.replace("/", "_")
-        path = os.path.join(self.root, table, f"{safe}.pages")
         pages: list[tuple[int, int, int]] = []
         offset = 0
-        with open(path, "wb") as handle:
+        with open(os.path.join(table_dir, f"{safe}.pages"), "wb") as handle:
             for start in range(0, max(len(column), 1), self.page_rows):
                 chunk = column.values[start : start + self.page_rows]
                 payload = self._encode(column.dtype, chunk)
                 handle.write(payload)
                 pages.append((offset, len(payload), len(chunk)))
                 offset += len(payload)
-        self._directory[(table, column_name)] = (column.dtype, pages, len(column))
-        self._write_index(table, column_name, column.dtype, pages, len(column))
-        return offset
+            fsync_file(handle)
+        with open(os.path.join(table_dir, f"{safe}.idx"), "wb") as handle:
+            handle.write(self.MAGIC)
+            name_blob = column_name.encode("utf-8")
+            dtype_blob = column.dtype.name.encode("ascii")
+            handle.write(struct.pack("<HH", len(name_blob), len(dtype_blob)))
+            handle.write(name_blob)
+            handle.write(dtype_blob)
+            handle.write(struct.pack("<QI", len(column), len(pages)))
+            for page in pages:
+                handle.write(struct.pack("<QII", *page))
+            fsync_file(handle)
+        return pages, offset
 
     # -- read path -----------------------------------------------------------
 
@@ -339,33 +380,30 @@ class PagedColumnStore:
 
     # -- persistence of the page directory -------------------------------------
 
-    def _write_index(self, table, column_name, dtype, pages, total_rows) -> None:
-        safe = column_name.replace("/", "_")
-        path = os.path.join(self.root, table, f"{safe}.idx")
-        with open(path, "wb") as handle:
-            handle.write(self.MAGIC)
-            name_blob = column_name.encode("utf-8")
-            dtype_blob = dtype.name.encode("ascii")
-            handle.write(struct.pack("<HH", len(name_blob), len(dtype_blob)))
-            handle.write(name_blob)
-            handle.write(dtype_blob)
-            handle.write(struct.pack("<QI", total_rows, len(pages)))
-            for offset, length, rows in pages:
-                handle.write(struct.pack("<QII", offset, length, rows))
-
     def _load_directory(self) -> None:
         """Rebuild the page directory from ``.idx`` sidecars on open.
 
-        Tables found this way stay invisible to :meth:`has_table` until a
-        catalog restore adopts them via :meth:`restore_schema` (the sidecar
-        records column layout, not table schema order).  Unreadable sidecars
-        are skipped — the store stays usable after a torn write.
+        Leftovers of a crashed :meth:`store_table` are settled first: dead
+        writers' staging dirs are deleted, and a table moved aside by an
+        interrupted replace is restored.  Tables found this way stay
+        invisible to :meth:`has_table` until a catalog restore adopts them
+        via :meth:`restore_schema` (the sidecar records column layout, not
+        table schema order).  Unreadable sidecars are skipped — the store
+        stays usable after a torn write.
         """
         if not os.path.isdir(self.root):
             return
+        for name in sorted(os.listdir(self.root)):
+            if name.startswith(STAGING_PREFIX):
+                if not staging_pid_alive(name):
+                    shutil.rmtree(
+                        os.path.join(self.root, name), ignore_errors=True
+                    )
+            elif OLD_SUFFIX in name:
+                settle_replaced(self.root, name)
         for table in sorted(os.listdir(self.root)):
             table_dir = os.path.join(self.root, table)
-            if not os.path.isdir(table_dir):
+            if not os.path.isdir(table_dir) or table.startswith(STAGING_PREFIX):
                 continue
             for filename in sorted(os.listdir(table_dir)):
                 if not filename.endswith(".idx"):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.two_stage import TwoStageOptions
 from repro.workloads import QueryParams, t4_query
 
 MILLIS_PER_DAY = 24 * 3600 * 1000
@@ -39,7 +40,10 @@ class TestInSituStrategy:
         from repro.core.loading import prepare
 
         full_db, _ = prepare("lazy", tiny_repo[0])
-        insitu_db, _ = prepare("lazy", tiny_repo[0])
+        # Pooled: window decodes run on the shared I/O pool.
+        insitu_db, _ = prepare(
+            "lazy", tiny_repo[0], options=TwoStageOptions(io_threads=4)
+        )
         insitu_db.database.chunk_access_strategy = "in_situ"
         full = full_db.query(narrow_sql)
         partial = insitu_db.query(narrow_sql)
@@ -50,12 +54,19 @@ class TestInSituStrategy:
     def test_partial_loads_not_cached(self, tiny_repo, narrow_sql):
         from repro.core.loading import prepare
 
-        insitu_db, _ = prepare("lazy", tiny_repo[0])
+        insitu_db, _ = prepare(
+            "lazy", tiny_repo[0], options=TwoStageOptions(io_threads=4)
+        )
         insitu_db.database.chunk_access_strategy = "in_situ"
-        insitu_db.query(narrow_sql)
+        result = insitu_db.query(narrow_sql)
+        assert result.stats.chunks_loaded == 1
         # The recycler must not contain partial chunks (they would poison
-        # later queries with different predicates).
+        # later queries with different predicates), and their window ranges
+        # must not pass for the whole chunk's statistics.
         assert len(insitu_db.database.recycler) == 0
+        for uri in result.rewrite.required_uris:
+            stats = insitu_db.database.chunk_stats.get(uri)
+            assert stats is None or not stats.enriched
         insitu_db.close()
 
     def test_second_query_wider_range_correct(self, tiny_repo, day_range):

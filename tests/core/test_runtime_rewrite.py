@@ -1,11 +1,11 @@
 """Unit tests for the run-time rewrite (rewrite rule (1)) in isolation.
 
-Since the chunk-planner refactor every rewritten actual-data scan becomes
-one :class:`~repro.engine.algebra.ParallelChunkScan` carrying a
+Every rewritten actual-data scan becomes one
+:class:`~repro.engine.algebra.ParallelChunkScan` carrying a
 statistics-pruned, cost-ordered :class:`ChunkPlan` (the serial executor is
-the same scheduler with ``io_threads == 1``); the classic union of
-cache-scans / chunk-accesses remains the shape for the in-situ access
-strategy only.
+the same scheduler with ``io_threads == 1``) — the paper's union of
+cache-scans / chunk-accesses as one node, under every chunk access
+strategy.
 """
 
 import pytest
@@ -160,47 +160,61 @@ class TestRewriteRule1:
 
 
 class TestInSituUnionShape:
-    """The in-situ strategy keeps the paper's per-chunk union rewrite."""
+    """The in-situ strategy emits the same planned scan as full access.
+
+    Rule (1)'s per-chunk union is the one ``ParallelChunkScan``; in-situ
+    changes only how the scan fetches an uncached chunk.
+    """
 
     @pytest.fixture()
     def in_situ_db(self, lazy_db):
         lazy_db.database.chunk_access_strategy = "in_situ"
         return lazy_db
 
+    @staticmethod
+    def _rewrite(db, plan, uris, **kwargs):
+        report = RewriteReport()
+        rewritten = rewrite_actual_scans(
+            plan, db.database, db.config, uris, report, **kwargs
+        )
+        return rewritten, report
+
     def test_scan_becomes_union_of_chunk_accesses(
         self, in_situ_db, scan_d, uris
     ):
-        report = RewriteReport()
-        rewritten = rewrite_actual_scans(
-            scan_d, in_situ_db.database, in_situ_db.config, uris, report
-        )
-        assert isinstance(rewritten, algebra.Union)
-        assert len(find_nodes(rewritten, algebra.ChunkAccess)) == 3
-        assert len(find_nodes(rewritten, algebra.CacheScan)) == 0
+        rewritten, report = self._rewrite(in_situ_db, scan_d, uris)
+        assert isinstance(rewritten, algebra.ParallelChunkScan)
+        assert list(rewritten.uris) == uris
+        assert report.rewrote_scans == 1 and len(report.chunk_plans) == 1
 
     def test_cached_chunks_become_cache_scans(self, in_situ_db, scan_d, uris):
         table, cost = in_situ_db.database.load_chunk(uris[0], "D")
         in_situ_db.database.recycler.put(uris[0], table, cost)
-        report = RewriteReport()
-        rewritten = rewrite_actual_scans(
-            scan_d, in_situ_db.database, in_situ_db.config, uris, report
-        )
-        assert len(find_nodes(rewritten, algebra.CacheScan)) == 1
-        assert len(find_nodes(rewritten, algebra.ChunkAccess)) == 2
+        predicate = Comparison("<", col("D.sample_time"), lit(10**15))
+        plan = algebra.Select(scan_d, predicate)
+        in_situ, _ = self._rewrite(in_situ_db, plan, uris)
+        in_situ_db.database.chunk_access_strategy = "full"
+        full, _ = self._rewrite(in_situ_db, plan, uris)
+        # Same pruned, tiered, scheduled plan as full access.
+        assert find_nodes(in_situ, algebra.ParallelChunkScan) == [in_situ]
+        assert in_situ.plan.chunks == full.plan.chunks
+        assert in_situ.plan.pruned == full.plan.pruned
+        assert in_situ.plan.fetch_order == full.plan.fetch_order
+        assert in_situ.plan.chunks[0].tier == TIER_RESIDENT
 
     def test_selection_above_cache_scan(self, in_situ_db, scan_d, uris):
         table, cost = in_situ_db.database.load_chunk(uris[0], "D")
         in_situ_db.database.recycler.put(uris[0], table, cost)
         predicate = Comparison(">", col("D.sample_value"), lit(0))
         plan = algebra.Select(scan_d, predicate)
-        report = RewriteReport()
-        rewritten = rewrite_actual_scans(
-            plan, in_situ_db.database, in_situ_db.config, [uris[0]], report
+        rewritten, _ = self._rewrite(
+            in_situ_db, plan, [uris[0]], shared=True
         )
-        # σp(cache-scan(f)) — the selection sits above the cache scan.
-        child = rewritten.children()[0]
-        assert isinstance(child, algebra.Select)
-        assert isinstance(child.child, algebra.CacheScan)
+        # σp(cache-scan(f)) is the pushed predicate of the one scan, which
+        # stays private: a shared delivery must be a whole chunk.
+        assert isinstance(rewritten, algebra.ParallelChunkScan)
+        assert rewritten.pushed_predicate is predicate
+        assert not rewritten.shared
 
 
 class TestStatisticsPruning:

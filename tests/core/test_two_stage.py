@@ -1,9 +1,13 @@
 """Tests for the two-stage execution model and the run-time rewrite."""
 
+import dataclasses
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+import pytest
 
 from repro.core.two_stage import TwoStageOptions
 from repro.engine import algebra
-from repro.engine.mal import CallRuntimeOptimizer, EvalPlan, ReturnValue
 from repro.workloads import QueryParams, t1_query, t4_query
 
 MILLIS_PER_DAY = 24 * 3600 * 1000
@@ -19,8 +23,16 @@ def t4(two_day_range, station="ISK", channel="BHE"):
 class TestCompilation:
     def test_program_shape(self, lazy_db, two_day_range):
         compiled = lazy_db.compiler.compile(lazy_db.bind(t4(two_day_range)))
-        kinds = [type(i) for i in compiled.program.instructions]
-        assert kinds == [EvalPlan, CallRuntimeOptimizer, EvalPlan, ReturnValue]
+        steps = [
+            line for line in compiled.listing().splitlines()
+            if line.startswith("[")
+        ]
+        assert steps == [
+            "[00] qf := eval",
+            "[01] call runtime-optimizer(qf)",
+            "[02] result := eval",
+            "[03] return result",
+        ]
 
     def test_qf_leaves_are_metadata_only(self, lazy_db, two_day_range):
         compiled = lazy_db.compiler.compile(lazy_db.bind(t4(two_day_range)))
@@ -57,6 +69,57 @@ class TestCompilation:
         sql = t1_query(QueryParams(station="ISK"))
         compiled = lazy_db.compiler.compile(lazy_db.bind(sql))
         assert not compiled.two_stage
+
+
+class TestCompiledQueryReuse:
+    """A compiled query is immutable: every execution re-runs both stages."""
+
+    SQL = "SELECT COUNT(*) AS n FROM dataview WHERE F.station = 'ISK'"
+
+    def test_rerun_after_metadata_write_matches_fresh_query(self, lazy_db):
+        database = lazy_db.database
+        files = database.catalog.table("F").data
+        isk = [
+            file_id
+            for file_id, station in zip(
+                files.column("file_id").to_list(),
+                files.column("station").to_list(),
+            )
+            if station == "ISK"
+        ]
+        assert len(isk) > 1
+        segments = database.catalog.table("S").data
+        keep = segments.column("file_id").values != isk[0]
+        database.replace("S", segments.filter(np.asarray(keep)))
+        compiled = lazy_db.compiler.compile(lazy_db.bind(self.SQL))
+        first = lazy_db.compiler.execute_compiled(compiled)
+
+        database.replace("S", segments)
+        again = lazy_db.compiler.execute_compiled(compiled)
+        fresh = lazy_db.query(self.SQL)
+        assert again.table.to_dicts() == fresh.table.to_dicts()
+        assert first.table.to_dicts()[0]["n"] < fresh.table.to_dicts()[0]["n"]
+        assert again.rewrite is not first.rewrite
+        assert again.rewrite.required_uris == fresh.rewrite.required_uris
+
+    def test_shared_across_threads_matches_serial(self, lazy_db, two_day_range):
+        compiler = lazy_db.compiler
+        compiled = compiler.compile(lazy_db.bind(t4(two_day_range)))
+        serial = compiler.execute_compiled(compiled).table.to_dicts()
+        lazy_db.database.recycler.clear()
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            runs = list(
+                pool.map(
+                    lambda _: compiler.execute_compiled(compiled),
+                    range(4),
+                )
+            )
+        assert all(run.table.to_dicts() == serial for run in runs)
+
+    def test_compiled_query_is_frozen(self, lazy_db, two_day_range):
+        compiled = lazy_db.compiler.compile(lazy_db.bind(t4(two_day_range)))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            compiled.qs_plan = compiled.qf_plan
 
 
 class TestLazyExecution:

@@ -99,7 +99,7 @@ class TestIntrospection:
         assert join.base_tables() == {"T", "U"}
 
     def test_base_tables_chunk_access(self, schema):
-        access = algebra.ChunkAccess("file:///x", "T", schema)
+        access = algebra.ParallelChunkScan(["file:///x"], "T", schema)
         assert access.base_tables() == {"T"}
 
     def test_pretty_indents_children(self, scan):

@@ -1,25 +1,14 @@
-"""Tests for the catalog, index structures, query graph, and MAL layer."""
+"""Tests for the catalog, index structures, query graph and database."""
 
 import pytest
 
 from repro.engine import algebra
 from repro.engine.catalog import Catalog, ForeignKey, TableKind
 from repro.engine.database import Database
-from repro.engine.errors import (
-    CatalogError,
-    ExecutionError,
-    PlanError,
-)
+from repro.engine.errors import CatalogError, ExecutionError, PlanError
 from repro.engine.expressions import BooleanOp, Comparison, col, lit
 from repro.engine.indexes import HashIndex, JoinIndex, ZoneMap
 from repro.engine.join_graph import build_query_graph
-from repro.engine.mal import (
-    CallRuntimeOptimizer,
-    EvalPlan,
-    MalProgram,
-    ReturnValue,
-)
-from repro.engine.physical import ExecutionContext
 from repro.engine.table import Schema, Table
 from repro.engine.types import INT64, STRING
 
@@ -242,98 +231,6 @@ class TestQueryGraph:
         components = graph.connected_components()
         assert {"A", "B"} in components
         assert {"C"} in components
-
-
-class TestMalProgram:
-    def _db(self):
-        database = Database(buffer_pool_bytes=1 << 20)
-        database.catalog.create_table(
-            "t", Schema.of(("x", INT64)), TableKind.METADATA
-        )
-        database.insert(
-            "t",
-            Table.from_rows(database.catalog.table("t").schema, [(1,), (2,)]),
-        )
-        return database
-
-    def test_eval_and_return(self):
-        db = self._db()
-        program = MalProgram(
-            [
-                EvalPlan("r", algebra.Scan("t", db.qualified_schema("t"))),
-                ReturnValue("r"),
-            ]
-        )
-        result = program.run(ExecutionContext(db))
-        assert result.num_rows == 2
-
-    def test_missing_return_raises(self):
-        db = self._db()
-        program = MalProgram(
-            [EvalPlan("r", algebra.Scan("t", db.qualified_schema("t")))]
-        )
-        with pytest.raises(ExecutionError):
-            program.run(ExecutionContext(db))
-
-    def test_runtime_rewrite_replaces_tail(self):
-        db = self._db()
-        scan_plan = algebra.Scan("t", db.qualified_schema("t"))
-
-        def rewrite(ctx, program, next_pc):
-            limited = algebra.Limit(scan_plan, 1)
-            program.replace_from(
-                next_pc, [EvalPlan("out", limited), ReturnValue("out")]
-            )
-
-        program = MalProgram(
-            [
-                EvalPlan("stage1", scan_plan),
-                CallRuntimeOptimizer(rewrite, "stage1"),
-                EvalPlan("out", scan_plan),
-                ReturnValue("out"),
-            ]
-        )
-        result = program.run(ExecutionContext(db))
-        assert result.num_rows == 1
-
-    def test_cannot_rewrite_executed_code(self):
-        db = self._db()
-        scan_plan = algebra.Scan("t", db.qualified_schema("t"))
-
-        def bad_rewrite(ctx, program, next_pc):
-            program.replace_from(0, [])
-
-        program = MalProgram(
-            [
-                EvalPlan("stage1", scan_plan),
-                CallRuntimeOptimizer(bad_rewrite, "stage1"),
-                ReturnValue("stage1"),
-            ]
-        )
-        with pytest.raises(ExecutionError):
-            program.run(ExecutionContext(db))
-
-    def test_listing_contains_all_instructions(self):
-        db = self._db()
-        program = MalProgram(
-            [
-                EvalPlan("r", algebra.Scan("t", db.qualified_schema("t"))),
-                ReturnValue("r"),
-            ]
-        )
-        listing = program.listing()
-        assert "[00]" in listing and "return r" in listing
-
-    def test_runtime_optimizer_requires_bound_input(self):
-        db = self._db()
-        program = MalProgram(
-            [
-                CallRuntimeOptimizer(lambda *a: None, "unbound"),
-                ReturnValue("unbound"),
-            ]
-        )
-        with pytest.raises(ExecutionError):
-            program.run(ExecutionContext(db))
 
 
 class TestDatabase:

@@ -274,8 +274,9 @@ class TestPlanSurface:
     def test_describe_marks_shared_scans(self, shared_db):
         from repro.engine import algebra
 
-        compiled = shared_db.compiler.plan_stage_two(
-            shared_db.bind(two_day_sql())
+        compiler = shared_db.compiler
+        plan, _ = compiler.plan_stage_two(
+            compiler.compile(shared_db.bind(two_day_sql()))
         )
         described = []
 
@@ -285,9 +286,6 @@ class TestPlanSurface:
             for child in node.children():
                 walk(child)
 
-        for instruction in compiled.program.instructions:
-            plan = getattr(instruction, "plan", None)
-            if plan is not None:
-                walk(plan)
-        assert described, "stage-two program has no ParallelChunkScan"
+        walk(plan)
+        assert described, "stage-two plan has no ParallelChunkScan"
         assert all("shared" in text for text in described)

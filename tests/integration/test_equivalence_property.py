@@ -122,7 +122,14 @@ SCAN_CONFIGS = [
         ("shared+prefetch+result_cache",
          {"shared_scan": True, "prefetch": True, "result_cache": True}),
     )
-] + [pytest.param(dict(io_threads=1), True, id="in-situ")]
+] + [
+    # In-situ window decodes run on the same loop, pooled too; a shared
+    # delivery must be a whole chunk, so in-situ scans stay private.
+    pytest.param(dict(io_threads=1), True, id="in-situ-io1"),
+    pytest.param(dict(io_threads=4), True, id="in-situ-io4"),
+    pytest.param(dict(io_threads=4, shared_scan=True), True,
+                 id="in-situ+shared-io4"),
+]
 
 
 @pytest.fixture(scope="module")
@@ -167,5 +174,8 @@ def test_every_scan_source_matches_serial_and_conserves_chunks(
                 planned = sum(len(p.chunks) for p in result.rewrite.chunk_plans)
                 assert planned > 0
                 assert fetched + stats.chunks_shared == planned
+                if in_situ:
+                    assert stats.chunks_shared == 0
+                    assert stats.shared_scan_attached == 0
     finally:
         db.close()

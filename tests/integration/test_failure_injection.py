@@ -111,14 +111,27 @@ class TestCachePoisoning:
 
     def test_cache_scan_degrades_to_chunk_access(self, small_repo):
         """A chunk evicted between planning and execution reloads inline."""
-        from repro.engine import algebra
-        from repro.engine.physical import ExecutionContext, execute_plan
+        from repro.engine.chunk_planner import TIER_RESIDENT
+        from repro.engine.physical import (
+            ExecutionContext,
+            drop_hidden_columns,
+            execute_plan,
+        )
 
         db = SommelierDB.create()
         db.register_repository(small_repo)
+        sql = query_for("AAA")
+        expected = db.query(sql).table.to_dicts()
         uri = [u for u in small_repo.iter_uris() if "AAA" in u][0]
-        # Claim the chunk is cached although it is not:
-        plan = algebra.CacheScan(uri, "D", db.database.qualified_schema("D"))
-        result = execute_plan(plan, ExecutionContext(db.database))
-        assert result.num_rows == 500
+        compiled = db.compiler.compile(db.bind(sql))
+        ctx = ExecutionContext(db.database)
+        plan, report = db.compiler.plan_stage_two(compiled, ctx)
+        (chunk,) = [c for p in report.chunk_plans for c in p.chunks]
+        assert chunk.uri == uri and chunk.tier == TIER_RESIDENT
+        # Evicted after the planner predicted a recycler hit:
+        db.database.recycler.invalidate(uri)
+        result = drop_hidden_columns(execute_plan(plan, ctx))
+        assert result.to_dicts() == expected
+        assert ctx.chunk_outcomes == {uri: "loaded"}
+        assert ctx.stats.chunks_loaded == 1
         db.close()

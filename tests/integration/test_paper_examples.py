@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.workloads import QUERY1, QUERY2
+from repro.workloads import QUERY1, QUERY2, QueryParams, t1_query
 
 
 class TestQuery1:
@@ -72,3 +72,77 @@ class TestQuery2:
             map(str, eager_dmd_db.query(QUERY2).table.to_dicts())
         )
         assert lazy_rows == eager_rows
+
+
+# Golden ``explain`` / ``explain_chunks`` text, byte for byte (chunk URIs
+# with the repository root replaced by ``<repo>``).
+GOLDEN_QUERY1_EXPLAIN = """\
+query type: T4
+join order: F -> S -> D
+two-stage: True
+MAL program:
+[00] qf := eval
+  Join((F.file_id = S.file_id))
+    Select(((F.station = 'ISK') AND (F.channel = 'BHE')))
+      Scan(F)
+    Select((((S.start_time + (S.sample_count * (1000.0 / S.frequency))) \
+> 1262348100000) AND (S.start_time < 1262348102000)))
+      Scan(S)
+[01] call runtime-optimizer(qf)
+[02] result := eval
+  Project(avg_value=__agg0)
+    Aggregate(by=[()]; AVG(D.sample_value)->__agg0)
+      Join(((D.file_id = S.file_id) AND (D.segment_no = S.segment_no)))
+        ResultScan(qf)
+        Select(((D.sample_time > 1262348100000) AND \
+(D.sample_time < 1262348102000)))
+          Scan(D)
+[03] return result"""
+
+GOLDEN_QUERY1_CHUNKS = """\
+stage one named 1 candidate chunk(s); 0 pruned by statistics
+chunk plan for D: 1 to fetch, 0 pruned, ~2.00ms estimated
+  [00] remote       2.000ms  <repo>/ISK/ISK.BHE.day0000.xseed"""
+
+GOLDEN_T1_EXPLAIN = """\
+query type: T1
+join order: F -> S
+two-stage: False
+MAL program:
+[00] qf := eval
+  Join((F.file_id = S.file_id))
+    Select((F.station = 'ISK'))
+      Scan(F)
+    Scan(S)
+[01] call runtime-optimizer(qf)
+[02] result := eval
+  Project(station=F.station, segments=__agg0, samples=__agg1, \
+avg_frequency=__agg2)
+    Aggregate(by=[F.station]; COUNT(S.segment_no)->__agg0, \
+SUM(S.sample_count)->__agg1, AVG(S.frequency)->__agg2)
+      ResultScan(qf)
+[03] return result"""
+
+GOLDEN_T1_CHUNKS = """\
+stage one named 0 candidate chunk(s); 0 pruned by statistics
+metadata-only query: stage two fetches no chunks"""
+
+
+class TestGoldenExplain:
+    """``repro explain`` output is a stable surface: pinned byte for byte."""
+
+    @pytest.mark.parametrize(
+        "sql, explain, chunks",
+        [
+            pytest.param(QUERY1, GOLDEN_QUERY1_EXPLAIN, GOLDEN_QUERY1_CHUNKS,
+                         id="query1"),
+            pytest.param(t1_query(QueryParams(station="ISK")),
+                         GOLDEN_T1_EXPLAIN, GOLDEN_T1_CHUNKS, id="t1"),
+        ],
+    )
+    def test_explain_text_is_pinned(
+        self, lazy_db, tiny_repo, sql, explain, chunks
+    ):
+        assert lazy_db.explain(sql) == explain
+        planned = lazy_db.explain_chunks(sql)
+        assert planned.replace(tiny_repo[0].root, "<repo>") == chunks

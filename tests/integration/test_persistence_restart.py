@@ -134,6 +134,62 @@ class TestWarmRestart:
         reopened.close()
 
 
+class TestCheckpointCrash:
+    def test_crash_mid_column_keeps_previous_checkpoint(
+        self, tiny_repo, tmp_path, monkeypatch
+    ):
+        """A checkpoint that dies while encoding F's second column leaves
+        the previous checkpoint's F and S whole on disk."""
+        from repro.engine.storage import PagedColumnStore
+
+        workdir = str(tmp_path / "db")
+        db, _ = prepare("lazy", tiny_repo[0], workdir=workdir)
+        expected_t1 = db.query(T1).table
+        expected_t4 = db.query(T4).table
+        db.checkpoint()
+
+        encode = PagedColumnStore._encode
+        calls = []
+
+        def dies_on_second_column(dtype, values):
+            calls.append(dtype)
+            if len(calls) == 2:
+                raise OSError("simulated crash mid-column")
+            return encode(dtype, values)
+
+        monkeypatch.setattr(
+            PagedColumnStore, "_encode", staticmethod(dies_on_second_column)
+        )
+        with pytest.raises(OSError, match="mid-column"):
+            db.checkpoint()
+        monkeypatch.undo()
+        db.database.close()  # the process "dies": no closing checkpoint
+        assert not [
+            name for name in os.listdir(os.path.join(workdir, "pages"))
+            if name.startswith(".tmp-")
+        ]
+
+        reopened = SommelierDB.open(workdir)
+        assert reopened.query(T1).table == expected_t1
+        assert reopened.query(T4).table == expected_t4
+        reopened.close()
+
+    def test_interrupted_replace_is_restored_on_open(self, tiny_repo, tmp_path):
+        """Crash between the two renames of a table replace: the moved-aside
+        copy is the only committed F and comes back at open."""
+        workdir = str(tmp_path / "db")
+        db, _ = prepare("lazy", tiny_repo[0], workdir=workdir)
+        expected = db.query(T1).table
+        db.close()
+        pages = os.path.join(workdir, "pages")
+        os.rename(os.path.join(pages, "F"), os.path.join(pages, "F.old-1-1"))
+
+        reopened = SommelierDB.open(workdir)
+        assert reopened.query(T1).table == expected
+        assert sorted(os.listdir(pages)) == ["F", "S"]
+        reopened.close()
+
+
 def _tree(root: str) -> dict[str, bytes]:
     """Relative path -> contents of every file under ``root``."""
     contents = {}
