@@ -18,11 +18,12 @@ Four experiments motivated by the ROADMAP's "heavy traffic" north star:
   the regime where concurrent serving is designed to win;
 * **fanout** — N clients issue the *same* scan-heavy aggregate in
   lockstep waves (the dashboard refresh pattern) against a warm
-  database, with ``shared_scan`` off then on.  With shared scans each
-  wave runs the chunk pass once and fans the assembled table out to
-  every consumer; the speedup column reports shared vs private at the
-  same client count.  Every client's every result is verified against a
-  serial baseline — any mismatch fails the benchmark run.
+  database at default options.  Identical scans in flight at the same
+  time run once, so each wave's chunk pass is shared; the speedup column
+  reports throughput vs 1 client and ``shared/wave`` the chunks a wave's
+  queries took from another query's scan.  Every client's every result
+  is verified against a serial baseline — any mismatch fails the
+  benchmark run.
 
 Usage::
 
@@ -120,7 +121,8 @@ def fanout_query(span: TimeSpan) -> str:
     """A scan-dominated aggregate over the whole actual-data table.
 
     No metadata join: the warm cost is the chunk pass itself, which is
-    exactly what shared scans dedupe across a dashboard's fan-out.
+    exactly what identical-scan sharing dedupes across a dashboard's
+    fan-out.
     """
     return (
         "SELECT AVG(D.sample_value) AS avg_value, "
@@ -132,29 +134,32 @@ def fanout_query(span: TimeSpan) -> str:
 
 def measure_fanout(
     db, sql: str, clients: int, rounds: int, expected: list[dict]
-) -> tuple[float, float, int]:
+) -> tuple[float, float, int, int]:
     """Lockstep waves of the same query from N pooled clients.
 
-    Returns ``(wall_seconds, queries_per_second, mismatches)``; every
-    result is compared row-for-row against the serial baseline.
+    Returns ``(wall_seconds, queries_per_second, mismatches,
+    chunks_shared)``; every result is compared row-for-row against the
+    serial baseline.
     """
     pool = db.session_pool(size=clients)
     barriers = [threading.Barrier(clients) for _ in range(rounds)]
     mismatches = [0] * clients
+    shared = [0] * clients
 
     def client(slot: int) -> None:
         with pool.session() as session:
             for barrier in barriers:
                 barrier.wait()
-                rows = session.query(sql).table.to_dicts()
-                if rows != expected:
+                result = session.query(sql)
+                shared[slot] += result.stats.chunks_shared
+                if result.table.to_dicts() != expected:
                     mismatches[slot] += 1
 
     started = time.perf_counter()
     with ThreadPoolExecutor(max_workers=clients) as executor:
         list(executor.map(client, range(clients)))
     wall = time.perf_counter() - started
-    return wall, clients * rounds / wall, sum(mismatches)
+    return wall, clients * rounds / wall, sum(mismatches), sum(shared)
 
 
 def measure_cold_stage_two(
@@ -200,7 +205,7 @@ def run(args: argparse.Namespace) -> tuple[ReportTable, int]:
         ),
         headers=[
             "experiment", "clients", "io_threads", "queries",
-            "wall_s", "qps", "speedup",
+            "wall_s", "qps", "speedup", "shared/wave",
         ],
     )
 
@@ -217,7 +222,7 @@ def run(args: argparse.Namespace) -> tuple[ReportTable, int]:
             table.add_row(
                 f"cold-stage2 ({chunks} chunks)", 1, io_threads, 1,
                 round(seconds, 4), round(1 / seconds, 2),
-                round(serial_seconds / seconds, 2),
+                round(serial_seconds / seconds, 2), "",
             )
 
         # -- warm concurrent throughput (CPU-bound ceiling) -------------
@@ -237,7 +242,7 @@ def run(args: argparse.Namespace) -> tuple[ReportTable, int]:
                 table.add_row(
                     "throughput warm", clients, max(args.io_threads),
                     len(queries), round(wall, 4), round(qps, 2),
-                    round(qps / baseline, 2),
+                    round(qps / baseline, 2), "",
                 )
         finally:
             db.close()
@@ -269,52 +274,46 @@ def run(args: argparse.Namespace) -> tuple[ReportTable, int]:
                 table.add_row(
                     f"throughput remote ({args.fetch_latency_ms:g}ms fetch)",
                     clients, 1, len(queries), round(wall, 4),
-                    round(qps, 2), round(qps / baseline, 2),
+                    round(qps, 2), round(qps / baseline, 2), "",
                 )
         finally:
             db.close()
 
-        # -- shared-scan fan-out (dashboard regime) ---------------------
+        # -- identical-query fan-out (dashboard regime) -----------------
         # The same scan-heavy aggregate from every client in lockstep
-        # waves, warm; shared_scan=True runs each wave's chunk pass once.
-        # Both arms keep every other option at its default, so the
-        # baseline is what a user gets without asking for sharing.
+        # waves, warm, at default options: what a user gets.
         sql = fanout_query(span)
         mismatches = 0
-        baselines: dict[int, float] = {}
-        for shared in (False, True):
-            options = TwoStageOptions(shared_scan=shared)
-            db, _ = prepare(
-                "lazy",
-                repository,
-                workdir=os.path.join(workdir, f"fanout{int(shared)}"),
-                options=options,
-            )
-            try:
-                expected = db.query(sql).table.to_dicts()  # warm + baseline
-                for clients in args.clients:
-                    if clients < 2 and shared:
-                        continue  # nobody to share with
-                    wall, qps, bad = measure_fanout(
-                        db, sql, clients, args.fanout_rounds, expected
-                    )
-                    mismatches += bad
-                    if not shared:
-                        baselines[clients] = qps
-                    table.add_row(
-                        "fanout shared" if shared else "fanout private",
-                        clients, options.io_threads,
-                        clients * args.fanout_rounds,
-                        round(wall, 4), round(qps, 2),
-                        round(qps / baselines[clients], 2),
-                    )
-            finally:
-                db.close()
+        options = TwoStageOptions()
+        db, _ = prepare(
+            "lazy",
+            repository,
+            workdir=os.path.join(workdir, "fanout"),
+            options=options,
+        )
+        try:
+            expected = db.query(sql).table.to_dicts()  # warm + baseline
+            baseline = None
+            for clients in args.clients:
+                wall, qps, bad, shared = measure_fanout(
+                    db, sql, clients, args.fanout_rounds, expected
+                )
+                mismatches += bad
+                baseline = baseline or qps
+                table.add_row(
+                    "fanout", clients, options.io_threads,
+                    clients * args.fanout_rounds,
+                    round(wall, 4), round(qps, 2), round(qps / baseline, 2),
+                    round(shared / args.fanout_rounds, 1),
+                )
+        finally:
+            db.close()
 
     table.add_note(
         "speedup: cold-stage2 rows vs the first io_threads value; "
-        "throughput rows vs the first client count; fanout rows vs "
-        "fanout private at the same client count"
+        "throughput and fanout rows vs the first client count; "
+        "shared/wave: chunks a fanout wave's queries took from another "
+        "query's identical in-flight scan"
     )
     if mismatches:
         table.add_note(

@@ -1,6 +1,6 @@
 """Steim codec throughput: decode kernels, batch entry, encode baseline.
 
-Three comparisons for the warm-path decode work the shared scans feed:
+Three comparisons for the warm-path decode work every chunk scan feeds:
 
 * **kernel sweep** — ``decode()`` of one payload per registered kernel
   (``loop`` reference vs the batched ``numpy`` kernel vs ``numba`` when

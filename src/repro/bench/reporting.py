@@ -90,7 +90,7 @@ class ReportTable:
         """The machine-readable shape of this table (CI artifacts).
 
         Every artifact carries host metadata — scaling results (clients ×
-        io_threads, shared scans) are meaningless without the core count
+        io_threads, fan-out) are meaningless without the core count
         they ran on.
         """
         return {

@@ -79,11 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="enable the semantic result recycler (repeats and subsumed "
         "queries are served without re-executing)",
     )
-    execution.add_argument(
-        "--shared-scan", action="store_true",
-        help="co-schedule overlapping concurrent scans so each chunk is "
-        "fetched and decoded once per wave",
-    )
 
     build = commands.add_parser("build", help="build a synthetic repository")
     _add_dataset_args(build)
@@ -342,7 +337,7 @@ def _run_concurrent_clients(db, sql: str, clients: int) -> int:
 
 
 def _two_stage_options(args: argparse.Namespace):
-    """TwoStageOptions from the shared --io-threads/--shared-scan/... flags."""
+    """TwoStageOptions from the shared --io-threads/--result-cache flags."""
     from .core.two_stage import TwoStageOptions
 
     option_kwargs = {}
@@ -350,8 +345,6 @@ def _two_stage_options(args: argparse.Namespace):
         option_kwargs["io_threads"] = args.io_threads
     if getattr(args, "result_cache", False):
         option_kwargs["result_cache"] = True
-    if getattr(args, "shared_scan", False):
-        option_kwargs["shared_scan"] = True
     return TwoStageOptions(**option_kwargs) if option_kwargs else None
 
 

@@ -73,7 +73,6 @@ def rewrite_actual_scans(
     push_selections: bool = True,
     io_threads: int = 1,
     prune_chunks: bool = True,
-    shared: bool = False,
 ) -> algebra.LogicalPlan:
     """Replace scans of actual-data tables by planned chunk access paths.
 
@@ -82,12 +81,11 @@ def rewrite_actual_scans(
     ``prune_chunks`` and a predicate allow it), classified by serving tier
     and cost-ordered.  The surviving chunks become one
     :class:`~repro.engine.algebra.ParallelChunkScan` driven by that plan
-    under every chunk access strategy.  In-situ scans stay private even
-    when ``shared``: their partial decodes are not whole chunks, and a
-    shared delivery must be one.
+    under every chunk access strategy; identical scans running at the
+    same time share one result at execution, in situ included, since
+    their finished rows are the same.
     """
     actual = set(config.actual_tables)
-    shared = shared and database.chunk_access_strategy != "in_situ"
 
     def make_chunk_set(
         scan: algebra.Scan, predicate, planning_predicate
@@ -103,7 +101,6 @@ def rewrite_actual_scans(
             scan.schema,
             pushed_predicate=predicate,
             io_threads=io_threads,
-            shared=shared,
         )
 
     def transform(node: algebra.LogicalPlan) -> algebra.LogicalPlan:

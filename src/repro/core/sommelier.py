@@ -72,7 +72,6 @@ class SommelierStats(Counters):
     chunks_loaded_total: int = 0
     result_cache_hits: int = 0
     result_cache_subsumed: int = 0
-    shared_scan_attached: int = 0
     chunks_shared: int = 0
 
     @classmethod
@@ -92,7 +91,6 @@ class SommelierStats(Counters):
         delta.chunks_loaded_total += result.stats.chunks_loaded
         delta.result_cache_hits = result.stats.results_from_cache
         delta.result_cache_subsumed = result.stats.results_subsumed
-        delta.shared_scan_attached = result.stats.shared_scan_attached
         delta.chunks_shared = result.stats.chunks_shared
         return delta
 
@@ -132,9 +130,7 @@ class SommelierDB:
             from .prefetch import WorkloadPrefetcher
 
             self.prefetcher = WorkloadPrefetcher(
-                database,
-                table_name=config.actual_tables[0],
-                depth=self.options.prefetch_depth,
+                database, table_name=config.actual_tables[0]
             )
         # Semantic result recycler (opt-in): caches delivered results by
         # normalized plan fingerprint and serves repeats/subsumed queries
@@ -503,7 +499,6 @@ class SommelierDB:
                     if entry.enriched
                 ),
             },
-            "shared_scan": self.database.shared_scans.stats_snapshot(),
             "decode_kernel": {
                 "active": steim_kernels.active_kernel(),
                 "available": list(steim_kernels.available_kernels()),

@@ -68,15 +68,7 @@ class TwoStageOptions:
 
     ``prefetch`` enables the facade-level workload-aware prefetcher: after
     each query it predicts the session's next chunks from its query
-    history and warms the recycler asynchronously; ``prefetch_depth`` caps
-    how far ahead it reaches.
-
-    ``shared_scan`` routes stage-two chunk scans through the database's
-    :class:`~repro.engine.shared_scan.SharedScanScheduler`: concurrent
-    queries whose chunk plans overlap attach to one scan pass per table
-    and each chunk is materialized once per wave (results stay
-    bit-identical to private scans).  Off by default — single-client
-    benchmarks must measure private-scan cost.
+    history and warms the recycler asynchronously.
 
     ``result_cache`` enables the facade-level semantic result recycler
     (:mod:`repro.core.result_cache`): finished query results are cached by
@@ -94,9 +86,7 @@ class TwoStageOptions:
     push_selections_into_chunks: bool = True
     infer_time_bounds: bool = True
     prune_chunks: bool = True
-    shared_scan: bool = False
     prefetch: bool = False
-    prefetch_depth: int = 2
     result_cache: bool = False
     result_cache_bytes: int = 256 * 1024 * 1024
 
@@ -355,7 +345,6 @@ class TwoStageCompiler:
             push_selections=self.options.push_selections_into_chunks,
             io_threads=self.options.io_threads,
             prune_chunks=self.options.prune_chunks,
-            shared=self.options.shared_scan,
         )
         # What survives pruning, and which tier it is expected from.
         pruned = set(report.pruned_uris)

@@ -365,7 +365,9 @@ class ParallelChunkScan(LogicalPlan):
     rows follow the plan's assembly order, so results are bit-identical
     across serial (``io_threads == 1``) and pooled execution.  Cached chunks
     are served from the Recycler; loads of the same URI issued by
-    concurrent queries are coalesced (single-flight).  The chunk access
+    concurrent queries are coalesced (single-flight), and so are whole
+    scans: identical nodes executing at the same time produce one result
+    (:meth:`~repro.engine.database.Database.scan_once`).  The chunk access
     strategy picks how an uncached chunk is read (whole, or in situ: only
     the time window ``pushed_predicate`` needs — the NoDB-style accessor of
     Section VII); ``pushed_predicate`` is a selection pushed into the
@@ -379,7 +381,6 @@ class ParallelChunkScan(LogicalPlan):
         schema: Schema,
         pushed_predicate: Expression | None = None,
         io_threads: int = 4,
-        shared: bool = False,
     ) -> None:
         from .chunk_planner import ChunkPlan
 
@@ -393,10 +394,6 @@ class ParallelChunkScan(LogicalPlan):
         self.schema = schema
         self.pushed_predicate = pushed_predicate
         self.io_threads = io_threads
-        # Route through the database's SharedScanScheduler: concurrent
-        # scans of the same table share chunk materialization, predicate
-        # masks and assemblies (bit-identical results by construction).
-        self.shared = shared
 
     @property
     def uris(self) -> tuple[str, ...]:
@@ -413,8 +410,6 @@ class ParallelChunkScan(LogicalPlan):
         )
         if self.plan.pruned:
             suffix = f", pruned={len(self.plan.pruned)}{suffix}"
-        if self.shared:
-            suffix = f", shared{suffix}"
         return (
             f"ParallelChunkScan({len(self.uris)} chunks, "
             f"io_threads={self.io_threads}{suffix})"

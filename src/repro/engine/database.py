@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import os
 import tempfile
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -36,7 +37,6 @@ from .column import Column
 from .errors import CatalogError, ExecutionError
 from .indexes import HashIndex, JoinIndex
 from .recycler import Recycler
-from .shared_scan import SharedScanScheduler
 from .storage import BufferPool, PagedColumnStore
 from .table import Field, Schema, Table
 from .types import INT64
@@ -45,6 +45,20 @@ from ..util.lock_sanitizer import make_lock
 __all__ = ["ChunkDirectory", "ChunkLoader", "Database", "qualify_chunk"]
 
 ROWID = "#rowid"
+
+# How often a query waiting on another query's identical scan wakes to
+# honor its own cancel token.
+_SCAN_WAIT_POLL_SECONDS = 0.05
+
+
+class _InFlightScan:
+    """One scan result being computed; ``table`` stays None if it failed."""
+
+    __slots__ = ("done", "table")
+
+    def __init__(self) -> None:
+        self.done = threading.Event()
+        self.table: Table | None = None
 
 
 @dataclass(frozen=True)
@@ -138,6 +152,7 @@ class Database:
     _GUARDED = {
         "_io_executor_lock": ("_io_executor", "_io_executor_workers"),
         "_load_accounting_lock": ("chunk_seconds_total",),
+        "_scans_lock": ("_scans",),
     }
 
     def __init__(
@@ -178,10 +193,10 @@ class Database:
         # cost-orders stage-two chunk fetches against them.
         self.chunk_stats = ChunkStatsCatalog()
         self.chunk_planner = ChunkPlanner(self)
-        # Cooperative scan passes: concurrent queries whose chunk plans
-        # overlap share materialization when the plan node asks for it
-        # (TwoStageOptions(shared_scan=True)).
-        self.shared_scans = SharedScanScheduler(self)
+        # Identical chunk scans in flight at the same time run once
+        # (scan_once): scan key -> the owner's pending result.
+        self._scans: dict[tuple, _InFlightScan] = {}
+        self._scans_lock = make_lock("Database._scans_lock")
         self.hash_indexes: dict[tuple[str, tuple[str, ...]], HashIndex] = {}
         self.join_indexes: list[JoinIndex] = []
         # Cumulative seconds spent decoding chunks, for loading-cost reports.
@@ -359,6 +374,40 @@ class Database:
         return self.recycler.get_or_load(
             uri, lambda u: self.load_chunk(u, table_name)
         )
+
+    def scan_once(
+        self, key: tuple, scan: Callable[[], Table], poll: Callable[[], None]
+    ) -> tuple[Table, bool]:
+        """Run ``scan()`` once for every concurrent caller with an equal key.
+
+        The recycler single-flights each chunk decode; this does the same
+        for a whole scan result, which is what the identical-query fan-out
+        of a dashboard needs.  The first caller owns the scan and runs it;
+        callers arriving while it runs wait outside the lock, calling
+        ``poll()`` (their cancellation point) every 50 ms, and receive the
+        owner's table.  The owner drops its entry before it publishes or
+        fails, so nothing outlives the scan; a waiter whose owner failed
+        claims the scan itself.  Returns ``(table, shared)``, ``shared``
+        being True when another caller's scan produced the table.
+        """
+        while True:
+            with self._scans_lock:
+                flight = self._scans.get(key)
+                owner = flight is None
+                if flight is None:
+                    flight = self._scans[key] = _InFlightScan()
+            if owner:
+                try:
+                    table = flight.table = scan()
+                finally:
+                    with self._scans_lock:
+                        del self._scans[key]
+                    flight.done.set()  # table still None on failure
+                return table, False
+            while not flight.done.wait(_SCAN_WAIT_POLL_SECONDS):
+                poll()
+            if flight.table is not None:
+                return flight.table, True
 
     def adopt_store_stats(self) -> int:
         """Recover decode-derived chunk statistics from store sidecars.

@@ -88,9 +88,8 @@ class ExecStats(Counters):
     chunks_prefetched: int = 0
     chunk_rows_loaded: int = 0
     chunk_load_seconds: float = 0.0
-    # Shared-scan outcomes: this query attached to an already-running scan
-    # pass / consumed chunks another attached query materialized.
-    shared_scan_attached: int = 0
+    # Chunks of scans another query had in flight with an identical key:
+    # fetched + chunks_shared == chunks planned.
     chunks_shared: int = 0
     joins_executed: int = 0
     join_index_hits: int = 0
@@ -228,23 +227,36 @@ def _scan_local(
 def _execute_parallel_chunk_scan(
     plan: algebra.ParallelChunkScan, ctx: ExecutionContext
 ) -> Table:
-    """The planned chunk scan: one loop, the source picked by the plan.
+    """The planned chunk scan: one loop, one result per identical scan.
 
-    Private scans fetch from the local recycler; ``plan.shared`` wraps that
-    source in a shared-scan delivery driven by the same
-    :func:`~repro.engine.scan.run_schedule`.  Whatever the source and
-    the completion order, the final concatenation follows the plan's
-    assembly (URI) order, so every path produces bit-identical rows.
+    :func:`_scan_local` runs the plan's schedule; whatever the source and
+    the completion order, the concatenation follows the plan's assembly
+    (URI) order, so the rows do not depend on who runs the scan.  That is
+    why identical scans in flight at the same time — same table, chunks,
+    pushed predicate and columns, over the same catalog version — run
+    once (:meth:`~repro.engine.database.Database.scan_once`): the other
+    callers take the owner's table and count its chunks as
+    ``chunks_shared``.  The version term keeps a scan issued after a
+    write to F or S from joining one issued before it.
     """
     if not plan.uris:
         return Table.empty(plan.schema)
-    database = ctx.database
-    if plan.shared:
-        # Cooperative path: concurrent scans of this table share chunk
-        # materialization, predicate masks and assemblies through the
-        # database's scheduler.
-        return database.shared_scans.execute(plan, ctx)
-    return Table.concat_all(_scan_local(ctx, plan))
+    predicate = plan.pushed_predicate
+    key = (
+        plan.table_name,
+        plan.uris,
+        predicate.key() if predicate is not None else None,
+        tuple(plan.schema.names),
+        ctx.database.catalog.versions((plan.table_name,)),
+    )
+    table, shared = ctx.database.scan_once(
+        key,
+        lambda: Table.concat_all(_scan_local(ctx, plan)),
+        ctx.check_cancelled,
+    )
+    if shared:
+        ctx.stats.chunks_shared += len(plan.uris)
+    return table
 
 
 def _in_situ_window(

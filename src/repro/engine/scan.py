@@ -1,10 +1,12 @@
 """The one chunk-scan loop: fetch → account → align → mask → filter → place.
 
 The run-time rewrite ``scan(a) → ∪ (cache-scan(f) | chunk-access(f))`` is
-one ``ParallelChunkScan``, executed by every stage-two path through the
-three functions here; a path differs only in the *source* it plugs into
-:func:`run_schedule` as ``fetch`` — the local one (recycler, or an in-situ
-window decode), or a shared-scan delivery wrapped around it.
+one ``ParallelChunkScan``, executed through the three functions here;
+the chunk access strategy only changes the *source* plugged into
+:func:`run_schedule` as ``fetch`` — the recycler, or an in-situ window
+decode.  Identical scans running at the same time execute this loop
+once and share its result
+(:meth:`~repro.engine.database.Database.scan_once`).
 """
 
 from __future__ import annotations

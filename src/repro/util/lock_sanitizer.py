@@ -2,7 +2,7 @@
 
 Every lock in the engine is constructed through :func:`make_lock` /
 :func:`make_rlock` with a stable, human-readable name (``"Recycler._lock"``,
-``"SharedScanScheduler._lock"``, ...).  By default the factories return plain
+``"Database._scans_lock"``, ...).  By default the factories return plain
 ``threading`` primitives — zero overhead, nothing recorded, nothing
 installed.  When the ``REPRO_LOCK_SANITIZER`` environment variable is set to
 a non-empty value other than ``"0"``, they instead return

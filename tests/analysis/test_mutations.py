@@ -40,12 +40,13 @@ CASES = [
         "cancel",
     ),
     (
-        # A shared-scan counter is bumped outside its lock.
+        # A result-cache lookup is counted before its lock is taken.
         "lock-discipline",
-        "engine/shared_scan.py",
-        "                with self._lock:\n"
-        "                    self.stats.assemblies_shared += 1\n",
-        "                self.stats.assemblies_shared += 1\n",
+        "core/result_cache.py",
+        "        with self._lock:\n"
+        "            self.stats.lookups += 1\n",
+        "        self.stats.lookups += 1\n"
+        "        with self._lock:\n",
         "with self._lock",
     ),
     (

@@ -6,11 +6,14 @@ databases are function-scoped unless the test only reads.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.core.loading import prepare
 from repro.data import SCALE_TEST, build_or_reuse
 from repro.data.ingv import EPOCH_2010_MS
+from repro.engine.physical import CancelToken
 from repro.util.lock_sanitizer import recorded_violations, reset_violations
 
 MILLIS_PER_DAY = 24 * 3600 * 1000
@@ -76,6 +79,37 @@ def eager_dmd_db(tiny_repo):
     db, report = prepare("eager_dmd", tiny_repo[0])
     yield db
     db.close()
+
+
+class ParkingToken(CancelToken):
+    """A cancel token that tells when its query waits on another's scan.
+
+    A query waiting for an identical in-flight scan polls its token every
+    50 ms (``Database.scan_once``); stage one polls back to back, and a
+    query blocked in its own chunk fetch does not poll at all.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.polls: list[float] = []
+
+    def raise_if_cancelled(self) -> None:
+        self.polls.append(time.monotonic())
+        super().raise_if_cancelled()
+
+    def wait_until_parked(self, timeout: float = 10.0) -> None:
+        deadline = time.monotonic() + timeout
+        while time.monotonic() < deadline:
+            last = self.polls[-2:]
+            if len(last) == 2 and last[1] - last[0] >= 0.04:
+                return
+            time.sleep(0.005)
+        raise AssertionError("query never waited on an in-flight scan")
+
+
+@pytest.fixture()
+def parking_token():
+    return ParkingToken()
 
 
 @pytest.fixture()

@@ -74,9 +74,6 @@ def test_untouched_token_does_not_interfere(lazy_db):
 # -- faults through the one scan loop (engine/scan.run_schedule) -------------
 
 COUNT_ALL = "SELECT COUNT(*) AS n FROM dataview"  # all 8 chunks
-# Same chunks, different pushed predicate: under shared_scan this consumer
-# joins the victim's *deliveries* (not its assembly) and must re-claim them.
-COUNT_MASKED = COUNT_ALL + " WHERE D.sample_value > -1000000000"
 
 
 class _FaultOnNthLoad:
@@ -107,7 +104,9 @@ class _InjectedFault(Exception):
 
 @pytest.mark.parametrize("shared", [False, True], ids=["private", "shared"])
 @pytest.mark.parametrize("fault", ["cancel", "raise"])
-def test_fault_mid_scan_unwinds_the_one_loop(tiny_repo, shared, fault):
+def test_fault_mid_scan_unwinds_the_one_loop(
+    tiny_repo, parking_token, shared, fault
+):
     import time
 
     from repro.core.loading import prepare
@@ -116,29 +115,16 @@ def test_fault_mid_scan_unwinds_the_one_loop(tiny_repo, shared, fault):
     reference, _ = prepare(
         "lazy", tiny_repo[0], options=TwoStageOptions(io_threads=1)
     )
-    expected = {
-        sql: reference.query(sql).table.to_dicts()
-        for sql in (COUNT_ALL, COUNT_MASKED)
-    }
+    expected = reference.query(COUNT_ALL).table.to_dicts()
     reference.close()
 
-    db, _ = prepare(
-        "lazy",
-        tiny_repo[0],
-        options=TwoStageOptions(io_threads=2, shared_scan=shared),
-    )
-    scheduler = db.database.shared_scans
+    db, _ = prepare("lazy", tiny_repo[0], options=TwoStageOptions(io_threads=2))
     token = CancelToken()
 
     def fire():
-        # Shared: hold the fault until the waiter has joined our deliveries.
-        deadline = time.monotonic() + 10
-        while (
-            shared
-            and scheduler.stats_snapshot()["consumers_total"] < 2
-            and time.monotonic() < deadline
-        ):
-            time.sleep(0.005)
+        # Shared: hold the fault until the waiter waits on our scan.
+        if shared:
+            parking_token.wait_until_parked()
         if fault == "cancel":
             token.cancel()
         else:
@@ -148,15 +134,12 @@ def test_fault_mid_scan_unwinds_the_one_loop(tiny_repo, shared, fault):
     real_loader.io_delay_ms = 20.0  # keep fetches in flight while we unwind
     loader = _FaultOnNthLoad(real_loader, 2, fire)
     db.database.set_chunk_loader(loader)
-    waited: list = []
     try:
-        waiter = threading.Thread(
-            target=lambda: waited.append(db.query(COUNT_MASKED))
-        )
         if shared:
-            # The victim claims every chunk first; the waiter then blocks
-            # on those deliveries until the fault abandons them.
+            # The waiter issues the victim's exact query and joins its
+            # in-flight scan; when the victim unwinds, it takes over.
             victim_error: list = []
+            waited: list = []
 
             def victim():
                 try:
@@ -165,6 +148,11 @@ def test_fault_mid_scan_unwinds_the_one_loop(tiny_repo, shared, fault):
                     victim_error.append(exc)
 
             victim_thread = threading.Thread(target=victim)
+            waiter = threading.Thread(
+                target=lambda: waited.append(
+                    db.query(COUNT_ALL, cancel=parking_token)
+                )
+            )
             victim_thread.start()
             while loader.calls < 1:
                 time.sleep(0.001)
@@ -184,22 +172,22 @@ def test_fault_mid_scan_unwinds_the_one_loop(tiny_repo, shared, fault):
         # Nothing of the dead scan is left on the shared pool: a sentinel
         # queued behind it runs, and no revoked fetch ever reached the loader.
         db.database.io_executor(2).submit(lambda: None).result(timeout=10)
+        assert not db.database._scans
         if shared:
-            # Abandoned deliveries were re-claimed, not inherited as errors.
+            # The waiter ran the scan itself, not inheriting the error.
             (result,) = waited
-            assert result.table.to_dicts() == expected[COUNT_MASKED]
+            assert result.table.to_dicts() == expected
             stats = result.stats
+            assert stats.chunks_shared == 0
             assert (
                 stats.chunks_loaded + stats.chunks_from_cache
-                + stats.chunks_rehydrated + stats.chunks_shared
+                + stats.chunks_rehydrated
             ) == 8
-            assert not scheduler._passes
         else:
             assert loader.calls < 8
 
         # The next query on the same database is bit-identical.
         real_loader.io_delay_ms = 0.0
-        for sql in (COUNT_ALL, COUNT_MASKED):
-            assert db.query(sql).table.to_dicts() == expected[sql]
+        assert db.query(COUNT_ALL).table.to_dicts() == expected
     finally:
         db.close()

@@ -209,11 +209,10 @@ class TestFacadeIntegration:
         assert second.stats.chunks_loaded >= 1
 
     def test_shared_scan_session_counts_prefetch_hits(self, tiny_repo):
-        """Under shared scans the hit is read off the delivery's fetch
-        outcome, exactly as for a private scan."""
+        """Scan sharing is always on: a session's hit is still read off
+        its scan's fetch outcome."""
         db, _ = prepare(
-            "lazy", tiny_repo[0],
-            options=TwoStageOptions(prefetch=True, shared_scan=True),
+            "lazy", tiny_repo[0], options=TwoStageOptions(prefetch=True)
         )
         try:
             with db.session() as session:

@@ -207,14 +207,10 @@ class TestInSituUnionShape:
         in_situ_db.database.recycler.put(uris[0], table, cost)
         predicate = Comparison(">", col("D.sample_value"), lit(0))
         plan = algebra.Select(scan_d, predicate)
-        rewritten, _ = self._rewrite(
-            in_situ_db, plan, [uris[0]], shared=True
-        )
-        # σp(cache-scan(f)) is the pushed predicate of the one scan, which
-        # stays private: a shared delivery must be a whole chunk.
+        rewritten, _ = self._rewrite(in_situ_db, plan, [uris[0]])
+        # σp(cache-scan(f)) is the pushed predicate of the one scan.
         assert isinstance(rewritten, algebra.ParallelChunkScan)
         assert rewritten.pushed_predicate is predicate
-        assert not rewritten.shared
 
 
 class TestStatisticsPruning:

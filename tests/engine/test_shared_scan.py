@@ -1,11 +1,13 @@
-"""Shared chunk scans: overlapping consumers share one pass per table.
+"""Identical concurrent chunk scans share one in-flight result.
 
-Bit-identity with private scans is the contract: ``shared_scan=True`` may
-only change *who* materializes a chunk, never what any consumer sees.
+Bit-identity with a lone scan is the contract: sharing may only change
+*who* runs a scan, never what any query sees.  Sharing is not an option:
+every ``ParallelChunkScan`` goes through ``Database.scan_once``.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -15,8 +17,10 @@ import pytest
 from repro.core.loading import prepare
 from repro.core.two_stage import TwoStageOptions
 from repro.data.ingv import EPOCH_2010_MS
+from repro.engine import algebra
 from repro.engine.errors import QueryCancelled
-from repro.engine.physical import CancelToken
+from repro.engine.physical import CancelToken, ExecutionContext, execute_plan
+from repro.engine.table import Schema, Table
 from repro.workloads.queries import QueryParams, t4_query
 
 MILLIS_PER_DAY = 24 * 3600 * 1000
@@ -33,160 +37,236 @@ def two_day_sql(station: str = "ISK", channel: str = "BHE") -> str:
     )
 
 
+def fetched(stats) -> int:
+    return stats.chunks_loaded + stats.chunks_rehydrated + stats.chunks_from_cache
+
+
+def planned(result) -> int:
+    return sum(len(p.chunks) for p in result.rewrite.chunk_plans)
+
+
 @pytest.fixture()
-def shared_db(tiny_repo):
-    db, _ = prepare(
-        "lazy",
-        tiny_repo[0],
-        options=TwoStageOptions(io_threads=4, shared_scan=True),
-    )
+def db(tiny_repo):
+    db, _ = prepare("lazy", tiny_repo[0])
     yield db
     db.close()
 
 
+@pytest.fixture(scope="module")
+def serial_rows(tiny_repo):
+    """sql -> rows of a lone serial scan."""
+    reference, _ = prepare(
+        "lazy", tiny_repo[0], options=TwoStageOptions(io_threads=1)
+    )
+    cache: dict[str, list] = {}
+
+    def rows(sql: str) -> list:
+        if sql not in cache:
+            cache[sql] = reference.query(sql).table.to_dicts()
+        return cache[sql]
+
+    yield rows
+    reference.close()
+
+
+class GatedFetch:
+    """Holds the first chunk fetch of the database until ``release()``.
+
+    The query whose fetch is held keeps its scan in flight, so the test
+    decides what overlaps it.  On release the held fetch runs ``fault``
+    (when given) before fetching; later fetches pass straight through.
+    """
+
+    def __init__(self, database, fault=None) -> None:
+        self._inner = database.fetch_chunk
+        self._fault = fault
+        self._open = threading.Event()
+        self._lock = threading.Lock()
+        self._first = True
+        self.held = threading.Event()
+        database.fetch_chunk = self
+
+    def __call__(self, uri, table_name):
+        with self._lock:
+            first, self._first = self._first, False
+        if first:
+            self.held.set()
+            self._open.wait(timeout=30)
+            if self._fault is not None:
+                self._fault()
+        return self._inner(uri, table_name)
+
+    def release(self) -> None:
+        self._open.set()
+
+
+def run_async(fn, *args, **kwargs) -> tuple[threading.Thread, list]:
+    """Run ``fn`` on a thread; the list receives its result or exception."""
+    outcome: list = []
+
+    def target():
+        try:
+            outcome.append(fn(*args, **kwargs))
+        except BaseException as exc:
+            outcome.append(exc)
+
+    thread = threading.Thread(target=target)
+    thread.start()
+    return thread, outcome
+
+
+def start_owner(
+    db, sql: str, fault=None, **kwargs
+) -> tuple[GatedFetch, threading.Thread, list]:
+    """Start ``sql`` with its first fetch held: its scan stays in flight."""
+    db.drop_caches()
+    gate = GatedFetch(db.database, fault)
+    thread, outcome = run_async(db.query, sql, **kwargs)
+    assert gate.held.wait(timeout=10)
+    return gate, thread, outcome
+
+
 class TestBitIdentity:
-    def test_single_consumer_matches_private_scan(self, tiny_repo):
+    def test_single_consumer_matches_private_scan(self, db, serial_rows):
         sql = two_day_sql()
-        private_db, _ = prepare(
-            "lazy", tiny_repo[0], options=TwoStageOptions(io_threads=4)
-        )
-        shared_db, _ = prepare(
-            "lazy",
-            tiny_repo[0],
-            options=TwoStageOptions(io_threads=4, shared_scan=True),
-        )
-        try:
-            expected = private_db.query(sql)
-            observed = shared_db.query(sql)
-            assert observed.table.to_dicts() == expected.table.to_dicts()
-            # Nobody to share with: the lone consumer is not "attached".
-            assert observed.stats.shared_scan_attached == 0
-        finally:
-            private_db.close()
-            shared_db.close()
+        result = db.query(sql)
+        assert result.table.to_dicts() == serial_rows(sql)
+        # Nobody to share with: the lone scan fetched every planned chunk.
+        assert result.stats.chunks_shared == 0
+        assert fetched(result.stats) == planned(result)
+        assert not db.database._scans
 
-    def test_concurrent_consumers_match_private_scan(
-        self, tiny_repo, shared_db
-    ):
+    def test_concurrent_consumers_match_private_scan(self, db, serial_rows):
         sql = two_day_sql()
-        private_db, _ = prepare(
-            "lazy", tiny_repo[0], options=TwoStageOptions(io_threads=4)
-        )
-        try:
-            expected = private_db.query(sql).table.to_dicts()
-        finally:
-            private_db.close()
-
-        pool = shared_db.session_pool(size=4)
-        barrier = threading.Barrier(4)
+        clients = 4
+        pool = db.session_pool(size=clients)
+        barrier = threading.Barrier(clients)
 
         def client(_):
             with pool.session() as session:
                 barrier.wait()
-                return session.query(sql).table.to_dicts()
+                return session.query(sql)
 
-        with ThreadPoolExecutor(max_workers=4) as executor:
-            results = list(executor.map(client, range(4)))
-        assert all(rows == expected for rows in results)
+        # Slow loads keep the first scan in flight while the rest arrive.
+        db.database.chunk_loader.io_delay_ms = 40.0
+        with ThreadPoolExecutor(max_workers=clients) as executor:
+            results = list(executor.map(client, range(clients)))
+        assert all(r.table.to_dicts() == serial_rows(sql) for r in results)
+        # Conservation over the wave: every planned chunk was either
+        # fetched by a query or handed to it by the scan it joined.
+        plan_size = planned(results[0])
+        assert sum(
+            fetched(r.stats) + r.stats.chunks_shared for r in results
+        ) == clients * plan_size
+        assert sum(r.stats.chunks_shared for r in results) >= plan_size
 
-    def test_mixed_predicates_share_chunks_not_results(self, shared_db):
-        # Two different stations over the same table: overlapping passes
-        # must keep each consumer's own predicate filtering intact.
-        queries = [two_day_sql("ISK", "BHE"), two_day_sql("FIAM", "HHZ")]
-        expected = [shared_db.query(sql).table.to_dicts() for sql in queries]
-        shared_db.drop_caches()
+    def test_mixed_predicates_share_chunks_not_results(self, db, serial_rows):
+        # A different scan of the same table runs its own pass while the
+        # first is in flight: it completes before the held scan does.
+        sql = two_day_sql()
+        others = [
+            two_day_sql("FIAM", "HHZ"),  # another pushed predicate
+            "SELECT COUNT(*) AS n FROM dataview "  # none pushed
+            "WHERE F.station = 'ISK' AND F.channel = 'BHE'",
+        ]
+        for other in others:
+            gate, owner, owner_outcome = start_owner(db, sql)
+            try:
+                result = db.query(other)
+            finally:
+                gate.release()
+            owner.join(timeout=30)
+            assert result.stats.chunks_shared == 0
+            assert result.table.to_dicts() == serial_rows(other)
+            (owned,) = owner_outcome
+            assert owned.table.to_dicts() == serial_rows(sql)
+        assert not db.database._scans
 
-        with ThreadPoolExecutor(max_workers=4) as executor:
-            observed = list(
-                executor.map(
-                    lambda sql: shared_db.query(sql).table.to_dicts(),
-                    queries * 2,
-                )
-            )
-        assert observed[0] == expected[0]
-        assert observed[1] == expected[1]
-        assert observed[2] == expected[0]
-        assert observed[3] == expected[1]
+    def test_other_columns_are_not_shared(self, db):
+        # Same chunks, no pushed predicate, a narrower scan schema.
+        database = db.database
+        uris = sorted(database.chunk_loader._file_ids)
+        wide = database.qualified_schema("D")
+        narrow = Schema(wide.fields[:2])
+
+        def scan(schema):
+            ctx = ExecutionContext(database)
+            plan = algebra.ParallelChunkScan(uris, "D", schema)
+            return execute_plan(plan, ctx), ctx.stats
+
+        db.drop_caches()
+        gate = GatedFetch(database)
+        owner, owner_outcome = run_async(scan, wide)
+        assert gate.held.wait(timeout=10)
+        try:
+            table, stats = scan(narrow)
+        finally:
+            gate.release()
+        owner.join(timeout=30)
+        assert stats.chunks_shared == 0
+        assert table.schema.names == narrow.names
+        ((wide_table, _),) = owner_outcome
+        assert table.to_dicts() == wide_table.project(narrow.names).to_dicts()
 
 
 class TestSharingAccounting:
-    def test_wave_shares_deliveries_and_counts_attachments(self, shared_db):
+    def test_late_attach_picks_up_missed_chunks(
+        self, db, serial_rows, parking_token
+    ):
         sql = two_day_sql()
-        shared_db.database.chunk_loader.io_delay_ms = 40.0
-        pool = shared_db.session_pool(size=4)
-        barrier = threading.Barrier(4)
+        gate, owner, owner_outcome = start_owner(db, sql)
+        late, late_outcome = run_async(db.query, sql, cancel=parking_token)
+        parking_token.wait_until_parked()
+        gate.release()
+        owner.join(timeout=30)
+        late.join(timeout=30)
+        (owned,), (joined,) = owner_outcome, late_outcome
+        # The late arrival fetched nothing: the owner's table is its answer.
+        assert joined.table.to_dicts() == serial_rows(sql)
+        assert fetched(joined.stats) == 0
+        assert joined.stats.chunks_shared == planned(joined)
+        assert owned.stats.chunks_shared == 0
+        assert fetched(owned.stats) == planned(owned)
+        assert not db.database._scans
 
-        def client(_):
-            with pool.session() as session:
-                barrier.wait()
-                result = session.query(sql)
-                return result.stats
+    def test_write_to_f_stops_a_later_scan_joining(self, db, serial_rows):
+        sql = two_day_sql()
+        gate, owner, owner_outcome = start_owner(db, sql)
+        try:
+            # Any write to F moves the version of what D's chunks are.
+            files = db.database.catalog.table("F")
+            db.database.insert("F", Table.empty(files.schema))
+            result = db.query(sql)
+        finally:
+            gate.release()
+        owner.join(timeout=30)
+        assert result.stats.chunks_shared == 0
+        assert result.table.to_dicts() == serial_rows(sql)
+        (owned,) = owner_outcome
+        assert owned.table.to_dicts() == serial_rows(sql)
 
+    def test_facade_counters_roll_up(self, db):
+        sql = two_day_sql()
+        db.database.chunk_loader.io_delay_ms = 20.0
         with ThreadPoolExecutor(max_workers=4) as executor:
-            stats = list(executor.map(client, range(4)))
-        shared_db.database.chunk_loader.io_delay_ms = 0.0
-
-        snapshot = shared_db.database.shared_scans.stats_snapshot()
-        assert snapshot["consumers_total"] == 4
-        assert snapshot["passes_started"] >= 1
-        # With all four held at a barrier and slow loads, later arrivals
-        # attach to the first consumer's pass and share its deliveries.
-        assert snapshot["consumers_attached"] >= 1
-        assert (
-            snapshot["deliveries_shared"] + snapshot["assemblies_shared"] >= 1
+            results = list(executor.map(lambda _: db.query(sql), range(4)))
+        snapshot = db.counters_snapshot()
+        assert snapshot["facade"]["queries_executed"] == 4
+        assert snapshot["facade"]["chunks_shared"] == sum(
+            r.stats.chunks_shared for r in results
         )
-        assert sum(s.shared_scan_attached for s in stats) == (
-            snapshot["consumers_attached"]
-        )
-        assert sum(s.chunks_shared for s in stats) >= 1
-
-    def test_late_attach_picks_up_missed_chunks(self, shared_db):
-        sql = two_day_sql()
-        # Serial owner + slow loads: the first consumer is mid-pass
-        # (first chunk in flight) when the second arrives.
-        shared_db.database.chunk_loader.io_delay_ms = 150.0
-        db = shared_db
-        first_stats: list = []
-
-        def first():
-            first_stats.append(db.query(sql).stats)
-
-        thread = threading.Thread(target=first)
-        thread.start()
-        time.sleep(0.08)
-        late = db.query(sql)
-        thread.join(timeout=30)
-        assert not thread.is_alive()
-        db.database.chunk_loader.io_delay_ms = 0.0
-
-        assert late.table.to_dicts() == db.query(sql).table.to_dicts()
-        # The late arrival attached to the in-flight pass and was handed
-        # at least one chunk it did not materialize itself.
-        assert late.stats.shared_scan_attached == 1
-        assert late.stats.chunks_shared >= 1
-
-    def test_facade_counters_roll_up(self, shared_db):
-        sql = two_day_sql()
-        with ThreadPoolExecutor(max_workers=4) as executor:
-            list(executor.map(lambda _: shared_db.query(sql), range(4)))
-        facade = shared_db.counters_snapshot()["facade"]
-        assert facade["queries_executed"] == 4
-        assert facade["shared_scan_attached"] >= 0
-        snapshot = shared_db.counters_snapshot()["shared_scan"]
-        assert snapshot["consumers_total"] == 4
+        assert "shared_scan" not in snapshot
 
 
 class TestCancellation:
-    def test_cancel_one_consumer_leaves_wave_intact(self, shared_db):
-        """One consumer cancelled mid-pass: it unwinds with QueryCancelled
+    def test_cancel_one_consumer_leaves_wave_intact(self, db, serial_rows):
+        """One consumer cancelled mid-scan: it unwinds with QueryCancelled
         and returns its session to the pool; the other consumers of the
         same wave complete with correct results."""
         sql = two_day_sql()
-        expected = shared_db.query(sql).table.to_dicts()
-        shared_db.drop_caches()
-        shared_db.database.chunk_loader.io_delay_ms = 120.0
+        db.database.chunk_loader.io_delay_ms = 120.0
 
-        pool = shared_db.session_pool(size=4)
+        pool = db.session_pool(size=4)
         token = CancelToken()
         barrier = threading.Barrier(4)
         outcomes: list = []
@@ -208,84 +288,89 @@ class TestCancellation:
         with ThreadPoolExecutor(max_workers=4) as executor:
             victim_future = executor.submit(victim)
             survivor_futures = [executor.submit(survivor) for _ in range(3)]
-            time.sleep(0.06)  # let the wave get mid-pass
+            time.sleep(0.06)  # let the wave get mid-scan
             token.cancel()
             victim_future.result(timeout=30)
             results = [f.result(timeout=30) for f in survivor_futures]
-        shared_db.database.chunk_loader.io_delay_ms = 0.0
+        db.database.chunk_loader.io_delay_ms = 0.0
 
         assert outcomes == ["cancelled"]
-        assert all(rows == expected for rows in results)
+        assert all(rows == serial_rows(sql) for rows in results)
         # Every session — the cancelled one included — is back in the pool.
         assert pool.stats()["in_use"] == 0
         assert pool.stats()["idle"] == pool.stats()["created"]
-        # The scheduler holds no state between waves.
-        assert not shared_db.database.shared_scans._passes
-        # And the database is still fully usable.
-        assert shared_db.query(sql).table.to_dicts() == expected
+        # Nothing of the wave's scan outlives it.
+        assert not db.database._scans
+        assert db.query(sql).table.to_dicts() == serial_rows(sql)
 
-    def test_abandoned_delivery_is_reclaimed(self, shared_db):
-        """A waiter blocked on a cancelled owner's delivery re-claims it
-        instead of failing or hanging."""
+    @pytest.mark.parametrize("fault", ["cancel", "raise"])
+    def test_waiter_takes_over_when_owner_fails(
+        self, db, serial_rows, parking_token, fault
+    ):
+        """A waiter on an owner that is cancelled, or whose fetch raises,
+        runs the scan itself instead of failing or hanging."""
         sql = two_day_sql()
-        expected = shared_db.query(sql).table.to_dicts()
-        shared_db.drop_caches()
-        shared_db.database.chunk_loader.io_delay_ms = 150.0
-
         token = CancelToken()
-        db = shared_db
-        outcomes: list = []
 
-        def owner():
-            try:
-                db.query(sql, cancel=token)
-                outcomes.append("completed")
-            except QueryCancelled:
-                outcomes.append("cancelled")
+        def fail():
+            if fault == "raise":
+                raise OSError("repository unreachable")
+            token.cancel()
 
-        thread = threading.Thread(target=owner)
-        thread.start()
-        time.sleep(0.06)  # owner claims the chunks, first load in flight
-        late = None
-        late_error = None
+        gate, owner, owner_outcome = start_owner(db, sql, fail, cancel=token)
+        waiter, waiter_outcome = run_async(db.query, sql, cancel=parking_token)
+        parking_token.wait_until_parked()
+        gate.release()
+        owner.join(timeout=30)
+        waiter.join(timeout=30)
+        assert not owner.is_alive() and not waiter.is_alive()
 
-        def late_consumer():
-            nonlocal late, late_error
-            try:
-                late = db.query(sql).table.to_dicts()
-            except BaseException as exc:  # pragma: no cover - diagnostics
-                late_error = exc
-
-        late_thread = threading.Thread(target=late_consumer)
-        late_thread.start()
-        time.sleep(0.05)
-        token.cancel()
-        thread.join(timeout=30)
-        late_thread.join(timeout=30)
-        db.database.chunk_loader.io_delay_ms = 0.0
-
-        assert not thread.is_alive() and not late_thread.is_alive()
-        assert outcomes == ["cancelled"]
-        assert late_error is None
-        assert late == expected
+        (error,) = owner_outcome
+        assert isinstance(error, QueryCancelled if fault == "cancel" else OSError)
+        (result,) = waiter_outcome
+        assert result.table.to_dicts() == serial_rows(sql)
+        assert result.stats.chunks_shared == 0
+        assert fetched(result.stats) == planned(result)
+        assert not db.database._scans
+        # The shared I/O pool drained: a sentinel queued behind it runs.
+        db.database.io_executor(4).submit(lambda: None).result(timeout=10)
 
 
-class TestPlanSurface:
-    def test_describe_marks_shared_scans(self, shared_db):
-        from repro.engine import algebra
+class TestScanOnce:
+    def test_stress_owners_equal_runs_and_nothing_left(self, db):
+        """More threads than cores, a tiny switch interval: per key, the
+        scans that ran are exactly the callers that owned, every waiter
+        got an owner's table, and the in-flight map ends empty."""
+        database = db.database
+        threads, rounds = 8, 40
+        runs: list[object] = []
+        runs_lock = threading.Lock()
 
-        compiler = shared_db.compiler
-        plan, _ = compiler.plan_stage_two(
-            compiler.compile(shared_db.bind(two_day_sql()))
-        )
-        described = []
+        def scan():
+            table = Table.empty(database.qualified_schema("D"))
+            with runs_lock:
+                runs.append(table)
+            time.sleep(0.0005)  # let the other callers arrive
+            return table
 
-        def walk(node):
-            if isinstance(node, algebra.ParallelChunkScan):
-                described.append(node.describe())
-            for child in node.children():
-                walk(child)
+        def caller(round_no: int) -> tuple[object, bool]:
+            return database.scan_once(("stress", round_no), scan, lambda: None)
 
-        walk(plan)
-        assert described, "stage-two plan has no ParallelChunkScan"
-        assert all("shared" in text for text in described)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=threads) as executor:
+                outcomes = list(
+                    executor.map(
+                        caller,
+                        [r for r in range(rounds) for _ in range(threads)],
+                    )
+                )
+        finally:
+            sys.setswitchinterval(interval)
+        owners = [table for table, shared in outcomes if not shared]
+        assert len(owners) == len(runs)
+        produced = {id(table) for table in runs}
+        assert all(id(table) in produced for table, _ in outcomes)
+        assert any(shared for _, shared in outcomes)
+        assert not database._scans

@@ -7,6 +7,8 @@ database").
 """
 
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -112,24 +114,26 @@ SCAN_QUERIES = [
     "WHERE D.sample_value > 100",
 ]
 
+# (options, in_situ, wave): a wave issues each query from WAVE_CLIENTS
+# threads at once, so identical scans share one in-flight result.
 SCAN_CONFIGS = [
-    pytest.param(dict(io_threads=threads, **source), False,
+    pytest.param(dict(io_threads=threads, **source), False, wave,
                  id=f"{name}-io{threads}")
     for threads in (1, 4)
-    for name, source in (
-        ("private", {}),
-        ("shared", {"shared_scan": True}),
-        ("shared+prefetch+result_cache",
-         {"shared_scan": True, "prefetch": True, "result_cache": True}),
+    for name, source, wave in (
+        ("private", {}, False),
+        ("wave", {}, True),
+        ("prefetch+result_cache", {"prefetch": True, "result_cache": True},
+         False),
     )
 ] + [
-    # In-situ window decodes run on the same loop, pooled too; a shared
-    # delivery must be a whole chunk, so in-situ scans stay private.
-    pytest.param(dict(io_threads=1), True, id="in-situ-io1"),
-    pytest.param(dict(io_threads=4), True, id="in-situ-io4"),
-    pytest.param(dict(io_threads=4, shared_scan=True), True,
-                 id="in-situ+shared-io4"),
+    # In-situ window decodes run on the same loop, pooled too, and their
+    # finished rows are the same, so identical in-situ scans share too.
+    pytest.param(dict(io_threads=1), True, False, id="in-situ-io1"),
+    pytest.param(dict(io_threads=4), True, False, id="in-situ-io4"),
+    pytest.param(dict(io_threads=4), True, True, id="in-situ-wave-io4"),
 ]
+WAVE_CLIENTS = 3
 
 
 @pytest.fixture(scope="module")
@@ -143,9 +147,21 @@ def serial_reference(tiny_repo):
         db.close()
 
 
-@pytest.mark.parametrize("options, in_situ", SCAN_CONFIGS)
+def run_wave(db, sql: str) -> list:
+    """``sql`` from WAVE_CLIENTS threads released together."""
+    barrier = threading.Barrier(WAVE_CLIENTS)
+
+    def client(_):
+        barrier.wait()
+        return db.query(sql)
+
+    with ThreadPoolExecutor(max_workers=WAVE_CLIENTS) as executor:
+        return list(executor.map(client, range(WAVE_CLIENTS)))
+
+
+@pytest.mark.parametrize("options, in_situ, wave", SCAN_CONFIGS)
 def test_every_scan_source_matches_serial_and_conserves_chunks(
-    tiny_repo, serial_reference, options, in_situ
+    tiny_repo, serial_reference, options, in_situ, wave
 ):
     from repro.core.two_stage import TwoStageOptions
 
@@ -158,24 +174,27 @@ def test_every_scan_source_matches_serial_and_conserves_chunks(
         for round_no in range(2):
             warm_cached = round_no == 1 and options.get("result_cache", False)
             for sql, expected in zip(SCAN_QUERIES, serial_reference):
-                result = db.query(sql)
-                assert result.table.to_dicts() == expected
-                stats = result.stats
-                fetched = (
-                    stats.chunks_loaded
-                    + stats.chunks_rehydrated
-                    + stats.chunks_from_cache
-                )
-                if warm_cached:
-                    assert result.result_cache == "exact"
-                    assert fetched == stats.chunks_shared == 0
-                    continue
-                assert result.result_cache is None
-                planned = sum(len(p.chunks) for p in result.rewrite.chunk_plans)
-                assert planned > 0
-                assert fetched + stats.chunks_shared == planned
-                if in_situ:
-                    assert stats.chunks_shared == 0
-                    assert stats.shared_scan_attached == 0
+                results = run_wave(db, sql) if wave else [db.query(sql)]
+                for result in results:
+                    assert result.table.to_dicts() == expected
+                    stats = result.stats
+                    fetched = (
+                        stats.chunks_loaded
+                        + stats.chunks_rehydrated
+                        + stats.chunks_from_cache
+                    )
+                    if warm_cached:
+                        assert result.result_cache == "exact"
+                        assert fetched == stats.chunks_shared == 0
+                        continue
+                    assert result.result_cache is None
+                    planned = sum(
+                        len(p.chunks) for p in result.rewrite.chunk_plans
+                    )
+                    assert planned > 0
+                    assert fetched + stats.chunks_shared == planned
+                    if not wave:
+                        assert stats.chunks_shared == 0
+        assert not db.database._scans
     finally:
         db.close()

@@ -11,7 +11,6 @@ from repro.engine.chunk_planner import PlannerStats
 from repro.engine.chunk_store import ChunkStoreStats
 from repro.engine.physical import ExecStats
 from repro.engine.recycler import RecyclerStats
-from repro.engine.shared_scan import SharedScanStats
 from repro.engine.storage import PoolStats
 from repro.serving.server import ServerStats
 from repro.util.counters import Counters
@@ -26,7 +25,6 @@ COUNTER_CLASSES = (
     PrefetchStats,
     ResultCacheStats,
     ServerStats,
-    SharedScanStats,
 )
 
 

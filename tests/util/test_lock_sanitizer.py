@@ -354,13 +354,15 @@ def test_every_guarded_engine_lock_is_hot(monkeypatch, clean_graph):
     # Hot-ness is read from the constructing frame's ``self``; a lock built
     # in a helper would silently lose it, so check every owner as built.
     monkeypatch.setenv(ENV_FLAG, "1")
-    db = SommelierDB.create(options=TwoStageOptions(prefetch=True))
+    db = SommelierDB.create(
+        options=TwoStageOptions(prefetch=True, result_cache=True)
+    )
     try:
         owners = [
             db,
             db.database,
             db.database.recycler,
-            db.database.shared_scans,
+            db.result_cache,
             db.prefetcher,
             db.session_pool(1),
         ]
