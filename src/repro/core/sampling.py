@@ -34,10 +34,9 @@ from ..engine import algebra
 from ..engine.database import Database
 from ..engine.errors import PlanError
 from ..engine.physical import ExecutionContext, execute_plan
-from ..engine.sql import bind_sql
 from .runtime_rewrite import RewriteReport, rewrite_actual_scans
 from .schema import SommelierConfig
-from .two_stage import TwoStageCompiler
+from .two_stage import CompiledQuery, TwoStageCompiler
 
 __all__ = ["AggregateEstimate", "ApproximateResult", "ChunkSampler"]
 
@@ -106,15 +105,17 @@ class ChunkSampler:
 
     # -- public API ------------------------------------------------------------
 
-    def approximate_query(self, sql: str) -> ApproximateResult:
-        """Estimate a scalar aggregate query from a sample of its chunks."""
-        plan = bind_sql(sql, self.database)
+    def approximate_query(
+        self, plan: algebra.LogicalPlan, compiled: CompiledQuery
+    ) -> ApproximateResult:
+        """Estimate a scalar aggregate query from a sample of its chunks.
+
+        ``plan`` is the bound query and ``compiled`` its two-stage split.
+        """
         aggregate, projection = _find_scalar_aggregate(plan)
         ctx = ExecutionContext(self.database)
         # Stage one runs exactly (metadata is cheap).
-        _, report = self.compiler.plan_stage_two(
-            self.compiler.compile(plan), ctx
-        )
+        _, report = self.compiler.plan_stage_two(compiled, ctx)
         uris = report.required_uris
 
         sample = self._choose(uris)

@@ -36,20 +36,27 @@ from dataclasses import asdict, dataclass
 
 from ..engine import algebra
 from ..engine.database import Database
-from ..engine.errors import ExecutionError
+from ..engine.errors import CatalogError, ExecutionError
 from ..engine.physical import ExecStats
 from ..engine.sql import bind_sql
 from ..mseed.repository import FileRepository
 from .partial_views import DerivationReport, PartialViewManager
+from .plan_cache import PlanCache
 from .query_types import QueryType, classify_plan
 from .registrar import Registrar, RegistrarReport, XseedChunkLoader
+from .result_cache import NormalizedPlan, ResultCache, normalize_plan
 from .schema import SommelierConfig, create_seismology_schema
-from .two_stage import QueryResult, TwoStageCompiler, TwoStageOptions
+from .two_stage import (
+    CompiledQuery,
+    QueryResult,
+    TwoStageCompiler,
+    TwoStageOptions,
+)
 from ..util.counters import Counters
 from ..util.durable import fsync_dir, fsync_file
 from ..util.lock_sanitizer import make_lock
 
-__all__ = ["SommelierDB"]
+__all__ = ["CompiledSQL", "SommelierDB"]
 
 # Durable catalog pointers: which chunks exist (loader URI→file-id map) and
 # where the given metadata lives, written atomically under the workdir.
@@ -95,6 +102,26 @@ class SommelierStats(Counters):
         return delta
 
 
+@dataclass(frozen=True)
+class CompiledSQL:
+    """Everything built for one SQL text short of executing it.
+
+    The plan cache's entry (:mod:`repro.core.plan_cache`): current while
+    the catalog still reports ``versions`` for ``base_tables``.
+    ``compiled`` is a :class:`CompiledQuery` on lazy databases and the
+    ``(ordered plan, join order)`` of
+    :meth:`~repro.core.two_stage.TwoStageCompiler.compile_single_stage` on
+    eager ones; ``normalized`` is the result cache's fingerprint, built
+    only when that cache is on.
+    """
+
+    plan: algebra.LogicalPlan
+    base_tables: frozenset[str]
+    versions: tuple[tuple[str, int], ...]
+    compiled: CompiledQuery | tuple[algebra.LogicalPlan, list[str]]
+    normalized: NormalizedPlan | None = None
+
+
 class SommelierDB:
     """One prepared database instance (lazy or eager).
 
@@ -137,12 +164,15 @@ class SommelierDB:
         # without touching either execution stage.
         self.result_cache = None
         if self.options.result_cache:
-            from .result_cache import ResultCache
-
             self.result_cache = ResultCache(
                 self.options.result_cache_bytes,
                 versions=database.catalog.versions,
             )
+        # Compiled-plan cache (always on): a repeated SQL text skips bind
+        # and compile while the catalog versions it was compiled at hold.
+        self.plan_cache: PlanCache[CompiledSQL] = PlanCache(
+            self._current_versions
+        )
         self.stats = SommelierStats()
         self._stats_lock = make_lock("SommelierDB._stats_lock")
         self._derivation_lock = make_lock("SommelierDB._derivation_lock")
@@ -299,10 +329,12 @@ class SommelierDB:
     # -- querying ------------------------------------------------------------------
 
     def bind(self, sql: str) -> algebra.LogicalPlan:
+        """Bind ``sql`` afresh (uncached; queries go through the plan cache)."""
         return bind_sql(sql, self.database)
 
     def query_type(self, sql: str) -> QueryType:
-        return classify_plan(self.bind(sql), self.database.catalog)
+        entry, _ = self._compile_sql(sql, derive=False)
+        return classify_plan(entry.plan, self.database.catalog)
 
     def query(self, sql: str, cancel=None) -> QueryResult:
         """Answer a SQL query; runs Algorithm 1 first when DMd is involved."""
@@ -323,19 +355,14 @@ class SommelierDB:
         """
         if cancel is not None:
             cancel.raise_if_cancelled()
-        plan, derivation = self._bind_and_derive(sql)
-        normalized = None
-        versions = ()
-        if self.result_cache is not None:
-            from .result_cache import normalize_plan
-
+        entry, derivation = self._compile_sql(sql)
+        if entry.normalized is not None:
             started = time.perf_counter()
-            normalized = normalize_plan(plan)
-            # Read after this query's own derivation and before executing:
-            # a write landing while the query runs leaves the result
-            # tagged with pre-write versions, so it is never served.
-            versions = self.database.catalog.versions(normalized.base_tables)
-            served = self.result_cache.serve(normalized, versions)
+            # The entry's versions were read after this query's own
+            # derivation and before executing: a write landing while the
+            # query runs leaves the result tagged with pre-write versions,
+            # so it is never served.
+            served = self.result_cache.serve(entry.normalized, entry.versions)
             if served is not None:
                 table, outcome = served
                 stats = ExecStats()
@@ -353,12 +380,16 @@ class SommelierDB:
                 result.seconds += derivation.seconds
                 return result, derivation
         if self.lazy:
-            result = self.compiler.execute_two_stage(plan, cancel=cancel)
+            result = self.compiler.execute_compiled(
+                entry.compiled, cancel=cancel
+            )
         else:
-            result = self.compiler.execute_single_stage(plan, cancel=cancel)
-        if normalized is not None:
+            result = self.compiler.execute_ordered(
+                *entry.compiled, cancel=cancel
+            )
+        if entry.normalized is not None:
             self.result_cache.admit(
-                normalized, result.table, result.seconds, versions
+                entry.normalized, result.table, result.seconds, entry.versions
             )
         if self.prefetcher is not None and result.rewrite.required_uris:
             # Credit the chunks an earlier prefetch warmed and this query
@@ -373,20 +404,57 @@ class SommelierDB:
         result.seconds += derivation.seconds
         return result, derivation
 
-    def _bind_and_derive(
-        self, sql: str
-    ) -> tuple[algebra.LogicalPlan, DerivationReport]:
-        """Bind ``sql`` and run Algorithm 1 for it (every entry point).
+    def _compile_sql(
+        self, sql: str, derive: bool = True
+    ) -> tuple[CompiledSQL, DerivationReport]:
+        """SQL text to compiled query — the one path every entry point takes.
 
-        Derivation inserts into H; it is serialized so concurrent queries
-        for overlapping windows cannot double-materialize (execution
-        afterwards is lock-free).
+        1. Reuse the cached bound plan while its versions hold, else bind.
+        2. With ``derive``, run Algorithm 1 (serialized: derivation inserts
+           into H, so concurrent queries for overlapping windows cannot
+           double-materialize; execution afterwards is lock-free).
+        3. Read the versions once more: while they equal the entry's, its
+           compiled form is what a fresh compile would build; otherwise
+           compile and cache a new entry tagged with that read.
         """
         if self._closed:
             raise ExecutionError("database is closed")
-        plan = self.bind(sql)
-        with self._derivation_lock:
-            return plan, self.views.ensure_for_query(plan)
+        cached = self.plan_cache.bound(sql)
+        if cached is not None:
+            plan, tables = cached.plan, cached.base_tables
+        else:
+            plan = self.bind(sql)
+            tables = frozenset(plan.base_tables())
+        derivation = DerivationReport()
+        if derive:
+            with self._derivation_lock:
+                derivation = self.views.ensure_for_query(plan)
+        versions = self.database.catalog.versions(tables)
+        entry = self.plan_cache.reuse(sql, cached, versions)
+        if entry is None:
+            if self.lazy:
+                compiled = self.compiler.compile(plan)
+            else:
+                compiled = self.compiler.compile_single_stage(plan)
+            normalized = None
+            if self.result_cache is not None:
+                normalized = (
+                    cached.normalized
+                    if cached is not None
+                    else normalize_plan(plan)
+                )
+            entry = CompiledSQL(plan, tables, versions, compiled, normalized)
+            self.plan_cache.store(sql, entry)
+        return entry, derivation
+
+    def _current_versions(
+        self, tables: frozenset[str]
+    ) -> tuple[tuple[str, int], ...] | None:
+        """The catalog versions of ``tables``; None once one is dropped."""
+        try:
+            return self.database.catalog.versions(tables)
+        except CatalogError:
+            return None
 
     def session(self) -> "SommelierSession":
         """A per-client handle with its own stats over this shared database."""
@@ -419,28 +487,32 @@ class SommelierDB:
         """
         from .sampling import ChunkSampler
 
-        self._bind_and_derive(sql)
+        entry, _ = self._compile_sql(sql)
+        compiled = entry.compiled
+        if not self.lazy:
+            # Sampling reads chunks through the two-stage split.
+            compiled = self.compiler.compile(entry.plan)
         sampler = ChunkSampler(
             self.database, self.config, self.compiler,
             fraction=fraction, seed=seed,
         )
-        return sampler.approximate_query(sql)
+        return sampler.approximate_query(entry.plan, compiled)
 
     # -- inspection -----------------------------------------------------------------
 
     def explain(self, sql: str) -> str:
         """Compile-time view of a query: type, join order, MAL listing."""
-        plan = self.bind(sql)
-        query_type = classify_plan(plan, self.database.catalog)
+        entry, _ = self._compile_sql(sql, derive=False)
+        query_type = classify_plan(entry.plan, self.database.catalog)
         if self.lazy:
-            compiled = self.compiler.compile(plan)
+            compiled = entry.compiled
             return (
                 f"query type: {query_type.value}\n"
                 f"join order: {' -> '.join(compiled.join_order)}\n"
                 f"two-stage: {compiled.two_stage}\n"
                 f"MAL program:\n{compiled.listing()}"
             )
-        ordered, join_order = self.compiler.compile_single_stage(plan)
+        ordered, join_order = entry.compiled
         return (
             f"query type: {query_type.value}\n"
             f"join order: {' -> '.join(join_order)}\n"
@@ -457,7 +529,7 @@ class SommelierDB:
         """
         if not self.lazy:
             return "eager database: no stage-two chunk plan (data is in D)"
-        compiled = self.compiler.compile(self.bind(sql))
+        compiled = self._compile_sql(sql, derive=False)[0].compiled
         _, report = self.compiler.plan_stage_two(compiled)
         lines = [
             f"stage one named {len(report.required_uris)} candidate "
@@ -476,11 +548,12 @@ class SommelierDB:
         cache --json`` prints exactly this, and the serving front end's
         ``/stats`` endpoint embeds it — so the two can never drift.  Keys
         are the recycler tiers (``memory``/``disk``) plus
-        :meth:`planner_stats` sections and the facade's cumulative query
-        counters.
+        :meth:`planner_stats` sections, the compiled-plan cache
+        (``plan_cache``) and the facade's cumulative query counters.
         """
         snapshot = dict(self.database.recycler.tier_stats())
         snapshot.update(self.planner_stats())
+        snapshot["plan_cache"] = self.plan_cache.stats_snapshot()
         with self._stats_lock:
             snapshot["facade"] = asdict(self.stats)
         return snapshot

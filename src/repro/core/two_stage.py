@@ -396,7 +396,17 @@ class TwoStageCompiler:
         cancel: CancelToken | None = None,
     ) -> QueryResult:
         """Run a query conventionally (eager databases)."""
-        ordered, join_order = self.compile_single_stage(plan)
+        return self.execute_ordered(
+            *self.compile_single_stage(plan), cancel=cancel
+        )
+
+    def execute_ordered(
+        self,
+        ordered: algebra.LogicalPlan,
+        join_order: list[str],
+        cancel: CancelToken | None = None,
+    ) -> QueryResult:
+        """Run a :meth:`compile_single_stage` output (any number of times)."""
         ctx = ExecutionContext(self.database, cancel=cancel)
         started = time.perf_counter()
         result = execute_plan(ordered, ctx)
@@ -405,7 +415,7 @@ class TwoStageCompiler:
             table=drop_hidden_columns(result),
             seconds=elapsed,
             stats=ctx.stats,
-            join_order=join_order,
+            join_order=list(join_order),
             two_stage=False,
         )
 

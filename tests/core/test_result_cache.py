@@ -407,14 +407,14 @@ class TestVersions:
         self, cached_db, day_range, monkeypatch
     ):
         sql = AGG_SQL.format(*day_range)
-        execute = cached_db.compiler.execute_two_stage
+        execute = cached_db.compiler.execute_compiled
 
-        def overtaken(plan, cancel=None):
-            result = execute(plan, cancel=cancel)
+        def overtaken(compiled, cancel=None):
+            result = execute(compiled, cancel=cancel)
             append_one_segment(cached_db)
             return result
 
-        monkeypatch.setattr(cached_db.compiler, "execute_two_stage", overtaken)
+        monkeypatch.setattr(cached_db.compiler, "execute_compiled", overtaken)
         cached_db.query(sql)
         monkeypatch.undo()
         repeat = cached_db.query(sql)

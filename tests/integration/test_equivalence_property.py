@@ -3,7 +3,8 @@
 For randomly generated (station, time range, aggregate) queries, the lazy
 database must return exactly what the eager database returns — the paper's
 implicit correctness contract ("the illusion of a fully populated
-database").
+database").  Every query also runs a second time, answered from the
+compiled-plan cache, and must return the same rows bit for bit.
 """
 
 import math
@@ -21,6 +22,21 @@ STATIONS = [("ISK", "BHE"), ("FIAM", "HHZ"), ("ARCI", "BHZ"), ("LATE", "BHN")]
 AGGREGATES = ["COUNT(D.sample_value)", "SUM(D.sample_value)",
               "MIN(D.sample_value)", "MAX(D.sample_value)",
               "AVG(D.sample_value)"]
+
+
+def plan_cache_hits(db) -> int:
+    return db.plan_cache.stats_snapshot()["hits"]
+
+
+def query_twice(db, sql: str) -> list:
+    """``sql``'s rows; the repeat is a plan-cache hit with the same rows."""
+    hits = plan_cache_hits(db)
+    rows = db.query(sql).table.to_dicts()
+    repeat = db.query(sql).table.to_dicts()
+    assert plan_cache_hits(db) > hits
+    # repr: NaN aggregates compare equal only by their rendering.
+    assert repr(repeat) == repr(rows)
+    return rows
 
 
 @pytest.fixture(scope="module")
@@ -58,8 +74,8 @@ def test_lazy_equals_eager_on_random_t4(
           AND D.sample_time >= '{format_timestamp(start)}'
           AND D.sample_time < '{format_timestamp(end)}'
     """
-    lazy_value = lazy.query(sql).table.to_dicts()[0]["agg"]
-    eager_value = eager.query(sql).table.to_dicts()[0]["agg"]
+    lazy_value = query_twice(lazy, sql)[0]["agg"]
+    eager_value = query_twice(eager, sql)[0]["agg"]
     if isinstance(lazy_value, float) and math.isnan(lazy_value):
         assert isinstance(eager_value, float) and math.isnan(eager_value)
     else:
@@ -91,8 +107,8 @@ def test_lazy_equals_eager_on_random_t2(db_pair, start_hour, duration_hours):
           AND H.window_start_ts < '{format_timestamp(end)}'
         ORDER BY window_start_ts
     """
-    lazy_rows = lazy.query(sql).table.to_dicts()
-    eager_rows = eager.query(sql).table.to_dicts()
+    lazy_rows = query_twice(lazy, sql)
+    eager_rows = query_twice(eager, sql)
     assert len(lazy_rows) == len(eager_rows)
     for a, b in zip(lazy_rows, eager_rows):
         assert a["window_start_ts"] == b["window_start_ts"]
@@ -170,11 +186,16 @@ def test_every_scan_source_matches_serial_and_conserves_chunks(
         db.database.chunk_access_strategy = "in_situ"
     try:
         # Two passes: cold (loads) then warm (hits), same conservation law;
-        # with the result cache on, the warm pass is answered from it.
+        # with the result cache on, the warm pass is answered from it.  The
+        # warm pass repeats every text, so each of its queries is a
+        # plan-cache hit.
         for round_no in range(2):
             warm_cached = round_no == 1 and options.get("result_cache", False)
+            hits = plan_cache_hits(db)
+            issued = 0
             for sql, expected in zip(SCAN_QUERIES, serial_reference):
                 results = run_wave(db, sql) if wave else [db.query(sql)]
+                issued += len(results)
                 for result in results:
                     assert result.table.to_dicts() == expected
                     stats = result.stats
@@ -195,6 +216,8 @@ def test_every_scan_source_matches_serial_and_conserves_chunks(
                     assert fetched + stats.chunks_shared == planned
                     if not wave:
                         assert stats.chunks_shared == 0
+            if round_no == 1:
+                assert plan_cache_hits(db) - hits == issued
         assert not db.database._scans
     finally:
         db.close()

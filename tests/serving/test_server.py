@@ -161,6 +161,9 @@ GOLDEN_COUNTER_KEYS = {
     },
     "chunk_stats": {"chunks_tracked", "chunks_enriched"},
     "decode_kernel": {"active", "available", "numba"},
+    "plan_cache": {
+        "lookups", "hits", "misses", "invalidations", "evictions", "entries",
+    },
     "facade": {
         "queries_executed", "derivations", "windows_materialized",
         "chunks_loaded_total", "result_cache_hits", "result_cache_subsumed",

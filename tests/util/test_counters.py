@@ -4,6 +4,7 @@ from dataclasses import asdict, fields
 
 import pytest
 
+from repro.core.plan_cache import PlanCacheStats
 from repro.core.prefetch import PrefetchStats
 from repro.core.result_cache import ResultCacheStats
 from repro.core.sommelier import SommelierStats
@@ -24,6 +25,7 @@ COUNTER_CLASSES = (
     PlannerStats,
     PrefetchStats,
     ResultCacheStats,
+    PlanCacheStats,
     ServerStats,
 )
 

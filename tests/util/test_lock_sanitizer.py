@@ -363,6 +363,7 @@ def test_every_guarded_engine_lock_is_hot(monkeypatch, clean_graph):
             db.database,
             db.database.recycler,
             db.result_cache,
+            db.plan_cache,
             db.prefetcher,
             db.session_pool(1),
         ]
