@@ -1,4 +1,4 @@
-"""Ablation benchmarks: rule set, recycler policy, chunk-access strategy.
+"""Ablation benchmarks: rule set and recycler policy.
 
 See DESIGN.md section 5; these are the design-choice experiments beyond
 the paper's own figures.
@@ -6,11 +6,7 @@ the paper's own figures.
 
 from conftest import run_once
 
-from repro.bench import (
-    run_ablation_chunk_access,
-    run_ablation_recycler,
-    run_ablation_rules,
-)
+from repro.bench import run_ablation_recycler, run_ablation_rules
 
 
 def test_ablation_rule_set(benchmark, ctx):
@@ -28,13 +24,3 @@ def test_ablation_recycler_policy(benchmark, ctx):
     table = run_once(benchmark, lambda: run_ablation_recycler(ctx))
     table.emit("ablation_recycler.txt")
     assert len(table.rows) == 2
-
-
-def test_ablation_chunk_access(benchmark, ctx):
-    table = run_once(benchmark, lambda: run_ablation_chunk_access(ctx))
-    table.emit("ablation_chunk_access.txt")
-    # In-situ selective decode touches fewer segments than a full load.
-    full_rows = [r for r in table.rows if r[0] == "full load"]
-    insitu_rows = [r for r in table.rows if r[0] == "in-situ range"]
-    assert insitu_rows[0][2] <= full_rows[0][2]
-    assert insitu_rows[0][3] < full_rows[0][3]

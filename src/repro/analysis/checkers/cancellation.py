@@ -39,7 +39,6 @@ FETCH_CALLS = {
     "get_or_load",
     "fetch_chunk",
     "load_chunk",
-    "load_chunk_range",
     "_fetch_one",
     "fetch",
     "result",

@@ -7,11 +7,7 @@ take an :class:`ExperimentContext` built from a :class:`BenchProfile`
 (selected via ``REPRO_BENCH_PROFILE``: quick / small / paper).
 """
 
-from .ablations import (
-    run_ablation_chunk_access,
-    run_ablation_recycler,
-    run_ablation_rules,
-)
+from .ablations import run_ablation_recycler, run_ablation_rules
 from .experiments import ExperimentContext, run_fig6, run_fig7, run_table2, run_table3
 from .profiles import BenchProfile, PROFILES, active_profile
 from .reporting import ReportTable, format_bytes, format_seconds, results_dir
@@ -29,7 +25,6 @@ __all__ = [
     "format_seconds",
     "measure_cold_hot",
     "results_dir",
-    "run_ablation_chunk_access",
     "run_ablation_recycler",
     "run_ablation_rules",
     "run_fig6",

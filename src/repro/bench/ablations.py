@@ -8,8 +8,6 @@ These go beyond the paper's own figures:
   count the chunks a T4/T5 query loads.
 * **recycler policy ablation** — Section VIII's "smarter caching": LRU vs
   the cost-aware policy under a tight cache budget.
-* **chunk-access strategy ablation** — Section VII: a NoDB-style in-situ
-  selective accessor vs the full-load accessor for a single chunk.
 """
 
 from __future__ import annotations
@@ -18,17 +16,12 @@ import time
 
 from ..core.coloring import RuleSet
 from ..core.two_stage import TwoStageOptions
-from ..mseed import reader
 from ..workloads.generator import WorkloadSpec, generate_workload
 from ..workloads.queries import QUERY_BUILDERS
 from .experiments import ExperimentContext
 from .reporting import ReportTable, format_seconds
 
-__all__ = [
-    "run_ablation_rules",
-    "run_ablation_recycler",
-    "run_ablation_chunk_access",
-]
+__all__ = ["run_ablation_rules", "run_ablation_recycler"]
 
 
 def run_ablation_rules(ctx: ExperimentContext) -> ReportTable:
@@ -121,42 +114,4 @@ def run_ablation_recycler(ctx: ExperimentContext) -> ReportTable:
             format_seconds(elapsed),
         )
         db.close()
-    return table
-
-
-def run_ablation_chunk_access(ctx: ExperimentContext) -> ReportTable:
-    """Full-load vs in-situ selective decode of single chunks (Section VII)."""
-    table = ReportTable(
-        f"Ablation — chunk access strategy (profile={ctx.profile.name})",
-        ["strategy", "window", "segments decoded", "rows", "seconds"],
-    )
-    repository, _ = ctx.repository(ctx.profile.scale_factors[0])
-    chunk = repository.list_chunks()[0]
-    meta = reader.read_metadata(chunk.uri)
-    span_start = meta.segments[0].start_time_ms
-    span_end = max(s.end_time_ms for s in meta.segments)
-    quarter = span_start + (span_end - span_start) // 4
-
-    def measure(label, window, fn):
-        started = time.perf_counter()
-        segments = fn()
-        elapsed = time.perf_counter() - started
-        rows = sum(len(s.values) for s in segments)
-        table.add_row(label, window, len(segments), rows,
-                      format_seconds(elapsed))
-
-    for _ in range(3):  # repeat so timing is not a single cold I/O artifact
-        measure("full load", "whole chunk",
-                lambda: reader.read_samples(chunk.uri))
-        measure(
-            "in-situ range",
-            "first quarter",
-            lambda: reader.read_samples_in_range(
-                chunk.uri, span_start, quarter
-            ),
-        )
-    table.add_note(
-        "the in-situ accessor decodes only overlapping segments — the "
-        "sub-chunk granularity the paper calls orthogonal and complementary"
-    )
     return table

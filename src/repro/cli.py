@@ -30,7 +30,6 @@ from .analysis.findings import SEVERITIES
 from .bench import (
     ExperimentContext,
     PROFILES,
-    run_ablation_chunk_access,
     run_ablation_recycler,
     run_ablation_rules,
     run_fig6,
@@ -56,8 +55,18 @@ EXPERIMENTS = {
     "fig9": run_fig9,
     "ablation-rules": run_ablation_rules,
     "ablation-recycler": run_ablation_recycler,
-    "ablation-chunk-access": run_ablation_chunk_access,
 }
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     # (read back by _two_stage_options).
     execution = argparse.ArgumentParser(add_help=False)
     execution.add_argument(
-        "--io-threads", type=int, default=None,
+        "--io-threads", type=_positive_int, default=None,
         help="decode threads for the parallel stage-two pipeline",
     )
     execution.add_argument(

@@ -104,7 +104,7 @@ def _load_actual_from_mseed(db: SommelierDB, report: LoadReport) -> None:
     loader = db.database.chunk_loader
     assert isinstance(loader, XseedChunkLoader)
     builder = TableBuilder(db.database.catalog.table("D").schema)
-    for uri in sorted(loader._file_ids):
+    for uri in sorted(loader.file_ids):
         chunk = loader.load(uri, "D")
         builder.append_columns([c.values for c in chunk.columns])
         report.num_samples += chunk.num_rows
@@ -123,7 +123,7 @@ def _load_actual_from_csv(db: SommelierDB, report: LoadReport) -> None:
 
     to_csv_started = time.perf_counter()
     csv_paths: list[str] = []
-    for uri in sorted(loader._file_ids):
+    for uri in sorted(loader.file_ids):
         file_id = loader.file_id_of(uri)
         csv_path = os.path.join(csv_dir, f"{file_id}.csv")
         report.csv_bytes += csvio.volume_to_csv(uri, csv_path, file_id)

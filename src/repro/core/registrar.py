@@ -15,6 +15,8 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -68,6 +70,11 @@ class XseedChunkLoader:
         self._file_ids: dict[str, int] = {}
         self.io_delay_ms = io_delay_ms
 
+    @property
+    def file_ids(self) -> Mapping[str, int]:
+        """Every registered chunk URI and its file id (read-only view)."""
+        return MappingProxyType(self._file_ids)
+
     def assign(self, uri: str, file_id: int) -> None:
         self._file_ids[uri] = file_id
 
@@ -82,30 +89,13 @@ class XseedChunkLoader:
             raise ExecutionError(
                 f"xseed chunks provide rows for table 'D', not {table_name!r}"
             )
-        self.file_id_of(uri)  # unknown URIs fail before any file access
-        self._simulate_fetch_latency()
-        return self._build_rows(uri, reader.read_samples(uri))
-
-    def load_range(
-        self, uri: str, table_name: str, start_ms: int | None,
-        end_ms: int | None,
-    ) -> Table:
-        """In-situ selective access: decode only overlapping segments."""
-        if table_name != "D":
-            raise ExecutionError(
-                f"xseed chunks provide rows for table 'D', not {table_name!r}"
-            )
-        self.file_id_of(uri)
-        self._simulate_fetch_latency()
-        segments = reader.read_samples_in_range(uri, start_ms, end_ms)
-        return self._build_rows(uri, segments)
-
-    def _simulate_fetch_latency(self) -> None:
+        file_id = self.file_id_of(uri)  # unknown URIs fail before any I/O
         if self.io_delay_ms > 0:
             time.sleep(self.io_delay_ms / 1000.0)
+        return self._build_rows(file_id, reader.read_samples(uri))
 
-    def _build_rows(self, uri: str, segments) -> Table:
-        file_id = self.file_id_of(uri)
+    @staticmethod
+    def _build_rows(file_id: int, segments) -> Table:
         total = sum(len(s.values) for s in segments)
         file_ids = np.full(total, file_id, dtype=np.int64)
         segment_nos = np.empty(total, dtype=np.int64)
@@ -209,9 +199,7 @@ class Registrar:
         if not segments:
             return
         ad_table = "D"
-        time_column = self.database.in_situ_time_columns.get(
-            ad_table, f"{ad_table}.sample_time"
-        )
+        time_column = f"{ad_table}.sample_time"
         zones = ZoneMap(time_column)
         for segment in segments:
             zones.add_zone(

@@ -69,7 +69,12 @@ from ..engine.table import Table
 from ..util.counters import Counters
 from ..util.lock_sanitizer import make_lock
 
-__all__ = ["ResultCacheStats", "ResultCache", "normalize_plan"]
+__all__ = [
+    "RESULT_CACHE_BYTES",
+    "ResultCacheStats",
+    "ResultCache",
+    "normalize_plan",
+]
 
 # Operators whose conjuncts are lifted out of the template into bounds.
 _RANGE_OPS = ("<", "<=", ">", ">=")
@@ -389,6 +394,10 @@ class _CacheEntry:
         return (self.compute_seconds * self.access_count) / max(self.nbytes, 1)
 
 
+# The result recycler's budget: delivered results it may hold, in bytes.
+RESULT_CACHE_BYTES = 256 * 1024 * 1024
+
+
 class ResultCache:
     """A budgeted, thread-safe cache of delivered query results.
 
@@ -407,7 +416,7 @@ class ResultCache:
 
     def __init__(
         self,
-        budget_bytes: int = 256 * 1024 * 1024,
+        budget_bytes: int = RESULT_CACHE_BYTES,
         versions: Callable[[Iterable[str]], tuple] | None = None,
     ) -> None:
         if budget_bytes <= 0:

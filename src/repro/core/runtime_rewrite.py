@@ -24,9 +24,8 @@ predicate; the chunk itself is cached unfiltered so later queries with
 different predicates still benefit.
 
 The paper's per-chunk union — cache-scan for chunks in ``C``, chunk-access
-otherwise — is that one scan node under every chunk access strategy: the
-*in-situ* strategy's sub-chunk selective decode is a fetch source inside
-the scan, not a separate operator.
+otherwise — is that one scan node: the recycler decides per chunk which
+of the two a fetch is.
 
 The rewrite builds a new plan and leaves its input untouched;
 :meth:`~repro.core.two_stage.TwoStageCompiler.plan_stage_two` calls it
@@ -70,7 +69,6 @@ def rewrite_actual_scans(
     config: SommelierConfig,
     uris: list[str],
     report: RewriteReport,
-    push_selections: bool = True,
     io_threads: int = 1,
     prune_chunks: bool = True,
 ) -> algebra.LogicalPlan:
@@ -80,18 +78,15 @@ def rewrite_actual_scans(
     candidate URIs are pruned against per-chunk statistics (when
     ``prune_chunks`` and a predicate allow it), classified by serving tier
     and cost-ordered.  The surviving chunks become one
-    :class:`~repro.engine.algebra.ParallelChunkScan` driven by that plan
-    under every chunk access strategy; identical scans running at the
-    same time share one result at execution, in situ included, since
-    their finished rows are the same.
+    :class:`~repro.engine.algebra.ParallelChunkScan` driven by that plan;
+    identical scans running at the same time share one result at
+    execution, since their finished rows are the same.
     """
     actual = set(config.actual_tables)
 
-    def make_chunk_set(
-        scan: algebra.Scan, predicate, planning_predicate
-    ) -> algebra.LogicalPlan:
+    def make_chunk_set(scan: algebra.Scan, predicate) -> algebra.LogicalPlan:
         chunk_plan = database.chunk_planner.plan(
-            uris, scan.table_name, planning_predicate, prune=prune_chunks
+            uris, scan.table_name, predicate, prune=prune_chunks
         )
         report.chunk_plans.append(chunk_plan)
         report.pruned_uris.extend(p.uri for p in chunk_plan.pruned)
@@ -112,19 +107,12 @@ def rewrite_actual_scans(
             report.rewrote_scans += 1
             if not uris:
                 return node  # base table is empty in lazy mode: 0 rows
-            predicate = node.predicate if push_selections else None
-            # The planner always sees the full selection: pruning is safe
-            # whenever the predicate is applied to the surviving rows,
-            # whether pushed into the chunk set or kept above it.
-            chunk_set = make_chunk_set(node.child, predicate, node.predicate)
-            if not push_selections:
-                return algebra.Select(chunk_set, node.predicate)
-            return chunk_set
+            return make_chunk_set(node.child, node.predicate)
         if isinstance(node, algebra.Scan) and node.table_name in actual:
             report.rewrote_scans += 1
             if not uris:
                 return node
-            return make_chunk_set(node, None, None)
+            return make_chunk_set(node, None)
         return _rebuild(node, transform)
 
     return transform(plan)

@@ -279,6 +279,4 @@ def create_seismology_schema(database: Database) -> SommelierConfig:
         windowdataview,
         "F ⋈ S ⋈ D ⋈ H: the de-normalized universal table of Query 2",
     )
-    # Enable in-situ accessors to recognize the actual-data time attribute.
-    database.in_situ_time_columns["D"] = "D.sample_time"
     return SommelierConfig()

@@ -164,10 +164,7 @@ class SommelierDB:
         # without touching either execution stage.
         self.result_cache = None
         if self.options.result_cache:
-            self.result_cache = ResultCache(
-                self.options.result_cache_bytes,
-                versions=database.catalog.versions,
-            )
+            self.result_cache = ResultCache(versions=database.catalog.versions)
         # Compiled-plan cache (always on): a repeated SQL text skips bind
         # and compile while the catalog versions it was compiled at hold.
         self.plan_cache: PlanCache[CompiledSQL] = PlanCache(
@@ -188,7 +185,6 @@ class SommelierDB:
         lazy: bool = True,
         buffer_pool_bytes: int = 256 * 1024 * 1024,
         recycler_bytes: int = 1 << 30,
-        recycler_policy: str = "lru",
         options: TwoStageOptions | None = None,
     ) -> "SommelierDB":
         """A fresh database with the seismology warehouse schema installed."""
@@ -196,7 +192,6 @@ class SommelierDB:
             workdir=workdir,
             buffer_pool_bytes=buffer_pool_bytes,
             recycler_bytes=recycler_bytes,
-            recycler_policy=recycler_policy,
         )
         config = create_seismology_schema(database)
         return cls(database, config, lazy=lazy, options=options)
@@ -208,7 +203,6 @@ class SommelierDB:
         lazy: bool = True,
         buffer_pool_bytes: int = 256 * 1024 * 1024,
         recycler_bytes: int = 1 << 30,
-        recycler_policy: str = "lru",
         options: TwoStageOptions | None = None,
     ) -> "SommelierDB":
         """Reopen a database over a persistent workdir — and come back warm.
@@ -232,7 +226,6 @@ class SommelierDB:
             lazy=lazy,
             buffer_pool_bytes=buffer_pool_bytes,
             recycler_bytes=recycler_bytes,
-            recycler_policy=recycler_policy,
             options=options,
         )
         db._restore_catalog_pointers()
@@ -257,7 +250,7 @@ class SommelierDB:
         if isinstance(loader, XseedChunkLoader):
             pointers["loader"] = {
                 "io_delay_ms": loader.io_delay_ms,
-                "file_ids": dict(loader._file_ids),
+                "file_ids": dict(loader.file_ids),
             }
         # Per-chunk statistics ride in the same durable pointers file, so a
         # reopened database prunes as well as the one that closed.

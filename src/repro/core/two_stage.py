@@ -74,8 +74,8 @@ class TwoStageOptions:
     (:mod:`repro.core.result_cache`): finished query results are cached by
     normalized plan fingerprint, exact repeats skip both stages, and a
     cached result whose bounds cover a new query answers it by
-    re-filtering; ``result_cache_bytes`` is its budget.  Off by default —
-    the experiments that measure stage costs must re-execute.
+    re-filtering.  Off by default — the experiments that measure stage
+    costs must re-execute.
 
     The fields are independent: every combination is legal and returns
     rows bit-identical to cold serial execution.
@@ -83,12 +83,14 @@ class TwoStageOptions:
 
     rules: RuleSet = field(default_factory=RuleSet)
     io_threads: int = 4
-    push_selections_into_chunks: bool = True
     infer_time_bounds: bool = True
     prune_chunks: bool = True
     prefetch: bool = False
     result_cache: bool = False
-    result_cache_bytes: int = 256 * 1024 * 1024
+
+    def __post_init__(self) -> None:
+        if self.io_threads < 1:
+            raise ValueError(f"io_threads must be >= 1, got {self.io_threads}")
 
 
 @dataclass
@@ -327,7 +329,7 @@ class TwoStageCompiler:
             # No metadata branch exposed the URI column — the paper's
             # only-AD case where "there is no alternative to paying the
             # price for loading all AD anyway".
-            known = getattr(self.database.chunk_loader, "_file_ids", None)
+            known = getattr(self.database.chunk_loader, "file_ids", None)
             if known is None:
                 raise ExecutionError(
                     "stage one lacks the chunk URI column and the chunk "
@@ -342,7 +344,6 @@ class TwoStageCompiler:
             self.config,
             uris,
             report,
-            push_selections=self.options.push_selections_into_chunks,
             io_threads=self.options.io_threads,
             prune_chunks=self.options.prune_chunks,
         )

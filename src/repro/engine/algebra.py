@@ -367,11 +367,10 @@ class ParallelChunkScan(LogicalPlan):
     are served from the Recycler; loads of the same URI issued by
     concurrent queries are coalesced (single-flight), and so are whole
     scans: identical nodes executing at the same time produce one result
-    (:meth:`~repro.engine.database.Database.scan_once`).  The chunk access
-    strategy picks how an uncached chunk is read (whole, or in situ: only
-    the time window ``pushed_predicate`` needs — the NoDB-style accessor of
-    Section VII); ``pushed_predicate`` is a selection pushed into the
-    access per the second rewrite rule of Section III.
+    (:meth:`~repro.engine.database.Database.scan_once`).  An uncached
+    chunk is always read whole, so the recycler can keep it;
+    ``pushed_predicate`` is a selection pushed into the access per the
+    second rewrite rule of Section III.
     """
 
     def __init__(

@@ -172,7 +172,7 @@ class ChunkPlanner:
         catalog = self.database.chunk_stats
         cached = self.database.recycler.cached_uris()
         store = self.database.chunk_store
-        stored = store.uris() if store is not None else set()
+        stored = store.uris()
 
         kept: list[PlannedChunk] = []
         pruned: list[PrunedChunk] = []
@@ -253,7 +253,7 @@ class ChunkPlanner:
         if uri in cached:
             return PlannedChunk(uri=uri, tier=TIER_RESIDENT, cost_seconds=0.0)
         if uri in stored:
-            payload = store.payload_nbytes(uri) if store is not None else 0
+            payload = store.payload_nbytes(uri)
             cost = _REHYDRATE_BASE_SECONDS + payload / _REHYDRATE_BYTES_PER_SECOND
             return PlannedChunk(uri=uri, tier=TIER_SPILLED, cost_seconds=cost)
         decode = default_decode

@@ -42,7 +42,7 @@ from .table import Field, Schema, Table
 from .types import INT64
 from ..util.lock_sanitizer import make_lock
 
-__all__ = ["ChunkDirectory", "ChunkLoader", "Database", "qualify_chunk"]
+__all__ = ["ChunkDirectory", "ChunkLoader", "Database"]
 
 ROWID = "#rowid"
 
@@ -111,32 +111,12 @@ class ChunkDirectory:
         return cls(versions, entries, successors)
 
 
-def qualify_chunk(raw: Table, table_name: str) -> Table:
-    """Turn unqualified chunk rows into the engine's scan-shaped table.
-
-    Column names gain the ``table.`` prefix and a hidden rowid column of -1
-    (chunk rows are synthetic: they have no stable base-table position).
-    Shared by the whole-chunk and in-situ loads so both produce
-    identically shaped chunk tables.
-    """
-    qualified = raw.with_prefix(table_name)
-    rowids = Column(INT64, np.full(raw.num_rows, -1, dtype=np.int64))
-    fields = list(qualified.schema.fields)
-    fields.append(Field(f"{table_name}.{ROWID}", INT64))
-    return Table(Schema(fields), list(qualified.columns) + [rowids])
-
-
 class ChunkLoader(Protocol):
     """Strategy for ingesting one external chunk (file) into table rows.
 
     Implementations return rows with *unqualified* column names matching the
     target base table's schema.  ``load`` must be pure with respect to the
     repository: loading the same URI twice yields the same rows.
-
-    Loaders may additionally implement ``load_range(uri, table_name,
-    start_ms, end_ms)`` for in-situ selective access (NoDB-style single
-    chunk accessors, paper Section VII); the engine probes for it with
-    ``hasattr``.
     """
 
     def load(self, uri: str, table_name: str) -> Table:  # pragma: no cover
@@ -161,9 +141,6 @@ class Database:
         workdir: str | None = None,
         buffer_pool_bytes: int = 256 * 1024 * 1024,
         recycler_bytes: int = 1 << 30,
-        recycler_policy: str = "lru",
-        page_rows: int = 8192,
-        spill_chunks: bool = True,
     ) -> None:
         self.name = name
         self.catalog = Catalog()
@@ -178,14 +155,10 @@ class Database:
         # The persistent disk tier of the recycler: evicted decoded chunks
         # spill here as mmap-able columnar files, and a database reopened
         # over the same workdir comes back warm.
-        self.chunk_store: ChunkStore | None = (
-            ChunkStore(os.path.join(workdir, "chunks")) if spill_chunks else None
-        )
-        self.recycler = Recycler(
-            recycler_bytes, policy=recycler_policy, store=self.chunk_store
-        )
+        self.chunk_store = ChunkStore(os.path.join(workdir, "chunks"))
+        self.recycler = Recycler(recycler_bytes, store=self.chunk_store)
         self.paged_store = PagedColumnStore(
-            os.path.join(workdir, "pages"), self.buffer_pool, page_rows
+            os.path.join(workdir, "pages"), self.buffer_pool
         )
         self.chunk_loader: ChunkLoader | None = None
         # Per-chunk min/max statistics (seeded from headers at registration,
@@ -201,13 +174,6 @@ class Database:
         self.join_indexes: list[JoinIndex] = []
         # Cumulative seconds spent decoding chunks, for loading-cost reports.
         self.chunk_seconds_total = 0.0
-        # Chunk access strategy: 'full' decodes whole chunks (cacheable);
-        # 'in_situ' decodes only the sub-chunk a pushed time predicate needs
-        # (the NoDB-style accessor, Section VII).  ``in_situ_time_columns``
-        # maps actual-data tables to their time attribute (qualified name),
-        # configured by the schema layer.
-        self.chunk_access_strategy = "full"
-        self.in_situ_time_columns: dict[str, str] = {}
         # Shared chunk-I/O thread pool for the morsel-style stage-two
         # pipeline; created lazily, sized by the largest request so far.
         # Outgrown pools stay alive until close() — callers may still hold
@@ -357,14 +323,21 @@ class Database:
                 f"chunk loader returned schema {raw.schema.names} for "
                 f"{table_name!r}, expected {base.schema.names}"
             )
-        qualified = qualify_chunk(raw, table_name)
+        # Qualified names plus a rowid of -1: chunk rows are synthetic and
+        # have no stable base-table position.
+        rowids = Column(INT64, np.full(raw.num_rows, -1, dtype=np.int64))
+        prefixed = raw.with_prefix(table_name)
+        qualified = Table(
+            Schema([*prefixed.schema.fields, Field(f"{table_name}.{ROWID}", INT64)]),
+            [*prefixed.columns, rowids],
+        )
         self.chunk_stats.observe_table(uri, qualified, loading_cost=elapsed)
         return qualified, elapsed
 
     def fetch_chunk(
         self, uri: str, table_name: str
     ) -> tuple[Table, str, float]:
-        """One chunk through the two-tier recycler (the local chunk source).
+        """One chunk through the two-tier recycler (the one chunk source).
 
         Returns ``(chunk, outcome, cost_seconds)`` with the recycler's
         outcomes: ``loaded`` (fetched and decoded by :meth:`load_chunk`),
@@ -417,8 +390,6 @@ class Database:
         database can prune by value without re-decoding anything.  Returns
         the number of chunks adopted.
         """
-        if self.chunk_store is None:
-            return 0
         adopted = 0
         for uri in sorted(self.chunk_store.uris()):
             if self.chunk_stats.is_enriched(uri):
@@ -432,24 +403,6 @@ class Database:
             )
             adopted += 1
         return adopted
-
-    def load_chunk_range(
-        self, uri: str, table_name: str, start_ms: int | None,
-        end_ms: int | None,
-    ) -> tuple[Table, float] | None:
-        """In-situ selective chunk access: decode only a time window.
-
-        Returns None when the installed loader has no in-situ capability,
-        in which case callers fall back to :meth:`load_chunk`.
-        """
-        loader = self.chunk_loader
-        if loader is None or not hasattr(loader, "load_range"):
-            return None
-        started = time.perf_counter()
-        raw = loader.load_range(uri, table_name, start_ms, end_ms)
-        elapsed = time.perf_counter() - started
-        self.account_chunk_seconds(elapsed)
-        return qualify_chunk(raw, table_name), elapsed
 
     # -- indexes -------------------------------------------------------------------
 
@@ -557,9 +510,7 @@ class Database:
             "buffer_pool": self.buffer_pool.bytes_cached,
             "recycler_resident": self.recycler.bytes_cached,
             "recycler_mapped": self.recycler.bytes_mapped,
-            "chunk_store": (
-                self.chunk_store.nbytes if self.chunk_store is not None else 0
-            ),
+            "chunk_store": self.chunk_store.nbytes,
         }
 
     @property

@@ -30,7 +30,6 @@ from .column import Column
 from .errors import ExecutionError, PlanError, QueryCancelled
 from .expressions import Comparison, ColumnRef, Expression, conjuncts
 from .hashjoin import composite_codes_pair, equi_join_pairs
-from .predicates import extract_time_bounds
 from .scan import filter_piece, record_outcome, run_schedule
 from .table import Schema, Table
 from .types import FLOAT64, INT64, STRING, TIMESTAMP
@@ -188,35 +187,21 @@ def _scan_local(
     Fetches are issued in the plan's schedule — serially on the query
     thread with ``io_threads == 1``, through the database's shared I/O pool
     otherwise; each chunk is accounted and filtered on the query thread as
-    it completes.  A chunk comes from the first source that has it: a
-    resident chunk is a recycler hit; otherwise, when an in-situ window
-    applies, only that window is decoded; otherwise
-    :meth:`~repro.engine.database.Database.fetch_chunk` serves it from
-    either recycler tier or loads it.
+    it completes.  Every chunk comes whole from
+    :meth:`~repro.engine.database.Database.fetch_chunk`, which serves it
+    from either recycler tier or loads it.
     """
     database = ctx.database
     uris = plan.uris
     names = plan.schema.names
-    window = _in_situ_window(plan, database)
     pieces: list[Table | None] = [None] * len(uris)
 
-    def fetch(index: int) -> tuple[Table, str, float, bool]:
-        uri = uris[index]
-        if window is not None and uri not in database.recycler:
-            partial = database.load_chunk_range(uri, plan.table_name, *window)
-            if partial is not None:
-                chunk, cost = partial
-                return chunk, "loaded", cost, False
-        return (*database.fetch_chunk(uri, plan.table_name), True)
+    def fetch(index: int) -> tuple[Table, str, float]:
+        return database.fetch_chunk(uris[index], plan.table_name)
 
-    def ingest(index: int, fetched: tuple[Table, str, float, bool]) -> None:
-        chunk, outcome, cost, whole = fetched
-        # A partial decode is never passed as the chunk: it would enrich
-        # the statistics with a window's ranges as if they were the file's.
-        record_outcome(
-            ctx, uris[index], outcome, chunk.num_rows, cost,
-            chunk if whole else None,
-        )
+    def ingest(index: int, fetched: tuple[Table, str, float]) -> None:
+        chunk, outcome, cost = fetched
+        record_outcome(ctx, uris[index], outcome, chunk, cost)
         pieces[index] = filter_piece(chunk, names, plan.pushed_predicate)
 
     pool = database.io_executor(plan.io_threads) if plan.io_threads > 1 else None
@@ -229,8 +214,8 @@ def _execute_parallel_chunk_scan(
 ) -> Table:
     """The planned chunk scan: one loop, one result per identical scan.
 
-    :func:`_scan_local` runs the plan's schedule; whatever the source and
-    the completion order, the concatenation follows the plan's assembly
+    :func:`_scan_local` runs the plan's schedule; whatever the serving
+    tier and the completion order, the concatenation follows the plan's assembly
     (URI) order, so the rows do not depend on who runs the scan.  That is
     why identical scans in flight at the same time — same table, chunks,
     pushed predicate and columns, over the same catalog version — run
@@ -257,28 +242,6 @@ def _execute_parallel_chunk_scan(
     if shared:
         ctx.stats.chunks_shared += len(plan.uris)
     return table
-
-
-def _in_situ_window(
-    plan: algebra.ParallelChunkScan, database: "Database"
-) -> tuple[int | None, int | None] | None:
-    """The time window a NoDB-style selective decode of this scan needs.
-
-    Requires the database's 'in_situ' strategy and a pushed predicate with
-    extractable literal time bounds on the table's time column; the loader
-    must also be range-capable, which the fetch learns per chunk.  Partial
-    decodes are NOT admitted to the recycler (they do not represent the
-    whole chunk); correctness is unaffected — later queries simply load
-    what they need themselves.
-    """
-    if database.chunk_access_strategy != "in_situ":
-        return None
-    if plan.pushed_predicate is None:
-        return None
-    time_column = database.in_situ_time_columns.get(plan.table_name)
-    if time_column is None:
-        return None
-    return extract_time_bounds(plan.pushed_predicate, time_column)
 
 
 # -- row-level operators ---------------------------------------------------------

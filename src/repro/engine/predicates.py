@@ -1,17 +1,15 @@
 """Shared predicate analysis: literal bounds on a column.
 
-Three consumers extract ``column op literal`` conjuncts from predicates and
+Two consumers extract ``column op literal`` conjuncts from predicates and
 historically each grew its own copy of the orientation/bound logic:
 
-* the in-situ chunk accessor (:mod:`repro.engine.physical`) needs a
-  half-open ``[low, high)`` time window to decode selectively;
 * the compile-time optimizer (:mod:`repro.core.two_stage`) needs the raw
   ``(op, literal)`` pairs to run time-bound inference onto segment
   metadata;
 * the chunk planner (:mod:`repro.engine.chunk_planner`) needs to test
   whether a chunk's min/max statistics can possibly satisfy each bound.
 
-This module is the single implementation all three share.  Only *literal*
+This module is the single implementation both share.  Only *literal*
 bounds are considered; both orientations (``column op literal`` and
 ``literal op column``) are normalized to column-on-the-left form.
 """
@@ -29,7 +27,6 @@ __all__ = [
     "oriented_bound_conjuncts",
     "oriented_literal_comparisons",
     "literal_bounds_by_column",
-    "extract_time_bounds",
     "closed_int_bounds",
     "range_may_satisfy",
 ]
@@ -98,36 +95,6 @@ def literal_bounds_by_column(
     for column, op, literal in oriented_bound_conjuncts(predicate):
         found.setdefault(column, []).append((op, literal.value))
     return found
-
-
-def extract_time_bounds(
-    predicate: Expression, time_column: str
-) -> tuple[int | None, int | None] | None:
-    """Half-open ``[low, high)`` integer bounds on ``time_column``.
-
-    The contract of the in-situ accessor: ``>=``/``>`` tighten the low
-    bound, ``<``/``<=`` the high bound; equality is not a range.  Returns
-    None when the predicate implies no bound at all.
-    """
-    low: int | None = None
-    high: int | None = None
-    found = False
-    for op, literal in oriented_literal_comparisons(predicate, time_column):
-        bound = int(literal.value)
-        if op == ">=":
-            low = bound if low is None else max(low, bound)
-        elif op == ">":
-            low = bound + 1 if low is None else max(low, bound + 1)
-        elif op == "<":
-            high = bound if high is None else min(high, bound)
-        elif op == "<=":
-            high = bound + 1 if high is None else min(high, bound + 1)
-        else:
-            continue
-        found = True
-    if not found:
-        return None
-    return low, high
 
 
 def closed_int_bounds(

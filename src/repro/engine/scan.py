@@ -1,10 +1,9 @@
 """The one chunk-scan loop: fetch → account → align → mask → filter → place.
 
 The run-time rewrite ``scan(a) → ∪ (cache-scan(f) | chunk-access(f))`` is
-one ``ParallelChunkScan``, executed through the three functions here;
-the chunk access strategy only changes the *source* plugged into
-:func:`run_schedule` as ``fetch`` — the recycler, or an in-situ window
-decode.  Identical scans running at the same time execute this loop
+one ``ParallelChunkScan``, executed through the three functions here with
+the recycler's whole-chunk fetch plugged into :func:`run_schedule` as
+``fetch``.  Identical scans running at the same time execute this loop
 once and share its result
 (:meth:`~repro.engine.database.Database.scan_once`).
 """
@@ -42,31 +41,29 @@ def record_outcome(
     ctx: "ExecutionContext",
     uri: str,
     outcome: str,
-    rows: int,
+    chunk: Table,
     cost: float,
-    chunk: Table | None = None,
 ) -> None:
     """Account one chunk fetch outcome into a query's context.
 
     The outcome is counted in the exec stats and kept per URI in
-    ``ctx.chunk_outcomes`` (what the prefetcher credits hits from).
-    ``chunk`` is passed only when the *whole* chunk is in hand (not for
-    in-situ partial decodes): it enriches the planner's
-    statistics (no-op when already enriched), which is what turns
-    value-predicate pruning on for subsequent queries — including mmap
-    re-hydrates that bypass ``Database.load_chunk``.
+    ``ctx.chunk_outcomes`` (what the prefetcher credits hits from).  A
+    loaded or rehydrated ``chunk`` enriches the planner's statistics
+    (no-op when already enriched), which is what turns value-predicate
+    pruning on for subsequent queries — including mmap re-hydrates that
+    bypass ``Database.load_chunk``.
     """
     ctx.chunk_outcomes[uri] = outcome
     stats = ctx.stats
     if outcome == "loaded":
         stats.chunks_loaded += 1
-        stats.chunk_rows_loaded += rows
+        stats.chunk_rows_loaded += chunk.num_rows
         stats.chunk_load_seconds += cost
     elif outcome == "rehydrated":  # mmap re-hydrate from the disk tier
         stats.chunks_rehydrated += 1
     else:  # "hit" or "coalesced": another query (or this one) paid the cost
         stats.chunks_from_cache += 1
-    if chunk is not None and outcome in ("loaded", "rehydrated"):
+    if outcome in ("loaded", "rehydrated"):
         ctx.database.chunk_stats.observe_table(
             uri, chunk, loading_cost=cost if outcome == "loaded" else None
         )

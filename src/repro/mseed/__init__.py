@@ -10,7 +10,6 @@ from .reader import (
     SegmentSamples,
     read_metadata,
     read_samples,
-    read_samples_in_range,
     read_segment,
     sample_times,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "encode",
     "read_metadata",
     "read_samples",
-    "read_samples_in_range",
     "read_segment",
     "sample_times",
     "write_volume",

@@ -11,8 +11,8 @@ future work (Section VIII).  This module provides both:
   URIs of the form ``/path/to/data.xar#entry-name``;
 * :func:`open_chunk` resolves any chunk URI — plain file path or archive
   member — into a file-like object, which the xseed reader uses for all
-  access paths (so the Registrar, lazy loading and in-situ access work on
-  archives unchanged).
+  access paths (so the Registrar's header scan and lazy chunk loading
+  work on archives unchanged).
 """
 
 from __future__ import annotations

@@ -7,12 +7,10 @@ Two access paths with very different costs:
   for every file — cheap, O(#segments) small reads.
 * :func:`read_samples` / :func:`read_segment` additionally decode payloads —
   the expensive path that only runs for chunks a query actually needs.
-
-:func:`read_samples_in_range` implements the NoDB-style *in-situ selective*
-single-chunk access strategy (paper Section VII: such accessors are
-"orthogonal and even complementary ... in order to provide sub-chunk access
-granularity"): segment headers act as zonemaps so only payloads overlapping
-a time range are decoded.
+  The engine always decodes a whole chunk, so the recycler can cache it;
+  sub-chunk skipping happens before any read, when the chunk planner
+  prunes a chunk whose segment headers (seeded as zone maps at
+  registration) miss the query's time window.
 """
 
 from __future__ import annotations
@@ -40,7 +38,6 @@ __all__ = [
     "read_metadata",
     "read_samples",
     "read_segment",
-    "read_samples_in_range",
     "sample_times",
 ]
 
@@ -134,29 +131,3 @@ def read_segment(path: str, segment_no: int) -> SegmentSamples:
             values = steim.decode(payload)
             return SegmentSamples(header, sample_times(header), values)
     raise FormatError(f"{path}: no segment {segment_no}")
-
-
-def read_samples_in_range(
-    path: str, start_ms: int | None, end_ms: int | None
-) -> list[SegmentSamples]:
-    """In-situ selective access: decode only segments overlapping a range.
-
-    Segment headers serve as zonemaps: a segment whose [start, end) interval
-    misses ``[start_ms, end_ms)`` is skipped without touching its payload.
-    """
-    with open_chunk(path) as handle:
-        volume, segments = _read_headers(handle)
-        selected: list[SegmentHeader] = []
-        payloads: list[bytes] = []
-        for header, offset in segments:
-            if start_ms is not None and header.end_time_ms <= start_ms:
-                continue
-            if end_ms is not None and header.start_time_ms >= end_ms:
-                continue
-            handle.seek(offset)
-            selected.append(header)
-            payloads.append(handle.read(header.payload_bytes))
-    return [
-        SegmentSamples(header, sample_times(header), values)
-        for header, values in zip(selected, steim.decode_many(payloads))
-    ]

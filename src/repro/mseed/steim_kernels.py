@@ -19,12 +19,10 @@ payload offset, output offset)`` built by one cheap header scan in
 
 All kernels are bit-exact to one another; ``tests/mseed`` and
 ``benchmarks/bench_decode.py`` gate on that equality.  Select explicitly
-with :func:`set_kernel` or the ``REPRO_STEIM_KERNEL`` environment variable.
+with :func:`set_kernel`.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -189,14 +187,7 @@ if NUMBA_AVAILABLE:  # pragma: no cover
     _KERNELS["numba"] = _unpack_frames_numba
 
 
-def _default_kernel() -> str:
-    requested = os.environ.get("REPRO_STEIM_KERNEL", "")
-    if requested in _KERNELS:
-        return requested
-    return "numba" if NUMBA_AVAILABLE else "numpy"
-
-
-_active = _default_kernel()
+_active = "numba" if NUMBA_AVAILABLE else "numpy"
 
 
 def available_kernels() -> tuple[str, ...]:

@@ -29,6 +29,21 @@ class TestParser:
                 ["build", "--base", "/tmp/x", "--sf", "5"]
             )
 
+    @pytest.mark.parametrize("value", ["0", "-3", "two"])
+    def test_io_threads_must_be_a_positive_int(self, value, capsys):
+        with pytest.raises(SystemExit) as raised:
+            build_parser().parse_args(
+                ["query", "--base", "x", "--sql", "s", "--io-threads", value]
+            )
+        assert raised.value.code == 2  # argparse usage error
+        assert "--io-threads" in capsys.readouterr().err
+
+    def test_io_threads_accepts_one(self):
+        args = build_parser().parse_args(
+            ["query", "--base", "x", "--sql", "s", "--io-threads", "1"]
+        )
+        assert args.io_threads == 1
+
     def test_invalid_approach(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(

@@ -309,11 +309,9 @@ class TestBudget:
     def test_eviction_by_benefit_density(self, tiny_repo, day_range):
         start, end = day_range
         db, _ = prepare(
-            "lazy", tiny_repo[0],
-            options=TwoStageOptions(
-                result_cache=True, result_cache_bytes=1
-            ),
+            "lazy", tiny_repo[0], options=TwoStageOptions(result_cache=True)
         )
+        db.result_cache.budget_bytes = 1
         try:
             # Nothing fits a 1-byte budget; the cache must stay empty and
             # queries must keep executing correctly.

@@ -4,8 +4,7 @@ Every rewritten actual-data scan becomes one
 :class:`~repro.engine.algebra.ParallelChunkScan` carrying a
 statistics-pruned, cost-ordered :class:`ChunkPlan` (the serial executor is
 the same scheduler with ``io_threads == 1``) — the paper's union of
-cache-scans / chunk-accesses as one node, under every chunk access
-strategy.
+cache-scans / chunk-accesses as one node.
 """
 
 import pytest
@@ -92,23 +91,10 @@ class TestRewriteRule1:
         plan = algebra.Select(scan_d, predicate)
         report = RewriteReport()
         rewritten = rewrite_actual_scans(
-            plan, lazy_db.database, lazy_db.config, uris, report,
-            push_selections=True,
+            plan, lazy_db.database, lazy_db.config, uris, report
         )
         assert isinstance(rewritten, algebra.ParallelChunkScan)
         assert rewritten.pushed_predicate is predicate
-
-    def test_selection_stays_above_without_push(self, lazy_db, scan_d, uris):
-        predicate = Comparison(">", col("D.sample_value"), lit(0))
-        plan = algebra.Select(scan_d, predicate)
-        report = RewriteReport()
-        rewritten = rewrite_actual_scans(
-            plan, lazy_db.database, lazy_db.config, uris, report,
-            push_selections=False,
-        )
-        assert isinstance(rewritten, algebra.Select)
-        assert isinstance(rewritten.child, algebra.ParallelChunkScan)
-        assert rewritten.child.pushed_predicate is None
 
     def test_empty_uri_list_keeps_scan(self, lazy_db, scan_d):
         report = RewriteReport()
@@ -159,55 +145,43 @@ class TestRewriteRule1:
         assert isinstance(rewritten.right, algebra.ParallelChunkScan)
 
 
-class TestInSituUnionShape:
-    """The in-situ strategy emits the same planned scan as full access.
+class TestUnionShape:
+    """Rule (1)'s per-chunk union is the one ``ParallelChunkScan``.
 
-    Rule (1)'s per-chunk union is the one ``ParallelChunkScan``; in-situ
-    changes only how the scan fetches an uncached chunk.
+    Cache-scans and chunk-accesses are not nodes of their own: the plan
+    records which tier serves each chunk, and a selection on the scan is
+    applied inside it.
     """
 
-    @pytest.fixture()
-    def in_situ_db(self, lazy_db):
-        lazy_db.database.chunk_access_strategy = "in_situ"
-        return lazy_db
-
     @staticmethod
-    def _rewrite(db, plan, uris, **kwargs):
+    def _rewrite(db, plan, uris):
         report = RewriteReport()
         rewritten = rewrite_actual_scans(
-            plan, db.database, db.config, uris, report, **kwargs
+            plan, db.database, db.config, uris, report
         )
         return rewritten, report
 
-    def test_scan_becomes_union_of_chunk_accesses(
-        self, in_situ_db, scan_d, uris
-    ):
-        rewritten, report = self._rewrite(in_situ_db, scan_d, uris)
+    def test_scan_becomes_union_of_chunk_accesses(self, lazy_db, scan_d, uris):
+        rewritten, report = self._rewrite(lazy_db, scan_d, uris)
         assert isinstance(rewritten, algebra.ParallelChunkScan)
         assert list(rewritten.uris) == uris
         assert report.rewrote_scans == 1 and len(report.chunk_plans) == 1
 
-    def test_cached_chunks_become_cache_scans(self, in_situ_db, scan_d, uris):
-        table, cost = in_situ_db.database.load_chunk(uris[0], "D")
-        in_situ_db.database.recycler.put(uris[0], table, cost)
+    def test_cached_chunks_become_cache_scans(self, lazy_db, scan_d, uris):
+        table, cost = lazy_db.database.load_chunk(uris[0], "D")
+        lazy_db.database.recycler.put(uris[0], table, cost)
         predicate = Comparison("<", col("D.sample_time"), lit(10**15))
         plan = algebra.Select(scan_d, predicate)
-        in_situ, _ = self._rewrite(in_situ_db, plan, uris)
-        in_situ_db.database.chunk_access_strategy = "full"
-        full, _ = self._rewrite(in_situ_db, plan, uris)
-        # Same pruned, tiered, scheduled plan as full access.
-        assert find_nodes(in_situ, algebra.ParallelChunkScan) == [in_situ]
-        assert in_situ.plan.chunks == full.plan.chunks
-        assert in_situ.plan.pruned == full.plan.pruned
-        assert in_situ.plan.fetch_order == full.plan.fetch_order
-        assert in_situ.plan.chunks[0].tier == TIER_RESIDENT
+        rewritten, _ = self._rewrite(lazy_db, plan, uris)
+        assert find_nodes(rewritten, algebra.ParallelChunkScan) == [rewritten]
+        assert rewritten.plan.chunks[0].tier == TIER_RESIDENT
 
-    def test_selection_above_cache_scan(self, in_situ_db, scan_d, uris):
-        table, cost = in_situ_db.database.load_chunk(uris[0], "D")
-        in_situ_db.database.recycler.put(uris[0], table, cost)
+    def test_selection_above_cache_scan(self, lazy_db, scan_d, uris):
+        table, cost = lazy_db.database.load_chunk(uris[0], "D")
+        lazy_db.database.recycler.put(uris[0], table, cost)
         predicate = Comparison(">", col("D.sample_value"), lit(0))
         plan = algebra.Select(scan_d, predicate)
-        rewritten, _ = self._rewrite(in_situ_db, plan, [uris[0]])
+        rewritten, _ = self._rewrite(lazy_db, plan, [uris[0]])
         # σp(cache-scan(f)) is the pushed predicate of the one scan.
         assert isinstance(rewritten, algebra.ParallelChunkScan)
         assert rewritten.pushed_predicate is predicate
@@ -266,16 +240,3 @@ class TestStatisticsPruning:
         )
         assert report.pruned_uris == []
         assert list(rewritten.uris) == uris
-
-    def test_pruning_safe_without_push(self, lazy_db, scan_d, uris):
-        # The planner sees the full selection even when it is not pushed:
-        # the Select above still filters, so pruning stays correct.
-        predicate = Comparison("<", col("D.sample_time"), lit(0))
-        plan = algebra.Select(scan_d, predicate)
-        report = RewriteReport()
-        rewritten = rewrite_actual_scans(
-            plan, lazy_db.database, lazy_db.config, uris, report,
-            push_selections=False,
-        )
-        assert isinstance(rewritten, algebra.Select)
-        assert sorted(report.pruned_uris) == sorted(uris)

@@ -20,6 +20,13 @@ def t4(two_day_range, station="ISK", channel="BHE"):
     )
 
 
+class TestOptions:
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_io_threads_below_one_rejected(self, threads):
+        with pytest.raises(ValueError, match="io_threads"):
+            TwoStageOptions(io_threads=threads)
+
+
 class TestCompilation:
     def test_program_shape(self, lazy_db, two_day_range):
         compiled = lazy_db.compiler.compile(lazy_db.bind(t4(two_day_range)))
@@ -196,34 +203,6 @@ class TestLazyExecution:
 
 
 class TestSelectionPushdownIntoChunks:
-    def test_pushed_predicate_filters_rows(self, tiny_repo, day_range):
-        from repro.core.loading import prepare
-
-        db_push, _ = prepare(
-            "lazy",
-            tiny_repo[0],
-            options=TwoStageOptions(push_selections_into_chunks=True),
-        )
-        db_nopush, _ = prepare(
-            "lazy",
-            tiny_repo[0],
-            options=TwoStageOptions(push_selections_into_chunks=False),
-        )
-        start, end = day_range
-        sql = t4_query(
-            QueryParams(
-                station="ISK",
-                channel="BHE",
-                start_ms=start,
-                end_ms=start + MILLIS_PER_DAY // 2,
-            )
-        )
-        a = db_push.query(sql).table.to_dicts()
-        b = db_nopush.query(sql).table.to_dicts()
-        assert a == b
-        db_push.close()
-        db_nopush.close()
-
     def test_cache_holds_unfiltered_chunk(self, lazy_db, day_range):
         start, _ = day_range
         narrow = t4_query(

@@ -16,7 +16,6 @@ from repro.engine.database import Database
 from repro.engine.expressions import BooleanOp, Comparison, col, lit
 from repro.engine.predicates import (
     closed_int_bounds,
-    extract_time_bounds,
     literal_bounds_by_column,
     range_may_satisfy,
 )
@@ -72,17 +71,6 @@ class TestPredicateHelpers:
         assert bounds["D.sample_time"] == [(">=", 100), ("<", 200)]
         assert bounds["D.file_id"] == [("=", 7)]
         assert literal_bounds_by_column(None) == {}
-
-    def test_extract_time_bounds_half_open(self):
-        predicate = BooleanOp(
-            "AND",
-            [
-                Comparison(">", col("t"), lit(9)),
-                Comparison("<=", col("t"), lit(20)),
-            ],
-        )
-        assert extract_time_bounds(predicate, "t") == (10, 21)
-        assert extract_time_bounds(predicate, "other") is None
 
     def test_closed_int_bounds(self):
         assert closed_int_bounds([(">", 9), ("<", 20)]) == (10, 19)

@@ -185,7 +185,7 @@ class TestBitIdentity:
     def test_other_columns_are_not_shared(self, db):
         # Same chunks, no pushed predicate, a narrower scan schema.
         database = db.database
-        uris = sorted(database.chunk_loader._file_ids)
+        uris = sorted(database.chunk_loader.file_ids)
         wide = database.qualified_schema("D")
         narrow = Schema(wide.fields[:2])
 

@@ -14,6 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core.coloring import RuleSet
 from repro.core.loading import prepare
 from repro.data.ingv import EPOCH_2010_MS
 
@@ -120,7 +121,7 @@ def test_lazy_equals_eager_on_random_t2(db_pair, start_hour, duration_hours):
 
 SCAN_QUERIES = [
     # Whole-span aggregate (every ISK chunk), a time-sliced row query
-    # (pruned plan, in-situ eligible) and a value predicate (mask + filter).
+    # (pruned plan) and a value predicate (mask + filter).
     "SELECT COUNT(*) AS n, AVG(D.sample_value) AS mean FROM dataview "
     "WHERE F.station = 'ISK' AND F.channel = 'BHE'",
     "SELECT D.sample_time, D.sample_value FROM dataview "
@@ -130,10 +131,10 @@ SCAN_QUERIES = [
     "WHERE D.sample_value > 100",
 ]
 
-# (options, in_situ, wave): a wave issues each query from WAVE_CLIENTS
-# threads at once, so identical scans share one in-flight result.
+# (options, wave): a wave issues each query from WAVE_CLIENTS threads at
+# once, so identical scans share one in-flight result.
 SCAN_CONFIGS = [
-    pytest.param(dict(io_threads=threads, **source), False, wave,
+    pytest.param(dict(io_threads=threads, **source), wave,
                  id=f"{name}-io{threads}")
     for threads in (1, 4)
     for name, source, wave in (
@@ -143,11 +144,13 @@ SCAN_CONFIGS = [
          False),
     )
 ] + [
-    # In-situ window decodes run on the same loop, pooled too, and their
-    # finished rows are the same, so identical in-situ scans share too.
-    pytest.param(dict(io_threads=1), True, False, id="in-situ-io1"),
-    pytest.param(dict(io_threads=4), True, False, id="in-situ-io4"),
-    pytest.param(dict(io_threads=4), True, True, id="in-situ-wave-io4"),
+    # The ablation values: no chunk pruning, no time-bound inference and
+    # join rules r2/r4 off.  Stage one names more chunks; rows stay equal.
+    pytest.param(
+        dict(io_threads=4, prune_chunks=False, infer_time_bounds=False,
+             rules=RuleSet.disabled("r2", "r4")),
+        False, id="ablation-io4",
+    ),
 ]
 WAVE_CLIENTS = 3
 
@@ -175,15 +178,13 @@ def run_wave(db, sql: str) -> list:
         return list(executor.map(client, range(WAVE_CLIENTS)))
 
 
-@pytest.mark.parametrize("options, in_situ, wave", SCAN_CONFIGS)
+@pytest.mark.parametrize("options, wave", SCAN_CONFIGS)
 def test_every_scan_source_matches_serial_and_conserves_chunks(
-    tiny_repo, serial_reference, options, in_situ, wave
+    tiny_repo, serial_reference, options, wave
 ):
     from repro.core.two_stage import TwoStageOptions
 
     db, _ = prepare("lazy", tiny_repo[0], options=TwoStageOptions(**options))
-    if in_situ:
-        db.database.chunk_access_strategy = "in_situ"
     try:
         # Two passes: cold (loads) then warm (hits), same conservation law;
         # with the result cache on, the warm pass is answered from it.  The

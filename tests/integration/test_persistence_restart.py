@@ -50,7 +50,7 @@ class TestWarmRestart:
         assert reopened.query(T1).table == expected
         # The loader's URI → file-id map survived too.
         loader = reopened.database.chunk_loader
-        assert loader is not None and len(loader._file_ids) > 0
+        assert loader is not None and len(loader.file_ids) > 0
         reopened.close()
 
     def test_double_restart(self, tiny_repo, tmp_path):

@@ -93,16 +93,6 @@ class TestReadingThroughArchive:
             for seg_a, seg_b in zip(a, b):
                 assert np.array_equal(seg_a.values, seg_b.values)
 
-    def test_in_situ_through_archive(self, archive):
-        repo = ArchiveRepository(archive)
-        uri = sorted(repo.iter_uris())[1]
-        meta = reader.read_metadata(uri)
-        segment = meta.segments[0]
-        selected = reader.read_samples_in_range(
-            uri, segment.start_time_ms, segment.start_time_ms + 1000
-        )
-        assert len(selected) == 1
-
     def test_missing_member(self, archive):
         with pytest.raises(FormatError):
             open_chunk(f"{archive}#nope.xseed").read()

@@ -94,20 +94,6 @@ class TestWriterReader:
         with pytest.raises(FormatError):
             reader.read_segment(path, 99)
 
-    def test_in_situ_range_skips_payloads(self, volume_path):
-        path, a, b = volume_path
-        selected = reader.read_samples_in_range(path, 4_000_000, 9_000_000)
-        assert len(selected) == 1
-        assert selected[0].header.segment_no == 1
-
-    def test_in_situ_open_bounds(self, volume_path):
-        path, _, _ = volume_path
-        assert len(reader.read_samples_in_range(path, None, None)) == 2
-
-    def test_in_situ_no_overlap(self, volume_path):
-        path, _, _ = volume_path
-        assert reader.read_samples_in_range(path, 99_000_000, None) == []
-
     def test_duplicate_segment_numbers_rejected(self, tmp_path):
         with pytest.raises(FormatError):
             writer.write_volume(

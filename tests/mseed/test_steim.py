@@ -141,10 +141,6 @@ class TestKernels:
             steim_kernels.set_kernel("cuda")
         assert steim_kernels.active_kernel() == current
 
-    def test_env_override_selects_kernel(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STEIM_KERNEL", "loop")
-        assert steim_kernels._default_kernel() == "loop"
-
     def test_decode_many_matches_per_call(self):
         signals = list(_signals().values())
         payloads = [steim.encode(x) for x in signals]

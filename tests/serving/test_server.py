@@ -121,6 +121,7 @@ class TestWireProtocol:
         assert wire["server"]["queries_ok"] == 1
         assert wire["admission"]["admitted_total"] == 1
         assert wire["pool"]["in_use"] == 0
+        assert wire["counters"]["disk"]["enabled"] == 1  # store always exists
         # Golden key sets: every section and key of /stats is held here, so
         # a refactor of how counters are rendered cannot drop or rename one.
         assert key_sets(wire, GOLDEN_WIRE_KEYS) == GOLDEN_WIRE_KEYS
