@@ -70,22 +70,6 @@ class LoadReport:
         return self.seconds.get(name, 0.0)
 
 
-def _new_db(
-    workdir: str | None,
-    lazy: bool,
-    buffer_pool_bytes: int,
-    recycler_bytes: int,
-    options: TwoStageOptions | None,
-) -> SommelierDB:
-    return SommelierDB.create(
-        workdir=workdir,
-        lazy=lazy,
-        buffer_pool_bytes=buffer_pool_bytes,
-        recycler_bytes=recycler_bytes,
-        options=options,
-    )
-
-
 def _register_metadata(
     db: SommelierDB, repository: FileRepository, report: LoadReport,
     threads: int,
@@ -168,7 +152,7 @@ def prepare_lazy(
 ) -> tuple[SommelierDB, LoadReport]:
     """Metadata-only preparation: the paper's contribution."""
     report = LoadReport("lazy")
-    db = _new_db(workdir, True, buffer_pool_bytes, recycler_bytes, options)
+    db = SommelierDB.create(workdir, buffer_pool_bytes, recycler_bytes, options)
     _register_metadata(db, repository, report, threads)
     report.db_bytes = db.database.database_nbytes()
     return db, report
@@ -184,7 +168,7 @@ def prepare_eager_plain(
 ) -> tuple[SommelierDB, LoadReport]:
     """Direct mSEED → DBMS bulk load of everything."""
     report = LoadReport("eager_plain")
-    db = _new_db(workdir, False, buffer_pool_bytes, recycler_bytes, options)
+    db = SommelierDB.create(workdir, buffer_pool_bytes, recycler_bytes, options)
     _register_metadata(db, repository, report, threads)
     _load_actual_from_mseed(db, report)
     return db, report
@@ -200,7 +184,7 @@ def prepare_eager_csv(
 ) -> tuple[SommelierDB, LoadReport]:
     """mSEED → CSV → COPY INTO pipeline."""
     report = LoadReport("eager_csv")
-    db = _new_db(workdir, False, buffer_pool_bytes, recycler_bytes, options)
+    db = SommelierDB.create(workdir, buffer_pool_bytes, recycler_bytes, options)
     _register_metadata(db, repository, report, threads)
     _load_actual_from_csv(db, report)
     return db, report

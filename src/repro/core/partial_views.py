@@ -11,7 +11,8 @@ exactly what lazy loading avoids — so the paper derives DMd on the fly:
 4. check it against the already-materialized key set (``PSm``);
 5. the uncovered remainder is ``PSu = PSq − PSm``;
 6. compute the DMd pointed to by ``PSu`` with an internal query (which
-   itself runs two-stage and lazy-loads chunks) and insert it into ``H``;
+   itself runs two-stage, lazy-loading chunks unless ``D`` already holds
+   the data) and insert it into ``H``;
 7. proceed with the original query.
 
 Per the paper, *all* window statistics are derived together for a window
@@ -86,12 +87,10 @@ class PartialViewManager:
         database: Database,
         config: SommelierConfig,
         compiler: "TwoStageCompiler",
-        lazy: bool,
     ) -> None:
         self.database = database
         self.config = config
         self.compiler = compiler
-        self.lazy = lazy
         self._materialized: set[tuple[str, str, int]] = set()
         self.sync_from_table()
 
@@ -272,11 +271,8 @@ class PartialViewManager:
         chunks_loaded = 0
         for station, channel, lo, hi in _coalesce_runs(unavailable):
             plan = self._derivation_plan(station, channel, lo, hi)
-            if self.lazy:
-                result = self.compiler.execute_two_stage(plan)
-                chunks_loaded += result.stats.chunks_loaded
-            else:
-                result = self.compiler.execute_single_stage(plan)
+            result = self.compiler.execute_compiled(self.compiler.compile(plan))
+            chunks_loaded += result.stats.chunks_loaded
             rows = self._as_h_rows(result.table)
             if rows.num_rows:
                 self.database.insert("H", rows)
@@ -287,7 +283,7 @@ class PartialViewManager:
     def _derivation_plan(
         self, station: str, channel: str, lo: int, hi: int
     ) -> algebra.LogicalPlan:
-        """The internal derivation query (runs two-stage on lazy databases).
+        """The internal derivation query (run like any other query).
 
         Shape::
 

@@ -58,6 +58,9 @@ class RewriteReport:
     chunk_plans: "list[ChunkPlan]" = field(default_factory=list)
     rewrote_scans: int = 0
     used_all_chunks_fallback: bool = False
+    # The actual data is already in D (an eager database): the scans were
+    # left as compiled, so no chunk is planned or fetched.
+    actual_resident: bool = False
     # perf_counter() timestamp at which stage one handed over control —
     # the stage boundary used for the paper's stage-time breakdowns.
     stage_boundary_perf: float | None = None
@@ -106,7 +109,7 @@ def rewrite_actual_scans(
         ):
             report.rewrote_scans += 1
             if not uris:
-                return node  # base table is empty in lazy mode: 0 rows
+                return node  # no chunk named and D is empty: 0 rows
             return make_chunk_set(node.child, node.predicate)
         if isinstance(node, algebra.Scan) and node.table_name in actual:
             report.rewrote_scans += 1

@@ -4,16 +4,17 @@
 the cellar (the file repository) but keeps the contents of the labels (the
 metadata) in his head" (Section I).
 
-A :class:`SommelierDB` wraps one engine :class:`~repro.engine.Database`
-prepared in either *lazy* or *eager* mode:
+A :class:`SommelierDB` wraps one engine :class:`~repro.engine.Database`.
+Every query runs the same two-stage program (R1–R4 join ordering, stage
+one over the metadata, stage two over the actual data), and derived
+metadata materializes incrementally via Algorithm 1.  What the database
+holds decides what stage two reads:
 
-* **lazy** — only given metadata is loaded (by the Registrar); queries run
-  the two-stage model with run-time chunk rewriting, and derived metadata
-  materializes incrementally via Algorithm 1;
-* **eager** — actual data is already in ``D`` (one of the eager loading
-  strategies put it there); queries run single-stage, still with the R1–R4
-  join ordering; Algorithm 1 still computes missing DMd windows on demand,
-  but over the in-database ``D``.
+* **lazy** — only given metadata is loaded (by the Registrar) and ``D`` is
+  empty; the run-time optimizer rewrites each scan of ``D`` into the
+  chunks stage one named, loaded from the file repository;
+* **eager** — one of the eager loading strategies put the actual data in
+  ``D``; there is nothing to rewrite, and stage two scans ``D``.
 
 Typical use::
 
@@ -108,22 +109,19 @@ class CompiledSQL:
 
     The plan cache's entry (:mod:`repro.core.plan_cache`): current while
     the catalog still reports ``versions`` for ``base_tables``.
-    ``compiled`` is a :class:`CompiledQuery` on lazy databases and the
-    ``(ordered plan, join order)`` of
-    :meth:`~repro.core.two_stage.TwoStageCompiler.compile_single_stage` on
-    eager ones; ``normalized`` is the result cache's fingerprint, built
-    only when that cache is on.
+    ``normalized`` is the result cache's fingerprint, built only when that
+    cache is on.
     """
 
     plan: algebra.LogicalPlan
     base_tables: frozenset[str]
     versions: tuple[tuple[str, int], ...]
-    compiled: CompiledQuery | tuple[algebra.LogicalPlan, list[str]]
+    compiled: CompiledQuery
     normalized: NormalizedPlan | None = None
 
 
 class SommelierDB:
-    """One prepared database instance (lazy or eager).
+    """One prepared database instance.
 
     :meth:`query` is safe to call from multiple threads: the engine caches
     (recycler, buffer pool) are internally synchronized, Algorithm-1
@@ -141,19 +139,17 @@ class SommelierDB:
         self,
         database: Database,
         config: SommelierConfig,
-        lazy: bool = True,
         options: TwoStageOptions | None = None,
     ) -> None:
         self.database = database
         self.config = config
-        self.lazy = lazy
         self.options = options if options is not None else TwoStageOptions()
         self.compiler = TwoStageCompiler(database, config, self.options)
-        self.views = PartialViewManager(database, config, self.compiler, lazy)
+        self.views = PartialViewManager(database, config, self.compiler)
         # Workload-aware prefetcher (opt-in): warms the recycler with the
         # chunks each session is predicted to need next.
         self.prefetcher = None
-        if lazy and self.options.prefetch:
+        if self.options.prefetch:
             from .prefetch import WorkloadPrefetcher
 
             self.prefetcher = WorkloadPrefetcher(
@@ -182,7 +178,6 @@ class SommelierDB:
     def create(
         cls,
         workdir: str | None = None,
-        lazy: bool = True,
         buffer_pool_bytes: int = 256 * 1024 * 1024,
         recycler_bytes: int = 1 << 30,
         options: TwoStageOptions | None = None,
@@ -194,13 +189,12 @@ class SommelierDB:
             recycler_bytes=recycler_bytes,
         )
         config = create_seismology_schema(database)
-        return cls(database, config, lazy=lazy, options=options)
+        return cls(database, config, options=options)
 
     @classmethod
     def open(
         cls,
         workdir: str,
-        lazy: bool = True,
         buffer_pool_bytes: int = 256 * 1024 * 1024,
         recycler_bytes: int = 1 << 30,
         options: TwoStageOptions | None = None,
@@ -213,8 +207,9 @@ class SommelierDB:
         table an eager preparation paged out), while the recycler's disk
         tier picks up every chunk spilled or flushed by the previous
         process: the first stage-two after a restart re-hydrates
-        mmap-backed chunks instead of re-decoding Steim payloads.  Pass
-        ``lazy=False`` to reopen an eager database.  Not restored: hash /
+        mmap-backed chunks instead of re-decoding Steim payloads.  An eager
+        database comes back eager: its paged ``D`` is restored, so stage
+        two scans it and loads no chunk.  Not restored: hash /
         join indexes (rebuild with ``database.build_*_indexes``) and
         derived metadata H (re-derived on demand).  A workdir without a
         checkpoint opens as a fresh (unregistered) database.  Pointer keys
@@ -223,7 +218,6 @@ class SommelierDB:
         """
         db = cls.create(
             workdir=workdir,
-            lazy=lazy,
             buffer_pool_bytes=buffer_pool_bytes,
             recycler_bytes=recycler_bytes,
             options=options,
@@ -346,55 +340,51 @@ class SommelierDB:
         execution with :class:`~repro.engine.errors.QueryCancelled` at the
         next operator entry or chunk boundary.
         """
+        started = time.perf_counter()
         if cancel is not None:
             cancel.raise_if_cancelled()
         entry, derivation = self._compile_sql(sql)
+        served = None
         if entry.normalized is not None:
-            started = time.perf_counter()
             # The entry's versions were read after this query's own
             # derivation and before executing: a write landing while the
             # query runs leaves the result tagged with pre-write versions,
             # so it is never served.
             served = self.result_cache.serve(entry.normalized, entry.versions)
-            if served is not None:
-                table, outcome = served
-                stats = ExecStats()
-                if outcome == "exact":
-                    stats.results_from_cache = 1
-                else:
-                    stats.results_subsumed = 1
-                result = QueryResult(
-                    table=table,
-                    seconds=time.perf_counter() - started,
-                    stats=stats,
-                    result_cache=outcome,
-                )
-                self._account(result, derivation)
-                result.seconds += derivation.seconds
-                return result, derivation
-        if self.lazy:
+        if served is not None:
+            table, outcome = served
+            stats = ExecStats()
+            if outcome == "exact":
+                stats.results_from_cache = 1
+            else:
+                stats.results_subsumed = 1
+            result = QueryResult(
+                table=table, seconds=0.0, stats=stats, result_cache=outcome
+            )
+        else:
             result = self.compiler.execute_compiled(
                 entry.compiled, cancel=cancel
             )
-        else:
-            result = self.compiler.execute_ordered(
-                *entry.compiled, cancel=cancel
-            )
-        if entry.normalized is not None:
-            self.result_cache.admit(
-                entry.normalized, result.table, result.seconds, entry.versions
-            )
-        if self.prefetcher is not None and result.rewrite.required_uris:
-            # Credit the chunks an earlier prefetch warmed and this query
-            # then found resident, then kick off the next predictions.
-            result.stats.chunks_prefetched = self.prefetcher.record_hits(
-                result.chunk_outcomes
-            )
-            self.prefetcher.note_query(
-                session_id, result.rewrite.required_uris
-            )
+            if entry.normalized is not None:
+                self.result_cache.admit(
+                    entry.normalized, result.table, result.seconds,
+                    entry.versions,
+                )
+            if self.prefetcher is not None and result.rewrite.chunk_plans:
+                # Credit the chunks an earlier prefetch warmed and this
+                # query then found resident, then kick off the next
+                # predictions.  A database whose D holds the data plans
+                # no chunk, so it never warms one.
+                result.stats.chunks_prefetched = self.prefetcher.record_hits(
+                    result.chunk_outcomes
+                )
+                self.prefetcher.note_query(
+                    session_id, result.rewrite.required_uris
+                )
         self._account(result, derivation)
-        result.seconds += derivation.seconds
+        # Wall time from the SQL text: bind/compile, Algorithm 1, and the
+        # cache or execution.
+        result.seconds = time.perf_counter() - started
         return result, derivation
 
     def _compile_sql(
@@ -425,10 +415,7 @@ class SommelierDB:
         versions = self.database.catalog.versions(tables)
         entry = self.plan_cache.reuse(sql, cached, versions)
         if entry is None:
-            if self.lazy:
-                compiled = self.compiler.compile(plan)
-            else:
-                compiled = self.compiler.compile_single_stage(plan)
+            compiled = self.compiler.compile(plan)
             normalized = None
             if self.result_cache is not None:
                 normalized = (
@@ -481,15 +468,11 @@ class SommelierDB:
         from .sampling import ChunkSampler
 
         entry, _ = self._compile_sql(sql)
-        compiled = entry.compiled
-        if not self.lazy:
-            # Sampling reads chunks through the two-stage split.
-            compiled = self.compiler.compile(entry.plan)
         sampler = ChunkSampler(
             self.database, self.config, self.compiler,
             fraction=fraction, seed=seed,
         )
-        return sampler.approximate_query(entry.plan, compiled)
+        return sampler.approximate_query(entry.plan, entry.compiled)
 
     # -- inspection -----------------------------------------------------------------
 
@@ -497,19 +480,12 @@ class SommelierDB:
         """Compile-time view of a query: type, join order, MAL listing."""
         entry, _ = self._compile_sql(sql, derive=False)
         query_type = classify_plan(entry.plan, self.database.catalog)
-        if self.lazy:
-            compiled = entry.compiled
-            return (
-                f"query type: {query_type.value}\n"
-                f"join order: {' -> '.join(compiled.join_order)}\n"
-                f"two-stage: {compiled.two_stage}\n"
-                f"MAL program:\n{compiled.listing()}"
-            )
-        ordered, join_order = entry.compiled
+        compiled = entry.compiled
         return (
             f"query type: {query_type.value}\n"
-            f"join order: {' -> '.join(join_order)}\n"
-            "single-stage plan:\n" + ordered.pretty()
+            f"join order: {' -> '.join(compiled.join_order)}\n"
+            f"two-stage: {compiled.two_stage}\n"
+            f"MAL program:\n{compiled.listing()}"
         )
 
     def explain_chunks(self, sql: str) -> str:
@@ -520,8 +496,6 @@ class SommelierDB:
         chunks pruned by statistics, the predicted serving tier and the
         cost-ordered fetch schedule.  Backs ``repro explain``.
         """
-        if not self.lazy:
-            return "eager database: no stage-two chunk plan (data is in D)"
         compiled = self._compile_sql(sql, derive=False)[0].compiled
         _, report = self.compiler.plan_stage_two(compiled)
         lines = [
@@ -530,6 +504,8 @@ class SommelierDB:
         ]
         if not compiled.two_stage:
             lines.append("metadata-only query: stage two fetches no chunks")
+        elif report.actual_resident:
+            lines.append("actual data is in D: stage two fetches no chunks")
         for chunk_plan in report.chunk_plans:
             lines.append(chunk_plan.describe())
         return "\n".join(lines)
@@ -589,9 +565,7 @@ class SommelierDB:
         — for non-eager_dmd databases that means an empty DMd view.
         """
         self.database.catalog.table("H").truncate()
-        self.views = PartialViewManager(
-            self.database, self.config, self.compiler, self.lazy
-        )
+        self.views = PartialViewManager(self.database, self.config, self.compiler)
 
     @property
     def closed(self) -> bool:

@@ -21,8 +21,10 @@ actual-data time attribute imply bounds on segment metadata
 (``S.start_time`` / computed segment end), which is how stage one narrows
 the chunk set by time.
 
-For eagerly loaded databases the same join ordering is used but the plan
-runs in a single stage (no rewrite — the data is already in ``D``).
+Every database runs this one program.  Whether step [01] rewrites is a
+fact about ``D``, not a setting: once an eager preparation has put the
+actual data in ``D``, the runtime optimizer leaves ``Qs`` as compiled and
+stage two scans ``D`` (see :meth:`TwoStageCompiler.plan_stage_two`).
 """
 
 from __future__ import annotations
@@ -98,6 +100,9 @@ class QueryResult:
     """A delivered query answer plus everything the experiments measure."""
 
     table: Table
+    # Wall time: from the SQL text through bind/compile, Algorithm 1 and
+    # the cache or execution when answered by ``SommelierDB.query``;
+    # execution only when returned by ``execute_compiled`` itself.
     seconds: float
     stage_one_seconds: float = 0.0
     stage_two_seconds: float = 0.0
@@ -106,6 +111,7 @@ class QueryResult:
     # uri -> fetch outcome of every chunk stage two fetched.
     chunk_outcomes: dict[str, str] = field(default_factory=dict)
     join_order: list[str] = field(default_factory=list)
+    # Stage two read chunks through rule (1) rather than a resident ``D``.
     two_stage: bool = False
     # How the result recycler served this query: "exact", "subsumed", or
     # None when it executed normally.
@@ -237,11 +243,12 @@ class TwoStageCompiler:
 
     # -- compilation -----------------------------------------------------------
 
-    def _order(self, plan: algebra.LogicalPlan):
-        """Optimize, split off the upper chain, color and order the joins.
+    def compile(self, plan: algebra.LogicalPlan) -> CompiledQuery:
+        """Split a bound plan into stage one and stage two.
 
-        Returns ``(rebuild, colored, ordered)``: ``rebuild`` re-applies the
-        upper operators over a replacement join block.
+        Optimizes, splits off the upper chain, colors the join graph and
+        orders the joins with R1–R4, then cuts the ordered plan at its
+        metadata branch.
         """
         plan = standard_optimize(plan)
         rebuild, join_block = _split_upper_chain(plan)
@@ -253,11 +260,6 @@ class TwoStageCompiler:
         ordered = order_joins(
             colored, self.database.table_num_rows, self.options.rules
         )
-        return rebuild, colored, ordered
-
-    def compile(self, plan: algebra.LogicalPlan) -> CompiledQuery:
-        """Split a bound plan into stage one and stage two."""
-        rebuild, colored, ordered = self._order(plan)
         if not colored.black_vertices:
             # Metadata-only query (T1/T2/T3): stage one answers everything,
             # but we keep the uniform two-step shape — the runtime optimizer
@@ -287,17 +289,6 @@ class TwoStageCompiler:
             two_stage=bool(colored.black_vertices),
         )
 
-    def compile_single_stage(
-        self, plan: algebra.LogicalPlan
-    ) -> tuple[algebra.LogicalPlan, list[str]]:
-        """Order joins with the same rules but keep one execution stage.
-
-        Used for eagerly loaded databases: the ordered plan scans ``D``
-        directly (it is populated), so no run-time rewrite happens.
-        """
-        rebuild, _, ordered = self._order(plan)
-        return rebuild(ordered.plan), ordered.join_order
-
     # -- execution ----------------------------------------------------------------
 
     def plan_stage_two(
@@ -306,12 +297,16 @@ class TwoStageCompiler:
         """Everything between the two stages: stage one, then rule (1).
 
         Evaluates ``Qf`` into ``ctx.stage_results["qf"]``, marks the stage
-        boundary, and rewrites every actual-data scan of ``Qs`` into a
-        planned chunk scan over the chunks stage one named.  Returns the
-        rewritten ``Qs`` and a report new to this call; fetches no chunk,
-        so ``repro explain`` stops here — the report carries the chunk
-        plans stage two *would* execute (chunks pruned, predicted serving
-        tier, cost-ordered fetch schedule).
+        boundary, records the chunks stage one named, and rewrites every
+        actual-data scan of ``Qs`` into a planned chunk scan over them.
+        Returns the rewritten ``Qs`` and a report new to this call; fetches
+        no chunk, so ``repro explain`` stops here — the report carries the
+        chunk plans stage two *would* execute (chunks pruned, predicted
+        serving tier, cost-ordered fetch schedule).
+
+        When the actual data is already in ``D`` (an eager preparation put
+        it there), rule (1) has nothing to rewrite: ``Qs`` comes back as
+        compiled and scans ``D`` itself.
         """
         if ctx is None:
             ctx = ExecutionContext(self.database)
@@ -338,6 +333,12 @@ class TwoStageCompiler:
             uris = sorted(known)
             report.used_all_chunks_fallback = True
         report.required_uris = list(uris)
+        if any(
+            self.database.table_num_rows(name) > 0
+            for name in self.config.actual_tables
+        ):
+            report.actual_resident = True
+            return compiled.qs_plan, report
         rewritten = rewrite_actual_scans(
             compiled.qs_plan,
             self.database,
@@ -356,23 +357,15 @@ class TwoStageCompiler:
         report.loaded_uris = [uri for uri in survivors if uri not in cached]
         return rewritten, report
 
-    def execute_two_stage(
-        self,
-        plan: algebra.LogicalPlan,
-        cancel: CancelToken | None = None,
+    def execute_compiled(
+        self, compiled: CompiledQuery, cancel: CancelToken | None = None
     ) -> QueryResult:
-        """Compile and run a query with lazy loading.
+        """Run a compiled query (any number of times, on any database).
 
         ``cancel`` is a cooperative :class:`CancelToken` checked at operator
         entry and chunk boundaries; a serving front end sets it to abort a
         timed-out request mid-stage-two.
         """
-        return self.execute_compiled(self.compile(plan), cancel=cancel)
-
-    def execute_compiled(
-        self, compiled: CompiledQuery, cancel: CancelToken | None = None
-    ) -> QueryResult:
-        """Run an already compiled query (any number of times)."""
         ctx = ExecutionContext(self.database, cancel=cancel)
         started = time.perf_counter()
         rewritten, report = self.plan_stage_two(compiled, ctx)
@@ -388,36 +381,7 @@ class TwoStageCompiler:
             rewrite=report,
             chunk_outcomes=ctx.chunk_outcomes,
             join_order=list(compiled.join_order),
-            two_stage=compiled.two_stage,
-        )
-
-    def execute_single_stage(
-        self,
-        plan: algebra.LogicalPlan,
-        cancel: CancelToken | None = None,
-    ) -> QueryResult:
-        """Run a query conventionally (eager databases)."""
-        return self.execute_ordered(
-            *self.compile_single_stage(plan), cancel=cancel
-        )
-
-    def execute_ordered(
-        self,
-        ordered: algebra.LogicalPlan,
-        join_order: list[str],
-        cancel: CancelToken | None = None,
-    ) -> QueryResult:
-        """Run a :meth:`compile_single_stage` output (any number of times)."""
-        ctx = ExecutionContext(self.database, cancel=cancel)
-        started = time.perf_counter()
-        result = execute_plan(ordered, ctx)
-        elapsed = time.perf_counter() - started
-        return QueryResult(
-            table=drop_hidden_columns(result),
-            seconds=elapsed,
-            stats=ctx.stats,
-            join_order=list(join_order),
-            two_stage=False,
+            two_stage=compiled.two_stage and not report.actual_resident,
         )
 
 

@@ -131,7 +131,6 @@ class Database:
     # may run while one of these locks is held (REPRO_LOCK_SANITIZER=1).
     _GUARDED = {
         "_io_executor_lock": ("_io_executor", "_io_executor_workers"),
-        "_load_accounting_lock": ("chunk_seconds_total",),
         "_scans_lock": ("_scans",),
     }
 
@@ -172,8 +171,6 @@ class Database:
         self._scans_lock = make_lock("Database._scans_lock")
         self.hash_indexes: dict[tuple[str, tuple[str, ...]], HashIndex] = {}
         self.join_indexes: list[JoinIndex] = []
-        # Cumulative seconds spent decoding chunks, for loading-cost reports.
-        self.chunk_seconds_total = 0.0
         # Shared chunk-I/O thread pool for the morsel-style stage-two
         # pipeline; created lazily, sized by the largest request so far.
         # Outgrown pools stay alive until close() — callers may still hold
@@ -182,7 +179,6 @@ class Database:
         self._io_executor_workers = 0
         self._retired_io_executors: list[ThreadPoolExecutor] = []
         self._io_executor_lock = make_lock("Database._io_executor_lock")
-        self._load_accounting_lock = make_lock("Database._load_accounting_lock")
         self._chunk_directory = ChunkDirectory()
 
     # -- scanning -----------------------------------------------------------
@@ -298,11 +294,6 @@ class Database:
                 self._io_executor_workers = threads
             return self._io_executor
 
-    def account_chunk_seconds(self, seconds: float) -> None:
-        """Fold decode time observed off the main path into the totals."""
-        with self._load_accounting_lock:
-            self.chunk_seconds_total += seconds
-
     def load_chunk(self, uri: str, table_name: str) -> tuple[Table, float]:
         """Extract, transform and qualify one chunk (the chunk-access op).
 
@@ -316,7 +307,6 @@ class Database:
         started = time.perf_counter()
         raw = self.chunk_loader.load(uri, table_name)
         elapsed = time.perf_counter() - started
-        self.account_chunk_seconds(elapsed)
         base = self.catalog.table(table_name)
         if raw.schema.names != base.schema.names:
             raise ExecutionError(

@@ -86,7 +86,6 @@ class ExecStats(Counters):
     chunks_pruned: int = 0
     chunks_prefetched: int = 0
     chunk_rows_loaded: int = 0
-    chunk_load_seconds: float = 0.0
     # Chunks of scans another query had in flight with an identical key:
     # fetched + chunks_shared == chunks planned.
     chunks_shared: int = 0

@@ -58,7 +58,6 @@ def record_outcome(
     if outcome == "loaded":
         stats.chunks_loaded += 1
         stats.chunk_rows_loaded += chunk.num_rows
-        stats.chunk_load_seconds += cost
     elif outcome == "rehydrated":  # mmap re-hydrate from the disk tier
         stats.chunks_rehydrated += 1
     else:  # "hit" or "coalesced": another query (or this one) paid the cost

@@ -30,6 +30,18 @@ class TestChunkSampler:
             exact["n_samples"]
         )
 
+    def test_full_fraction_is_exact_on_eager(self, eager_db, t4_sql):
+        """Stage one still names the chunks when D already holds the data."""
+        exact = eager_db.query(t4_sql).table.to_dicts()[0]
+        approx = eager_db.approximate_query(t4_sql, fraction=1.0)
+        assert approx.exact and approx.chunks_total > 0
+        assert approx.estimate_by_name("avg_value").estimate == pytest.approx(
+            exact["avg_value"]
+        )
+        assert approx.estimate_by_name("n_samples").estimate == pytest.approx(
+            exact["n_samples"]
+        )
+
     def test_partial_sample_loads_fewer_chunks(self, lazy_db, t4_sql):
         approx = lazy_db.approximate_query(t4_sql, fraction=0.5)
         assert approx.chunks_sampled < approx.chunks_total or (

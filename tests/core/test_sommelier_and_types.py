@@ -62,7 +62,8 @@ class TestSommelierFacade:
 
     def test_explain_eager(self, eager_db, params):
         text = eager_db.explain(t4_query(params))
-        assert "single-stage" in text
+        assert "MAL program" in text
+        assert "runtime-optimizer" in text
 
     def test_stats_accumulate(self, lazy_db, params):
         lazy_db.query(t4_query(params))

@@ -6,9 +6,10 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from repro.core.loading import prepare
 from repro.core.two_stage import TwoStageOptions
 from repro.engine import algebra
-from repro.workloads import QueryParams, t1_query, t4_query
+from repro.workloads import QUERY_BUILDERS, QueryParams, t1_query, t4_query
 
 MILLIS_PER_DAY = 24 * 3600 * 1000
 
@@ -240,3 +241,37 @@ class TestEagerExecution:
     def test_join_order_still_metadata_first(self, eager_db, day_range):
         result = eager_db.query(t4(day_range))
         assert result.join_order.index("D") == len(result.join_order) - 1
+
+    def test_stage_one_names_chunks_but_none_are_planned(
+        self, eager_db, day_range
+    ):
+        result = eager_db.query(t4(day_range))
+        assert result.rewrite.actual_resident
+        assert result.rewrite.required_uris
+        assert result.rewrite.chunk_plans == []
+        assert result.stage_one_seconds > 0 and result.stage_two_seconds > 0
+
+    def test_no_chunk_machinery_runs(self, tiny_repo, two_day_range):
+        """Recycler, planner and prefetcher stay idle over T1-T5."""
+        db, _ = prepare(
+            "eager_plain", tiny_repo[0], options=TwoStageOptions(prefetch=True)
+        )
+        start, end = two_day_range
+        params = QueryParams(
+            station="FIAM", channel="HHZ", start_ms=start, end_ms=end
+        )
+        for build in QUERY_BUILDERS.values():
+            db.query(build(params))
+        db.prefetcher.wait_idle()
+        memory = db.database.recycler.tier_stats()["memory"]
+        assert (memory["hits"], memory["misses"], memory["insertions"]) == (
+            0, 0, 0
+        )
+        assert db.database.chunk_planner.stats_snapshot()["plans_built"] == 0
+        assert db.prefetcher.stats_snapshot()["issued"] == 0
+        assert db.stats.chunks_loaded_total == 0
+        db.close()
+
+    def test_explain_chunks_reports_resident_data(self, eager_db, day_range):
+        text = eager_db.explain_chunks(t4(day_range))
+        assert "actual data is in D" in text

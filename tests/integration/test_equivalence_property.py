@@ -1,10 +1,11 @@
-"""Property-based equivalence: lazy two-stage vs eager single-stage.
+"""Property-based equivalence: lazy (chunks) vs eager (data in D).
 
 For randomly generated (station, time range, aggregate) queries, the lazy
 database must return exactly what the eager database returns — the paper's
 implicit correctness contract ("the illusion of a fully populated
-database").  Every query also runs a second time, answered from the
-compiled-plan cache, and must return the same rows bit for bit.
+database") — and the eager one must load no chunk to do it.  Every query
+also runs a second time, answered from the compiled-plan cache, and must
+return the same rows bit for bit.
 """
 
 import math
@@ -77,6 +78,8 @@ def test_lazy_equals_eager_on_random_t4(
     """
     lazy_value = query_twice(lazy, sql)[0]["agg"]
     eager_value = query_twice(eager, sql)[0]["agg"]
+    # The eager side answers from D: no query or derivation loads a chunk.
+    assert eager.stats.chunks_loaded_total == 0
     if isinstance(lazy_value, float) and math.isnan(lazy_value):
         assert isinstance(eager_value, float) and math.isnan(eager_value)
     else:
@@ -110,6 +113,7 @@ def test_lazy_equals_eager_on_random_t2(db_pair, start_hour, duration_hours):
     """
     lazy_rows = query_twice(lazy, sql)
     eager_rows = query_twice(eager, sql)
+    assert eager.stats.chunks_loaded_total == 0
     assert len(lazy_rows) == len(eager_rows)
     for a, b in zip(lazy_rows, eager_rows):
         assert a["window_start_ts"] == b["window_start_ts"]

@@ -108,7 +108,10 @@ class TestWarmRestart:
         db.close()
 
     def test_eager_restart_restores_paged_actual_data(self, tiny_repo, tmp_path):
-        """An eager database's paged-out D survives the restart."""
+        """An eager database's paged-out D survives the restart.
+
+        A plain open comes back eager: stage two scans the restored D.
+        """
         workdir = str(tmp_path / "db")
         db, _ = prepare("eager_plain", tiny_repo[0], workdir=workdir)
         expected = db.query(T4).table
@@ -116,9 +119,12 @@ class TestWarmRestart:
         assert rows > 0
         db.close()
 
-        reopened = SommelierDB.open(workdir, lazy=False)
+        reopened = SommelierDB.open(workdir)
         assert reopened.database.table_num_rows("D") == rows
-        assert reopened.query(T4).table == expected
+        result = reopened.query(T4)
+        assert result.table == expected
+        assert result.stats.chunks_loaded == 0
+        assert not result.two_stage
         reopened.close()
 
     def test_restart_with_options_and_threads(self, tiny_repo, tmp_path):
