@@ -124,7 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     explain = commands.add_parser(
         "explain",
         help="print the compiled program and the stage-two chunk plan "
-        "(chunks pruned, predicted tier, cost-ordered fetch schedule)",
+        "(chunks pruned, then the chunks to fetch in fetch order with "
+        "their predicted tier)",
     )
     _add_dataset_args(explain)
     explain.add_argument("--sql", required=True, help="the SELECT statement")

@@ -3,20 +3,19 @@
 Between the two execution stages, every access to an actual-data table is
 rewritten using the stage-one result::
 
-    scan(a)  →  schedule( planner(f ∈ result-scan(Qf)) )
+    scan(a)  →  chunk-scan( planner(f ∈ result-scan(Qf)) )
 
 The chunk planner (:mod:`repro.engine.chunk_planner`) first *prunes* the
 stage-one chunk set against per-chunk min/max statistics — a chunk whose
 ranges cannot satisfy the scan's literal bound conjuncts contributes no
 rows, so skipping its fetch is free correctness-preserving work — then
-classifies every surviving chunk by the tier it will be served from
-(recycler-resident < spilled mmap < remote fetch+decode) and emits a
-cost-ordered fetch schedule.  The resulting
-:class:`~repro.engine.chunk_planner.ChunkPlan` rides inside one
+labels every surviving chunk with the tier it is predicted to be served
+from (recycler-resident, spilled mmap, remote fetch+decode).  The
+resulting :class:`~repro.engine.chunk_planner.ChunkPlan` rides inside one
 :class:`~repro.engine.algebra.ParallelChunkScan`, whose serial
-(``io_threads == 1``) and pooled execution honor the same schedule — fetch
-order is identical across them, and assembly order keeps results
-bit-identical to unscheduled execution.
+(``io_threads == 1``) and pooled execution both fetch in assembly
+(stage-one URI) order and assemble rows in it, so results are
+bit-identical across them.
 
 When a selection sits directly on the scan, it is pushed into the chunk
 pipeline (the paper's second rewrite rule) and doubles as the pruning
@@ -52,8 +51,6 @@ class RewriteReport:
     """What the run-time optimizer decided (inspectable by tests/benches)."""
 
     required_uris: list[str] = field(default_factory=list)
-    cached_uris: list[str] = field(default_factory=list)
-    loaded_uris: list[str] = field(default_factory=list)
     pruned_uris: list[str] = field(default_factory=list)
     chunk_plans: "list[ChunkPlan]" = field(default_factory=list)
     rewrote_scans: int = 0
@@ -79,8 +76,8 @@ def rewrite_actual_scans(
 
     Every rewritten scan goes through the database's chunk planner: the
     candidate URIs are pruned against per-chunk statistics (when
-    ``prune_chunks`` and a predicate allow it), classified by serving tier
-    and cost-ordered.  The surviving chunks become one
+    ``prune_chunks`` and a predicate allow it) and labelled with their
+    predicted serving tier.  The surviving chunks become one
     :class:`~repro.engine.algebra.ParallelChunkScan` driven by that plan;
     identical scans running at the same time share one result at
     execution, since their finished rows are the same.

@@ -493,8 +493,9 @@ class SommelierDB:
 
         Executes stage one and the runtime rewrite only, then renders each
         rewritten scan's :class:`~repro.engine.chunk_planner.ChunkPlan` —
-        chunks pruned by statistics, the predicted serving tier and the
-        cost-ordered fetch schedule.  Backs ``repro explain``.
+        chunks pruned by statistics, then the chunks to fetch in fetch
+        (assembly) order with their predicted serving tier.  Backs
+        ``repro explain``.
         """
         compiled = self._compile_sql(sql, derive=False)[0].compiled
         _, report = self.compiler.plan_stage_two(compiled)

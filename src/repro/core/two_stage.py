@@ -301,8 +301,8 @@ class TwoStageCompiler:
         actual-data scan of ``Qs`` into a planned chunk scan over them.
         Returns the rewritten ``Qs`` and a report new to this call; fetches
         no chunk, so ``repro explain`` stops here — the report carries the
-        chunk plans stage two *would* execute (chunks pruned, predicted
-        serving tier, cost-ordered fetch schedule).
+        chunk plans stage two *would* execute (chunks pruned, and the
+        predicted serving tier of each chunk to fetch).
 
         When the actual data is already in ``D`` (an eager preparation put
         it there), rule (1) has nothing to rewrite: ``Qs`` comes back as
@@ -348,13 +348,7 @@ class TwoStageCompiler:
             io_threads=self.options.io_threads,
             prune_chunks=self.options.prune_chunks,
         )
-        # What survives pruning, and which tier it is expected from.
-        pruned = set(report.pruned_uris)
         ctx.stats.chunks_pruned += len(report.pruned_uris)
-        cached = self.database.recycler.cached_uris()
-        survivors = [uri for uri in uris if uri not in pruned]
-        report.cached_uris = sorted(set(survivors) & cached)
-        report.loaded_uris = [uri for uri in survivors if uri not in cached]
         return rewritten, report
 
     def execute_compiled(

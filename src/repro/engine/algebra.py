@@ -358,12 +358,11 @@ class ParallelChunkScan(LogicalPlan):
 
     Rule (1)'s union of per-chunk cache-scans and chunk-accesses as one
     node.  It carries a
-    :class:`~repro.engine.chunk_planner.ChunkPlan` — the statistics-pruned,
-    cost-ordered contract of the chunk planner — and every source honors
-    it identically: fetches are issued in ``plan.fetch_order`` (most
-    expensive first, so remote latency overlaps cheap hits) while output
-    rows follow the plan's assembly order, so results are bit-identical
-    across serial (``io_threads == 1``) and pooled execution.  Cached chunks
+    :class:`~repro.engine.chunk_planner.ChunkPlan` — the statistics-pruned
+    contract of the chunk planner — and every source honors it
+    identically: fetches are issued and output rows placed in the plan's
+    assembly order, so results are bit-identical across serial
+    (``io_threads == 1``) and pooled execution.  Cached chunks
     are served from the Recycler; loads of the same URI issued by
     concurrent queries are coalesced (single-flight), and so are whole
     scans: identical nodes executing at the same time produce one result

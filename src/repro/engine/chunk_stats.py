@@ -13,8 +13,7 @@ units without touching them.  This module is that summary layer for chunks:
   attribute for sub-chunk reasoning (gap queries);
 * **decode-time enrichment**: the first full decode of a chunk measures the
   exact min/max of every numeric column (notably ``sample_value``, which no
-  header knows) and the observed loading cost.  Enriched ranges unlock
-  value-predicate pruning.
+  header knows).  Enriched ranges unlock value-predicate pruning.
 
 Every stored range is a *true bound* over the chunk's rows — entries are
 only ever added from headers (authoritative for time/ids) or from a full
@@ -99,7 +98,6 @@ class ChunkStats:
     ``ranges`` maps qualified column names to inclusive ``(min, max)``
     bounds.  ``enriched`` records whether the ranges come from a full
     decode (exact for every column) rather than headers only.
-    ``loading_cost`` is the observed decode seconds, fed to the cost model.
     ``segment_zones`` is a per-segment time zone map (header-derived),
     present only for registration-time entries of this process.
     """
@@ -108,7 +106,6 @@ class ChunkStats:
     ranges: dict[str, tuple[float, float]] = field(default_factory=dict)
     num_rows: int | None = None
     enriched: bool = False
-    loading_cost: float | None = None
     segment_zones: ZoneMap | None = None
 
     def to_json(self) -> dict:
@@ -117,7 +114,6 @@ class ChunkStats:
             "ranges": {k: [v[0], v[1]] for k, v in self.ranges.items()},
             "num_rows": self.num_rows,
             "enriched": self.enriched,
-            "loading_cost": self.loading_cost,
         }
         if self.segment_zones is not None:
             payload["zones"] = {
@@ -131,19 +127,21 @@ class ChunkStats:
 
     @classmethod
     def from_json(cls, payload: dict) -> "ChunkStats | None":
-        """Parse one persisted entry; None when partial or malformed."""
+        """Parse one persisted entry; None when partial or malformed.
+
+        Unknown keys are ignored, so checkpoint entries that still carry
+        a per-chunk decode cost (an older format) load unchanged.
+        """
         try:
             ranges = parse_ranges(dict(payload["ranges"]))
             if ranges is None:
                 return None
             rows = payload.get("num_rows")
-            cost = payload.get("loading_cost")
             return cls(
                 uri=str(payload["uri"]),
                 ranges=ranges,
                 num_rows=None if rows is None else int(rows),
                 enriched=bool(payload.get("enriched", False)),
-                loading_cost=None if cost is None else float(cost),
                 segment_zones=cls._zones_from_json(payload.get("zones")),
             )
         except (KeyError, TypeError, ValueError, IndexError):
@@ -169,26 +167,6 @@ class ChunkStatsCatalog:
     def __init__(self) -> None:
         self._lock = make_lock("ChunkStatsCatalog._lock")
         self._entries: dict[str, ChunkStats] = {}
-        # Running aggregate of observed decode costs so the planner's
-        # default cost estimate is O(1) per plan, not a catalog scan.
-        self._cost_total = 0.0
-        self._cost_count = 0
-
-    def _account_cost(self, previous: float | None, new: float | None) -> None:
-        # Caller holds self._lock.
-        if previous is not None:
-            self._cost_total -= previous
-            self._cost_count -= 1
-        if new is not None:
-            self._cost_total += new
-            self._cost_count += 1
-
-    def average_loading_cost(self) -> float | None:
-        """Mean observed decode seconds across all chunks, or None."""
-        with self._lock:
-            if not self._cost_count:
-                return None
-            return self._cost_total / self._cost_count
 
     def __len__(self) -> int:
         with self._lock:
@@ -217,8 +195,6 @@ class ChunkStatsCatalog:
                 if existing.segment_zones is None:
                     existing.segment_zones = segment_zones
                 return
-            if existing is not None:
-                self._account_cost(existing.loading_cost, None)
             self._entries[uri] = ChunkStats(
                 uri=uri,
                 ranges=dict(ranges),
@@ -227,9 +203,7 @@ class ChunkStatsCatalog:
                 segment_zones=segment_zones,
             )
 
-    def observe_table(
-        self, uri: str, table: Table, loading_cost: float | None = None
-    ) -> bool:
+    def observe_table(self, uri: str, table: Table) -> bool:
         """Enrich from a decoded chunk; returns True when work was done.
 
         Idempotent and cheap to call from hot paths: an already-enriched
@@ -238,9 +212,6 @@ class ChunkStatsCatalog:
         with self._lock:
             existing = self._entries.get(uri)
             if existing is not None and existing.enriched:
-                if loading_cost is not None and existing.loading_cost is None:
-                    existing.loading_cost = loading_cost
-                    self._account_cost(None, loading_cost)
                 return False
         ranges = compute_column_ranges(table)
         with self._lock:
@@ -248,18 +219,11 @@ class ChunkStatsCatalog:
             if existing is not None and existing.enriched:
                 return False
             zones = existing.segment_zones if existing is not None else None
-            cost = loading_cost
-            if cost is None and existing is not None:
-                cost = existing.loading_cost
-            if existing is not None:
-                self._account_cost(existing.loading_cost, None)
-            self._account_cost(None, cost)
             self._entries[uri] = ChunkStats(
                 uri=uri,
                 ranges=ranges,
                 num_rows=table.num_rows,
                 enriched=True,
-                loading_cost=cost,
                 segment_zones=zones,
             )
         return True
@@ -269,7 +233,6 @@ class ChunkStatsCatalog:
         uri: str,
         ranges: dict[str, tuple[float, float]],
         num_rows: int | None = None,
-        loading_cost: float | None = None,
     ) -> None:
         """Install decode-derived ranges recovered from a store sidecar."""
         with self._lock:
@@ -277,15 +240,11 @@ class ChunkStatsCatalog:
             if existing is not None and existing.enriched:
                 return
             zones = existing.segment_zones if existing is not None else None
-            if existing is not None:
-                self._account_cost(existing.loading_cost, None)
-            self._account_cost(None, loading_cost)
             self._entries[uri] = ChunkStats(
                 uri=uri,
                 ranges=dict(ranges),
                 num_rows=num_rows,
                 enriched=True,
-                loading_cost=loading_cost,
                 segment_zones=zones,
             )
 
@@ -296,8 +255,6 @@ class ChunkStatsCatalog:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-            self._cost_total = 0.0
-            self._cost_count = 0
 
     # -- persistence (the checkpointed catalog pointers) -------------------
 
@@ -326,9 +283,6 @@ class ChunkStatsCatalog:
                     continue
                 if existing is not None and existing.segment_zones is not None:
                     entry.segment_zones = existing.segment_zones
-                if existing is not None:
-                    self._account_cost(existing.loading_cost, None)
-                self._account_cost(None, entry.loading_cost)
                 self._entries[entry.uri] = entry
             loaded += 1
         return loaded

@@ -105,8 +105,8 @@ class ChunkStore:
         self.stats = ChunkStoreStats()
         os.makedirs(root, exist_ok=True)
         self._lock = make_lock("ChunkStore._lock")
-        # uri -> (dirname, payload_bytes, loading_cost)
-        self._index: dict[str, tuple[str, int, float]] = {}
+        # uri -> payload bytes
+        self._index: dict[str, int] = {}
         # Stats sidecars parsed during the startup scan, served (and
         # dropped) on first get_stats so open-time adoption does not
         # re-read every manifest it just parsed.
@@ -134,9 +134,7 @@ class ChunkStore:
                 self.stats.invalid_entries += 1
                 continue
             payload = sum(int(c.get("nbytes", 0)) for c in manifest["columns"])
-            self._index[manifest["uri"]] = (
-                name, payload, float(manifest.get("loading_cost", 0.0))
-            )
+            self._index[manifest["uri"]] = payload
             ranges = parse_ranges(manifest.get("stats"))
             if ranges is not None:
                 self._scanned_stats[manifest["uri"]] = ranges
@@ -227,18 +225,7 @@ class ChunkStore:
     def nbytes(self) -> int:
         """Total payload bytes of all indexed entries."""
         with self._lock:
-            return sum(payload for _, payload, _ in self._index.values())
-
-    def loading_cost(self, uri: str) -> float | None:
-        with self._lock:
-            entry = self._index.get(uri)
-            return entry[2] if entry is not None else None
-
-    def payload_nbytes(self, uri: str) -> int:
-        """Indexed payload bytes of one entry (0 when unknown)."""
-        with self._lock:
-            entry = self._index.get(uri)
-            return entry[1] if entry is not None else 0
+            return sum(self._index.values())
 
     def get_stats(self, uri: str) -> dict[str, tuple[float, float]] | None:
         """The statistics sidecar of one committed entry, validated.
@@ -337,7 +324,7 @@ class ChunkStore:
             shutil.rmtree(staging, ignore_errors=True)
             raise
         with self._lock:
-            self._index[uri] = (os.path.basename(final), payload, loading_cost)
+            self._index[uri] = payload
             self._scanned_stats.pop(uri, None)  # superseded by this write
             self.stats.spills += 1
             self.stats.bytes_spilled += payload
@@ -421,10 +408,7 @@ class ChunkStore:
                 self.stats.invalid_entries += 1
             return None
         with self._lock:
-            self._index[uri] = (
-                os.path.basename(entry_dir), payload,
-                float(manifest.get("loading_cost", 0.0)),
-            )
+            self._index[uri] = payload
         return table, float(manifest.get("loading_cost", 0.0)), payload
 
     def _quarantine(self, uri: str, entry_dir: str) -> None:
@@ -491,6 +475,6 @@ class ChunkStore:
         with self._lock:
             return {
                 "entries": len(self._index),
-                "bytes_stored": sum(p for _, p, _ in self._index.values()),
+                "bytes_stored": sum(self._index.values()),
                 **asdict(self.stats),
             }

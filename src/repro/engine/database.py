@@ -321,7 +321,7 @@ class Database:
             Schema([*prefixed.schema.fields, Field(f"{table_name}.{ROWID}", INT64)]),
             [*prefixed.columns, rowids],
         )
-        self.chunk_stats.observe_table(uri, qualified, loading_cost=elapsed)
+        self.chunk_stats.observe_table(uri, qualified)
         return qualified, elapsed
 
     def fetch_chunk(
@@ -329,7 +329,7 @@ class Database:
     ) -> tuple[Table, str, float]:
         """One chunk through the two-tier recycler (the one chunk source).
 
-        Returns ``(chunk, outcome, cost_seconds)`` with the recycler's
+        Returns ``(chunk, outcome, loading_cost)`` with the recycler's
         outcomes: ``loaded`` (fetched and decoded by :meth:`load_chunk`),
         ``rehydrated`` (mmap from the disk tier), ``hit`` or ``coalesced``
         (single-flight: a concurrent fetch of the same URI paid).
@@ -387,10 +387,7 @@ class Database:
             ranges = self.chunk_store.get_stats(uri)
             if ranges is None:
                 continue
-            self.chunk_stats.adopt_persisted(
-                uri, ranges,
-                loading_cost=self.chunk_store.loading_cost(uri),
-            )
+            self.chunk_stats.adopt_persisted(uri, ranges)
             adopted += 1
         return adopted
 

@@ -183,7 +183,7 @@ def _scan_local(
 ) -> list[Table]:
     """Filtered pieces of the plan's chunks (assembly order), fetched locally.
 
-    Fetches are issued in the plan's schedule — serially on the query
+    Fetches are issued in assembly order — serially on the query
     thread with ``io_threads == 1``, through the database's shared I/O pool
     otherwise; each chunk is accounted and filtered on the query thread as
     it completes.  Every chunk comes whole from
@@ -199,12 +199,12 @@ def _scan_local(
         return database.fetch_chunk(uris[index], plan.table_name)
 
     def ingest(index: int, fetched: tuple[Table, str, float]) -> None:
-        chunk, outcome, cost = fetched
-        record_outcome(ctx, uris[index], outcome, chunk, cost)
+        chunk, outcome, _cost = fetched
+        record_outcome(ctx, uris[index], outcome, chunk)
         pieces[index] = filter_piece(chunk, names, plan.pushed_predicate)
 
     pool = database.io_executor(plan.io_threads) if plan.io_threads > 1 else None
-    run_schedule(plan.plan.schedule, fetch, ingest, ctx.check_cancelled, pool)
+    run_schedule(range(len(uris)), fetch, ingest, ctx.check_cancelled, pool)
     return pieces
 
 
@@ -213,7 +213,7 @@ def _execute_parallel_chunk_scan(
 ) -> Table:
     """The planned chunk scan: one loop, one result per identical scan.
 
-    :func:`_scan_local` runs the plan's schedule; whatever the serving
+    :func:`_scan_local` fetches the plan's chunks; whatever the serving
     tier and the completion order, the concatenation follows the plan's assembly
     (URI) order, so the rows do not depend on who runs the scan.  That is
     why identical scans in flight at the same time — same table, chunks,

@@ -38,20 +38,16 @@ def filter_piece(
 
 
 def record_outcome(
-    ctx: "ExecutionContext",
-    uri: str,
-    outcome: str,
-    chunk: Table,
-    cost: float,
+    ctx: "ExecutionContext", uri: str, outcome: str, chunk: Table
 ) -> None:
     """Account one chunk fetch outcome into a query's context.
 
     The outcome is counted in the exec stats and kept per URI in
     ``ctx.chunk_outcomes`` (what the prefetcher credits hits from).  A
-    loaded or rehydrated ``chunk`` enriches the planner's statistics
-    (no-op when already enriched), which is what turns value-predicate
-    pruning on for subsequent queries — including mmap re-hydrates that
-    bypass ``Database.load_chunk``.
+    rehydrated ``chunk`` enriches the planner's statistics (no-op when
+    already enriched), which is what turns value-predicate pruning on for
+    subsequent queries: mmap re-hydrates bypass ``Database.load_chunk``,
+    which enriches every chunk it loads.
     """
     ctx.chunk_outcomes[uri] = outcome
     stats = ctx.stats
@@ -60,12 +56,9 @@ def record_outcome(
         stats.chunk_rows_loaded += chunk.num_rows
     elif outcome == "rehydrated":  # mmap re-hydrate from the disk tier
         stats.chunks_rehydrated += 1
+        ctx.database.chunk_stats.observe_table(uri, chunk)
     else:  # "hit" or "coalesced": another query (or this one) paid the cost
         stats.chunks_from_cache += 1
-    if outcome in ("loaded", "rehydrated"):
-        ctx.database.chunk_stats.observe_table(
-            uri, chunk, loading_cost=cost if outcome == "loaded" else None
-        )
 
 
 def run_schedule(
@@ -77,11 +70,10 @@ def run_schedule(
 ) -> None:
     """Fetch every scheduled chunk, ingesting each on the calling thread.
 
-    ``schedule`` is the chunk plan's fetch order (most expensive tier
-    first, so remote latency overlaps cheap hits); ``fetch(index)`` runs
-    serially here, or on ``pool`` when one is given, and ``ingest(index,
-    fetched)`` runs on the calling thread as each fetch completes while
-    the remaining ones keep running.  Callers place results by ``index``,
+    ``schedule`` is the order fetches are issued in (the plan's assembly
+    order); ``fetch(index)`` runs serially here, or on ``pool`` when one
+    is given, and ``ingest(index, fetched)`` runs on the calling thread as
+    each fetch completes while the remaining ones keep running.  Callers place results by ``index``,
     so completion order never changes the assembled rows.  ``poll()`` is
     the cancellation point at every chunk boundary; on any exception the
     still-pending fetches are revoked so doomed work never occupies the

@@ -2,9 +2,9 @@
 
 Every rewritten actual-data scan becomes one
 :class:`~repro.engine.algebra.ParallelChunkScan` carrying a
-statistics-pruned, cost-ordered :class:`ChunkPlan` (the serial executor is
-the same scheduler with ``io_threads == 1``) — the paper's union of
-cache-scans / chunk-accesses as one node.
+statistics-pruned :class:`ChunkPlan` (the serial executor is the same
+scan loop with ``io_threads == 1``) — the paper's union of cache-scans /
+chunk-accesses as one node.
 """
 
 import pytest
@@ -13,6 +13,7 @@ from repro.core.runtime_rewrite import RewriteReport, rewrite_actual_scans
 from repro.engine import algebra
 from repro.engine.chunk_planner import TIER_REMOTE, TIER_RESIDENT
 from repro.engine.expressions import Comparison, col, lit
+from repro.engine.physical import ExecutionContext, execute_plan
 
 
 def find_nodes(plan, node_type):
@@ -72,19 +73,29 @@ class TestRewriteRule1:
         assert tiers[uris[0]] == TIER_RESIDENT
         assert all(tiers[uri] == TIER_REMOTE for uri in uris[1:])
 
-    def test_remote_fetches_scheduled_before_resident(
-        self, lazy_db, scan_d, uris
+    def test_fetches_follow_assembly_order(
+        self, lazy_db, scan_d, uris, monkeypatch
     ):
-        table, cost = lazy_db.database.load_chunk(uris[0], "D")
-        lazy_db.database.recycler.put(uris[0], table, cost)
+        database = lazy_db.database
+        table, cost = database.load_chunk(uris[0], "D")
+        database.recycler.put(uris[0], table, cost)
         report = RewriteReport()
         rewritten = rewrite_actual_scans(
-            scan_d, lazy_db.database, lazy_db.config, uris, report
+            scan_d, database, lazy_db.config, uris, report, io_threads=1
         )
         plan = rewritten.plan
-        scheduled_tiers = [plan.chunks[i].tier for i in plan.fetch_order]
-        # Most expensive first: the free resident chunk is fetched last.
-        assert scheduled_tiers[-1] == TIER_RESIDENT
+        assert plan.chunks[0].tier == TIER_RESIDENT
+        fetched = []
+        fetch_chunk = database.fetch_chunk
+
+        def recording_fetch(uri, table_name):
+            fetched.append(uri)
+            return fetch_chunk(uri, table_name)
+
+        monkeypatch.setattr(database, "fetch_chunk", recording_fetch)
+        execute_plan(rewritten, ExecutionContext(database))
+        # The resident chunk is not deferred: fetch order is URI order.
+        assert fetched == list(plan.uris)
 
     def test_selection_pushed_into_chunk_scan(self, lazy_db, scan_d, uris):
         predicate = Comparison(">", col("D.sample_value"), lit(0))

@@ -9,6 +9,7 @@ import pytest
 from repro.core.loading import prepare
 from repro.core.two_stage import TwoStageOptions
 from repro.engine import algebra
+from repro.engine.chunk_planner import TIER_RESIDENT
 from repro.workloads import QUERY_BUILDERS, QueryParams, t1_query, t4_query
 
 MILLIS_PER_DAY = 24 * 3600 * 1000
@@ -141,7 +142,8 @@ class TestLazyExecution:
         lazy_db.query(t4(day_range))
         result = lazy_db.query(t4(day_range))
         assert result.stats.chunks_loaded == 0
-        assert len(result.rewrite.cached_uris) == 1
+        (plan,) = result.rewrite.chunk_plans
+        assert [chunk.tier for chunk in plan.chunks] == [TIER_RESIDENT]
 
     def test_other_station_loads_other_chunks(self, lazy_db, day_range):
         first = lazy_db.query(t4(day_range, station="ISK", channel="BHE"))

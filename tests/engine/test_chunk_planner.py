@@ -1,4 +1,4 @@
-"""Chunk planner unit tests: pruning rules, tier costs, fetch scheduling."""
+"""Chunk planner unit tests: pruning rules and tier classification."""
 
 import numpy as np
 import pytest
@@ -149,7 +149,7 @@ class TestPruning:
 
 
 class TestTiersAndSchedule:
-    def test_tier_classification_and_cost_order(self, database):
+    def test_tier_classification_keeps_assembly_order(self, database):
         chunk = make_chunk([1, 2, 3], [10, 20, 30])
         # resident: in the recycler's memory tier
         database.recycler.put("resident", chunk, 0.01)
@@ -162,47 +162,14 @@ class TestTiersAndSchedule:
         assert by_uri["resident"].tier == TIER_RESIDENT
         assert by_uri["spilled"].tier == TIER_SPILLED
         assert by_uri["remote"].tier == TIER_REMOTE
-        assert (
-            by_uri["resident"].cost_seconds
-            < by_uri["spilled"].cost_seconds
-            < by_uri["remote"].cost_seconds
-        )
-        # Fetch schedule: most expensive first, assembly order preserved.
-        scheduled = [plan.chunks[i].uri for i in plan.fetch_order]
-        assert scheduled == ["remote", "spilled", "resident"]
+        # The tier is a label: chunks stay in assembly (given URI) order.
         assert plan.uris == ("remote", "resident", "spilled")
-
-    def test_remote_cost_includes_modeled_fetch_latency(self, database):
-        class Loader:
-            io_delay_ms = 50.0
-
-            def load(self, uri, table_name):  # pragma: no cover
-                raise AssertionError("planning must not load")
-
-        database.chunk_loader = Loader()
-        plan = database.chunk_planner.plan(["remote"], "D", None)
-        assert plan.chunks[0].cost_seconds >= 0.05
-
-    def test_observed_decode_cost_feeds_estimates(self, database):
-        database.chunk_stats.observe_table(
-            "seen", make_chunk([1], [1]), loading_cost=0.25
-        )
-        # Un-observed chunks inherit the average observed cost.
-        plan = database.chunk_planner.plan(["seen", "unseen"], "D", None)
-        by_uri = {c.uri: c for c in plan.chunks}
-        assert by_uri["seen"].cost_seconds == pytest.approx(0.25)
-        assert by_uri["unseen"].cost_seconds == pytest.approx(0.25)
-
-    def test_schedule_deterministic_on_ties(self, database):
-        plan = database.chunk_planner.plan(["a", "b", "c"], "D", None)
-        assert plan.fetch_order == (0, 1, 2)
 
 
 class TestChunkPlanObject:
     def test_trivial_wrapper(self):
         plan = ChunkPlan.trivial(["u1", "u2"], "D")
         assert plan.uris == ("u1", "u2")
-        assert plan.fetch_order == (0, 1)
         assert all(c.tier == TIER_UNPLANNED for c in plan.chunks)
 
     def test_describe_lists_schedule_and_pruned(self, database):
@@ -211,6 +178,7 @@ class TestChunkPlanObject:
         plan = database.chunk_planner.plan(["a", "b"], "D", predicate)
         rendered = plan.describe()
         assert "1 to fetch, 1 pruned" in rendered
+        assert "[00] remote    b" in rendered
         assert "pruned (D.sample_value)" in rendered
 
     def test_parallel_chunk_scan_accepts_plan_and_lists(self, database):

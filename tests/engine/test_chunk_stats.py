@@ -5,7 +5,6 @@ import json
 import os
 
 import numpy as np
-import pytest
 
 from repro.engine.chunk_stats import (
     ChunkStats,
@@ -59,15 +58,14 @@ class TestCatalog:
         entry = catalog.get("u")
         assert not entry.enriched
         assert "D.sample_value" not in entry.ranges
-        catalog.observe_table("u", make_table([7, -7], [5, 50]), 0.01)
+        catalog.observe_table("u", make_table([7, -7], [5, 50]))
         entry = catalog.get("u")
         assert entry.enriched
         assert entry.ranges["D.sample_value"] == (-7.0, 7.0)
-        assert entry.loading_cost == 0.01
 
     def test_enrichment_is_idempotent_and_sticky(self):
         catalog = ChunkStatsCatalog()
-        catalog.observe_table("u", make_table([1], [1]), 0.5)
+        assert catalog.observe_table("u", make_table([1], [1]))
         assert not catalog.observe_table("u", make_table([999], [999]))
         # Re-registration must not downgrade decode-derived truth.
         catalog.record_registration("u", {"D.sample_time": (0.0, 1.0)})
@@ -82,33 +80,19 @@ class TestCatalog:
         catalog.record_registration(
             "a", {"D.sample_time": (0.0, 10.0)}, segment_zones=zones
         )
-        catalog.observe_table("b", make_table([3, 4], [7, 8]), 0.2)
+        catalog.observe_table("b", make_table([3, 4], [7, 8]))
         payload = json.loads(json.dumps(catalog.to_json()))
         restored = ChunkStatsCatalog()
         assert restored.load_json(payload) == 2
         assert restored.get("a").ranges == {"D.sample_time": (0.0, 10.0)}
         assert restored.get("b").enriched
-        assert restored.get("b").loading_cost == 0.2
+        assert restored.get("b").ranges["D.sample_value"] == (3.0, 4.0)
         # Zone maps survive the checkpoint: gap pruning works after reopen.
         restored_zones = restored.get("a").segment_zones
         assert restored_zones is not None
         assert restored_zones.attribute == "D.sample_time"
         assert restored_zones.prune_range(5, 7) == []
         assert restored_zones.prune_range(3, 9) == [0, 1]
-        # The running decode-cost average restores with the entries.
-        assert restored.average_loading_cost() == pytest.approx(0.2)
-
-    def test_average_loading_cost_tracks_mutations(self):
-        catalog = ChunkStatsCatalog()
-        assert catalog.average_loading_cost() is None
-        catalog.observe_table("a", make_table([1], [1]), 0.1)
-        catalog.observe_table("b", make_table([2], [2]), 0.3)
-        assert catalog.average_loading_cost() == pytest.approx(0.2)
-        catalog.adopt_persisted("c", {"D.sample_value": (0.0, 1.0)},
-                                loading_cost=0.5)
-        assert catalog.average_loading_cost() == pytest.approx(0.3)
-        catalog.clear()
-        assert catalog.average_loading_cost() is None
 
     def test_malformed_checkpoint_entries_skipped(self):
         restored = ChunkStatsCatalog()
@@ -127,6 +111,58 @@ class TestCatalog:
         )
         assert restored.get("ok") is not None
         assert restored.get("bad") is None
+
+    def test_checkpoint_with_decode_costs_still_loads(self, tmp_path):
+        """Entries that still carry ``loading_cost`` (the format before
+        the planner's cost model was removed) restore whole and prune as
+        the same entries without it do."""
+        from repro.engine.database import Database
+        from repro.engine.expressions import BooleanOp, Comparison, col, lit
+
+        zones = {"attribute": "D.sample_time", "entries": [[0, 0, 4], [1, 8, 10]]}
+        legacy = [
+            {"uri": "low", "ranges": {"D.sample_value": [0.0, 10.0]},
+             "num_rows": 5, "enriched": True, "loading_cost": 0.2},
+            {"uri": "high", "ranges": {"D.sample_value": [50.0, 90.0],
+                                       "D.sample_time": [0.0, 10.0]},
+             "num_rows": 7, "enriched": True, "loading_cost": 0.2,
+             "zones": zones},
+            {"uri": "header", "ranges": {"D.sample_time": [0.0, 10.0]},
+             "num_rows": None, "enriched": False, "loading_cost": None,
+             "zones": zones},
+        ]
+        current = [
+            {k: v for k, v in entry.items() if k != "loading_cost"}
+            for entry in legacy
+        ]
+        value = Comparison(">", col("D.sample_value"), lit(20))
+        in_gap = BooleanOp("AND", [
+            Comparison(">=", col("D.sample_time"), lit(5)),
+            Comparison("<=", col("D.sample_time"), lit(7)),
+        ])
+        plans = []
+        for index, payload in enumerate((legacy, current)):
+            db = Database(workdir=str(tmp_path / f"db{index}"))
+            try:
+                assert db.chunk_stats.load_json(payload) == 3
+                for entry in payload:
+                    restored = db.chunk_stats.get(entry["uri"])
+                    assert restored.enriched == entry["enriched"]
+                    assert restored.num_rows == entry["num_rows"]
+                    assert restored.ranges == {
+                        k: tuple(v) for k, v in entry["ranges"].items()
+                    }
+                    if "zones" in entry:
+                        assert restored.segment_zones.prune_range(3, 9) == [0, 1]
+                        assert restored.segment_zones.prune_range(5, 7) == []
+                uris = [entry["uri"] for entry in payload]
+                plans.append(tuple(
+                    [p.uri for p in db.chunk_planner.plan(uris, "D", q).pruned]
+                    for q in (value, in_gap)
+                ))
+            finally:
+                db.close()
+        assert plans[0] == plans[1] == (["low"], ["high", "header"])
 
     def test_from_json_rejects_partial(self):
         assert ChunkStats.from_json({"uri": "u"}) is None
@@ -285,5 +321,4 @@ class TestStoreStatsSidecar:
         entry = second.chunk_stats.get("u")
         assert entry.enriched
         assert entry.ranges["D.sample_value"] == (4.0, 8.0)
-        assert entry.loading_cost == 0.03
         second.close()

@@ -101,8 +101,8 @@ MAL program:
 
 GOLDEN_QUERY1_CHUNKS = """\
 stage one named 1 candidate chunk(s); 0 pruned by statistics
-chunk plan for D: 1 to fetch, 0 pruned, ~2.00ms estimated
-  [00] remote       2.000ms  <repo>/ISK/ISK.BHE.day0000.xseed"""
+chunk plan for D: 1 to fetch, 0 pruned
+  [00] remote    <repo>/ISK/ISK.BHE.day0000.xseed"""
 
 GOLDEN_T1_EXPLAIN = """\
 query type: T1

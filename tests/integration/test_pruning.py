@@ -103,7 +103,7 @@ class TestPrunedEqualsUnpruned:
             result = db.query(value_query(impossible))
             assert result.stats.chunks_pruned == 8
             assert result.stats.chunks_loaded == 0
-            assert result.rewrite.loaded_uris == []
+            assert [len(p.chunks) for p in result.rewrite.chunk_plans] == [0]
             assert len(result.rewrite.pruned_uris) == 8
             assert result.table.to_dicts()[0]["n"] == 0
         finally:
