@@ -1,19 +1,18 @@
-"""Steim codec throughput: decode kernels, batch entry, encode baseline.
+"""Steim codec throughput: decode, batch entry, encode.
 
-Three comparisons for the warm-path decode work every chunk scan feeds:
+Three measurements of the warm-path decode work every chunk scan feeds:
 
-* **kernel sweep** — ``decode()`` of one payload per registered kernel
-  (``loop`` reference vs the batched ``numpy`` kernel vs ``numba`` when
-  importable), per signal shape: the single-stream speedup the grouped
-  frame kernel buys;
+* **decode** — ``decode()`` of one payload per signal shape (smooth walk,
+  wide-range noise, constant);
 * **batch vs per-call** — ``decode_many()`` over N payloads against N
   ``decode()`` calls: the header-scan and dispatch overhead amortized by
   the batch entry point;
-* **encode** — the encoder's throughput for scale (it is not kernelized).
+* **encode** — the encoder's throughput for scale.
 
-Every decode result is verified sample-for-sample against the reference
-``loop`` kernel; any mismatch makes the benchmark exit nonzero, so the CI
-leg doubles as a cross-kernel parity gate.
+Every row verifies its own outputs: decode rows compare sample-for-sample
+with the encoded signal, encode rows round-trip their payload.  Any
+mismatch makes the benchmark exit nonzero, so the CI leg doubles as a
+codec correctness gate.
 
 Usage::
 
@@ -35,7 +34,7 @@ sys.path.insert(
 )
 
 from repro.bench.reporting import ReportTable  # noqa: E402
-from repro.mseed import steim, steim_kernels  # noqa: E402
+from repro.mseed import steim  # noqa: E402
 
 
 def build_signals(samples: int) -> dict[str, np.ndarray]:
@@ -57,10 +56,15 @@ def best_of(repeats: int, fn) -> float:
     return best
 
 
+def all_equal(outputs: list[np.ndarray], signals: list[np.ndarray]) -> bool:
+    """Whether every output matches its signal sample-for-sample."""
+    return len(outputs) == len(signals) and all(
+        np.array_equal(out, x) for out, x in zip(outputs, signals)
+    )
+
+
 def run(args: argparse.Namespace) -> tuple[ReportTable, int]:
     signals = build_signals(args.samples)
-    payloads = {name: steim.encode(x) for name, x in signals.items()}
-    kernels = steim_kernels.available_kernels()
     mismatches = 0
 
     table = ReportTable(
@@ -69,40 +73,27 @@ def run(args: argparse.Namespace) -> tuple[ReportTable, int]:
             f"best of {args.repeats})"
         ),
         headers=[
-            "experiment", "signal", "kernel", "wall_ms", "msamples_s",
-            "speedup_vs_loop", "verified",
+            "experiment", "signal", "wall_ms", "msamples_s",
+            "speedup_vs_per_call", "verified",
         ],
     )
-    table.add_metadata(
-        samples=args.samples,
-        repeats=args.repeats,
-        kernels=list(kernels),
-        numba=steim_kernels.NUMBA_AVAILABLE,
-    )
+    table.add_metadata(samples=args.samples, repeats=args.repeats)
 
-    # -- kernel sweep ----------------------------------------------------
+    def add(experiment, signal, seconds, samples, ok, speedup=""):
+        nonlocal mismatches
+        mismatches += 0 if ok else 1
+        table.add_row(
+            experiment, signal, round(seconds * 1000, 3),
+            round(samples / seconds / 1e6, 2), speedup,
+            "ok" if ok else "MISMATCH",
+        )
+
+    # -- single-payload decode ---------------------------------------------
     for name, x in signals.items():
-        payload = payloads[name]
-        loop_seconds = None
-        for kernel in kernels:
-            previous = steim_kernels.set_kernel(kernel)
-            try:
-                decoded = steim.decode(payload)
-                seconds = best_of(
-                    args.repeats, lambda: steim.decode(payload)
-                )
-            finally:
-                steim_kernels.set_kernel(previous)
-            ok = bool(np.array_equal(decoded, x))
-            mismatches += 0 if ok else 1
-            if kernel == "loop":
-                loop_seconds = seconds
-            table.add_row(
-                "decode", name, kernel, round(seconds * 1000, 3),
-                round(args.samples / seconds / 1e6, 2),
-                round(loop_seconds / seconds, 2) if loop_seconds else "",
-                "ok" if ok else "MISMATCH",
-            )
+        payload = steim.encode(x)
+        seconds = best_of(args.repeats, lambda: steim.decode(payload))
+        add("decode", name, seconds, args.samples,
+            all_equal([steim.decode(payload)], [x]))
 
     # -- batch vs per-call ------------------------------------------------
     per_batch = max(args.samples // args.batch, 1)
@@ -120,50 +111,37 @@ def run(args: argparse.Namespace) -> tuple[ReportTable, int]:
     batched = best_of(
         args.repeats, lambda: steim.decode_many(batch_payloads)
     )
-    for out, x in zip(steim.decode_many(batch_payloads), batch_signals):
-        if not np.array_equal(out, x):
-            mismatches += 1
     total = per_batch * args.batch
-    table.add_row(
-        f"per-call x{args.batch}", "walk", steim_kernels.active_kernel(),
-        round(per_call * 1000, 3), round(total / per_call / 1e6, 2), "",
-        "ok",
-    )
-    table.add_row(
-        f"decode_many x{args.batch}", "walk", steim_kernels.active_kernel(),
-        round(batched * 1000, 3), round(total / batched / 1e6, 2),
-        round(per_call / batched, 2),
-        "ok" if mismatches == 0 else "MISMATCH",
-    )
+    add(f"per-call x{args.batch}", "walk", per_call, total,
+        all_equal([steim.decode(p) for p in batch_payloads], batch_signals))
+    add(f"decode_many x{args.batch}", "walk", batched, total,
+        all_equal(steim.decode_many(batch_payloads), batch_signals),
+        speedup=round(per_call / batched, 2))
 
-    # -- encode baseline --------------------------------------------------
+    # -- encode -------------------------------------------------------------
     for name, x in signals.items():
         seconds = best_of(args.repeats, lambda: steim.encode(x))
-        table.add_row(
-            "encode", name, "-", round(seconds * 1000, 3),
-            round(args.samples / seconds / 1e6, 2), "", "ok",
-        )
+        add("encode", name, seconds, args.samples,
+            all_equal([steim.decode(steim.encode(x))], [x]))
 
     table.add_note(
-        "speedup_vs_loop: same decode through the reference per-frame "
-        "loop kernel; decode_many row: vs the per-call column above it"
+        "speedup_vs_per_call: the decode_many row against the per-call row "
+        "above it (same payloads)"
     )
     table.add_note(
-        "every decode is verified against the encoded signal; any "
-        "MISMATCH fails the benchmark"
+        "every row verifies its own outputs (decode: against the signal; "
+        "encode: by round-trip); any MISMATCH fails the benchmark"
     )
-    if not steim_kernels.NUMBA_AVAILABLE:
-        table.add_note("numba not importable: jitted kernel not exercised")
     return table, mismatches
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Steim decode-kernel throughput benchmark"
+        description="Steim codec throughput benchmark"
     )
     parser.add_argument(
         "--samples", type=int, default=200_000,
-        help="samples per signal in the kernel sweep",
+        help="samples per signal in the decode and encode rows",
     )
     parser.add_argument(
         "--batch", type=int, default=10,
@@ -187,7 +165,7 @@ def main(argv: list[str] | None = None) -> int:
     json_path = table.save_json(args.out)
     print(f"\nsaved to {text_path} and {json_path}")
     if mismatches:
-        print(f"FAILED: {mismatches} decode mismatch(es)", file=sys.stderr)
+        print(f"FAILED: {mismatches} row(s) failed verification", file=sys.stderr)
         return 1
     return 0
 

@@ -530,8 +530,6 @@ class SommelierDB:
 
     def planner_stats(self) -> dict:
         """Cumulative planner + prefetch counters (``repro cache``)."""
-        from ..mseed import steim_kernels
-
         stats: dict = {
             "planner": self.database.chunk_planner.stats_snapshot(),
             "chunk_stats": {
@@ -541,11 +539,6 @@ class SommelierDB:
                     for entry in self.database.chunk_stats.snapshot().values()
                     if entry.enriched
                 ),
-            },
-            "decode_kernel": {
-                "active": steim_kernels.active_kernel(),
-                "available": list(steim_kernels.available_kernels()),
-                "numba": steim_kernels.NUMBA_AVAILABLE,
             },
         }
         if self.prefetcher is not None:

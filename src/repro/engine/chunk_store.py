@@ -45,7 +45,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .chunk_stats import compute_column_ranges, parse_ranges
-from .errors import StorageError
+from .errors import EngineError, StorageError
 from .table import Field, Schema, Table
 from .types import STRING, type_by_name
 from .column import Column
@@ -69,6 +69,35 @@ STORE_VERSION = 1
 # Directory-name suffix of a torn entry moved aside by read verification
 # (a replaced entry moved aside mid-commit carries OLD_SUFFIX).
 QUARANTINE_SUFFIX = ".quarantine"
+# A v1 ``.npy`` file opens with this magic and version, then a uint16
+# header length: the payload starts at 10 + that length.
+_NPY_V1_MAGIC = b"\x93NUMPY\x01\x00"
+_NPY_PREFIX_BYTES = 10
+
+
+def _npy_payload_offset(file_path: str, dtype: np.dtype, num_rows: int) -> int:
+    """Where a fixed-width ``.npy`` payload starts, found without parsing.
+
+    ``np.load`` parses the header dict with ``ast.literal_eval``, which
+    CPython 3.11 was seen to fail with ``SystemError`` when pool threads
+    rehydrate concurrently.  The manifest already names the dtype and row
+    count, so only the v1 prefix is read: magic, version ``(1, 0)`` and
+    the little-endian header length in bytes 8–9.  The payload must fill
+    the file exactly from the header's end; anything else is a
+    :class:`StorageError`, never a misread.
+    """
+    with open(file_path, "rb") as handle:
+        prefix = handle.read(_NPY_PREFIX_BYTES)
+        size = os.fstat(handle.fileno()).st_size
+    if len(prefix) != _NPY_PREFIX_BYTES or prefix[:8] != _NPY_V1_MAGIC:
+        raise StorageError(f"{file_path!r} is not a v1 .npy file")
+    offset = _NPY_PREFIX_BYTES + int.from_bytes(prefix[8:], "little")
+    if size != offset + num_rows * dtype.itemsize:
+        raise StorageError(
+            f"{file_path!r} is {size} bytes; a {offset}-byte header plus "
+            f"{num_rows} rows of {dtype} is {offset + num_rows * dtype.itemsize}"
+        )
+    return offset
 
 
 @dataclass
@@ -385,7 +414,14 @@ class ChunkStore:
                     values = np.load(file_path, allow_pickle=True)
                     values = np.asarray(values, dtype=object)
                 else:
-                    values = np.load(file_path, mmap_mode="r")
+                    num_rows = int(manifest["num_rows"])
+                    values = np.memmap(
+                        file_path, dtype=dtype.numpy_dtype, mode="r",
+                        offset=_npy_payload_offset(
+                            file_path, dtype.numpy_dtype, num_rows
+                        ),
+                        shape=(num_rows,),
+                    )
                 fields.append(Field(spec["name"], dtype))
                 columns.append(Column(dtype, values))
                 payload += int(spec.get("nbytes", 0))
@@ -440,17 +476,26 @@ class ChunkStore:
             pass
 
     def _entry_is_intact(self, entry_dir: str) -> bool:
-        """Manifest parses and every payload file matches its size."""
+        """Manifest parses and every payload file matches its size.
+
+        Fixed-width payloads must also carry a well-formed ``.npy`` prefix,
+        the same check :meth:`_probe` makes before mapping them.
+        """
         manifest = self._read_manifest(entry_dir)
         if manifest is None:
             return False
         try:
             for spec in manifest["columns"]:
+                file_path = os.path.join(entry_dir, spec["file"])
                 expected = int(spec.get("nbytes", -1))
-                size = os.path.getsize(os.path.join(entry_dir, spec["file"]))
-                if expected >= 0 and size != expected:
+                if expected >= 0 and os.path.getsize(file_path) != expected:
                     return False
-        except (OSError, KeyError, ValueError, TypeError):
+                dtype = type_by_name(spec["dtype"])
+                if dtype is not STRING:
+                    _npy_payload_offset(
+                        file_path, dtype.numpy_dtype, int(manifest["num_rows"])
+                    )
+        except (OSError, KeyError, ValueError, TypeError, EngineError):
             return False
         return True
 

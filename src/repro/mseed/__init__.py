@@ -10,7 +10,6 @@ from .reader import (
     SegmentSamples,
     read_metadata,
     read_samples,
-    read_segment,
     sample_times,
 )
 from .repository import ChunkInfo, FileRepository
@@ -29,7 +28,6 @@ __all__ = [
     "encode",
     "read_metadata",
     "read_samples",
-    "read_segment",
     "sample_times",
     "write_volume",
 ]

@@ -5,8 +5,8 @@ Two access paths with very different costs:
 * :func:`read_metadata` parses only the volume header and segment headers,
   seeking past every compressed payload.  This is what the Registrar calls
   for every file — cheap, O(#segments) small reads.
-* :func:`read_samples` / :func:`read_segment` additionally decode payloads —
-  the expensive path that only runs for chunks a query actually needs.
+* :func:`read_samples` additionally decodes every payload — the expensive
+  path that only runs for chunks a query actually needs.
   The engine always decodes a whole chunk, so the recycler can cache it;
   sub-chunk skipping happens before any read, when the chunk planner
   prunes a chunk whose segment headers (seeded as zone maps at
@@ -37,7 +37,6 @@ __all__ = [
     "SegmentSamples",
     "read_metadata",
     "read_samples",
-    "read_segment",
     "sample_times",
 ]
 
@@ -118,16 +117,3 @@ def read_samples(path: str) -> list[SegmentSamples]:
         results.append(SegmentSamples(header, sample_times(header), values))
     return results
 
-
-def read_segment(path: str, segment_no: int) -> SegmentSamples:
-    """Decode exactly one segment of a volume."""
-    with open_chunk(path) as handle:
-        volume, segments = _read_headers(handle)
-        for header, offset in segments:
-            if header.segment_no != segment_no:
-                continue
-            handle.seek(offset)
-            payload = handle.read(header.payload_bytes)
-            values = steim.decode(payload)
-            return SegmentSamples(header, sample_times(header), values)
-    raise FormatError(f"{path}: no segment {segment_no}")

@@ -16,12 +16,11 @@ size asymmetry behind the paper's Table III.
 
 All encode/decode paths are NumPy-vectorized; nothing loops per sample.
 Decoding is two-phase: a cheap header scan builds a *frame table* (per-frame
-width, count and offsets), then one of the :mod:`repro.mseed.steim_kernels`
-kernels unpacks every frame — equal-width groups in single vectorized
-operations on the default numpy kernel, a JIT bit-loop when numba is
-installed.  :func:`decode_many` batches the scan and unpack across several
-payloads (a chunk's segments) so per-call overhead is paid once per chunk,
-which is what the engine's chunk scans call.
+width, count and offsets), then the :mod:`repro.mseed.steim_kernels`
+kernel unpacks every frame, each group of equal-shape frames in single
+vectorized operations.  :func:`decode_many` batches the scan and unpack
+across several payloads (a chunk's segments) so per-call overhead is paid
+once per chunk, which is what the engine's chunk scans call.
 """
 
 from __future__ import annotations
@@ -134,7 +133,7 @@ def decode_many(payloads: "list[bytes] | tuple[bytes, ...]") -> list[np.ndarray]
 
     The batch entry point of the codec: all frame headers across all
     payloads are scanned first, the concatenated frame table goes through
-    the active decode kernel once (so equal-width frames of *different*
+    the decode kernel once (so equal-width frames of *different*
     payloads still share vectorized unpacks), and zigzag/cumsum
     reconstruction runs over the flat delta array.  Chunk readers hand a
     whole chunk's segment payloads here to amortize per-call overhead.

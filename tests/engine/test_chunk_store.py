@@ -1,5 +1,6 @@
 """ChunkStore: round-trip fidelity, atomic commits, crash safety."""
 
+import ast
 import json
 import os
 
@@ -234,12 +235,61 @@ class TestDurability:
         def exhausted(*args, **kwargs):
             raise OSError(24, "Too many open files")
 
-        monkeypatch.setattr(np, "load", exhausted)
+        # Fixed-width columns are mapped with np.memmap (no np.load).
+        monkeypatch.setattr(np, "memmap", exhausted)
         assert store.get("fine") is None
         monkeypatch.undo()
         # The entry survived on disk and serves normally afterwards.
         assert os.path.isdir(store._entry_dir("fine"))
         assert store.get("fine")[0].num_rows == 16
+
+    @pytest.mark.parametrize(
+        "position, blob",
+        [
+            (0, b"\x00"),  # magic
+            (6, b"\x02"),  # format version (2, 0)
+            (8, b"\x40"),  # header length 64: payload offset shifts
+        ],
+        ids=["magic", "version", "header_length"],
+    )
+    def test_malformed_npy_prefix_is_a_miss_and_quarantined(
+        self, tmp_path, position, blob
+    ):
+        """Same-size corruption of the .npy prefix is never mapped."""
+        store = ChunkStore(str(tmp_path))
+        store.put("bad", make_table(np.arange(32), np.arange(32)), 0.1)
+        payload = os.path.join(self.entry_dir(store, "bad"), "c1.npy")
+        size = os.path.getsize(payload)
+        with open(payload, "r+b") as handle:
+            handle.seek(position)
+            handle.write(blob)
+        assert os.path.getsize(payload) == size  # manifest nbytes still match
+
+        assert store.get("bad") is None
+        assert store.stats.invalid_entries >= 1
+        assert not os.path.isdir(self.entry_dir(store, "bad"))
+
+    def test_rehydrate_never_parses_npy_header(self, tmp_path, monkeypatch):
+        """A failing header parse cannot fail a fixed-width rehydrate.
+
+        ``np.load`` parses the ``.npy`` header with ``ast.literal_eval``,
+        which raised ``SystemError`` under concurrent rehydrates on CPython
+        3.11; the store maps the payload from the manifest instead.
+        """
+        store = ChunkStore(str(tmp_path))
+        values = np.cumsum(np.arange(720) % 7 - 3).astype(np.int64)
+        times = np.arange(720, dtype=np.int64) * 10
+        store.put("spilled", make_table(values, times), 0.1)
+
+        def broken(*args, **kwargs):
+            raise SystemError("AST constructor recursion depth mismatch")
+
+        monkeypatch.setattr(ast, "literal_eval", broken)
+        table, _ = store.get("spilled")
+        assert np.array_equal(table.column("D.sample_value").values, values)
+        assert np.array_equal(table.column("D.sample_time").values, times)
+        assert all(c.is_mapped for c in table.columns)
+        assert store.stats.invalid_entries == 0
 
     def test_quarantined_entry_is_reaped_at_next_open(self, tmp_path):
         root = str(tmp_path)

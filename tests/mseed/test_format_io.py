@@ -84,16 +84,6 @@ class TestWriterReader:
         assert times[0] == 1_000_000
         assert times[1] - times[0] == 10  # 100 Hz -> 10ms
 
-    def test_read_single_segment(self, volume_path):
-        path, _, b = volume_path
-        segment = reader.read_segment(path, 1)
-        assert np.array_equal(segment.values, b)
-
-    def test_read_missing_segment(self, volume_path):
-        path, _, _ = volume_path
-        with pytest.raises(FormatError):
-            reader.read_segment(path, 99)
-
     def test_duplicate_segment_numbers_rejected(self, tmp_path):
         with pytest.raises(FormatError):
             writer.write_volume(

@@ -2,10 +2,33 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.engine.errors import FormatError
 from repro.mseed import steim, steim_kernels
+
+
+def unpack_frames_loop(buf, widths, counts, offsets, starts, out):
+    """Bit-exact reference oracle: one unpackbits/reshape/sum per frame.
+
+    The codec's original per-frame decode loop.  It is slow and obviously
+    right, so the batched kernel in :mod:`repro.mseed.steim_kernels` is
+    checked against it frame table by frame table.
+    """
+    for f in range(len(widths)):
+        width = int(widths[f])
+        count = int(counts[f])
+        start = int(starts[f])
+        if width == 0:
+            out[start : start + count] = 0
+            continue
+        offset = int(offsets[f])
+        nbytes = (count * width + 7) // 8
+        raw = buf[offset : offset + nbytes]
+        bits = np.unpackbits(raw, bitorder="little")[: count * width]
+        matrix = bits.reshape(count, width).astype(np.uint64)
+        weights = np.uint64(1) << np.arange(width, dtype=np.uint64)
+        out[start : start + count] = matrix.dot(weights)
 
 
 class TestRoundtrip:
@@ -108,38 +131,19 @@ def _signals():
 
 
 class TestKernels:
-    def test_available_always_has_loop_and_numpy(self):
-        names = steim_kernels.available_kernels()
-        assert "loop" in names and "numpy" in names
-
     @pytest.mark.parametrize("kernel", ["loop", "numpy"])
-    def test_kernel_parity(self, kernel):
-        previous = steim_kernels.set_kernel(kernel)
-        try:
-            for name, x in _signals().items():
-                out = steim.decode(steim.encode(x))
-                assert np.array_equal(out, x), f"{kernel} mismatch on {name}"
-        finally:
-            steim_kernels.set_kernel(previous)
+    def test_kernel_parity(self, kernel, monkeypatch):
+        """Both the kernel and its oracle round-trip every signal shape."""
+        if kernel == "loop":
+            monkeypatch.setattr(
+                steim_kernels, "_unpack_frames_numpy", unpack_frames_loop
+            )
+        for name, x in _signals().items():
+            out = steim.decode(steim.encode(x))
+            assert np.array_equal(out, x), f"{kernel} mismatch on {name}"
 
-    @pytest.mark.skipif(
-        not steim_kernels.NUMBA_AVAILABLE, reason="numba not installed"
-    )
-    def test_numba_kernel_parity(self):
-        previous = steim_kernels.set_kernel("numba")
-        try:
-            for name, x in _signals().items():
-                out = steim.decode(steim.encode(x))
-                assert np.array_equal(out, x), f"numba mismatch on {name}"
-        finally:
-            steim_kernels.set_kernel(previous)
-
-    def test_set_kernel_returns_previous_and_rejects_unknown(self):
-        current = steim_kernels.active_kernel()
-        assert steim_kernels.set_kernel(current) == current
-        with pytest.raises(FormatError):
-            steim_kernels.set_kernel("cuda")
-        assert steim_kernels.active_kernel() == current
+    def test_active_kernel_is_numpy(self):
+        assert steim_kernels.active_kernel() == "numpy"
 
     def test_decode_many_matches_per_call(self):
         signals = list(_signals().values())
@@ -163,3 +167,75 @@ class TestKernels:
 def test_roundtrip_property(values):
     x = np.asarray(values, dtype=np.int64)
     assert np.array_equal(steim.decode(steim.encode(x)), x)
+
+
+# A frame table the encoder never writes: any width 0-64, any uint16 count,
+# gaps between payloads, and output slots out of order, so equal-shape
+# groups reach the kernel's scatter branch as well as its contiguous one.
+_SHAPES = st.tuples(
+    st.integers(min_value=0, max_value=64),
+    st.one_of(
+        st.just(steim.FRAME_SAMPLES), st.integers(min_value=1, max_value=0xFFFF)
+    ),
+)
+
+
+@st.composite
+def frame_tables(draw):
+    shapes = draw(st.lists(_SHAPES, min_size=1, max_size=3))
+    frames = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(shapes),
+                st.integers(min_value=0, max_value=9),  # payload gap bytes
+                st.integers(min_value=0, max_value=9),  # output gap codes
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    reverse = draw(st.booleans())
+    return [(w, c, pad, skip) for (w, c), pad, skip in frames], reverse
+
+
+@settings(max_examples=150, deadline=None)
+@given(frame_tables(), st.integers(min_value=0, max_value=2**32 - 1))
+@example(
+    (
+        [
+            (13, steim.FRAME_SAMPLES, 0, 0),
+            (13, steim.FRAME_SAMPLES, 0, 0),
+            (64, steim.FRAME_SAMPLES, 3, 0),
+            (0, steim.FRAME_SAMPLES, 0, 0),
+            (1, 0xFFFF, 1, 0),
+        ],
+        False,
+    ),
+    0,
+)
+def test_kernel_matches_loop_oracle_on_frame_tables(table, seed):
+    frames, reverse = table
+    widths = np.asarray([w for w, _, _, _ in frames], dtype=np.int64)
+    counts = np.asarray([c for _, c, _, _ in frames], dtype=np.int64)
+    offsets = np.empty(len(frames), dtype=np.int64)
+    starts = np.empty(len(frames), dtype=np.int64)
+    payload_end = 0
+    output_end = 0
+    slots = range(len(frames) - 1, -1, -1) if reverse else range(len(frames))
+    for f in slots:
+        width, count, pad, skip = frames[f]
+        offsets[f] = payload_end + pad
+        payload_end = int(offsets[f]) + (count * width + 7) // 8
+        starts[f] = output_end + skip
+        output_end = int(starts[f]) + count
+    buf = np.random.default_rng(seed).integers(
+        0, 256, payload_end, dtype=np.uint8
+    )
+
+    expected = np.zeros(output_end, dtype=np.uint64)
+    unpack_frames_loop(buf, widths, counts, offsets, starts, expected)
+    got = steim_kernels.unpack_frames(
+        buf, widths, counts, offsets, starts, output_end
+    )
+    assert got.dtype == np.uint64
+    assert np.array_equal(got, expected)

@@ -161,7 +161,6 @@ GOLDEN_COUNTER_KEYS = {
         "chunks_scheduled",
     },
     "chunk_stats": {"chunks_tracked", "chunks_enriched"},
-    "decode_kernel": {"active", "available", "numba"},
     "plan_cache": {
         "lookups", "hits", "misses", "invalidations", "evictions", "entries",
     },
