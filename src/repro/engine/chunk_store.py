@@ -431,9 +431,10 @@ class ChunkStore:
                     f"chunk {uri!r} decoded {table.num_rows} rows, manifest "
                     f"says {manifest.get('num_rows')}"
                 )
-        except (FileNotFoundError, ValueError, KeyError, StorageError):
+        except (FileNotFoundError, ValueError, KeyError, EngineError):
             # Definitively broken: missing/torn payloads, size or row-count
-            # mismatches, unparseable npy content.
+            # mismatches, unparseable npy content, a dtype name this engine
+            # does not know.
             self._quarantine(uri, entry_dir)
             return None
         except OSError:

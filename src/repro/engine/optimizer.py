@@ -12,6 +12,11 @@ performed", Section III):
 * join-block extraction helpers used by the paper's compile-time optimizer
   (in :mod:`repro.core`) to re-order joins.
 
+Projection pushdown is not a plan rewrite here: plans keep their full
+schemas, and the executor passes each operator's needed columns down
+(:func:`repro.engine.physical.execute_plan`), so every node materializes
+only the columns read above it.
+
 The paper's partial-loading rules (R1–R4, plan split, runtime rewrite) are
 implemented in :mod:`repro.core.coloring` and :mod:`repro.core.two_stage`;
 they plug into this pipeline rather than replacing it.

@@ -2,8 +2,12 @@
 
 The executor walks a :class:`~repro.engine.algebra.LogicalPlan` and
 materializes a :class:`~repro.engine.table.Table` per node — MonetDB-style
-full materialization ("bulk processing"), which is what makes the paper's
-two-stage break between sub-plans natural.
+bulk processing, which is what makes the paper's two-stage break between
+sub-plans natural.  Only the columns read above a node are materialized:
+each operator tells its children which columns its own expressions and
+its parent read (:func:`execute_plan`'s ``needed``), which is the
+projection pushdown of Section III done at execution time.  The plans
+themselves keep their full schemas.
 
 All heavy lifting is vectorized: selections evaluate predicates over whole
 columns, joins run through :mod:`repro.engine.hashjoin`, and aggregation is
@@ -11,9 +15,11 @@ bincount/ufunc based.  An :class:`ExecutionContext` carries the database
 handle (for scans, chunk loading and caches), the stage-result registry used
 by ``result-scan``, and the counters experiments read.
 
-Hidden columns: every base-table scan emits a ``<T>.#rowid`` column so that
-join indexes (a positional FK→PK mapping) can replace hash joins when the
-eager_index loading variant built them.  Hidden columns are dropped by
+Hidden columns: every base-table scan can emit a ``<T>.#rowid`` column so
+that join indexes (a positional FK→PK mapping) can replace hash joins when
+the eager_index loading variant built them; a join those indexes cover
+asks its children for both rowids.  Chunk scans never emit one (loaded
+rows have no base-table position).  Hidden columns are dropped by
 projections and final result delivery.
 """
 
@@ -21,14 +27,21 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, AbstractSet, Sequence
 
 import numpy as np
 
 from . import algebra
 from .column import Column
+from .database import ROWID
 from .errors import ExecutionError, PlanError, QueryCancelled
-from .expressions import Comparison, ColumnRef, Expression, conjuncts
+from .expressions import (
+    Comparison,
+    ColumnRef,
+    Expression,
+    conjuncts,
+    referenced_columns,
+)
 from .hashjoin import composite_codes_pair, equi_join_pairs
 from .scan import filter_piece, record_outcome, run_schedule
 from .table import Schema, Table
@@ -37,6 +50,7 @@ from ..util.counters import Counters
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .database import Database
+    from .indexes import JoinIndex
 
 __all__ = [
     "CancelToken",
@@ -127,72 +141,129 @@ def drop_hidden_columns(table: Table) -> Table:
     return table.project(visible)
 
 
-def execute_plan(plan: algebra.LogicalPlan, ctx: ExecutionContext) -> Table:
-    """Evaluate a logical plan bottom-up, returning its result table."""
+def execute_plan(
+    plan: algebra.LogicalPlan,
+    ctx: ExecutionContext,
+    needed: AbstractSet[str] | None = None,
+) -> Table:
+    """Evaluate a logical plan bottom-up, returning its result table.
+
+    ``needed`` names the columns the caller reads; ``None`` means all of
+    them (the root of a plan).  The result carries every needed column of
+    the plan's schema and possibly others, but a node gathers, filters and
+    concatenates only what its parent reads; each operator derives its
+    children's need from its own expressions.  A node whose need is empty
+    still carries one column, so its row count survives (``COUNT(*)``).
+    """
     ctx.check_cancelled()
     if isinstance(plan, algebra.Scan):
-        return _execute_scan(plan, ctx)
+        return _execute_scan(plan, ctx, needed)
     if isinstance(plan, algebra.Select):
-        return _execute_select(plan, ctx)
+        return _execute_select(plan, ctx, needed)
     if isinstance(plan, algebra.Project):
         return _execute_project(plan, ctx)
     if isinstance(plan, algebra.Join):
-        return _execute_join(plan, ctx)
+        return _execute_join(plan, ctx, needed)
     if isinstance(plan, algebra.Aggregate):
         return _execute_aggregate(plan, ctx)
     if isinstance(plan, algebra.Union):
-        tables = [execute_plan(child, ctx) for child in plan.children()]
-        aligned = [t.project(list(plan.schema.names)) for t in tables]
-        return Table.concat_all(aligned)
+        tables = [execute_plan(child, ctx, needed) for child in plan.children()]
+        names = [
+            name
+            for name in _kept(plan.schema.names, needed)
+            if all(table.schema.has(name) for table in tables)
+        ]
+        return Table.concat_all([table.project(names) for table in tables])
     if isinstance(plan, algebra.Sort):
-        return _execute_sort(plan, ctx)
+        return _execute_sort(plan, ctx, needed)
     if isinstance(plan, algebra.Limit):
-        child = execute_plan(plan.child, ctx)
+        child = execute_plan(plan.child, ctx, needed)
         return child.slice(0, min(plan.count, child.num_rows))
     if isinstance(plan, algebra.Distinct):
         return _execute_distinct(plan, ctx)
     if isinstance(plan, algebra.EmptyRelation):
         return Table.empty(plan.schema)
     if isinstance(plan, algebra.ResultScan):
-        return _execute_result_scan(plan, ctx)
+        return _execute_result_scan(plan, ctx, needed)
     if isinstance(plan, algebra.ParallelChunkScan):
-        return _execute_parallel_chunk_scan(plan, ctx)
+        return _execute_parallel_chunk_scan(plan, ctx, needed)
     raise PlanError(f"no physical implementation for {type(plan).__name__}")
+
+
+def _kept(names: Sequence[str], needed: AbstractSet[str] | None) -> list[str]:
+    """The ``names`` a node emits for its parent's need, in their order.
+
+    All of them when the need is unknown (``None``); otherwise the needed
+    ones, or the first name alone when none is needed, so the node's row
+    count survives.
+    """
+    if needed is None:
+        return list(names)
+    kept = [name for name in names if name in needed]
+    return kept or list(names[:1])
+
+
+def _narrowed(table: Table, needed: AbstractSet[str] | None) -> Table:
+    """``table`` with the columns :func:`_kept` keeps (itself if all)."""
+    if needed is None:
+        return table
+    names = _kept(table.schema.names, needed)
+    return table if len(names) == table.num_columns else table.project(names)
+
+
+def _widen(
+    needed: AbstractSet[str] | None,
+    expressions: Sequence[Expression] = (),
+    names: Sequence[str] = (),
+) -> set[str] | None:
+    """``needed`` plus the columns of ``expressions`` and ``names``."""
+    if needed is None:
+        return None
+    wider = set(needed).union(names)
+    for expression in expressions:
+        wider |= referenced_columns(expression)
+    return wider
 
 
 # -- scans ---------------------------------------------------------------------
 
 
-def _execute_scan(plan: algebra.Scan, ctx: ExecutionContext) -> Table:
+def _execute_scan(
+    plan: algebra.Scan, ctx: ExecutionContext, needed: AbstractSet[str] | None
+) -> Table:
     table = ctx.database.scan_base_table(plan.table_name)
     ctx.stats.rows_scanned += table.num_rows
-    return table
+    return _narrowed(table, needed)
 
 
-def _execute_result_scan(plan: algebra.ResultScan, ctx: ExecutionContext) -> Table:
+def _execute_result_scan(
+    plan: algebra.ResultScan,
+    ctx: ExecutionContext,
+    needed: AbstractSet[str] | None,
+) -> Table:
     try:
-        return ctx.stage_results[plan.tag]
+        table = ctx.stage_results[plan.tag]
     except KeyError:
         raise ExecutionError(
             f"result-scan: no stage result tagged {plan.tag!r}"
         ) from None
+    return _narrowed(table, needed)
 
 
 def _scan_local(
-    ctx: ExecutionContext, plan: algebra.ParallelChunkScan
+    ctx: ExecutionContext, plan: algebra.ParallelChunkScan, names: list[str]
 ) -> list[Table]:
     """Filtered pieces of the plan's chunks (assembly order), fetched locally.
 
     Fetches are issued in assembly order — serially on the query
     thread with ``io_threads == 1``, through the database's shared I/O pool
-    otherwise; each chunk is accounted and filtered on the query thread as
-    it completes.  Every chunk comes whole from
-    :meth:`~repro.engine.database.Database.fetch_chunk`, which serves it
-    from either recycler tier or loads it.
+    otherwise; each chunk is accounted, filtered and projected to
+    ``names`` on the query thread as it completes.  Every chunk comes whole
+    from :meth:`~repro.engine.database.Database.fetch_chunk`, which serves
+    it from either recycler tier or loads it.
     """
     database = ctx.database
     uris = plan.uris
-    names = plan.schema.names
     pieces: list[Table | None] = [None] * len(uris)
 
     def fetch(index: int) -> tuple[Table, str, float]:
@@ -209,7 +280,9 @@ def _scan_local(
 
 
 def _execute_parallel_chunk_scan(
-    plan: algebra.ParallelChunkScan, ctx: ExecutionContext
+    plan: algebra.ParallelChunkScan,
+    ctx: ExecutionContext,
+    needed: AbstractSet[str] | None,
 ) -> Table:
     """The planned chunk scan: one loop, one result per identical scan.
 
@@ -217,25 +290,30 @@ def _execute_parallel_chunk_scan(
     tier and the completion order, the concatenation follows the plan's assembly
     (URI) order, so the rows do not depend on who runs the scan.  That is
     why identical scans in flight at the same time — same table, chunks,
-    pushed predicate and columns, over the same catalog version — run
-    once (:meth:`~repro.engine.database.Database.scan_once`): the other
-    callers take the owner's table and count its chunks as
+    pushed predicate and emitted columns, over the same catalog version —
+    run once (:meth:`~repro.engine.database.Database.scan_once`): the
+    other callers take the owner's table and count its chunks as
     ``chunks_shared``.  The version term keeps a scan issued after a
     write to F or S from joining one issued before it.
+
+    The scan emits only the needed columns and never the hidden rowid:
+    loaded chunk rows carry -1 there, which no join index accepts.
     """
+    visible = [name for name in plan.schema.names if not is_hidden(name)]
+    names = _kept(visible, needed)
     if not plan.uris:
-        return Table.empty(plan.schema)
+        return Table.empty(plan.schema.select(names))
     predicate = plan.pushed_predicate
     key = (
         plan.table_name,
         plan.uris,
         predicate.key() if predicate is not None else None,
-        tuple(plan.schema.names),
+        tuple(names),
         ctx.database.catalog.versions((plan.table_name,)),
     )
     table, shared = ctx.database.scan_once(
         key,
-        lambda: Table.concat_all(_scan_local(ctx, plan)),
+        lambda: Table.concat_all(_scan_local(ctx, plan, names)),
         ctx.check_cancelled,
     )
     if shared:
@@ -246,16 +324,19 @@ def _execute_parallel_chunk_scan(
 # -- row-level operators ---------------------------------------------------------
 
 
-def _execute_select(plan: algebra.Select, ctx: ExecutionContext) -> Table:
-    child = execute_plan(plan.child, ctx)
+def _execute_select(
+    plan: algebra.Select, ctx: ExecutionContext, needed: AbstractSet[str] | None
+) -> Table:
+    child = execute_plan(plan.child, ctx, _widen(needed, [plan.predicate]))
     mask = np.asarray(plan.predicate.evaluate(child), dtype=np.bool_)
-    return child.filter(mask)
+    return _narrowed(child, needed).filter(mask)
 
 
 def _execute_project(plan: algebra.Project, ctx: ExecutionContext) -> Table:
-    child = execute_plan(plan.child, ctx)
+    expressions = [expression for _name, expression in plan.outputs]
+    child = execute_plan(plan.child, ctx, _widen(set(), expressions))
     columns = []
-    for (_name, expression), fld in zip(plan.outputs, plan.schema):
+    for expression, fld in zip(expressions, plan.schema):
         values = expression.evaluate(child)
         if fld.dtype is STRING and not isinstance(values, np.ndarray):
             raise ExecutionError("projection produced a non-array value")
@@ -263,8 +344,12 @@ def _execute_project(plan: algebra.Project, ctx: ExecutionContext) -> Table:
     return Table(plan.schema, columns)
 
 
-def _execute_sort(plan: algebra.Sort, ctx: ExecutionContext) -> Table:
-    child = execute_plan(plan.child, ctx)
+def _execute_sort(
+    plan: algebra.Sort, ctx: ExecutionContext, needed: AbstractSet[str] | None
+) -> Table:
+    child = execute_plan(
+        plan.child, ctx, _widen(needed, names=[key.name for key in plan.keys])
+    )
     if child.num_rows == 0:
         return child
     # lexsort sorts by the *last* key first; feed keys in reverse order.
@@ -281,7 +366,7 @@ def _execute_sort(plan: algebra.Sort, ctx: ExecutionContext) -> Table:
             values = -values if values.dtype != np.bool_ else ~values
         key_arrays.append(values)
     indices = np.lexsort(key_arrays)
-    return child.take(indices)
+    return _narrowed(child, needed).take(indices)
 
 
 def _execute_distinct(plan: algebra.Distinct, ctx: ExecutionContext) -> Table:
@@ -325,31 +410,50 @@ def _split_condition_by_schema(
     return pairs, residual
 
 
-def _execute_join(plan: algebra.Join, ctx: ExecutionContext) -> Table:
-    left = execute_plan(plan.left, ctx)
-    right = execute_plan(plan.right, ctx)
+def _execute_join(
+    plan: algebra.Join, ctx: ExecutionContext, needed: AbstractSet[str] | None
+) -> Table:
+    """Match keys on the key columns, then gather only what is read above.
+
+    The children are asked for the needed columns, the condition's columns
+    and, when a join index covers the equi pairs, both hidden rowids (the
+    index maps base-row positions).  The matched pairs then gather only
+    the needed and residual columns.
+    """
+    pairs, residual = _split_condition_by_schema(
+        plan.condition, plan.left.schema, plan.right.schema
+    )
+    match = ctx.database.find_join_index_for(pairs) if pairs else None
+    rowids = (
+        [f"{match[0].fk_table}.{ROWID}", f"{match[0].pk_table}.{ROWID}"]
+        if match is not None
+        else []
+    )
+    child_need = _widen(needed, conjuncts(plan.condition), rowids)
+    left = execute_plan(plan.left, ctx, child_need)
+    right = execute_plan(plan.right, ctx, child_need)
     ctx.stats.joins_executed += 1
 
-    if plan.condition is None:
-        return _cross_product(left, right, ctx)
+    via_index = _try_join_index(left, right, match) if match else None
+    if via_index is not None:
+        left_rows, right_rows = via_index
+        ctx.stats.join_index_hits += 1
+    elif pairs:
+        left_codes, right_codes = composite_codes_pair(
+            [left.column(a) for a, _ in pairs], [right.column(b) for _, b in pairs]
+        )
+        left_rows, right_rows = equi_join_pairs(left_codes, right_codes)
+    else:  # cross product (rule R2's tool), filtered by the residual below
+        n, m = left.num_rows, right.num_rows
+        left_rows = np.repeat(np.arange(n, dtype=np.int64), m)
+        right_rows = np.tile(np.arange(m, dtype=np.int64), n)
 
-    pairs, residual = _split_condition_by_schema(
-        plan.condition, left.schema, right.schema
-    )
-    if pairs:
-        via_index = _try_join_index(left, right, pairs, ctx)
-        if via_index is not None:
-            left_rows, right_rows = via_index
-            ctx.stats.join_index_hits += 1
-        else:
-            left_cols = [left.column(a) for a, _ in pairs]
-            right_cols = [right.column(b) for _, b in pairs]
-            left_codes, right_codes = composite_codes_pair(left_cols, right_cols)
-            left_rows, right_rows = equi_join_pairs(left_codes, right_codes)
-        joined = left.take(left_rows).zip_columns(right.take(right_rows))
-    else:
-        joined = _cross_product(left, right, ctx)
-
+    gathered = _widen(needed, residual)
+    if gathered is not None:
+        names = _kept(left.schema.names + right.schema.names, gathered)
+        left = left.project([name for name in names if left.schema.has(name)])
+        right = right.project([name for name in names if right.schema.has(name)])
+    joined = left.take(left_rows).zip_columns(right.take(right_rows))
     for extra in residual:
         mask = np.asarray(extra.evaluate(joined), dtype=np.bool_)
         joined = joined.filter(mask)
@@ -357,34 +461,19 @@ def _execute_join(plan: algebra.Join, ctx: ExecutionContext) -> Table:
     return joined
 
 
-def _cross_product(left: Table, right: Table, ctx: ExecutionContext) -> Table:
-    n, m = left.num_rows, right.num_rows
-    left_rows = np.repeat(np.arange(n, dtype=np.int64), m)
-    right_rows = np.tile(np.arange(m, dtype=np.int64), n)
-    result = left.take(left_rows).zip_columns(right.take(right_rows))
-    ctx.stats.rows_joined += result.num_rows
-    return result
-
-
 def _try_join_index(
-    left: Table,
-    right: Table,
-    pairs: Sequence[tuple[str, str]],
-    ctx: ExecutionContext,
+    left: Table, right: Table, match: "tuple[JoinIndex, bool]"
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Try to answer the equi join with a prebuilt FK→PK join index.
 
-    Conditions: the database holds a join index whose qualified FK/PK key
-    columns are exactly the join keys, and both inputs still carry the
-    corresponding hidden rowid columns.
+    ``match`` is the index whose qualified FK/PK key columns are exactly
+    the join keys (:meth:`~repro.engine.database.Database.find_join_index_for`);
+    it applies when both inputs still carry the corresponding hidden rowid
+    columns with base-table positions.
     """
-    database = ctx.database
-    match = database.find_join_index_for(pairs)
-    if match is None:
-        return None
     join_index, fk_on_left = match
-    fk_rowid = f"{join_index.fk_table}.{HIDDEN_MARKER}rowid"
-    pk_rowid = f"{join_index.pk_table}.{HIDDEN_MARKER}rowid"
+    fk_rowid = f"{join_index.fk_table}.{ROWID}"
+    pk_rowid = f"{join_index.pk_table}.{ROWID}"
     fk_side, pk_side = (left, right) if fk_on_left else (right, left)
     if not (fk_side.schema.has(fk_rowid) and pk_side.schema.has(pk_rowid)):
         return None
@@ -474,7 +563,8 @@ def _aggregate_values(
 
 
 def _execute_aggregate(plan: algebra.Aggregate, ctx: ExecutionContext) -> Table:
-    child = execute_plan(plan.child, ctx)
+    arguments = [s.argument for s in plan.aggregates if s.argument is not None]
+    child = execute_plan(plan.child, ctx, _widen(set(), arguments, plan.group_by))
     if plan.group_by:
         return _grouped_aggregate(plan, child)
     return _scalar_aggregate(plan, child)

@@ -1,4 +1,4 @@
-"""The one chunk-scan loop: fetch → account → align → mask → filter → place.
+"""The one chunk-scan loop: fetch → account → mask → project → filter → place.
 
 The run-time rewrite ``scan(a) → ∪ (cache-scan(f) | chunk-access(f))`` is
 one ``ParallelChunkScan``, executed through the three functions here with
@@ -29,12 +29,18 @@ Fetched = TypeVar("Fetched")
 def filter_piece(
     chunk: Table, names: Sequence[str], predicate: "Expression | None"
 ) -> Table:
-    """Project a chunk to the plan's schema and apply the pushed predicate."""
+    """Apply the pushed predicate to a whole chunk, keeping only ``names``.
+
+    The predicate is evaluated on the whole chunk, since it may read a
+    column the scan does not emit (a time bound on ``D.sample_time``); the
+    projection to ``names`` comes before the filter, so only the emitted
+    columns are copied.
+    """
     piece = chunk.project(list(names))
-    if predicate is not None:
-        mask = np.asarray(predicate.evaluate(piece), dtype=np.bool_)
-        piece = piece.filter(mask)
-    return piece
+    if predicate is None:
+        return piece
+    mask = np.asarray(predicate.evaluate(chunk), dtype=np.bool_)
+    return piece.filter(mask)
 
 
 def record_outcome(

@@ -38,7 +38,7 @@ class Field:
 class Schema:
     """An ordered list of fields with unique names."""
 
-    __slots__ = ("fields", "_index")
+    __slots__ = ("fields", "names", "_index")
 
     def __init__(self, fields: Sequence[Field]) -> None:
         names = [f.name for f in fields]
@@ -46,7 +46,8 @@ class Schema:
             duplicates = sorted({n for n in names if names.count(n) > 1})
             raise CatalogError(f"duplicate column names in schema: {duplicates}")
         self.fields: tuple[Field, ...] = tuple(fields)
-        self._index = {f.name: i for i, f in enumerate(self.fields)}
+        self.names: tuple[str, ...] = tuple(names)
+        self._index = {name: i for i, name in enumerate(names)}
 
     @classmethod
     def of(cls, *pairs: tuple[str, DataType]) -> "Schema":
@@ -66,10 +67,6 @@ class Schema:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "Schema(" + ", ".join(map(repr, self.fields)) + ")"
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(f.name for f in self.fields)
 
     def has(self, name: str) -> bool:
         return name in self._index

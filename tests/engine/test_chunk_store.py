@@ -9,6 +9,7 @@ import pytest
 
 from repro.engine.chunk_store import MANIFEST_NAME, ChunkStore
 from repro.engine.column import Column
+from repro.engine.recycler import Recycler
 from repro.engine.table import Schema, Table
 from repro.engine.types import INT64, STRING, TIMESTAMP
 from repro.mseed import steim
@@ -268,6 +269,41 @@ class TestDurability:
         assert store.get("bad") is None
         assert store.stats.invalid_entries >= 1
         assert not os.path.isdir(self.entry_dir(store, "bad"))
+
+    def test_unknown_manifest_dtype_is_a_miss_and_quarantined(self, tmp_path):
+        """A dtype name the engine does not know reads as a miss.
+
+        The store quarantines the entry instead of failing the query, and
+        the next fetch through the recycler decodes the chunk again.
+        """
+        samples = np.cumsum(np.arange(300) % 9 - 4).astype(np.int64)
+        encoded = steim.encode(samples)
+        times = np.arange(len(samples), dtype=np.int64) * 25
+
+        def decode(uri):
+            return make_table(steim.decode(encoded), times), 0.01
+
+        store = ChunkStore(str(tmp_path))
+        original, _ = decode("odd")
+        store.put("odd", original, 0.01)
+        manifest_path = os.path.join(self.entry_dir(store, "odd"), MANIFEST_NAME)
+        with open(manifest_path, encoding="utf-8") as handle:
+            manifest = json.load(handle)
+        manifest["columns"][1]["dtype"] = "FOO"
+        with open(manifest_path, "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle)
+
+        assert store.get("odd") is None
+        assert store.stats.invalid_entries >= 1
+        assert not os.path.isdir(self.entry_dir(store, "odd"))
+
+        cache = Recycler(budget_bytes=1 << 20, store=store)
+        table, outcome, _ = cache.get_or_load("odd", decode)
+        assert outcome == "loaded"
+        assert table.schema == original.schema
+        for fetched, expected in zip(table.columns, original.columns):
+            assert fetched.values.dtype == expected.values.dtype
+            assert fetched.values.tobytes() == expected.values.tobytes()
 
     def test_rehydrate_never_parses_npy_header(self, tmp_path, monkeypatch):
         """A failing header parse cannot fail a fixed-width rehydrate.

@@ -128,6 +128,55 @@ class TestJoin:
         assert ctx.stats.rows_joined == 3
 
 
+class TestNeededColumns:
+    """``execute_plan(..., needed)``: a node gathers what its parent reads."""
+
+    def users_depts(self, db, extra=None):
+        condition = Comparison("=", col("users.dept"), col("depts.dept_id"))
+        if extra is not None:
+            condition = BooleanOp("AND", [condition, extra])
+        return algebra.Join(scan(db, "users"), scan(db, "depts"), condition)
+
+    def test_join_gathers_only_needed_columns(self, db):
+        plan = self.users_depts(db)
+        full = execute_plan(plan, ExecutionContext(db))
+        narrow = execute_plan(plan, ExecutionContext(db), {"depts.dept_name"})
+        assert narrow.schema.names == ("depts.dept_name",)
+        assert narrow.column("depts.dept_name") == full.column("depts.dept_name")
+
+    def test_empty_need_keeps_the_row_count(self, db):
+        for plan in (
+            self.users_depts(db),
+            algebra.Join(scan(db, "users"), scan(db, "depts"), None),
+            scan(db, "users"),
+        ):
+            full = execute_plan(plan, ExecutionContext(db))
+            narrow = execute_plan(plan, ExecutionContext(db), set())
+            assert narrow.num_columns == 1
+            assert narrow.num_rows == full.num_rows
+
+    def test_residual_columns_are_read_but_need_not_be_needed(self, db):
+        plan = self.users_depts(
+            db, Comparison("=", col("depts.dept_name"), lit("eng"))
+        )
+        narrow = execute_plan(plan, ExecutionContext(db), {"users.name"})
+        assert sorted(narrow.column("users.name").to_list()) == ["ann", "cat"]
+
+    def test_select_projects_before_filtering(self, db):
+        plan = algebra.Select(
+            scan(db, "users"), Comparison(">", col("users.dept"), lit(15))
+        )
+        narrow = execute_plan(plan, ExecutionContext(db), {"users.name"})
+        assert narrow.schema.names == ("users.name",)
+        assert narrow.column("users.name").to_list() == ["bob", "dan"]
+
+    def test_count_star_over_a_join(self, db):
+        plan = algebra.Aggregate(
+            self.users_depts(db), [], [algebra.AggregateSpec("COUNT", None, "n")]
+        )
+        assert execute_plan(plan, ExecutionContext(db)).to_dicts() == [{"n": 3}]
+
+
 class TestJoinIndexPath:
     @pytest.fixture()
     def indexed_db(self):
@@ -172,6 +221,18 @@ class TestJoinIndexPath:
         result = execute_plan(plan, ctx)
         assert ctx.stats.join_index_hits == 1
         assert result.num_rows == 3  # 9 dangles
+
+    def test_index_kept_when_the_rowids_are_not_needed_above(self, indexed_db):
+        ctx = ExecutionContext(indexed_db)
+        plan = algebra.Join(
+            scan(indexed_db, "fk"),
+            scan(indexed_db, "pk"),
+            Comparison("=", col("fk.k"), col("pk.k")),
+        )
+        result = execute_plan(plan, ctx, {"pk.label"})
+        assert ctx.stats.join_index_hits == 1
+        assert result.schema.names == ("pk.label",)
+        assert result.column("pk.label").to_list() == ["one", "three", "three"]
 
     def test_index_result_matches_hash_join(self, indexed_db):
         plan = algebra.Join(

@@ -24,6 +24,42 @@ MILLIS_PER_DAY = 24 * 3600 * 1000
 APPROACH_NAMES = ("lazy", "eager_plain", "eager_csv", "eager_index", "eager_dmd")
 
 
+def count_star_query(params):
+    """COUNT(*) over the metadata⋈data join: no column is read above it."""
+    return f"""
+        SELECT COUNT(*) AS n FROM dataview
+        WHERE F.station = '{params.station}'
+          AND D.sample_time >= '{params.start_iso}'
+          AND D.sample_time < '{params.end_iso}'
+    """
+
+
+def distinct_query(params):
+    return f"""
+        SELECT DISTINCT S.segment_no AS seg FROM dataview
+        WHERE F.station = '{params.station}' AND D.sample_value > 0
+        ORDER BY seg
+    """
+
+
+def order_limit_query(params):
+    return f"""
+        SELECT D.sample_time AS t, D.sample_value AS v FROM dataview
+        WHERE F.station = '{params.station}'
+          AND F.channel = '{params.channel}'
+        ORDER BY v DESC, t LIMIT 15
+    """
+
+
+def residual_join_query(params):
+    """A D⋈S join whose condition keeps a non-equi residual conjunct."""
+    return f"""
+        SELECT COUNT(*) AS n, SUM(D.sample_value) AS total FROM dataview
+        WHERE F.station = '{params.station}'
+          AND D.sample_value > S.segment_no * 100
+    """
+
+
 @pytest.fixture(scope="module")
 def prepared_all(tiny_repo):
     databases = {}
@@ -48,7 +84,18 @@ def all_params():
 
 class TestApproachEquivalence:
     @pytest.mark.parametrize(
-        "builder", [t1_query, t2_query, t3_query, t4_query, t5_query]
+        "builder",
+        [
+            t1_query,
+            t2_query,
+            t3_query,
+            t4_query,
+            t5_query,
+            count_star_query,
+            distinct_query,
+            order_limit_query,
+            residual_join_query,
+        ],
     )
     def test_same_answer_everywhere(self, prepared_all, all_params, builder):
         sql = builder(all_params)
@@ -61,6 +108,12 @@ class TestApproachEquivalence:
             assert _rows_close(answer, reference), (
                 f"{name} disagrees with eager_plain on {builder.__name__}"
             )
+
+    def test_eager_index_t4_uses_both_join_indexes(self, prepared_all, all_params):
+        """F⋈S in stage one and (F⋈S)⋈D in stage two both take the index
+        path: the rowids they need survive the column narrowing."""
+        result = prepared_all["eager_index"].query(t4_query(all_params))
+        assert result.stats.join_index_hits == 2
 
     def test_paper_query1(self, prepared_all):
         answers = {
