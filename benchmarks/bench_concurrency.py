@@ -6,7 +6,7 @@ Four experiments motivated by the ROADMAP's "heavy traffic" north star:
   ``io_threads`` setting: the morsel-style parallel stage-two pipeline vs
   the serial chunk loop (chunk fetches genuinely overlap);
 * **throughput warm** — N client threads share one lazy ``SommelierDB``
-  through a :class:`~repro.core.session.SessionPool` and drain a T4
+  (each calls ``db.query`` from its own thread) and drain a T4
   workload with a fully warm recycler.  This is the pure-CPU regime: on
   CPython its scaling is bounded by the GIL and the core count (a 1-core
   runner shows ≈1×) — reported honestly as the compute ceiling;
@@ -89,23 +89,21 @@ def build_workload(
 
 
 def measure_throughput(db, queries: list[str], clients: int) -> tuple[float, float]:
-    """Drain the workload with N pooled client threads.
+    """Drain the workload with N client threads.
 
     Returns ``(wall_seconds, queries_per_second)``.
     """
-    pool = db.session_pool(size=clients)
     cursor = iter(queries)
 
     def drain() -> int:
         executed = 0
-        with pool.session() as session:
-            while True:
-                try:
-                    sql = next(cursor)  # GIL-atomic enough for a benchmark
-                except StopIteration:
-                    return executed
-                session.query(sql)
-                executed += 1
+        while True:
+            try:
+                sql = next(cursor)  # GIL-atomic enough for a benchmark
+            except StopIteration:
+                return executed
+            db.query(sql)
+            executed += 1
 
     started = time.perf_counter()
     if clients == 1:
@@ -135,25 +133,23 @@ def fanout_query(span: TimeSpan) -> str:
 def measure_fanout(
     db, sql: str, clients: int, rounds: int, expected: list[dict]
 ) -> tuple[float, float, int, int]:
-    """Lockstep waves of the same query from N pooled clients.
+    """Lockstep waves of the same query from N client threads.
 
     Returns ``(wall_seconds, queries_per_second, mismatches,
     chunks_shared)``; every result is compared row-for-row against the
     serial baseline.
     """
-    pool = db.session_pool(size=clients)
     barriers = [threading.Barrier(clients) for _ in range(rounds)]
     mismatches = [0] * clients
     shared = [0] * clients
 
     def client(slot: int) -> None:
-        with pool.session() as session:
-            for barrier in barriers:
-                barrier.wait()
-                result = session.query(sql)
-                shared[slot] += result.stats.chunks_shared
-                if result.table.to_dicts() != expected:
-                    mismatches[slot] += 1
+        for barrier in barriers:
+            barrier.wait()
+            result = db.query(sql)
+            shared[slot] += result.stats.chunks_shared
+            if result.table.to_dicts() != expected:
+                mismatches[slot] += 1
 
     started = time.perf_counter()
     with ThreadPoolExecutor(max_workers=clients) as executor:

@@ -11,7 +11,7 @@ Two experiments motivated by the ROADMAP's "scale across restarts" item:
   (the paper's network-attached INGV archive, modeled by the loader's
   per-chunk fetch latency — the regime where restarts without the
   persistent tier hurt most).  Speedups compare stage-two seconds;
-* **clients-tier** — N pooled client threads drain a T4 workload with the
+* **clients-tier** — N client threads drain a T4 workload with the
   working set (a) in the memory tier and (b) only in the disk tier right
   after a restart, showing what a restarted server's first wave of
   traffic pays.
@@ -112,18 +112,16 @@ def measure_restart(
 
 
 def measure_clients(db, queries: list[str], clients: int) -> float:
-    """Wall seconds for N pooled client threads to drain the workload."""
-    pool = db.session_pool(size=clients)
+    """Wall seconds for N client threads to drain the workload."""
     cursor = iter(queries)
 
     def drain() -> None:
-        with pool.session() as session:
-            while True:
-                try:
-                    sql = next(cursor)
-                except StopIteration:
-                    return
-                session.query(sql)
+        while True:
+            try:
+                sql = next(cursor)
+            except StopIteration:
+                return
+            db.query(sql)
 
     started = time.perf_counter()
     if clients == 1:

@@ -208,15 +208,17 @@ def run_prefetch(args, repository, stats, table) -> bool:
             latency = 0.0
             loaded = prefetched = 0
             started = time.perf_counter()
-            for walk in walks:
-                with db.session() as session:
-                    for sql in walk:
-                        result = session.query(sql)
-                        latency += result.seconds
-                        loaded += result.stats.chunks_loaded
-                        prefetched += result.stats.chunks_prefetched
-                        tables.append(result.table)
-                        time.sleep(args.think_ms / 1000.0)
+            for client, walk in enumerate(walks, start=1):
+                # Each walk is its own client: its own prefetch history.
+                for sql in walk:
+                    result, _ = db.query_with_derivation(
+                        sql, session_id=client
+                    )
+                    latency += result.seconds
+                    loaded += result.stats.chunks_loaded
+                    prefetched += result.stats.chunks_prefetched
+                    tables.append(result.table)
+                    time.sleep(args.think_ms / 1000.0)
             wall = time.perf_counter() - started
             if db.prefetcher is not None:
                 db.prefetcher.wait_idle()

@@ -111,7 +111,7 @@ def main() -> None:
         """,
     )
 
-    print("\n--- session stats ---")
+    print("\n--- facade stats ---")
     print(
         f"  queries: {db.stats.queries_executed}, "
         f"derivations: {db.stats.derivations}, "

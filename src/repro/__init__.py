@@ -21,7 +21,6 @@ Public entry points:
 
 from .core.loading import APPROACHES, LoadReport, prepare
 from .core.query_types import QueryType
-from .core.session import SessionPool, SommelierSession
 from .core.sommelier import SommelierDB
 from .core.two_stage import QueryResult, TwoStageOptions
 from .mseed.repository import FileRepository
@@ -34,9 +33,7 @@ __all__ = [
     "LoadReport",
     "QueryResult",
     "QueryType",
-    "SessionPool",
     "SommelierDB",
-    "SommelierSession",
     "TwoStageOptions",
     "prepare",
     "__version__",

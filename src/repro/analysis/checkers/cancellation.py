@@ -4,8 +4,8 @@ The serving front end's request timeouts (PR 6) and the coordinator's
 cancel sentinel (PR 8) both rely on one engine convention: any loop that
 fetches or decodes chunks in scheduled order checks for cancellation at
 every chunk boundary.  A loop that forgets the poll turns a 30s timeout
-into "however long the remaining chunks take" while holding a session
-pool slot — the exact failure admission control exists to prevent.
+into "however long the remaining chunks take" while holding an admission
+slot — the exact failure admission control exists to prevent.
 
 Heuristic, tuned to the engine's vocabulary: a ``for``/``async for``
 loop qualifies when its iterable mentions a fetch schedule

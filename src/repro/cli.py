@@ -118,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument(
         "--clients", type=int, default=1,
-        help="run the query from N concurrent sessions and report throughput",
+        help="run the query from N client threads at once; report throughput",
     )
 
     explain = commands.add_parser(
@@ -170,11 +170,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8080)
     serve.add_argument(
         "--pool-size", type=int, default=4,
-        help="session pool size = max concurrently executing queries",
+        help="max concurrently executing queries (admission slots)",
     )
     serve.add_argument(
         "--max-queue", type=int, default=8,
-        help="requests allowed to wait for a session before 503s are shed",
+        help="requests allowed to wait for a slot before 503s are shed",
     )
     serve.add_argument(
         "--rate-limit", type=float, default=0.0,
@@ -323,20 +323,15 @@ def _command_query(args: argparse.Namespace) -> int:
 
 
 def _run_concurrent_clients(db, sql: str, clients: int) -> int:
-    """Issue the same query from N pooled sessions at once."""
+    """Issue the same query from N client threads at once."""
     import time
     from concurrent.futures import ThreadPoolExecutor
 
-    pool = db.session_pool(size=clients)
-
-    def one_client() -> float:
-        with pool.session() as session:
-            result = session.query(sql)
-            return result.seconds
-
     started = time.perf_counter()
     with ThreadPoolExecutor(max_workers=clients) as executor:
-        latencies = list(executor.map(lambda _: one_client(), range(clients)))
+        latencies = list(
+            executor.map(lambda _: db.query(sql).seconds, range(clients))
+        )
     wall = time.perf_counter() - started
     print(
         f"{clients} concurrent clients: {wall:.3f}s wall, "

@@ -12,8 +12,6 @@ Composes the engine substrate into the system of Sections III–V:
 * :mod:`query_types` — the Table-I taxonomy (T1–T5);
 * :mod:`loading` — the five loading approaches of the evaluation;
 * :mod:`sommelier` — the :class:`SommelierDB` facade;
-* :mod:`session` — per-client sessions and the connection-pool facade for
-  concurrent serving;
 * :mod:`sampling` — approximate answering over chunk samples (§VIII).
 """
 
@@ -24,7 +22,6 @@ from .query_types import QueryType, classify_plan
 from .registrar import Registrar, RegistrarReport, XseedChunkLoader
 from .runtime_rewrite import RewriteReport
 from .schema import SommelierConfig, create_seismology_schema
-from .session import SessionPool, SommelierSession
 from .sommelier import SommelierDB
 from .two_stage import (
     CompiledQuery,
@@ -47,10 +44,8 @@ __all__ = [
     "RegistrarReport",
     "RewriteReport",
     "RuleSet",
-    "SessionPool",
     "SommelierConfig",
     "SommelierDB",
-    "SommelierSession",
     "TwoStageCompiler",
     "TwoStageOptions",
     "XseedChunkLoader",

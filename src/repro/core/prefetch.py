@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from concurrent.futures import Future
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Hashable, Mapping
 
 from ..util.counters import Counters
 from ..util.lock_sanitizer import make_lock
@@ -76,10 +76,13 @@ class WorkloadPrefetcher:
         self.io_threads = max(1, io_threads)
         self.stats = PrefetchStats()
         self._lock = make_lock("WorkloadPrefetcher._lock")
-        # Per-session history, bounded: long-running serving creates an
-        # unbounded stream of session ids, so the least-recently-active
-        # histories are evicted once the cap is reached.
-        self._sessions: "OrderedDict[int, _SessionHistory]" = OrderedDict()
+        # Per-session history, keyed by the caller's client id and
+        # bounded: long-running serving sees an unbounded stream of
+        # clients, so the least-recently-active histories are evicted
+        # once the cap is reached.
+        self._sessions: "OrderedDict[Hashable, _SessionHistory]" = (
+            OrderedDict()
+        )
         self._max_sessions = 512
         # Warmed-URI bookkeeping, LRU-bounded like the session map: a URI
         # that is warmed but then planner-pruned by every later query
@@ -121,7 +124,9 @@ class WorkloadPrefetcher:
             self.stats.hits += hits
         return hits
 
-    def note_query(self, session_id: int, required_uris: list[str]) -> list[str]:
+    def note_query(
+        self, session_id: Hashable, required_uris: list[str]
+    ) -> list[str]:
         """Update session history, predict successors, and warm them.
 
         Returns the URIs submitted for prefetch (mainly for tests).
@@ -167,7 +172,9 @@ class WorkloadPrefetcher:
 
     # -- prediction --------------------------------------------------------
 
-    def _predict(self, session_id: int, required_uris: list[str]) -> list[str]:
+    def _predict(
+        self, session_id: Hashable, required_uris: list[str]
+    ) -> list[str]:
         """Successor chunks of the touched set, scaled by session history."""
         directory = self.database.chunk_directory()
         with self._lock:

@@ -34,6 +34,7 @@ import json
 import os
 import time
 from dataclasses import asdict, dataclass
+from typing import Hashable
 
 from ..engine import algebra
 from ..engine.database import Database
@@ -82,26 +83,6 @@ class SommelierStats(Counters):
     result_cache_subsumed: int = 0
     chunks_shared: int = 0
 
-    @classmethod
-    def delta_from(
-        cls, result: QueryResult, derivation: DerivationReport
-    ) -> "SommelierStats":
-        """The counter delta one answered query contributes.
-
-        The single source of the accounting rule, shared by the facade's
-        cumulative stats and per-session stats so they cannot drift.
-        """
-        delta = cls(queries_executed=1)
-        if derivation.applicable:
-            delta.derivations = 1
-            delta.windows_materialized = derivation.windows_inserted
-            delta.chunks_loaded_total = derivation.chunks_loaded
-        delta.chunks_loaded_total += result.stats.chunks_loaded
-        delta.result_cache_hits = result.stats.results_from_cache
-        delta.result_cache_subsumed = result.stats.results_subsumed
-        delta.chunks_shared = result.stats.chunks_shared
-        return delta
-
 
 @dataclass(frozen=True)
 class CompiledSQL:
@@ -127,13 +108,14 @@ class SommelierDB:
     (recycler, buffer pool) are internally synchronized, Algorithm-1
     derivation is serialized by a facade-level lock (derived-metadata
     inserts are the one shared write path at query time), and the stats
-    counters are updated under a mutex.  For per-client accounting use
-    :meth:`session` (or a :class:`~repro.core.session.SessionPool`), which
-    wraps this facade with per-session counters.
+    counters are updated under a mutex.  Concurrent clients each call
+    :meth:`query` from their own thread; the serving front end bounds how
+    many run at once.
     """
 
-    # Machine-checked (repro analyze, lock-discipline): unique session ids.
-    _GUARDED = {"_stats_lock": ("_session_counter",)}
+    # Machine-checked (repro analyze, lock-discipline): counter merges
+    # from concurrent queries.
+    _GUARDED = {"_stats_lock": ("stats",)}
 
     def __init__(
         self,
@@ -169,7 +151,6 @@ class SommelierDB:
         self.stats = SommelierStats()
         self._stats_lock = make_lock("SommelierDB._stats_lock")
         self._derivation_lock = make_lock("SommelierDB._derivation_lock")
-        self._session_counter = 0
         self._closed = False
 
     # -- construction ----------------------------------------------------------
@@ -329,16 +310,18 @@ class SommelierDB:
         return result
 
     def query_with_derivation(
-        self, sql: str, session_id: int = 0, cancel=None
+        self, sql: str, session_id: Hashable = 0, cancel=None
     ) -> tuple[QueryResult, DerivationReport]:
         """Like :meth:`query` but also returns the Algorithm-1 report.
 
-        ``session_id`` attributes the query to a client session so the
-        workload prefetcher can track per-session history (0 = the shared
-        facade itself).  ``cancel`` is an optional
-        :class:`~repro.engine.physical.CancelToken`: setting it aborts the
-        execution with :class:`~repro.engine.errors.QueryCancelled` at the
-        next operator entry or chunk boundary.
+        ``session_id`` is the workload prefetcher's history key: any
+        hashable the caller picks to tell its clients apart (the server
+        passes its client id), so the prefetcher follows each client's
+        walk on its own; 0 means the facade itself.  ``cancel`` is an
+        optional :class:`~repro.engine.physical.CancelToken`: setting it
+        aborts the execution with
+        :class:`~repro.engine.errors.QueryCancelled` at the next operator
+        entry or chunk boundary.
         """
         started = time.perf_counter()
         if cancel is not None:
@@ -436,23 +419,19 @@ class SommelierDB:
         except CatalogError:
             return None
 
-    def session(self) -> "SommelierSession":
-        """A per-client handle with its own stats over this shared database."""
-        from .session import SommelierSession
-
-        with self._stats_lock:
-            self._session_counter += 1
-            session_id = self._session_counter
-        return SommelierSession(self, session_id)
-
-    def session_pool(self, size: int = 4) -> "SessionPool":
-        """A bounded pool of reusable sessions (the connection-pool facade)."""
-        from .session import SessionPool
-
-        return SessionPool(self, size)
-
     def _account(self, result: QueryResult, derivation: DerivationReport) -> None:
-        delta = SommelierStats.delta_from(result, derivation)
+        """Add one answered query to the facade's cumulative counters."""
+        delta = SommelierStats(
+            queries_executed=1,
+            chunks_loaded_total=result.stats.chunks_loaded,
+            result_cache_hits=result.stats.results_from_cache,
+            result_cache_subsumed=result.stats.results_subsumed,
+            chunks_shared=result.stats.chunks_shared,
+        )
+        if derivation.applicable:
+            delta.derivations = 1
+            delta.windows_materialized = derivation.windows_inserted
+            delta.chunks_loaded_total += derivation.chunks_loaded
         with self._stats_lock:
             self.stats.merge(delta)
 

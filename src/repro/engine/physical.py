@@ -68,8 +68,8 @@ class CancelToken:
 
     A serving front end hands one token per request down to the executor;
     setting it makes the query raise :class:`QueryCancelled` at the next
-    operator entry or chunk boundary, unwinding through the session so the
-    pool slot is released cleanly.
+    operator entry or chunk boundary, unwinding the query so its admission
+    slot frees cleanly.
     """
 
     __slots__ = ("_event",)

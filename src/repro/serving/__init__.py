@@ -1,8 +1,8 @@
-"""Network serving front end: asyncio HTTP/JSON over the session pool.
+"""Network serving front end: asyncio HTTP/JSON over one shared database.
 
 The wire protocol a "millions of users" deployment talks to: an
 admission-controlled query service (:mod:`repro.serving.server`) in front
-of :meth:`~repro.core.sommelier.SommelierDB.session_pool`, with bounded
+of one shared :class:`~repro.core.sommelier.SommelierDB`, with bounded
 queuing, per-client rate limits, request timeouts that cancel the engine
 cooperatively, chunk-streamed JSON results and a ``/stats`` counter
 surface.  Stdlib-only (asyncio + http.client), so CI runs it hermetically.

@@ -6,7 +6,7 @@ Two independent gates run before a query touches the engine:
   exceeds its refill rate is told to back off (HTTP 429) while everyone
   else proceeds;
 * :class:`AdmissionController` — ``capacity`` queries execute at once (the
-  session-pool size) and at most ``max_queue`` more may wait.  Beyond that
+  server's ``pool_size``) and at most ``max_queue`` more may wait.  Beyond that
   the request is refused immediately (HTTP 503) instead of growing an
   unbounded queue — the paper's "heavy traffic" setting makes shedding
   load at the door the only stable answer to saturation.
@@ -126,8 +126,9 @@ class ClientRateLimiter:
 class AdmissionController:
     """Bounded concurrency + bounded waiting; reject beyond both.
 
-    ``capacity`` mirrors the session-pool size (queries that would block on
-    a session wait here, in the event loop, instead); ``max_queue`` bounds
+    A slot is the right to execute: ``capacity`` is the server's
+    ``pool_size``, the size of its executor, so a query waits for a slot
+    here, in the event loop, and never in a thread; ``max_queue`` bounds
     how many may wait.  A running estimate of service time (EWMA) feeds the
     ``Retry-After`` hint handed to shed requests.
     """

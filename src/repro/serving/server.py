@@ -1,15 +1,16 @@
-"""The asyncio HTTP/JSON query service over a :class:`SessionPool`.
+"""The asyncio HTTP/JSON query service over one shared :class:`SommelierDB`.
 
 The event loop owns admission, rate limiting, timeouts and response
-streaming; the blocking ``session.query()`` calls run on a thread pool
-sized to the session pool, so at most ``pool_size`` queries execute at
-once and everything else is either waiting (bounded) or shed (503/429
-with ``Retry-After``).
+streaming; the blocking ``db.query_with_derivation()`` calls run on a
+thread pool.  The admission slot is the execution slot: admission
+capacity and the thread pool are both ``pool_size``, so at most that many
+queries execute at once and everything else is either waiting (bounded)
+or shed (503/429 with ``Retry-After``).
 
 Endpoints::
 
     POST /query    {"sql": "SELECT ..."}     (also GET /query?sql=...)
-    GET  /stats    server + admission + pool + engine counters
+    GET  /stats    server + admission + engine counters
     GET  /health   {"status": "ok" | "draining"}
 
 ``/query`` streams its answer with chunked transfer encoding::
@@ -23,11 +24,11 @@ Python string, and a slow reader backpressures the encoder.
 
 A request timeout sets the query's
 :class:`~repro.engine.physical.CancelToken`; the engine unwinds at the
-next chunk boundary and the session returns to the pool before the 504
-goes out — a timed-out client can retry immediately without leaking a
-pool slot.  Graceful shutdown (:meth:`SommelierServer.stop`) stops
-accepting, lets in-flight queries finish streaming, then closes idle
-connections and the pool.
+next chunk boundary before the 504 goes out — a timed-out client can
+retry immediately without leaking an execution slot.  Graceful shutdown
+(:meth:`SommelierServer.stop`) stops accepting, lets in-flight queries
+finish streaming, then closes idle connections; a non-draining stop, or
+a drain that outlives its deadline, cancels the queries still running.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
-from ..core.session import SessionPool, SommelierSession
 from ..core.sommelier import SommelierDB
 from ..core.two_stage import QueryResult
 from ..engine.errors import EngineError, QueryCancelled, SQLError
@@ -57,9 +57,10 @@ class ServerConfig:
 
     host: str = "127.0.0.1"
     port: int = 0  # 0 = let the OS pick (tests/benchmarks)
+    # Queries executing at once: admission capacity and executor threads.
     pool_size: int = 4
-    # How many requests may wait for a session before new ones are shed
-    # with 503 + Retry-After.  0 = shed as soon as the pool is busy.
+    # How many requests may wait for an execution slot before new ones are
+    # shed with 503 + Retry-After.  0 = shed as soon as every slot is busy.
     max_queue: int = 8
     # Per-client token bucket (keyed by X-Client-Id, else the peer host).
     # <= 0 disables rate limiting.
@@ -101,7 +102,6 @@ class SommelierServer:
     ) -> None:
         self.db = db
         self.config = config or ServerConfig()
-        self.pool: SessionPool = db.session_pool(self.config.pool_size)
         self.admission = AdmissionController(
             self.config.pool_size, self.config.max_queue
         )
@@ -116,6 +116,8 @@ class SommelierServer:
         self._server: asyncio.base_events.Server | None = None
         self._port: int | None = None
         self._connections: set[asyncio.StreamWriter] = set()
+        # Cancel tokens of the queries executing now (event-loop owned).
+        self._running: set[CancelToken] = set()
         self._draining = False
 
     # -- lifecycle ---------------------------------------------------------
@@ -141,30 +143,31 @@ class SommelierServer:
         """Stop accepting, drain in-flight queries, release everything.
 
         With ``drain`` (the default) every admitted query finishes
-        executing *and streaming its response* before the pool closes; new
-        requests arriving meanwhile are shed with 503.  ``drain=False``
-        cancels in-flight queries via their tokens instead.
+        executing *and streaming its response* within ``drain_timeout_s``;
+        new requests arriving meanwhile are shed with 503.  ``drain=False``,
+        or a drain that outlives that deadline, cancels the queries still
+        executing via their tokens; each unwinds at its next chunk boundary.
         """
         self._draining = True
         if self._server is not None:
             self._server.close()
-        deadline = (
-            asyncio.get_running_loop().time() + self.config.drain_timeout_s
-        )
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + self.config.drain_timeout_s
         if drain:
             while (
                 (self.admission.active or self.admission.queued)
-                and asyncio.get_running_loop().time() < deadline
+                and loop.time() < deadline
             ):
                 await asyncio.sleep(0.01)
+        for token in self._running:
+            token.cancel()
         # Idle keep-alive connections (and, without drain, stragglers)
         # are cut; handlers notice and exit.
         for writer in list(self._connections):
             writer.close()
-        while self._connections and asyncio.get_running_loop().time() < deadline:
+        while self._connections and loop.time() < deadline:
             await asyncio.sleep(0.01)
         self._executor.shutdown(wait=drain, cancel_futures=not drain)
-        self.pool.close()
 
     # -- connection handling -----------------------------------------------
 
@@ -273,8 +276,9 @@ class SommelierServer:
             self.stats.bad_requests += 1
             await send_json(writer, exc.status, {"error": str(exc)})
             return True
+        client_id = self._client_id(request, writer)
         try:
-            self.limiter.check(self._client_id(request, writer))
+            self.limiter.check(client_id)
         except AdmissionRejected as exc:
             self.stats.rejected_rate_limited += 1
             await send_json(
@@ -284,7 +288,7 @@ class SommelierServer:
             return True
         try:
             async with self.admission.admit():
-                return await self._execute_and_stream(sql, writer)
+                return await self._execute_and_stream(sql, client_id, writer)
         except AdmissionRejected as exc:
             self.stats.rejected_saturated += 1
             await send_json(
@@ -294,41 +298,32 @@ class SommelierServer:
             return True
 
     def _run_query(
-        self, session: SommelierSession, sql: str, cancel: CancelToken
+        self, sql: str, client_id: str, cancel: CancelToken
     ) -> QueryResult:
-        try:
-            return session.query(sql, cancel=cancel)
-        finally:
-            # Whatever happened — success, engine error, cancellation —
-            # the session goes back before the response is written, so a
-            # retrying client finds capacity immediately.
-            self.pool.release(session)
+        # The client id keys the prefetcher's per-client history.
+        result, _ = self.db.query_with_derivation(
+            sql, session_id=client_id, cancel=cancel
+        )
+        return result
 
     async def _execute_and_stream(
-        self, sql: str, writer: asyncio.StreamWriter
+        self, sql: str, client_id: str, writer: asyncio.StreamWriter
     ) -> bool:
-        # Admission capacity == pool size, so a slot implies a session.
-        session = self.pool.try_acquire()
-        if session is None:  # pragma: no cover - defensive
-            self.stats.rejected_saturated += 1
-            await send_json(
-                writer, 503, {"error": "no session available"},
-                extra_headers=_retry_after_header(self.admission.retry_after()),
-            )
-            return True
         cancel = CancelToken()
         loop = asyncio.get_running_loop()
         future = loop.run_in_executor(
-            self._executor, self._run_query, session, sql, cancel
+            self._executor, self._run_query, sql, client_id, cancel
         )
+        self._running.add(cancel)
+        future.add_done_callback(lambda _: self._running.discard(cancel))
         try:
             result = await asyncio.wait_for(
                 asyncio.shield(future), timeout=self.config.request_timeout_s
             )
         except asyncio.TimeoutError:
             cancel.cancel()
-            # Wait for the engine to unwind and the session to return to
-            # the pool; only then is the timeout safe to report.
+            # Wait for the engine to unwind; only then is the timeout safe
+            # to report.
             try:
                 await future
             except EngineError:
@@ -416,7 +411,6 @@ class SommelierServer:
                 "draining": int(self._draining),
             },
             "admission": self.admission.stats(),
-            "pool": self.pool.stats(),
             "counters": self.db.counters_snapshot(),
         }
 

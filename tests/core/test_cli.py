@@ -82,6 +82,20 @@ class TestCommands:
         assert "'s': 'ARCI'" in out
         assert "0 chunk(s) loaded" in out
 
+    def test_query_concurrent_clients(self, tmp_path, capsys):
+        base = str(tmp_path / "data")
+        main(["build", "--base", base, "--sf", "1"])
+        capsys.readouterr()
+        code = main(
+            [
+                "query", "--base", base, "--sf", "1", "--clients", "2",
+                "--sql", "SELECT COUNT(D.sample_value) AS n FROM dataview "
+                "WHERE F.station = 'ISK'",
+            ]
+        )
+        assert code == 0
+        assert "2 concurrent clients:" in capsys.readouterr().out
+
     def test_cache_text_and_json(self, tmp_path, capsys):
         import json
 

@@ -238,15 +238,12 @@ def test_pooled_sessions_share_one_entry(lazy_db, tiny_repo):
     expected = cold_serial(tiny_repo, T4)
     clients, repeats = 4, 5
     barrier = threading.Barrier(clients)
-    pool = lazy_db.session_pool(clients)
 
     def client(_):
         barrier.wait()
-        rows = []
-        for _ in range(repeats):
-            with pool.session() as session:
-                rows.append(session.query(T4).table.to_dicts())
-        return rows
+        return [
+            lazy_db.query(T4).table.to_dicts() for _ in range(repeats)
+        ]
 
     with ThreadPoolExecutor(max_workers=clients) as executor:
         runs = [rows for batch in executor.map(client, range(clients))

@@ -180,12 +180,11 @@ class TestFacadeIntegration:
         db.close()
 
     def test_sequential_session_is_served_from_prefetch(self, prefetch_db):
-        with prefetch_db.session() as session:
-            first = session.query(day_sql(0))
-            assert first.stats.chunks_loaded == 1
-            assert first.stats.chunks_prefetched == 0
-            prefetch_db.prefetcher.wait_idle()
-            second = session.query(day_sql(1))
+        first = prefetch_db.query(day_sql(0))
+        assert first.stats.chunks_loaded == 1
+        assert first.stats.chunks_prefetched == 0
+        prefetch_db.prefetcher.wait_idle()
+        second = prefetch_db.query(day_sql(1))
         # The day-1 chunk was warmed while the client was "thinking".
         assert second.stats.chunks_loaded == 0
         assert second.stats.chunks_prefetched == 1
@@ -197,28 +196,28 @@ class TestFacadeIntegration:
     def test_eviction_between_queries_reports_no_phantom_hit(
         self, prefetch_db
     ):
-        with prefetch_db.session() as session:
-            session.query(day_sql(0))
-            prefetch_db.prefetcher.wait_idle()
-            # Evict the warmed chunk; the next query cold-loads it, and by
-            # hit-recording time it is resident again — the counter must
-            # use the fetch outcome, not an after-the-fact probe.
-            prefetch_db.database.recycler.clear()
-            second = session.query(day_sql(1))
+        prefetch_db.query(day_sql(0))
+        prefetch_db.prefetcher.wait_idle()
+        # Evict the warmed chunk; the next query cold-loads it, and by
+        # hit-recording time it is resident again — the counter must use
+        # the fetch outcome, not an after-the-fact probe.
+        prefetch_db.database.recycler.clear()
+        second = prefetch_db.query(day_sql(1))
         assert second.stats.chunks_prefetched == 0
         assert second.stats.chunks_loaded >= 1
 
     def test_shared_scan_session_counts_prefetch_hits(self, tiny_repo):
-        """Scan sharing is always on: a session's hit is still read off
+        """Scan sharing is always on: a client's hit is still read off
         its scan's fetch outcome."""
         db, _ = prepare(
             "lazy", tiny_repo[0], options=TwoStageOptions(prefetch=True)
         )
         try:
-            with db.session() as session:
-                session.query(day_sql(0))
-                db.prefetcher.wait_idle()
-                second = session.query(day_sql(1))
+            db.query_with_derivation(day_sql(0), session_id="client")
+            db.prefetcher.wait_idle()
+            second, _ = db.query_with_derivation(
+                day_sql(1), session_id="client"
+            )
             assert second.stats.chunks_loaded == 0
             assert second.stats.chunks_prefetched == 1
             assert db.prefetcher.stats_snapshot()["hits"] == 1

@@ -139,13 +139,11 @@ class TestBitIdentity:
     def test_concurrent_consumers_match_private_scan(self, db, serial_rows):
         sql = two_day_sql()
         clients = 4
-        pool = db.session_pool(size=clients)
         barrier = threading.Barrier(clients)
 
         def client(_):
-            with pool.session() as session:
-                barrier.wait()
-                return session.query(sql)
+            barrier.wait()
+            return db.query(sql)
 
         # Slow loads keep the first scan in flight while the rest arrive.
         db.database.chunk_loader.io_delay_ms = 40.0
@@ -260,30 +258,27 @@ class TestSharingAccounting:
 
 class TestCancellation:
     def test_cancel_one_consumer_leaves_wave_intact(self, db, serial_rows):
-        """One consumer cancelled mid-scan: it unwinds with QueryCancelled
-        and returns its session to the pool; the other consumers of the
-        same wave complete with correct results."""
+        """One consumer cancelled mid-scan: it unwinds with QueryCancelled;
+        the other consumers of the same wave complete with correct
+        results."""
         sql = two_day_sql()
         db.database.chunk_loader.io_delay_ms = 120.0
 
-        pool = db.session_pool(size=4)
         token = CancelToken()
         barrier = threading.Barrier(4)
         outcomes: list = []
 
         def victim():
-            with pool.session() as session:
-                barrier.wait()
-                try:
-                    session.query(sql, cancel=token)
-                    outcomes.append("completed")
-                except QueryCancelled:
-                    outcomes.append("cancelled")
+            barrier.wait()
+            try:
+                db.query(sql, cancel=token)
+                outcomes.append("completed")
+            except QueryCancelled:
+                outcomes.append("cancelled")
 
         def survivor():
-            with pool.session() as session:
-                barrier.wait()
-                return session.query(sql).table.to_dicts()
+            barrier.wait()
+            return db.query(sql).table.to_dicts()
 
         with ThreadPoolExecutor(max_workers=4) as executor:
             victim_future = executor.submit(victim)
@@ -296,9 +291,6 @@ class TestCancellation:
 
         assert outcomes == ["cancelled"]
         assert all(rows == serial_rows(sql) for rows in results)
-        # Every session — the cancelled one included — is back in the pool.
-        assert pool.stats()["in_use"] == 0
-        assert pool.stats()["idle"] == pool.stats()["created"]
         # Nothing of the wave's scan outlives it.
         assert not db.database._scans
         assert db.query(sql).table.to_dicts() == serial_rows(sql)

@@ -125,105 +125,3 @@ class TestConcurrentEquivalence:
         )
         assert len(keys) == len(set(keys)), "derivation double-materialized"
 
-
-class TestSessions:
-    def test_sessions_account_separately_and_sum_up(
-        self, parallel_db, two_days
-    ):
-        queries = workload(two_days)
-        pool = parallel_db.session_pool(size=4)
-        shared_before = parallel_db.stats.queries_executed
-
-        def client(sql: str) -> int:
-            with pool.session() as session:
-                session.query(sql)
-                return session.stats.queries_executed
-
-        with ThreadPoolExecutor(max_workers=4) as executor:
-            per_session = list(executor.map(client, queries))
-
-        # Pool sessions reset on release: each checkout sees only its own.
-        assert all(count == 1 for count in per_session)
-        assert (
-            parallel_db.stats.queries_executed - shared_before == len(queries)
-        )
-
-    def test_session_exec_stats_accumulate(self, parallel_db, two_days):
-        sql = t4_query(
-            QueryParams(
-                station="ISK", channel="BHE",
-                start_ms=two_days[0], end_ms=two_days[1],
-            )
-        )
-        with parallel_db.session() as session:
-            session.query(sql)
-            session.query(sql)
-            assert session.stats.queries_executed == 2
-            total_chunks = (
-                session.exec_stats.chunks_loaded
-                + session.exec_stats.chunks_from_cache
-            )
-            assert total_chunks > 0
-
-    def test_closed_session_rejects_queries(self, parallel_db, two_days):
-        from repro.engine.errors import ExecutionError
-
-        session = parallel_db.session()
-        session.close()
-        with pytest.raises(ExecutionError):
-            session.query("SELECT COUNT(*) AS n FROM F")
-
-    def test_pool_blocks_then_times_out_when_exhausted(self, parallel_db):
-        from repro.engine.errors import ExecutionError
-
-        pool = parallel_db.session_pool(size=1)
-        held = pool.acquire()
-        with pytest.raises(ExecutionError):
-            pool.acquire(timeout=0.05)
-        pool.release(held)
-        again = pool.acquire(timeout=0.05)
-        assert again is held  # LIFO reuse of the freed session
-
-    def test_release_to_closed_pool_closes_session(self, parallel_db):
-        pool = parallel_db.session_pool(size=1)
-        held = pool.acquire()
-        pool.close()
-        pool.release(held)
-        assert held.closed
-
-    def test_close_wakes_blocked_waiters(self, parallel_db):
-        import threading
-
-        from repro.engine.errors import ExecutionError
-
-        pool = parallel_db.session_pool(size=1)
-        held = pool.acquire()
-        outcome: list[object] = []
-
-        def waiter() -> None:
-            try:
-                outcome.append(pool.acquire())
-            except ExecutionError as exc:
-                outcome.append(exc)
-
-        thread = threading.Thread(target=waiter, daemon=True)
-        thread.start()
-        thread.join(timeout=0.1)
-        assert thread.is_alive()  # blocked: the only session is held
-        pool.close()
-        pool.release(held)
-        thread.join(timeout=2.0)
-        assert not thread.is_alive()
-        assert isinstance(outcome[0], ExecutionError)
-        assert "closed" in str(outcome[0])
-
-    def test_client_closed_session_is_discarded_not_requeued(
-        self, parallel_db
-    ):
-        pool = parallel_db.session_pool(size=1)
-        held = pool.acquire()
-        held.close()
-        pool.release(held)
-        replacement = pool.acquire(timeout=0.05)
-        assert replacement is not held
-        assert not replacement.closed

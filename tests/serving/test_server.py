@@ -19,6 +19,7 @@ import pytest
 from repro.core.loading import prepare
 from repro.core.two_stage import TwoStageOptions
 from repro.data.ingv import EPOCH_2010_MS
+from repro.engine.errors import QueryCancelled
 from repro.serving import ServerConfig, ServingClient, start_in_thread
 
 MILLIS_PER_DAY = 24 * 3600 * 1000
@@ -27,7 +28,7 @@ DAY2 = EPOCH_2010_MS + 2 * MILLIS_PER_DAY
 HOUR_MS = 3600 * 1000
 
 # Two chunks (ISK x 2 days) — with io_delay_ms set and a cold recycler
-# this query occupies a session for at least one fetch latency.
+# this query occupies an execution slot for at least one fetch latency.
 SLOW_SQL = (
     "SELECT COUNT(*) AS n, AVG(D.sample_value) AS mean FROM dataview "
     f"WHERE F.station = 'ISK' AND D.sample_time >= {DAY0} "
@@ -57,6 +58,25 @@ def make_cold_and_slow(db, delay_ms: float) -> None:
     db.database.chunk_loader.io_delay_ms = delay_ms
     db.database.recycler.spill_on_evict = False
     db.database.recycler.clear(spilled=True)
+
+
+def record_engine_exits(db, monkeypatch) -> list:
+    """Wrap the engine entry the server calls; log (exit time, error)."""
+    exits: list = []
+    inner = db.query_with_derivation
+
+    def recorded(*args, **kwargs):
+        error = None
+        try:
+            return inner(*args, **kwargs)
+        except BaseException as exc:
+            error = exc
+            raise
+        finally:
+            exits.append((time.monotonic(), error))
+
+    monkeypatch.setattr(db, "query_with_derivation", recorded)
+    return exits
 
 
 def rows_equal(wire_rows, local_rows) -> bool:
@@ -120,7 +140,6 @@ class TestWireProtocol:
         assert wire["counters"] == local
         assert wire["server"]["queries_ok"] == 1
         assert wire["admission"]["admitted_total"] == 1
-        assert wire["pool"]["in_use"] == 0
         assert wire["counters"]["disk"]["enabled"] == 1  # store always exists
         # Golden key sets: every section and key of /stats is held here, so
         # a refactor of how counters are rendered cannot drop or rename one.
@@ -188,7 +207,6 @@ GOLDEN_WIRE_KEYS = {
         "capacity", "max_queue", "active", "queued", "admitted_total",
         "rejected_total", "service_ewma_ms",
     },
-    "pool": {"size", "created", "in_use", "idle"},
     "counters": set(GOLDEN_COUNTER_KEYS),
 }
 
@@ -251,17 +269,24 @@ class TestAdmissionControl:
                 time.sleep(0.01)
             assert handle.server.stats.queries_ok == 2
 
-    def test_timeout_cancels_query_and_releases_session(self, db):
+    def test_timeout_cancels_query_and_releases_session(
+        self, db, monkeypatch
+    ):
         make_cold_and_slow(db, delay_ms=400.0)
+        engine_exits = record_engine_exits(db, monkeypatch)
         config = ServerConfig(pool_size=1, request_timeout_s=0.25)
         with start_in_thread(db, config) as handle:
             with ServingClient(*handle.address) as client:
                 timed_out = client.query(SLOW_SQL)
+                answered = time.monotonic()
                 assert timed_out.status == 504
                 assert "timeout" in timed_out.payload["error"]
-                # The cancel token unwound the engine and the session went
-                # back to the pool before the 504 was written.
-                assert handle.server.pool.stats()["in_use"] == 0
+                # The cancel token unwound the engine call before the 504
+                # was written.
+                assert len(engine_exits) == 1
+                exited, error = engine_exits[0]
+                assert exited <= answered
+                assert isinstance(error, QueryCancelled)
                 # The admission slot frees just *after* the 504 is written
                 # (the handler is still unwinding when the client reads it).
                 deadline = time.monotonic() + 2.0
@@ -273,7 +298,7 @@ class TestAdmissionControl:
                 assert handle.server.admission.active == 0
                 assert handle.server.stats.timeouts == 1
             # The slot is genuinely reusable: the next query succeeds on
-            # the same (only) session once fetches are fast again.
+            # the same (only) slot once fetches are fast again.
             db.database.chunk_loader.io_delay_ms = 0.0
             with ServingClient(*handle.address) as client:
                 retry = client.query(SLOW_SQL)
@@ -306,3 +331,87 @@ class TestGracefulShutdown:
             with pytest.raises(OSError):
                 with ServingClient(*handle.address, timeout=2.0) as client:
                     client.query(CHEAP_SQL)
+
+    def test_stop_without_drain_cancels_running_query(
+        self, tiny_repo, monkeypatch
+    ):
+        # Every chunk of every station, fetched one at a time: far longer
+        # than the test waits unless the stop cancels it.
+        db, _ = prepare(
+            "lazy", tiny_repo[0], options=TwoStageOptions(io_threads=1)
+        )
+        try:
+            make_cold_and_slow(db, delay_ms=400.0)
+            engine_exits = record_engine_exits(db, monkeypatch)
+            all_chunks = (
+                "SELECT COUNT(*) AS n FROM dataview "
+                f"WHERE D.sample_time >= {DAY0} AND D.sample_time < {DAY2}"
+            )
+            with start_in_thread(db, ServerConfig(pool_size=1)) as handle:
+                with ServingClient(*handle.address, timeout=30.0) as client:
+
+                    def run() -> None:
+                        try:
+                            client.query(all_chunks)
+                        except OSError:
+                            pass  # the stop cut the connection
+
+                    thread = threading.Thread(target=run)
+                    thread.start()
+                    deadline = time.monotonic() + 10.0
+                    while (
+                        not handle.server.admission.active
+                        and time.monotonic() < deadline
+                    ):
+                        time.sleep(0.01)
+                    time.sleep(0.2)  # executing: inside its first fetch
+                    stopping = time.monotonic()
+                    handle.stop(drain=False)
+                    stopped = time.monotonic()
+                    thread.join(timeout=30)
+
+            assert len(engine_exits) == 1
+            exited, error = engine_exits[0]
+            assert isinstance(error, QueryCancelled)
+            # Unwound at the next chunk boundary, not after all 8 fetches.
+            assert exited - stopping < 1.5
+            assert stopped - stopping < 1.5
+        finally:
+            db.close()
+
+
+class TestPrefetchHistory:
+    def test_history_follows_the_client_not_a_slot(self, tiny_repo):
+        options = TwoStageOptions(prefetch=True)
+        db, _ = prepare("lazy", tiny_repo[0], options=options)
+        try:
+            with start_in_thread(db, ServerConfig(pool_size=1)) as handle:
+                alice = ServingClient(*handle.address, client_id="alice")
+                bob = ServingClient(*handle.address, client_id="bob")
+                try:
+                    for day in range(2):
+                        for client, station in (
+                            (alice, "ISK"), (bob, "FIAM"),
+                        ):
+                            response = client.query(
+                                "SELECT COUNT(*) AS n FROM dataview "
+                                f"WHERE F.station = '{station}' "
+                                "AND D.sample_time >= "
+                                f"{DAY0 + day * MILLIS_PER_DAY} "
+                                "AND D.sample_time < "
+                                f"{DAY0 + (day + 1) * MILLIS_PER_DAY}"
+                            )
+                            assert response.status == 200
+                finally:
+                    alice.close()
+                    bob.close()
+            db.prefetcher.wait_idle()
+            prefetcher = db.prefetcher
+            with prefetcher._lock:
+                histories = dict(prefetcher._sessions)
+            # One history per client id, each holding only its station.
+            assert set(histories) == {"alice", "bob"}
+            assert {g[0] for g in histories["alice"].last_max_time} == {"ISK"}
+            assert {g[0] for g in histories["bob"].last_max_time} == {"FIAM"}
+        finally:
+            db.close()

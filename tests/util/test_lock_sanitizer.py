@@ -365,7 +365,6 @@ def test_every_guarded_engine_lock_is_hot(monkeypatch, clean_graph):
             db.result_cache,
             db.plan_cache,
             db.prefetcher,
-            db.session_pool(1),
         ]
         assert {type(o).__name__ for o in owners} == _guarded_class_names()
         for obj in owners:

@@ -85,10 +85,10 @@ CASES = [
         "query-on-event-loop",
         "serving/server.py",
         "        future = loop.run_in_executor(\n"
-        "            self._executor, self._run_query, session, sql, cancel\n"
+        "            self._executor, self._run_query, sql, client_id, cancel\n"
         "        )\n",
         "        future = loop.create_future()\n"
-        "        future.set_result(self._run_query(session, sql, cancel))\n",
+        "        future.set_result(self._run_query(sql, client_id, cancel))\n",
         "from repro.serving import ServingClient, start_in_thread\n"
         "with start_in_thread(db) as handle:\n"
         "    with ServingClient(*handle.address) as client:\n"
@@ -96,15 +96,24 @@ CASES = [
         "on the event loop thread 'repro-serving'",
     ),
     (
-        # A session checkout moved under the lock it takes itself.
+        # A stale plan-cache entry invalidated under the lock that
+        # _invalidate takes itself.
         "reacquire-held-lock",
-        "core/session.py",
-        "            session = self.db.session()\n"
-        "        return self._check_out(session)\n",
-        "            session = self.db.session()\n"
-        "            return self._check_out(session)\n",
-        "pool = db.session_pool(2)\npool.release(pool.try_acquire())\n",
-        "re-acquired non-reentrant lock 'SessionPool._lock'",
+        "core/plan_cache.py",
+        "                self.stats.misses += 1\n"
+        "        if fresh:\n"
+        "            return entry\n"
+        "        if entry is not None:\n"
+        "            self._invalidate(sql, entry)\n",
+        "                self.stats.misses += 1\n"
+        "                if entry is not None:\n"
+        "                    self._invalidate(sql, entry)\n"
+        "        if fresh:\n"
+        "            return entry\n",
+        "db.query(SQL)\n"
+        "cache = db.plan_cache\n"
+        "cache.reuse(SQL, cache.bound(SQL), ())\n",
+        "re-acquired non-reentrant lock 'PlanCache._lock'",
     ),
 ]
 
