@@ -1,12 +1,12 @@
-"""Ablation benchmarks: rule set and recycler policy.
+"""Ablation benchmark: the join-order rule set.
 
-See DESIGN.md section 5; these are the design-choice experiments beyond
-the paper's own figures.
+The paper's minimality claim, beyond its own figures; the README's "CI"
+section lists it with the other paper-claim tests.
 """
 
 from conftest import run_once
 
-from repro.bench import run_ablation_recycler, run_ablation_rules
+from repro.bench import run_ablation_rules
 
 
 def test_ablation_rule_set(benchmark, ctx):
@@ -18,9 +18,3 @@ def test_ablation_rule_set(benchmark, ctx):
     full_t4 = rows[("T4", "full rule set")]
     noinf_t4 = rows[("T4", "no time-bound inference")]
     assert noinf_t4[2] > full_t4[2]
-
-
-def test_ablation_recycler_policy(benchmark, ctx):
-    table = run_once(benchmark, lambda: run_ablation_recycler(ctx))
-    table.emit("ablation_recycler.txt")
-    assert len(table.rows) == 2

@@ -1,13 +1,10 @@
-"""Ablation experiments for the design choices DESIGN.md calls out.
+"""The rule-set ablation, beyond the paper's own figures.
 
-These go beyond the paper's own figures:
-
-* **rule-set ablation** — the paper argues its rule set is *minimal* ("for
-  each rule there is a query that requires this rule to avoid loading
-  unnecessary data"); we disable rules (and the time-bound inference) and
-  count the chunks a T4/T5 query loads.
-* **recycler policy ablation** — Section VIII's "smarter caching": LRU vs
-  the cost-aware policy under a tight cache budget.
+The paper argues its rule set is *minimal* ("for each rule there is a
+query that requires this rule to avoid loading unnecessary data"); we
+disable rules (and the time-bound inference) and count the chunks a
+T4/T5 query loads.  The README's "CI" section lists it with the other
+paper-claim tests.
 """
 
 from __future__ import annotations
@@ -16,12 +13,11 @@ import time
 
 from ..core.coloring import RuleSet
 from ..core.two_stage import TwoStageOptions
-from ..workloads.generator import WorkloadSpec, generate_workload
 from ..workloads.queries import QUERY_BUILDERS
 from .experiments import ExperimentContext
 from .reporting import ReportTable, format_seconds
 
-__all__ = ["run_ablation_rules", "run_ablation_recycler"]
+__all__ = ["run_ablation_rules"]
 
 
 def run_ablation_rules(ctx: ExperimentContext) -> ReportTable:
@@ -62,56 +58,4 @@ def run_ablation_rules(ctx: ExperimentContext) -> ReportTable:
         "disabling the inference (and, where the graph needs it, R2) must "
         "not change answers but loads more chunks — the minimality claim"
     )
-    return table
-
-
-def run_ablation_recycler(ctx: ExperimentContext) -> ReportTable:
-    """LRU vs cost-aware recycler under a tight budget (Section VIII)."""
-    table = ReportTable(
-        f"Ablation — recycler replacement policy "
-        f"(profile={ctx.profile.name}, FIAM dataset)",
-        ["policy", "budget", "chunk loads", "cache hits", "seconds"],
-    )
-    sf = ctx.profile.fig9_scale_factors[-1]
-    span = ctx.span(sf)
-    spec = WorkloadSpec(
-        query_type="T4",
-        num_queries=min(ctx.profile.fig9_num_queries),
-        query_selectivity=0.05,
-        workload_selectivity=0.3,
-        seed=7,
-    )
-    queries = generate_workload(spec, span)
-    repository, _ = ctx.repository(sf, fiam_only=True)
-    # Budget sized to hold only a handful of decoded chunks.
-    sample_entry = ctx.prepared("lazy", sf, fiam_only=True)
-    chunk_bytes = max(
-        sample_entry.report.repo_bytes
-        // max(sample_entry.report.num_files, 1),
-        1,
-    ) * 40  # decoded rows are ~an order of magnitude larger than a chunk
-    budget = chunk_bytes * 3
-    from ..core.loading import prepare
-
-    for policy in ("lru", "cost_aware"):
-        db, _ = prepare("lazy", repository, recycler_bytes=budget)
-        db.database.recycler.policy = policy
-        # This ablation compares replacement policies by how often they
-        # force a re-decode; spilling evictions to the disk tier would
-        # turn every re-decode into a cheap re-hydrate and erase the
-        # difference being measured.
-        db.database.recycler.spill_on_evict = False
-        started = time.perf_counter()
-        loads = 0
-        for sql in queries:
-            loads += db.query(sql).stats.chunks_loaded
-        elapsed = time.perf_counter() - started
-        table.add_row(
-            policy,
-            budget,
-            loads,
-            db.database.recycler.stats.hits,
-            format_seconds(elapsed),
-        )
-        db.close()
     return table

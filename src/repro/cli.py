@@ -30,7 +30,6 @@ from .analysis.findings import SEVERITIES
 from .bench import (
     ExperimentContext,
     PROFILES,
-    run_ablation_recycler,
     run_ablation_rules,
     run_fig6,
     run_fig7,
@@ -54,7 +53,6 @@ EXPERIMENTS = {
     "fig8": run_fig8,
     "fig9": run_fig9,
     "ablation-rules": run_ablation_rules,
-    "ablation-recycler": run_ablation_recycler,
 }
 
 

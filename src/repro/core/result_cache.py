@@ -390,7 +390,7 @@ class _CacheEntry:
     last_access: float = field(default_factory=time.monotonic)
 
     def score(self) -> float:
-        """Benefit density, exactly the Recycler's cost-aware rule."""
+        """Benefit density: compute seconds × accesses per byte held."""
         return (self.compute_seconds * self.access_count) / max(self.nbytes, 1)
 
 

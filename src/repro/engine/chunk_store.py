@@ -65,7 +65,9 @@ from ..util.lock_sanitizer import make_lock
 __all__ = ["ChunkStoreStats", "ChunkStore"]
 
 MANIFEST_NAME = "manifest.json"
-STORE_VERSION = 1
+# Bumped whenever an entry's layout changes: an entry of any other version
+# reads as absent, so its chunk is re-decoded, never misread.
+STORE_VERSION = 2
 # Directory-name suffix of a torn entry moved aside by read verification
 # (a replaced entry moved aside mid-commit carries OLD_SUFFIX).
 QUARANTINE_SUFFIX = ".quarantine"
@@ -119,7 +121,7 @@ class ChunkStore:
 
     Layout::
 
-        root/<digest>/manifest.json   # uri, loading cost, column directory
+        root/<digest>/manifest.json   # uri, column directory, statistics
         root/<digest>/c<i>.npy        # one array per column
         root/.tmp-*                   # in-flight writes, never read
 
@@ -277,10 +279,7 @@ class ChunkStore:
 
     # -- write path --------------------------------------------------------
 
-    def put(
-        self, uri: str, table: Table, loading_cost: float,
-        table_name: str | None = None,
-    ) -> int:
+    def put(self, uri: str, table: Table) -> int:
         """Persist a decoded chunk; returns payload bytes written.
 
         The write is atomic *and durable*: data files and the manifest are
@@ -324,8 +323,6 @@ class ChunkStore:
             manifest = {
                 "version": STORE_VERSION,
                 "uri": uri,
-                "table": table_name,
-                "loading_cost": loading_cost,
                 "num_rows": table.num_rows,
                 "columns": columns,
                 # Statistics sidecar: exact numeric min/max of the decoded
@@ -361,7 +358,7 @@ class ChunkStore:
 
     # -- read path ---------------------------------------------------------
 
-    def get(self, uri: str) -> tuple[Table, float] | None:
+    def get(self, uri: str) -> Table | None:
         """Re-hydrate one chunk, or None when the store has no valid entry.
 
         Fixed-width columns come back as zero-copy ``np.memmap`` arrays
@@ -373,13 +370,13 @@ class ChunkStore:
                 self._index.pop(uri, None)  # drop if deleted behind us
                 self.stats.misses += 1
             return None
-        table, cost, payload = loaded
+        table, payload = loaded
         with self._lock:
             self.stats.rehydrates += 1
             self.stats.bytes_rehydrated += payload
-        return table, cost
+        return table
 
-    def _probe(self, uri: str) -> tuple[Table, float, int] | None:
+    def _probe(self, uri: str) -> tuple[Table, int] | None:
         """Load an entry without touching hit/miss stats.
 
         Falls back to a filesystem probe when the in-memory index has no
@@ -446,7 +443,7 @@ class ChunkStore:
             return None
         with self._lock:
             self._index[uri] = payload
-        return table, float(manifest.get("loading_cost", 0.0)), payload
+        return table, payload
 
     def _quarantine(self, uri: str, entry_dir: str) -> None:
         """Move a torn entry aside: served as a miss, reaped at next open.

@@ -13,8 +13,9 @@ to.  It owns:
 * a pluggable :class:`ChunkLoader` that knows how to extract one chunk of an
   external file repository into table rows (realized by the mseed reader).
 
-Scans return tables with *qualified* column names (``F.station``) plus the
-hidden ``<T>.#rowid`` column used by join indexes.
+Base-table scans return tables with *qualified* column names
+(``F.station``) plus the hidden ``<T>.#rowid`` column used by join indexes;
+a loaded chunk carries the qualified names only.
 """
 
 from __future__ import annotations
@@ -294,42 +295,31 @@ class Database:
                 self._io_executor_workers = threads
             return self._io_executor
 
-    def load_chunk(self, uri: str, table_name: str) -> tuple[Table, float]:
+    def load_chunk(self, uri: str, table_name: str) -> Table:
         """Extract, transform and qualify one chunk (the chunk-access op).
 
-        Returns the qualified rows and the wall-clock seconds the extraction
-        took (used by the recycler's cost-aware policy and the reports).
+        The chunk is the loader's columns under qualified names and nothing
+        else: its rows have no base-table position, so no rowid.
         """
         if self.chunk_loader is None:
             raise ExecutionError(
                 "no chunk loader installed; register a repository first"
             )
-        started = time.perf_counter()
         raw = self.chunk_loader.load(uri, table_name)
-        elapsed = time.perf_counter() - started
         base = self.catalog.table(table_name)
         if raw.schema.names != base.schema.names:
             raise ExecutionError(
                 f"chunk loader returned schema {raw.schema.names} for "
                 f"{table_name!r}, expected {base.schema.names}"
             )
-        # Qualified names plus a rowid of -1: chunk rows are synthetic and
-        # have no stable base-table position.
-        rowids = Column(INT64, np.full(raw.num_rows, -1, dtype=np.int64))
-        prefixed = raw.with_prefix(table_name)
-        qualified = Table(
-            Schema([*prefixed.schema.fields, Field(f"{table_name}.{ROWID}", INT64)]),
-            [*prefixed.columns, rowids],
-        )
+        qualified = raw.with_prefix(table_name)
         self.chunk_stats.observe_table(uri, qualified)
-        return qualified, elapsed
+        return qualified
 
-    def fetch_chunk(
-        self, uri: str, table_name: str
-    ) -> tuple[Table, str, float]:
+    def fetch_chunk(self, uri: str, table_name: str) -> tuple[Table, str]:
         """One chunk through the two-tier recycler (the one chunk source).
 
-        Returns ``(chunk, outcome, loading_cost)`` with the recycler's
+        Returns ``(chunk, outcome)`` with the recycler's
         outcomes: ``loaded`` (fetched and decoded by :meth:`load_chunk`),
         ``rehydrated`` (mmap from the disk tier), ``hit`` or ``coalesced``
         (single-flight: a concurrent fetch of the same URI paid).

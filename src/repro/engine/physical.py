@@ -266,11 +266,11 @@ def _scan_local(
     uris = plan.uris
     pieces: list[Table | None] = [None] * len(uris)
 
-    def fetch(index: int) -> tuple[Table, str, float]:
+    def fetch(index: int) -> tuple[Table, str]:
         return database.fetch_chunk(uris[index], plan.table_name)
 
-    def ingest(index: int, fetched: tuple[Table, str, float]) -> None:
-        chunk, outcome, _cost = fetched
+    def ingest(index: int, fetched: tuple[Table, str]) -> None:
+        chunk, outcome = fetched
         record_outcome(ctx, uris[index], outcome, chunk)
         pieces[index] = filter_piece(chunk, names, plan.pushed_predicate)
 
@@ -296,8 +296,9 @@ def _execute_parallel_chunk_scan(
     ``chunks_shared``.  The version term keeps a scan issued after a
     write to F or S from joining one issued before it.
 
-    The scan emits only the needed columns and never the hidden rowid:
-    loaded chunk rows carry -1 there, which no join index accepts.
+    The scan emits only the needed columns.  Its schema is the base
+    table's, hidden rowid included, but a chunk holds only the loader's
+    columns: its rows have no base-table position for a join index to use.
     """
     visible = [name for name in plan.schema.names if not is_hidden(name)]
     names = _kept(visible, needed)
@@ -480,10 +481,6 @@ def _try_join_index(
 
     fk_rowids = fk_side.column(fk_rowid).values
     pk_rowids = pk_side.column(pk_rowid).values
-    if len(fk_rowids) and fk_rowids.min() < 0:
-        return None  # synthetic rows (chunk unions) have no stable rowids
-    if len(pk_rowids) and pk_rowids.min() < 0:
-        return None
     if len(pk_rowids) != len(np.unique(pk_rowids)):
         # The PK side was expanded by an earlier join (one base row appears
         # several times); the positional gather would pick only one copy.

@@ -4,15 +4,11 @@ The paper reuses MonetDB's Recycler [Ivanova et al., SIGMOD'09] to cache the
 actual data ingested by ``chunk-access`` operators so that subsequent queries
 can use the cheap ``cache-scan`` access path instead (Sections III & V).
 
-This module implements that component with two replacement policies:
-
-* ``lru`` — the plain least-recently-used policy of the original Recycler;
-* ``cost_aware`` — the Section VIII ("Smarter Caching") extension, which
-  scores entries by ``loading_cost × access_frequency / size`` and evicts
-  the lowest score first.
-
-Entries are keyed by chunk URI and hold the decoded :class:`Table` for that
-chunk, plus the observed loading cost used by the cost-aware policy.
+This module implements that component with one replacement order: the
+least recently used resident entry is evicted first.  Entries are keyed by
+chunk URI and hold the decoded :class:`Table` for that chunk — its rows,
+nothing else.  (Section VIII's cost-aware "smarter caching" was tried here
+and retracted: it loaded no fewer chunks than LRU; see the README.)
 
 Tiering (the persistent-recycler work): the in-memory budgeted tier is
 optionally backed by a :class:`~repro.engine.chunk_store.ChunkStore`.
@@ -71,19 +67,13 @@ class RecyclerEntry:
 
     uri: str
     table: Table
-    loading_cost: float
     nbytes: int
     resident_nbytes: int = -1
-    access_count: int = 1
     last_access: float = field(default_factory=time.monotonic)
 
     def __post_init__(self) -> None:
         if self.resident_nbytes < 0:
             self.resident_nbytes = self.nbytes
-
-    def score(self) -> float:
-        """Cost-aware benefit density: cheap-to-keep, expensive-to-reload wins."""
-        return (self.loading_cost * self.access_count) / max(self.nbytes, 1)
 
 
 @dataclass
@@ -112,17 +102,16 @@ class RecyclerStats(Counters):
 class _InflightLoad:
     """Single-flight slot: the loading thread publishes here, waiters block."""
 
-    __slots__ = ("event", "table", "cost", "error")
+    __slots__ = ("event", "table", "error")
 
     def __init__(self) -> None:
         self.event = threading.Event()
         self.table: Table | None = None
-        self.cost = 0.0
         self.error: BaseException | None = None
 
 
 class Recycler:
-    """Size-budgeted chunk cache with pluggable replacement policy.
+    """Size-budgeted chunk cache that evicts the least recently used entry.
 
     The budget mirrors the paper's workload experiments, which "limit the
     size of the recycler cache holding the lazily loaded files to the size
@@ -133,7 +122,6 @@ class Recycler:
     All public methods are safe to call from multiple threads.
     """
 
-    POLICIES = ("lru", "cost_aware")
     # Machine-checked (repro analyze, lock-discipline): the exact byte
     # accounting only holds if every write happens under the entry mutex.
     _GUARDED = {"_lock": ("_bytes_cached", "_bytes_mapped")}
@@ -141,18 +129,12 @@ class Recycler:
     def __init__(
         self,
         budget_bytes: int = 1 << 30,
-        policy: str = "lru",
         store: "ChunkStore | None" = None,
         spill_on_evict: bool = True,
     ) -> None:
         if budget_bytes <= 0:
             raise StorageError("recycler budget must be positive")
-        if policy not in self.POLICIES:
-            raise StorageError(
-                f"unknown recycler policy {policy!r}; choose from {self.POLICIES}"
-            )
         self.budget_bytes = budget_bytes
-        self.policy = policy
         self.store = store
         self.spill_on_evict = spill_on_evict
         self.stats = RecyclerStats()
@@ -239,7 +221,6 @@ class Recycler:
             if entry is None:
                 self.stats.misses += 1
                 return None
-            entry.access_count += 1
             entry.last_access = time.monotonic()
             self.stats.hits += 1
             return entry.table
@@ -255,12 +236,11 @@ class Recycler:
             entry = self._entries.get(uri)
             if entry is None:
                 return None
-            entry.access_count += 1
             entry.last_access = time.monotonic()
             self.stats.hits += 1
             return entry.table
 
-    def put(self, uri: str, table: Table, loading_cost: float) -> bool:
+    def put(self, uri: str, table: Table) -> bool:
         """Admit a freshly loaded chunk; returns False if it cannot fit.
 
         A chunk whose *resident* size exceeds the whole budget is never
@@ -281,8 +261,7 @@ class Recycler:
                 self._bytes_mapped -= existing.nbytes - existing.resident_nbytes
             self._evict_until_fits(resident, victims)
             self._entries[uri] = RecyclerEntry(
-                uri=uri, table=table, loading_cost=loading_cost,
-                nbytes=nbytes, resident_nbytes=resident,
+                uri=uri, table=table, nbytes=nbytes, resident_nbytes=resident
             )
             self._bytes_cached += resident
             self._bytes_mapped += nbytes - resident
@@ -291,11 +270,11 @@ class Recycler:
         return True
 
     def get_or_load(
-        self, uri: str, loader: Callable[[str], tuple[Table, float]]
-    ) -> tuple[Table, str, float]:
+        self, uri: str, loader: Callable[[str], Table]
+    ) -> tuple[Table, str]:
         """The single-flight chunk-access path across both tiers.
 
-        Returns ``(table, outcome, loading_cost)`` with outcome one of:
+        Returns ``(table, outcome)`` with outcome one of:
 
         * ``"hit"`` — the chunk was in the memory tier;
         * ``"rehydrated"`` — the chunk was mmap-re-hydrated from the disk
@@ -304,7 +283,7 @@ class Recycler:
         * ``"coalesced"`` — another thread was already decoding or
           re-hydrating the same URI; this call waited for that result.
 
-        ``loader(uri)`` must return ``(table, seconds)``; it runs outside
+        ``loader(uri)`` returns the chunk's table; it runs outside
         every recycler lock so independent loads overlap freely.  A loader
         failure is propagated to the owner and every coalesced waiter.
 
@@ -313,7 +292,7 @@ class Recycler:
         """
         cached = self._peek(uri)
         if cached is not None:
-            return cached, "hit", 0.0
+            return cached, "hit"
 
         stripe_lock, inflight = self._stripe_of(uri)
         with stripe_lock:
@@ -326,7 +305,7 @@ class Recycler:
                 # is uniform across the class, so this nesting is safe.)
                 cached = self._peek(uri)
                 if cached is not None:
-                    return cached, "hit", 0.0
+                    return cached, "hit"
                 flight = _InflightLoad()
                 inflight[uri] = flight
                 is_owner = True
@@ -341,27 +320,25 @@ class Recycler:
                 )
             with self._lock:
                 self.stats.coalesced += 1
-            return flight.table, "coalesced", flight.cost
+            return flight.table, "coalesced"
 
         try:
             # Disk tier first: a spilled or restart-surviving chunk is a
             # cheap mmap re-hydrate, not a re-decode.  The probe runs inside
             # the flight, so concurrent callers coalesce on it too.
-            stored = self.store.get(uri) if self.store is not None else None
-            if stored is not None:
-                table, cost = stored
+            table = self.store.get(uri) if self.store is not None else None
+            if table is not None:
                 with self._lock:
                     self.stats.rehydrates += 1
                 outcome = "rehydrated"
             else:
                 with self._lock:
                     self.stats.misses += 1
-                table, cost = loader(uri)
+                table = loader(uri)
                 outcome = "loaded"
             flight.table = table
-            flight.cost = cost
-            self.put(uri, table, cost)
-            return table, outcome, cost
+            self.put(uri, table)
+            return table, outcome
         except BaseException as exc:
             flight.error = exc
             raise
@@ -421,7 +398,7 @@ class Recycler:
         # Caller holds self._lock.  Only resident entries are candidates:
         # evicting an mmap-backed entry frees no heap bytes.
         while self._entries and self._bytes_cached + incoming > self.budget_bytes:
-            victim = self._choose_victim()
+            victim = self._least_recently_used()
             if victim is None:
                 break
             entry = self._entries.pop(victim)
@@ -434,15 +411,13 @@ class Recycler:
             self._spilling.add(entry.uri)
             victims.append(entry)
 
-    def _choose_victim(self) -> str | None:
+    def _least_recently_used(self) -> str | None:
         candidates = [
             e for e in self._entries.values() if e.resident_nbytes > 0
         ]
         if not candidates:
             return None
-        if self.policy == "lru":
-            return min(candidates, key=lambda e: e.last_access).uri
-        return min(candidates, key=lambda e: e.score()).uri
+        return min(candidates, key=lambda e: e.last_access).uri
 
     # -- spilling ------------------------------------------------------------
 
@@ -467,9 +442,7 @@ class Recycler:
         try:
             if uri not in self.store:
                 try:
-                    written = self.store.put(
-                        uri, entry.table, entry.loading_cost
-                    )
+                    written = self.store.put(uri, entry.table)
                 except (OSError, StorageError):
                     # A failed spill only loses a cache opportunity, never
                     # data: the chunk is still decodable from the

@@ -1,7 +1,8 @@
 """The xseed chunked-file substrate: an mSEED/libmseed stand-in.
 
 Chunks (files) carry small header metadata (GMd) and large Steim-compressed
-waveform payloads (AD); see DESIGN.md for the substitution rationale.
+waveform payloads (AD); the README's "Repository layout" section says
+where it sits.
 """
 
 from .format import SegmentHeader, VolumeHeader

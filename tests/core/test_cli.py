@@ -23,6 +23,12 @@ class TestParser:
         )
         assert args.experiment == "table2"
 
+    def test_retired_recycler_ablation_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["bench", "--experiment", "ablation-recycler"])
+        assert raised.value.code == 2  # argparse usage error
+        assert "ablation-recycler" in capsys.readouterr().err
+
     def test_invalid_scale_factor(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(

@@ -63,8 +63,8 @@ class TestRewriteRule1:
 
     def test_cached_chunks_planned_as_resident(self, lazy_db, scan_d, uris):
         # Warm one chunk into the recycler.
-        table, cost = lazy_db.database.load_chunk(uris[0], "D")
-        lazy_db.database.recycler.put(uris[0], table, cost)
+        table = lazy_db.database.load_chunk(uris[0], "D")
+        lazy_db.database.recycler.put(uris[0], table)
         report = RewriteReport()
         rewritten = rewrite_actual_scans(
             scan_d, lazy_db.database, lazy_db.config, uris, report
@@ -77,8 +77,8 @@ class TestRewriteRule1:
         self, lazy_db, scan_d, uris, monkeypatch
     ):
         database = lazy_db.database
-        table, cost = database.load_chunk(uris[0], "D")
-        database.recycler.put(uris[0], table, cost)
+        table = database.load_chunk(uris[0], "D")
+        database.recycler.put(uris[0], table)
         report = RewriteReport()
         rewritten = rewrite_actual_scans(
             scan_d, database, lazy_db.config, uris, report, io_threads=1
@@ -179,8 +179,8 @@ class TestUnionShape:
         assert report.rewrote_scans == 1 and len(report.chunk_plans) == 1
 
     def test_cached_chunks_become_cache_scans(self, lazy_db, scan_d, uris):
-        table, cost = lazy_db.database.load_chunk(uris[0], "D")
-        lazy_db.database.recycler.put(uris[0], table, cost)
+        table = lazy_db.database.load_chunk(uris[0], "D")
+        lazy_db.database.recycler.put(uris[0], table)
         predicate = Comparison("<", col("D.sample_time"), lit(10**15))
         plan = algebra.Select(scan_d, predicate)
         rewritten, _ = self._rewrite(lazy_db, plan, uris)
@@ -188,8 +188,8 @@ class TestUnionShape:
         assert rewritten.plan.chunks[0].tier == TIER_RESIDENT
 
     def test_selection_above_cache_scan(self, lazy_db, scan_d, uris):
-        table, cost = lazy_db.database.load_chunk(uris[0], "D")
-        lazy_db.database.recycler.put(uris[0], table, cost)
+        table = lazy_db.database.load_chunk(uris[0], "D")
+        lazy_db.database.recycler.put(uris[0], table)
         predicate = Comparison(">", col("D.sample_value"), lit(0))
         plan = algebra.Select(scan_d, predicate)
         rewritten, _ = self._rewrite(lazy_db, plan, [uris[0]])
@@ -204,7 +204,7 @@ class TestStatisticsPruning:
     ):
         # Enrich one chunk's statistics via a decode; its max sample value
         # bounds what any predicate can demand of it.
-        table, cost = lazy_db.database.load_chunk(uris[0], "D")
+        lazy_db.database.load_chunk(uris[0], "D")
         stats = lazy_db.database.chunk_stats.get(uris[0])
         assert stats is not None and stats.enriched
         _, high = stats.ranges["D.sample_value"]

@@ -152,9 +152,9 @@ class TestTiersAndSchedule:
     def test_tier_classification_keeps_assembly_order(self, database):
         chunk = make_chunk([1, 2, 3], [10, 20, 30])
         # resident: in the recycler's memory tier
-        database.recycler.put("resident", chunk, 0.01)
+        database.recycler.put("resident", chunk)
         # spilled: only in the on-disk store
-        database.chunk_store.put("spilled", chunk, 0.01)
+        database.chunk_store.put("spilled", chunk)
         plan = database.chunk_planner.plan(
             ["remote", "resident", "spilled"], "D", None
         )

@@ -262,7 +262,7 @@ class TestZoneMapSegmentSkipping:
 class TestStoreStatsSidecar:
     def test_sidecar_round_trip(self, tmp_path):
         store = ChunkStore(str(tmp_path))
-        store.put("u", make_table([5, -2, 9], [10, 20, 30]), 0.05)
+        store.put("u", make_table([5, -2, 9], [10, 20, 30]))
         ranges = store.get_stats("u")
         assert ranges["D.sample_value"] == (-2.0, 9.0)
         assert ranges["D.sample_time"] == (10.0, 30.0)
@@ -275,7 +275,7 @@ class TestStoreStatsSidecar:
         self, tmp_path
     ):
         store = ChunkStore(str(tmp_path))
-        store.put("u", make_table([1, 2], [3, 4]), 0.05)
+        store.put("u", make_table([1, 2], [3, 4]))
         manifest_path = os.path.join(store._entry_dir("u"), MANIFEST_NAME)
         with open(manifest_path, "r", encoding="utf-8") as handle:
             manifest = json.load(handle)
@@ -285,11 +285,11 @@ class TestStoreStatsSidecar:
         assert store.get_stats("u") is None  # absent, never wrong
         loaded = store.get("u")  # the chunk itself stays readable
         assert loaded is not None
-        assert loaded[0].num_rows == 2
+        assert loaded.num_rows == 2
 
     def test_inverted_sidecar_range_rejected(self, tmp_path):
         store = ChunkStore(str(tmp_path))
-        store.put("u", make_table([1], [1]), 0.05)
+        store.put("u", make_table([1], [1]))
         manifest_path = os.path.join(store._entry_dir("u"), MANIFEST_NAME)
         with open(manifest_path, "r", encoding="utf-8") as handle:
             manifest = json.load(handle)
@@ -300,7 +300,7 @@ class TestStoreStatsSidecar:
 
     def test_truncated_manifest_kills_entry_and_stats(self, tmp_path):
         store = ChunkStore(str(tmp_path))
-        store.put("u", make_table([1], [1]), 0.05)
+        store.put("u", make_table([1], [1]))
         manifest_path = os.path.join(store._entry_dir("u"), MANIFEST_NAME)
         with open(manifest_path, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -314,7 +314,7 @@ class TestStoreStatsSidecar:
 
         workdir = str(tmp_path / "db")
         first = Database(workdir=workdir)
-        first.chunk_store.put("u", make_table([4, 8], [1, 2]), 0.03)
+        first.chunk_store.put("u", make_table([4, 8], [1, 2]))
         first.close()
         second = Database(workdir=workdir)
         assert second.adopt_store_stats() == 1

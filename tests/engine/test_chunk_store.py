@@ -55,11 +55,10 @@ class TestRoundTrip:
 
             times = np.arange(n, dtype=np.int64) * 25
             uri = f"trial-{trial}"
-            store.put(uri, make_table(decoded, times), loading_cost=0.01)
+            store.put(uri, make_table(decoded, times))
             loaded = store.get(uri)
             assert loaded is not None
-            table, cost = loaded
-            assert cost == pytest.approx(0.01)
+            table = loaded
             assert np.array_equal(
                 table.column("D.sample_value").values, samples
             )
@@ -79,8 +78,8 @@ class TestRoundTrip:
                 Column(INT64, np.arange(3, dtype=np.int64)),
             ],
         )
-        store.put("strings", table, 0.5)
-        loaded, _ = store.get("strings")
+        store.put("strings", table)
+        loaded = store.get("strings")
         assert loaded.column("F.station").to_list() == ["ISK", "FIAM", "ARCI"]
         assert not loaded.column("F.station").is_mapped
         assert loaded.column("F.file_id").is_mapped
@@ -89,36 +88,34 @@ class TestRoundTrip:
         store = ChunkStore(str(tmp_path))
         first = make_table(np.arange(4), np.arange(4))
         second = make_table(np.arange(8), np.arange(8))
-        store.put("u", first, 0.1)
-        store.put("u", second, 0.2)
-        table, cost = store.get("u")
+        store.put("u", first)
+        store.put("u", second)
+        table = store.get("u")
         assert table.num_rows == 8
-        assert cost == pytest.approx(0.2)
         assert len(store) == 1
 
     def test_survives_reopen(self, tmp_path):
         root = str(tmp_path)
         store = ChunkStore(root)
-        store.put("persist-me", make_table(np.arange(16), np.arange(16)), 0.3)
+        store.put("persist-me", make_table(np.arange(16), np.arange(16)))
         del store
 
         reopened = ChunkStore(root)
         assert "persist-me" in reopened
         assert reopened.uris() == {"persist-me"}
-        table, cost = reopened.get("persist-me")
+        table = reopened.get("persist-me")
         assert table.num_rows == 16
-        assert cost == pytest.approx(0.3)
 
     def test_cross_object_visibility(self, tmp_path):
         """A commit by one store object is visible to another (process model)."""
         root = str(tmp_path)
         reader = ChunkStore(root)  # scans an empty dir
         writer = ChunkStore(root)
-        writer.put("late", make_table(np.arange(5), np.arange(5)), 0.1)
+        writer.put("late", make_table(np.arange(5), np.arange(5)))
         # The reader's index predates the commit: the disk probe finds it.
         assert "late" in reader
         loaded = reader.get("late")
-        assert loaded is not None and loaded[0].num_rows == 5
+        assert loaded is not None and loaded.num_rows == 5
 
 
 class TestCrashSafety:
@@ -128,8 +125,8 @@ class TestCrashSafety:
     def test_truncated_manifest_is_ignored(self, tmp_path):
         root = str(tmp_path)
         store = ChunkStore(root)
-        store.put("ok", make_table(np.arange(4), np.arange(4)), 0.1)
-        store.put("torn", make_table(np.arange(4), np.arange(4)), 0.1)
+        store.put("ok", make_table(np.arange(4), np.arange(4)))
+        store.put("torn", make_table(np.arange(4), np.arange(4)))
         manifest = os.path.join(self.entry_dir(store, "torn"), MANIFEST_NAME)
         blob = open(manifest, "rb").read()
         with open(manifest, "wb") as handle:
@@ -140,13 +137,13 @@ class TestCrashSafety:
         assert reopened.get("torn") is None
         assert reopened.stats.invalid_entries >= 1
         # The store stays fully usable: the torn entry can be rewritten.
-        reopened.put("torn", make_table(np.arange(6), np.arange(6)), 0.2)
-        assert reopened.get("torn")[0].num_rows == 6
+        reopened.put("torn", make_table(np.arange(6), np.arange(6)))
+        assert reopened.get("torn").num_rows == 6
 
     def test_missing_manifest_is_ignored(self, tmp_path):
         root = str(tmp_path)
         store = ChunkStore(root)
-        store.put("gone", make_table(np.arange(4), np.arange(4)), 0.1)
+        store.put("gone", make_table(np.arange(4), np.arange(4)))
         os.unlink(os.path.join(self.entry_dir(store, "gone"), MANIFEST_NAME))
         reopened = ChunkStore(root)
         assert reopened.get("gone") is None
@@ -167,7 +164,7 @@ class TestCrashSafety:
     def test_missing_payload_file_is_invalid(self, tmp_path):
         root = str(tmp_path)
         store = ChunkStore(root)
-        store.put("hollow", make_table(np.arange(4), np.arange(4)), 0.1)
+        store.put("hollow", make_table(np.arange(4), np.arange(4)))
         os.unlink(os.path.join(self.entry_dir(store, "hollow"), "c1.npy"))
         reopened = ChunkStore(root)
         assert reopened.get("hollow") is None
@@ -177,7 +174,7 @@ class TestCrashSafety:
         """Digest collisions or copied dirs never serve the wrong chunk."""
         root = str(tmp_path)
         store = ChunkStore(root)
-        store.put("real", make_table(np.arange(4), np.arange(4)), 0.1)
+        store.put("real", make_table(np.arange(4), np.arange(4)))
         manifest_path = os.path.join(
             self.entry_dir(store, "real"), MANIFEST_NAME
         )
@@ -205,7 +202,7 @@ class TestDurability:
         """A committed entry with a truncated column file never serves."""
         root = str(tmp_path)
         store = ChunkStore(root)
-        store.put("torn", make_table(np.arange(256), np.arange(256)), 0.1)
+        store.put("torn", make_table(np.arange(256), np.arange(256)))
         payload = os.path.join(self.entry_dir(store, "torn"), "c0.npy")
         with open(payload, "r+b") as handle:
             handle.truncate(os.path.getsize(payload) // 2)
@@ -214,14 +211,14 @@ class TestDurability:
         assert store.stats.invalid_entries >= 1
         # Quarantined: the entry dir is gone, a rewrite is not shadowed.
         assert not os.path.isdir(self.entry_dir(store, "torn"))
-        store.put("torn", make_table(np.arange(8), np.arange(8)), 0.2)
-        assert store.get("torn")[0].num_rows == 8
+        store.put("torn", make_table(np.arange(8), np.arange(8)))
+        assert store.get("torn").num_rows == 8
 
     def test_zero_length_payload_is_a_miss(self, tmp_path):
         """The power-loss signature: committed manifest, empty data file."""
         root = str(tmp_path)
         store = ChunkStore(root)
-        store.put("zero", make_table(np.arange(64), np.arange(64)), 0.1)
+        store.put("zero", make_table(np.arange(64), np.arange(64)))
         payload = os.path.join(self.entry_dir(store, "zero"), "c1.npy")
         with open(payload, "wb"):
             pass  # truncate to zero bytes
@@ -231,7 +228,7 @@ class TestDurability:
     def test_transient_io_error_does_not_quarantine(self, tmp_path, monkeypatch):
         """EMFILE-style failures are a miss, never a destroyed entry."""
         store = ChunkStore(str(tmp_path))
-        store.put("fine", make_table(np.arange(16), np.arange(16)), 0.1)
+        store.put("fine", make_table(np.arange(16), np.arange(16)))
 
         def exhausted(*args, **kwargs):
             raise OSError(24, "Too many open files")
@@ -242,7 +239,7 @@ class TestDurability:
         monkeypatch.undo()
         # The entry survived on disk and serves normally afterwards.
         assert os.path.isdir(store._entry_dir("fine"))
-        assert store.get("fine")[0].num_rows == 16
+        assert store.get("fine").num_rows == 16
 
     @pytest.mark.parametrize(
         "position, blob",
@@ -258,7 +255,7 @@ class TestDurability:
     ):
         """Same-size corruption of the .npy prefix is never mapped."""
         store = ChunkStore(str(tmp_path))
-        store.put("bad", make_table(np.arange(32), np.arange(32)), 0.1)
+        store.put("bad", make_table(np.arange(32), np.arange(32)))
         payload = os.path.join(self.entry_dir(store, "bad"), "c1.npy")
         size = os.path.getsize(payload)
         with open(payload, "r+b") as handle:
@@ -281,11 +278,11 @@ class TestDurability:
         times = np.arange(len(samples), dtype=np.int64) * 25
 
         def decode(uri):
-            return make_table(steim.decode(encoded), times), 0.01
+            return make_table(steim.decode(encoded), times)
 
         store = ChunkStore(str(tmp_path))
-        original, _ = decode("odd")
-        store.put("odd", original, 0.01)
+        original = decode("odd")
+        store.put("odd", original)
         manifest_path = os.path.join(self.entry_dir(store, "odd"), MANIFEST_NAME)
         with open(manifest_path, encoding="utf-8") as handle:
             manifest = json.load(handle)
@@ -298,7 +295,7 @@ class TestDurability:
         assert not os.path.isdir(self.entry_dir(store, "odd"))
 
         cache = Recycler(budget_bytes=1 << 20, store=store)
-        table, outcome, _ = cache.get_or_load("odd", decode)
+        table, outcome = cache.get_or_load("odd", decode)
         assert outcome == "loaded"
         assert table.schema == original.schema
         for fetched, expected in zip(table.columns, original.columns):
@@ -315,13 +312,13 @@ class TestDurability:
         store = ChunkStore(str(tmp_path))
         values = np.cumsum(np.arange(720) % 7 - 3).astype(np.int64)
         times = np.arange(720, dtype=np.int64) * 10
-        store.put("spilled", make_table(values, times), 0.1)
+        store.put("spilled", make_table(values, times))
 
         def broken(*args, **kwargs):
             raise SystemError("AST constructor recursion depth mismatch")
 
         monkeypatch.setattr(ast, "literal_eval", broken)
-        table, _ = store.get("spilled")
+        table = store.get("spilled")
         assert np.array_equal(table.column("D.sample_value").values, values)
         assert np.array_equal(table.column("D.sample_time").values, times)
         assert all(c.is_mapped for c in table.columns)
@@ -330,7 +327,7 @@ class TestDurability:
     def test_quarantined_entry_is_reaped_at_next_open(self, tmp_path):
         root = str(tmp_path)
         store = ChunkStore(root)
-        store.put("torn", make_table(np.arange(16), np.arange(16)), 0.1)
+        store.put("torn", make_table(np.arange(16), np.arange(16)))
         payload = os.path.join(self.entry_dir(store, "torn"), "c0.npy")
         with open(payload, "wb"):
             pass
@@ -354,16 +351,15 @@ class TestOpenSweep:
         instead of leaving the URI with no entry at all."""
         root = str(tmp_path)
         store = ChunkStore(root)
-        store.put("u", make_table(np.arange(32), np.arange(32)), 0.4)
+        store.put("u", make_table(np.arange(32), np.arange(32)))
         final = self.entry_dir(store, "u")
         os.rename(final, final + ".old")  # the mid-replace crash state
 
         reopened = ChunkStore(root)
         assert reopened.stats.restored_entries == 1
         assert reopened.uris() == {"u"}
-        table, cost = reopened.get("u")
+        table = reopened.get("u")
         assert table.num_rows == 32
-        assert cost == pytest.approx(0.4)
 
     def test_writer_unique_old_dir_is_restored(self, tmp_path):
         """Replaces park the old entry under a writer-unique .old-* name
@@ -371,20 +367,20 @@ class TestOpenSweep:
         sweep restores those exactly like plain .old dirs."""
         root = str(tmp_path)
         store = ChunkStore(root)
-        store.put("u", make_table(np.arange(6), np.arange(6)), 0.2)
+        store.put("u", make_table(np.arange(6), np.arange(6)))
         final = self.entry_dir(store, "u")
         os.rename(final, final + ".old-12345-7")
 
         reopened = ChunkStore(root)
         assert reopened.stats.restored_entries == 1
-        assert reopened.get("u")[0].num_rows == 6
+        assert reopened.get("u").num_rows == 6
 
     def test_planted_old_dir_is_swept_when_entry_survived(self, tmp_path):
         import shutil
 
         root = str(tmp_path)
         store = ChunkStore(root)
-        store.put("u", make_table(np.arange(8), np.arange(8)), 0.1)
+        store.put("u", make_table(np.arange(8), np.arange(8)))
         final = self.entry_dir(store, "u")
         shutil.copytree(final, final + ".old")  # replace completed
 
@@ -392,14 +388,14 @@ class TestOpenSweep:
         assert reopened.stats.restored_entries == 0
         assert reopened.stats.swept_dirs == 1
         assert not os.path.isdir(final + ".old")
-        assert reopened.get("u")[0].num_rows == 8
+        assert reopened.get("u").num_rows == 8
 
     def test_dead_process_staging_is_swept(self, tmp_path):
         """Kill after the payload fsyncs but before the commit rename: the
         fully-written staging dir must be garbage-collected, never served."""
         root = str(tmp_path)
         store = ChunkStore(root)
-        store.put("u", make_table(np.arange(4), np.arange(4)), 0.1)
+        store.put("u", make_table(np.arange(4), np.arange(4)))
         committed = self.entry_dir(store, "u")
         staging = os.path.join(root, f".tmp-{dead_pid()}-1")
         import shutil
@@ -428,7 +424,7 @@ class TestOpenSweep:
 
         root = str(tmp_path)
         store = ChunkStore(root)
-        store.put("u", make_table(np.arange(10), np.arange(10)), 0.1)
+        store.put("u", make_table(np.arange(10), np.arange(10)))
         final = self.entry_dir(store, "u")
         staging = os.path.join(root, f".tmp-{dead_pid()}-3")
         shutil.copytree(final, staging)  # v2 staged, never committed
@@ -436,7 +432,7 @@ class TestOpenSweep:
 
         reopened = ChunkStore(root)
         assert reopened.uris() == {"u"}
-        assert reopened.get("u")[0].num_rows == 10
+        assert reopened.get("u").num_rows == 10
         assert not os.path.isdir(staging)
         assert not os.path.isdir(final + ".old")
 
@@ -445,7 +441,7 @@ class TestMaintenance:
     def test_delete_and_clear(self, tmp_path):
         store = ChunkStore(str(tmp_path))
         for i in range(3):
-            store.put(f"u{i}", make_table(np.arange(4), np.arange(4)), 0.1)
+            store.put(f"u{i}", make_table(np.arange(4), np.arange(4)))
         store.delete("u1")
         assert store.uris() == {"u0", "u2"}
         assert store.get("u1") is None
@@ -455,7 +451,7 @@ class TestMaintenance:
 
     def test_stats_and_tier_snapshot(self, tmp_path):
         store = ChunkStore(str(tmp_path))
-        store.put("u", make_table(np.arange(64), np.arange(64)), 0.1)
+        store.put("u", make_table(np.arange(64), np.arange(64)))
         store.get("u")
         store.get("absent")
         snapshot = store.tier_stats()
@@ -464,3 +460,78 @@ class TestMaintenance:
         assert snapshot["rehydrates"] == 1
         assert snapshot["misses"] == 1
         assert snapshot["bytes_stored"] > 0
+
+
+def write_v1_entry(root: str, uri: str, chunk: Table) -> str:
+    """Commit ``chunk`` the way a version-1 store did; returns its dir.
+
+    Version 1 appended a ``D.#rowid`` column of -1s to every chunk and
+    recorded the decode time as ``loading_cost``.
+    """
+    entry_dir = os.path.join(root, ChunkStore._key(uri))
+    os.makedirs(entry_dir)
+    arrays = [np.ascontiguousarray(c.values) for c in chunk.columns]
+    arrays.append(np.full(chunk.num_rows, -1, dtype=np.int64))
+    names = [*chunk.schema.names, "D.#rowid"]
+    dtypes = [f.dtype.name for f in chunk.schema] + [INT64.name]
+    columns = []
+    for position, (name, dtype, values) in enumerate(
+        zip(names, dtypes, arrays)
+    ):
+        filename = f"c{position}.npy"
+        path = os.path.join(entry_dir, filename)
+        np.save(path, values, allow_pickle=False)
+        columns.append({"name": name, "dtype": dtype, "file": filename,
+                        "nbytes": os.path.getsize(path)})
+    manifest = {"version": 1, "uri": uri, "table": None,
+                "loading_cost": 0.01, "num_rows": chunk.num_rows,
+                "columns": columns, "stats": {}}
+    with open(os.path.join(entry_dir, MANIFEST_NAME), "w") as handle:
+        json.dump(manifest, handle)
+    return entry_dir
+
+
+class TestOldVersion:
+    """A version-1 entry is a miss that is re-decoded, never misread."""
+
+    def test_store_get_is_a_miss(self, tmp_path):
+        root = str(tmp_path)
+        ids = Column(INT64, np.zeros(8, dtype=np.int64))
+        values = make_table(np.arange(8), np.arange(8))
+        chunk = Table(
+            Schema.of(("D.file_id", INT64), ("D.segment_no", INT64),
+                      *((f.name, f.dtype) for f in values.schema)),
+            [ids, ids, *values.columns],
+        )
+        write_v1_entry(root, "old", chunk)
+        store = ChunkStore(root)
+        assert store.get("old") is None
+        assert store.stats.misses == 1
+        assert store.stats.invalid_entries == 1
+        assert "old" not in store
+
+    def test_fetch_redecodes_and_the_flush_replaces_it(self, lazy_db):
+        database = lazy_db.database
+        uri = sorted(database.chunk_loader.file_ids)[0]
+        fresh = database.load_chunk(uri, "D")
+        assert fresh.num_columns == 4
+        entry_dir = write_v1_entry(database.chunk_store.root, uri, fresh)
+
+        table, outcome = database.fetch_chunk(uri, "D")
+        assert outcome == "loaded"
+        assert table.schema == fresh.schema
+        for ours, theirs in zip(table.columns, fresh.columns):
+            assert ours.values.dtype == theirs.values.dtype
+            assert ours.values.tobytes() == theirs.values.tobytes()
+
+        assert database.recycler.flush_to_store() == 1
+        with open(os.path.join(entry_dir, MANIFEST_NAME)) as handle:
+            manifest = json.load(handle)
+        assert manifest["version"] == 2
+        assert "loading_cost" not in manifest
+        assert [c["name"] for c in manifest["columns"]] == list(
+            fresh.schema.names
+        )
+        assert sorted(os.listdir(entry_dir)) == [
+            "c0.npy", "c1.npy", "c2.npy", "c3.npy", MANIFEST_NAME,
+        ]

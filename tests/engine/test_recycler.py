@@ -1,4 +1,4 @@
-"""Tests for the Recycler chunk cache (LRU and cost-aware policies)."""
+"""Tests for the Recycler chunk cache (LRU eviction)."""
 
 import pytest
 
@@ -17,40 +17,36 @@ class TestBasics:
     def test_miss_then_hit(self):
         cache = Recycler(budget_bytes=1 << 20)
         assert cache.get("a") is None
-        cache.put("a", make_chunk(10), loading_cost=0.1)
+        cache.put("a", make_chunk(10))
         assert cache.get("a") is not None
         assert cache.stats.hits == 1 and cache.stats.misses == 1
 
     def test_contains_and_uris(self):
         cache = Recycler(budget_bytes=1 << 20)
-        cache.put("x", make_chunk(1), 0.1)
+        cache.put("x", make_chunk(1))
         assert "x" in cache
         assert cache.cached_uris() == {"x"}
 
     def test_invalidate(self):
         cache = Recycler(budget_bytes=1 << 20)
-        cache.put("x", make_chunk(1), 0.1)
+        cache.put("x", make_chunk(1))
         cache.invalidate("x")
         assert "x" not in cache
         assert cache.bytes_cached == 0
 
     def test_clear(self):
         cache = Recycler(budget_bytes=1 << 20)
-        cache.put("x", make_chunk(1), 0.1)
-        cache.put("y", make_chunk(1), 0.1)
+        cache.put("x", make_chunk(1))
+        cache.put("y", make_chunk(1))
         cache.clear()
         assert len(cache) == 0
 
     def test_replace_same_uri_no_leak(self):
         cache = Recycler(budget_bytes=1 << 20)
-        cache.put("x", make_chunk(100), 0.1)
+        cache.put("x", make_chunk(100))
         before = cache.bytes_cached
-        cache.put("x", make_chunk(100), 0.1)
+        cache.put("x", make_chunk(100))
         assert cache.bytes_cached == before
-
-    def test_invalid_policy(self):
-        with pytest.raises(StorageError):
-            Recycler(budget_bytes=10, policy="random")
 
     def test_invalid_budget(self):
         with pytest.raises(StorageError):
@@ -63,49 +59,28 @@ class TestBudget:
         budget = chunk.nbytes * 3 + 10
         cache = Recycler(budget_bytes=budget)
         for i in range(10):
-            cache.put(f"u{i}", make_chunk(100), 0.1)
+            cache.put(f"u{i}", make_chunk(100))
             assert cache.bytes_cached <= budget
 
     def test_oversized_chunk_rejected(self):
         cache = Recycler(budget_bytes=64)
-        assert cache.put("big", make_chunk(1000), 0.1) is False
+        assert cache.put("big", make_chunk(1000)) is False
         assert len(cache) == 0
 
     def test_eviction_counted(self):
         chunk_bytes = make_chunk(100).nbytes
         cache = Recycler(budget_bytes=chunk_bytes * 2)
         for i in range(4):
-            cache.put(f"u{i}", make_chunk(100), 0.1)
+            cache.put(f"u{i}", make_chunk(100))
         assert cache.stats.evictions >= 2
 
 
 class TestLRUPolicy:
     def test_least_recently_used_evicted(self):
         chunk_bytes = make_chunk(10).nbytes
-        cache = Recycler(budget_bytes=chunk_bytes * 2 + 8, policy="lru")
-        cache.put("a", make_chunk(10), 0.1)
-        cache.put("b", make_chunk(10), 0.1)
+        cache = Recycler(budget_bytes=chunk_bytes * 2 + 8)
+        cache.put("a", make_chunk(10))
+        cache.put("b", make_chunk(10))
         cache.get("a")  # refresh a
-        cache.put("c", make_chunk(10), 0.1)  # evicts b
+        cache.put("c", make_chunk(10))  # evicts b
         assert "a" in cache and "c" in cache and "b" not in cache
-
-
-class TestCostAwarePolicy:
-    def test_expensive_chunk_survives(self):
-        chunk_bytes = make_chunk(10).nbytes
-        cache = Recycler(budget_bytes=chunk_bytes * 2 + 8, policy="cost_aware")
-        cache.put("cheap", make_chunk(10), loading_cost=0.001)
-        cache.put("pricey", make_chunk(10), loading_cost=10.0)
-        cache.put("new", make_chunk(10), loading_cost=0.5)
-        assert "pricey" in cache
-        assert "cheap" not in cache
-
-    def test_frequency_matters(self):
-        chunk_bytes = make_chunk(10).nbytes
-        cache = Recycler(budget_bytes=chunk_bytes * 2 + 8, policy="cost_aware")
-        cache.put("hot", make_chunk(10), loading_cost=1.0)
-        cache.put("cold", make_chunk(10), loading_cost=1.0)
-        for _ in range(5):
-            cache.get("hot")
-        cache.put("new", make_chunk(10), loading_cost=1.0)
-        assert "hot" in cache and "cold" not in cache

@@ -26,12 +26,12 @@ class CountingLoader:
         self.rows = rows
         self._lock = threading.Lock()
 
-    def __call__(self, uri: str) -> tuple[Table, float]:
+    def __call__(self, uri: str) -> Table:
         with self._lock:
             self.calls[uri] = self.calls.get(uri, 0) + 1
         if self.delay_s:
             time.sleep(self.delay_s)
-        return make_chunk(self.rows), 0.01
+        return make_chunk(self.rows)
 
     def total_calls(self) -> int:
         return sum(self.calls.values())
@@ -52,12 +52,12 @@ class TestSingleFlight:
             )
 
         assert loader.calls == {"chunk-1": 1}
-        outcomes = sorted(outcome for _, outcome, _ in results)
+        outcomes = sorted(outcome for _, outcome in results)
         assert outcomes.count("loaded") == 1
         # Everyone else either coalesced on the in-flight load or hit the
         # cache just after it completed.
         assert all(o in ("loaded", "coalesced", "hit") for o in outcomes)
-        tables = [table for table, _, _ in results]
+        tables = [table for table, _ in results]
         assert all(t.num_rows == tables[0].num_rows for t in tables)
         # Exactly one of hit/miss/coalesced is counted per call.
         stats = cache.stats
@@ -91,16 +91,15 @@ class TestSingleFlight:
         cache = Recycler(budget_bytes=1 << 20)
         loader = CountingLoader()
         cache.get_or_load("chunk-1", loader)
-        table, outcome, cost = cache.get_or_load("chunk-1", loader)
+        table, outcome = cache.get_or_load("chunk-1", loader)
         assert outcome == "hit"
-        assert cost == 0.0
         assert loader.total_calls() == 1
 
     def test_loader_failure_propagates_to_all_waiters(self):
         cache = Recycler(budget_bytes=1 << 20)
         started = threading.Barrier(4)
 
-        def failing(uri: str) -> tuple[Table, float]:
+        def failing(uri: str) -> Table:
             time.sleep(0.02)
             raise StorageError(f"cannot fetch {uri}")
 
@@ -119,31 +118,30 @@ class TestSingleFlight:
         cache = Recycler(budget_bytes=1 << 20)
         attempts = []
 
-        def flaky(uri: str) -> tuple[Table, float]:
+        def flaky(uri: str) -> Table:
             attempts.append(uri)
             if len(attempts) == 1:
                 raise StorageError("transient")
-            return make_chunk(4), 0.01
+            return make_chunk(4)
 
         with pytest.raises(StorageError):
             cache.get_or_load("chunk-1", flaky)
-        table, outcome, _ = cache.get_or_load("chunk-1", flaky)
+        table, outcome = cache.get_or_load("chunk-1", flaky)
         assert outcome == "loaded"
         assert len(attempts) == 2
 
 
 class TestExactAccountingUnderContention:
-    @pytest.mark.parametrize("policy", ["lru", "cost_aware"])
-    def test_bytes_cached_matches_entries_after_eviction_storm(self, policy):
+    def test_bytes_cached_matches_entries_after_eviction_storm(self):
         chunk = make_chunk(64)
         # Budget fits only a handful of chunks: concurrent puts must evict.
-        cache = Recycler(budget_bytes=chunk.nbytes * 3, policy=policy)
+        cache = Recycler(budget_bytes=chunk.nbytes * 3)
         workers = 8
         puts_per_worker = 50
 
         def hammer(worker: int) -> None:
             for i in range(puts_per_worker):
-                cache.put(f"w{worker}-c{i % 10}", make_chunk(64), 0.01)
+                cache.put(f"w{worker}-c{i % 10}", make_chunk(64))
                 cache.get(f"w{worker}-c{i % 10}")
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -154,14 +152,13 @@ class TestExactAccountingUnderContention:
         assert cache.bytes_cached <= cache.budget_bytes
         assert len(entries) == len({e.uri for e in entries})
 
-    @pytest.mark.parametrize("policy", ["lru", "cost_aware"])
-    def test_insertions_minus_evictions_equals_population(self, policy):
+    def test_insertions_minus_evictions_equals_population(self):
         chunk = make_chunk(32)
-        cache = Recycler(budget_bytes=chunk.nbytes * 4, policy=policy)
+        cache = Recycler(budget_bytes=chunk.nbytes * 4)
 
         def hammer(worker: int) -> None:
             for i in range(40):
-                cache.put(f"w{worker}-c{i}", make_chunk(32), 0.01)
+                cache.put(f"w{worker}-c{i}", make_chunk(32))
 
         with ThreadPoolExecutor(max_workers=6) as pool:
             list(pool.map(hammer, range(6)))
@@ -172,7 +169,7 @@ class TestExactAccountingUnderContention:
 
     def test_hit_miss_counts_exact_under_contention(self):
         cache = Recycler(budget_bytes=1 << 20)
-        cache.put("hot", make_chunk(8), 0.01)
+        cache.put("hot", make_chunk(8))
         readers, reads = 8, 200
 
         def read(_):

@@ -4,7 +4,6 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-import pytest
 
 from repro.engine.chunk_store import ChunkStore
 from repro.engine.column import Column
@@ -36,7 +35,7 @@ class CountingLoader:
     def __call__(self, uri: str):
         with self._lock:
             self.calls[uri] = self.calls.get(uri, 0) + 1
-        return make_chunk(self.rows), 0.01
+        return make_chunk(self.rows)
 
 
 class TestSpillOnEvict:
@@ -44,9 +43,9 @@ class TestSpillOnEvict:
         store = ChunkStore(str(tmp_path))
         chunk = make_chunk(128)  # 1 KiB payload
         cache = Recycler(budget_bytes=2 * chunk.nbytes, store=store)
-        cache.put("a", make_chunk(128, 1), 0.1)
-        cache.put("b", make_chunk(128, 2), 0.2)
-        cache.put("c", make_chunk(128, 3), 0.3)  # evicts "a" (LRU)
+        cache.put("a", make_chunk(128, 1))
+        cache.put("b", make_chunk(128, 2))
+        cache.put("c", make_chunk(128, 3))  # evicts "a" (LRU)
         assert "a" not in cache
         assert "a" in store
         assert cache.stats.evictions == 1
@@ -57,30 +56,17 @@ class TestSpillOnEvict:
         store = ChunkStore(str(tmp_path))
         chunk_bytes = make_chunk(128).nbytes
         cache = Recycler(budget_bytes=2 * chunk_bytes, store=store)
-        cache.put("a", make_chunk(128, 1), 0.1)
-        cache.put("b", make_chunk(128, 2), 0.2)
-        cache.put("c", make_chunk(128, 3), 0.3)  # "a" spills
+        cache.put("a", make_chunk(128, 1))
+        cache.put("b", make_chunk(128, 2))
+        cache.put("c", make_chunk(128, 3))  # "a" spills
 
-        table, outcome, cost = cache.get_or_load("a", FailingLoader())
+        table, outcome = cache.get_or_load("a", FailingLoader())
         assert outcome == "rehydrated"
-        assert cost == pytest.approx(0.1)
         assert table.column("v").values[0] == 1
         assert table.resident_nbytes == 0  # mmap-backed
         assert cache.stats.rehydrates == 1
         # Re-admitted to the memory tier, resident-free.
         assert "a" in cache
-
-    def test_spill_preserves_loading_cost_for_cost_aware_policy(self, tmp_path):
-        store = ChunkStore(str(tmp_path))
-        chunk_bytes = make_chunk(128).nbytes
-        cache = Recycler(
-            budget_bytes=1 * chunk_bytes, policy="cost_aware", store=store
-        )
-        cache.put("cheap", make_chunk(128, 1), 0.001)
-        cache.put("dear", make_chunk(128, 2), 5.0)  # evicts+spills "cheap"
-        _, outcome, cost = cache.get_or_load("cheap", FailingLoader())
-        assert outcome == "rehydrated"
-        assert cost == pytest.approx(0.001)
 
     def test_spill_disabled(self, tmp_path):
         store = ChunkStore(str(tmp_path))
@@ -88,19 +74,19 @@ class TestSpillOnEvict:
         cache = Recycler(
             budget_bytes=chunk_bytes, store=store, spill_on_evict=False
         )
-        cache.put("a", make_chunk(128), 0.1)
-        cache.put("b", make_chunk(128), 0.1)
+        cache.put("a", make_chunk(128))
+        cache.put("b", make_chunk(128))
         assert "a" not in store
         loader = CountingLoader()
-        _, outcome, _ = cache.get_or_load("a", loader)
+        _, outcome = cache.get_or_load("a", loader)
         assert outcome == "loaded"
         assert loader.calls == {"a": 1}
 
     def test_flush_to_store(self, tmp_path):
         store = ChunkStore(str(tmp_path))
         cache = Recycler(budget_bytes=1 << 20, store=store)
-        cache.put("x", make_chunk(16), 0.1)
-        cache.put("y", make_chunk(16), 0.1)
+        cache.put("x", make_chunk(16))
+        cache.put("y", make_chunk(16))
         assert cache.flush_to_store() == 2
         assert store.uris() == {"x", "y"}
         # Idempotent: already-stored entries are skipped.
@@ -115,20 +101,20 @@ class TestSpillOnEvict:
                 self.entered = threading.Event()
                 self.gate = threading.Event()
 
-            def put(self, uri, table, loading_cost, table_name=None):
+            def put(self, uri, table):
                 if uri == "victim":
                     self.entered.set()
                     assert self.gate.wait(timeout=5)
-                return super().put(uri, table, loading_cost, table_name)
+                return super().put(uri, table)
 
         store = GatedStore(str(tmp_path))
         chunk_bytes = make_chunk(64).nbytes
         cache = Recycler(budget_bytes=chunk_bytes, store=store)
-        cache.put("victim", make_chunk(64, 1), 0.1)
+        cache.put("victim", make_chunk(64, 1))
 
         # Evicting "victim" spills it; the spill blocks inside store.put.
         evictor = threading.Thread(
-            target=cache.put, args=("other", make_chunk(64, 2), 0.1)
+            target=cache.put, args=("other", make_chunk(64, 2))
         )
         evictor.start()
         assert store.entered.wait(timeout=5)
@@ -142,7 +128,7 @@ class TestSpillOnEvict:
     def test_invalidate_drops_both_tiers(self, tmp_path):
         store = ChunkStore(str(tmp_path))
         cache = Recycler(budget_bytes=1 << 20, store=store)
-        cache.put("gone", make_chunk(16), 0.1)
+        cache.put("gone", make_chunk(16))
         cache.flush_to_store()
         cache.invalidate("gone")
         assert "gone" not in cache
@@ -151,7 +137,7 @@ class TestSpillOnEvict:
     def test_clear_spilled_flag(self, tmp_path):
         store = ChunkStore(str(tmp_path))
         cache = Recycler(budget_bytes=1 << 20, store=store)
-        cache.put("kept", make_chunk(16), 0.1)
+        cache.put("kept", make_chunk(16))
         cache.flush_to_store()
         cache.clear(spilled=False)  # the "process restart" shape
         assert len(cache) == 0
@@ -168,9 +154,9 @@ class TestByteAccounting:
         cache = Recycler(budget_bytes=2 * chunk_bytes, store=store)
         # Fill the store with far more than the memory budget.
         for i in range(8):
-            store.put(f"u{i}", make_chunk(512, i), 0.1)
+            store.put(f"u{i}", make_chunk(512, i))
         for i in range(8):
-            _, outcome, _ = cache.get_or_load(f"u{i}", FailingLoader())
+            _, outcome = cache.get_or_load(f"u{i}", FailingLoader())
             assert outcome == "rehydrated"
         # All 8 logical chunks are resident-free: none was evicted.
         assert len(cache) == 8
@@ -183,14 +169,14 @@ class TestByteAccounting:
         chunk_bytes = make_chunk(512).nbytes
         cache = Recycler(budget_bytes=2 * chunk_bytes, store=store)
         for i in range(4):
-            cache.put(f"h{i}", make_chunk(512, i), 0.1)
+            cache.put(f"h{i}", make_chunk(512, i))
         assert cache.bytes_cached <= cache.budget_bytes
         assert cache.stats.evictions == 2
 
     def test_tier_stats_shape(self, tmp_path):
         store = ChunkStore(str(tmp_path))
         cache = Recycler(budget_bytes=1 << 20, store=store)
-        cache.put("s", make_chunk(16), 0.1)
+        cache.put("s", make_chunk(16))
         stats = cache.tier_stats()
         assert stats["memory"]["entries"] == 1
         assert stats["memory"]["bytes_resident"] == make_chunk(16).nbytes
@@ -215,7 +201,7 @@ class TestSingleFlightAcrossTiers:
                 )
             )
         assert loader.calls == {"hot": 1}
-        outcomes = [o for _, o, _ in results]
+        outcomes = [o for _, o in results]
         assert outcomes.count("loaded") == 1
         assert all(o in ("loaded", "coalesced", "hit") for o in outcomes)
 
@@ -231,7 +217,7 @@ class TestSingleFlightAcrossTiers:
             )
         # Still exactly one decode ever; the disk tier absorbed the storm.
         assert loader.calls == {"hot": 1}
-        outcomes = [o for _, o, _ in results]
+        outcomes = [o for _, o in results]
         assert outcomes.count("rehydrated") == 1
         assert all(
             o in ("rehydrated", "coalesced", "hit") for o in outcomes
@@ -243,7 +229,7 @@ class TestSingleFlightAcrossTiers:
         loader = CountingLoader()
         uris = [f"u{i}" for i in range(6)]
         for uri in uris[:3]:  # pre-spill half the URIs
-            store.put(uri, make_chunk(32), 0.1)
+            store.put(uri, make_chunk(32))
         calls = 64
 
         with ThreadPoolExecutor(max_workers=8) as pool:

@@ -221,17 +221,3 @@ class TestRuleAblationBehaviour:
         )
         db_full.close()
         db_ablated.close()
-
-
-class TestRecyclerPolicies:
-    def test_cost_aware_policy_end_to_end(self, tiny_repo, all_params):
-        db, _ = prepare("lazy", tiny_repo[0])
-        db_cost, _ = prepare("lazy", tiny_repo[0])
-        db_cost.database.recycler.policy = "cost_aware"
-        sql = t4_query(all_params)
-        assert _rows_close(
-            db_cost.query(sql).table.to_dicts(),
-            db.query(sql).table.to_dicts(),
-        )
-        db.close()
-        db_cost.close()

@@ -2,7 +2,8 @@
 
 The metadata⋈data join of a lazy T4 gathers the one data column the
 aggregate reads, not every column of F, S and D; the chunk scan below it
-emits the join keys and that column, never the hidden rowid.
+emits the join keys and that column, never the hidden rowid.  A chunk
+itself, from any tier, is the loader's columns and nothing else.
 """
 
 import pytest
@@ -45,6 +46,28 @@ def test_t4_chunk_scan_emits_only_the_needed_columns(lazy, monkeypatch):
     monkeypatch.setattr(database, "scan_once", spy)
     lazy.query(t4_query(PARAMS))
     assert emitted == [("D.file_id", "D.segment_no", "D.sample_value")]
+
+
+def test_a_chunk_is_the_loaders_columns_from_every_tier(lazy):
+    database = lazy.database
+    uri = sorted(database.chunk_loader.file_ids)[0]
+    loader_columns = [
+        f"D.{name}" for name in database.catalog.table("D").schema.names
+    ]
+    assert len(loader_columns) == 4
+    shapes = {}
+    for _ in range(2):  # loaded, then a memory-tier hit
+        chunk, outcome = database.fetch_chunk(uri, "D")
+        shapes[outcome] = list(chunk.schema.names)
+    database.recycler.flush_to_store()
+    database.recycler.clear(spilled=False)
+    chunk, outcome = database.fetch_chunk(uri, "D")
+    shapes[outcome] = list(chunk.schema.names)
+    assert shapes == {
+        "loaded": loader_columns,
+        "hit": loader_columns,
+        "rehydrated": loader_columns,
+    }
 
 
 def test_t4_data_join_gathers_only_the_read_column(lazy, monkeypatch):

@@ -10,6 +10,7 @@ import multiprocessing
 import os
 import shutil
 
+import numpy as np
 import pytest
 
 from repro.core.loading import prepare
@@ -137,6 +138,50 @@ class TestWarmRestart:
         result = reopened.query(T4)
         assert result.table == expected
         assert result.stats.chunks_loaded == 0
+        reopened.close()
+
+
+def downgrade_to_v1(chunks_root: str) -> int:
+    """Rewrite every committed entry as a version-1 store wrote it.
+
+    Version 1 appended a ``D.#rowid`` column of -1s and recorded the
+    decode time as ``loading_cost``.  Returns the entries rewritten.
+    """
+    rewritten = 0
+    for name in os.listdir(chunks_root):
+        entry_dir = os.path.join(chunks_root, name)
+        manifest_path = os.path.join(entry_dir, "manifest.json")
+        with open(manifest_path) as handle:
+            manifest = json.load(handle)
+        position = len(manifest["columns"])
+        if all(c["name"] != "D.#rowid" for c in manifest["columns"]):
+            rowid_file = os.path.join(entry_dir, f"c{position}.npy")
+            np.save(rowid_file, np.full(manifest["num_rows"], -1, np.int64))
+            manifest["columns"].append({
+                "name": "D.#rowid", "dtype": "int64",
+                "file": f"c{position}.npy",
+                "nbytes": os.path.getsize(rowid_file),
+            })
+        manifest.update(version=1, table=None, loading_cost=0.01)
+        with open(manifest_path, "w") as handle:
+            json.dump(manifest, handle)
+        rewritten += 1
+    return rewritten
+
+
+class TestOldStoreVersion:
+    def test_v1_entries_are_redecoded_after_restart(self, tiny_repo, tmp_path):
+        workdir = str(tmp_path / "db")
+        db, _ = prepare("lazy", tiny_repo[0], workdir=workdir)
+        first = db.query(T4)
+        db.close()
+        assert downgrade_to_v1(os.path.join(workdir, "chunks")) > 0
+
+        reopened = SommelierDB.open(workdir)
+        second = reopened.query(T4)
+        assert second.table == first.table
+        assert second.stats.chunks_loaded == first.stats.chunks_loaded
+        assert second.stats.chunks_rehydrated == 0
         reopened.close()
 
 

@@ -73,9 +73,9 @@ CASES = [
         "decode-under-recycler-lock",
         "engine/recycler.py",
         "                    self.stats.misses += 1\n"
-        "                table, cost = loader(uri)\n",
+        "                table = loader(uri)\n",
         "                    self.stats.misses += 1\n"
-        "                    table, cost = loader(uri)\n",
+        "                    table = loader(uri)\n",
         "db.query(SQL)\n",
         "while holding hot lock 'Recycler._lock'",
     ),
