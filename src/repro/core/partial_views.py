@@ -7,7 +7,9 @@ exactly what lazy loading avoids — so the paper derives DMd on the fly:
 
 1. find the query's type (skip unless it refers to DMd: T2/T3/T5);
 2. collect the predicates on the DMd table's *primary key* attributes;
-3. enumerate the primary-key space those predicates select (``PSq``);
+3. enumerate the primary-key space those predicates select (``PSq``),
+   reading literal bounds through the shared
+   :class:`~repro.engine.predicates.LiteralBounds`;
 4. check it against the already-materialized key set (``PSm``);
 5. the uncovered remainder is ``PSu = PSq − PSm``;
 6. compute the DMd pointed to by ``PSu`` with an internal query (which
@@ -40,9 +42,11 @@ from ..engine.expressions import (
     IsIn,
     Literal,
     col,
+    conjoin,
     conjuncts,
     lit,
 )
+from ..engine.predicates import LiteralBounds, oriented_bound_conjuncts
 from ..engine.table import Table, TableBuilder
 from ..engine.types import TIMESTAMP as _TS
 from .query_types import references_derived_metadata
@@ -189,24 +193,21 @@ class PartialViewManager:
         channel_cols = _aliases_of("H.window_channel", classes)
         ts_cols = _aliases_of("H.window_start_ts", classes)
 
-        stations: set[str] | None = None
-        channels: set[str] | None = None
-        ts_low: int | None = None
-        ts_high: int | None = None
+        where = conjoin(predicates)
+        stations = _bounds_on(where, station_cols).points()
+        channels = _bounds_on(where, channel_cols).points()
         for predicate in predicates:
             for name in station_cols:
                 stations = _merge(stations, _string_constraint(predicate, name))
             for name in channel_cols:
                 channels = _merge(channels, _string_constraint(predicate, name))
-            for name in ts_cols:
-                low, high = _time_constraint(predicate, name)
-                if low is not None:
-                    ts_low = low if ts_low is None else max(ts_low, low)
-                if high is not None:
-                    ts_high = high if ts_high is None else min(ts_high, high)
+        ts_low, ts_high = _bounds_on(where, ts_cols).int_range()
 
         pairs = self._station_channel_pairs(stations, channels)
-        low_ms, high_ms = self._clip_to_data_span(ts_low, ts_high)
+        # The integer range is closed; the key space's high edge is open.
+        low_ms, high_ms = self._clip_to_data_span(
+            ts_low, None if ts_high is None else ts_high + 1
+        )
         keys: list[tuple[str, str, int]] = []
         if low_ms is not None and high_ms is not None:
             hour = low_ms - (low_ms % HOUR_MS)
@@ -300,10 +301,7 @@ class PartialViewManager:
             Comparison(">=", col("D.sample_time"), Literal(lo, _TS)),
             Comparison("<", col("D.sample_time"), Literal(hi, _TS)),
         ]
-        selected = algebra.Select(
-            view_plan,
-            _conjoin_all(predicate_parts),
-        )
+        selected = algebra.Select(view_plan, conjoin(predicate_parts))
         as_float = Arithmetic("*", col("D.sample_value"), lit(1.0))
         projected = algebra.Project(
             selected,
@@ -375,18 +373,19 @@ def _aliases_of(column_name: str, classes: list[set[str]]) -> set[str]:
     return {column_name}
 
 
+def _bounds_on(where: Expression | None, names: set[str]) -> LiteralBounds:
+    """The literal bounds on any of the named columns, all known equal."""
+    return LiteralBounds.from_conjuncts(
+        (op, literal.value)
+        for column, op, literal in oriented_bound_conjuncts(where)
+        if column in names
+    )
+
+
 def _string_constraint(
     predicate: Expression, column_name: str
 ) -> set[str] | None:
-    """Extract {allowed values} from ``col = 'x'`` or ``col IN (...)``."""
-    if isinstance(predicate, Comparison) and predicate.op == "=":
-        for comparison in (predicate, predicate.flipped()):
-            if (
-                isinstance(comparison.left, ColumnRef)
-                and comparison.left.name == column_name
-                and isinstance(comparison.right, Literal)
-            ):
-                return {comparison.right.value}
+    """Extract {allowed values} from ``col IN (...)``."""
     if (
         isinstance(predicate, IsIn)
         and isinstance(predicate.operand, ColumnRef)
@@ -394,32 +393,6 @@ def _string_constraint(
     ):
         return set(predicate.options)
     return None
-
-
-def _time_constraint(
-    predicate: Expression, column_name: str
-) -> tuple[int | None, int | None]:
-    """Extract (low, high) bounds from range comparisons on the column."""
-    if not isinstance(predicate, Comparison):
-        return None, None
-    for comparison in (predicate, predicate.flipped()):
-        if (
-            isinstance(comparison.left, ColumnRef)
-            and comparison.left.name == column_name
-            and isinstance(comparison.right, Literal)
-        ):
-            bound = int(comparison.right.value)
-            if comparison.op in (">=",):
-                return bound, None
-            if comparison.op == ">":
-                return bound + 1, None
-            if comparison.op == "<":
-                return None, bound
-            if comparison.op == "<=":
-                return None, bound + 1
-            if comparison.op == "=":
-                return bound, bound + 1
-    return None, None
 
 
 def _merge(current: set[str] | None, new: set[str] | None) -> set[str] | None:
@@ -455,10 +428,3 @@ def _coalesce_runs(
         runs.append((station, channel, run_start, previous + HOUR_MS))
     return runs
 
-
-def _conjoin_all(parts: list[Expression]) -> Expression:
-    from ..engine.expressions import conjoin
-
-    result = conjoin(parts)
-    assert result is not None
-    return result

@@ -15,9 +15,9 @@ query's stage two cheap; this module makes it free.  A
 
 Correctness model.  A bound plan is split into a **template** (the plan
 with every extractable ``column op literal`` conjunct removed from the
-spine Selects) and the extracted per-column **bounds** — the same
-normalization :func:`repro.engine.predicates.oriented_bound_conjuncts`
-gives the chunk planner.  Subsumption requires
+spine Selects) and the extracted per-column **bounds**, each a
+:class:`repro.engine.predicates.LiteralBounds` — the one bounds type the
+chunk planner and Algorithm 1 use too.  Subsumption requires
 
 1. identical templates (structural fingerprints, expression ``key()``s);
 2. cached bounds ⊇ query bounds per column (interval containment with
@@ -64,7 +64,7 @@ from ..engine.expressions import (
     conjoin,
     conjuncts,
 )
-from ..engine.predicates import is_numeric_literal, oriented_bound_conjuncts
+from ..engine.predicates import LiteralBounds, oriented_bound_conjuncts
 from ..engine.table import Table
 from ..util.counters import Counters
 from ..util.lock_sanitizer import make_lock
@@ -75,105 +75,6 @@ __all__ = [
     "ResultCache",
     "normalize_plan",
 ]
-
-# Operators whose conjuncts are lifted out of the template into bounds.
-_RANGE_OPS = ("<", "<=", ">", ">=")
-
-
-@dataclass(frozen=True)
-class ColumnBounds:
-    """Canonical form of one column's extracted bound conjuncts.
-
-    ``eq`` holds the values of ``=`` conjuncts (any literal type); ``low``
-    / ``high`` are the tightest range edges as ``(value, inclusive)``
-    pairs, numeric literals only.  The canonical form is what fingerprints
-    and containment tests compare, so ``t >= 5 AND t >= 3`` equals
-    ``t >= 5``.
-    """
-
-    eq: tuple = ()
-    low: tuple | None = None  # (value, inclusive)
-    high: tuple | None = None
-
-    @classmethod
-    def from_conjuncts(cls, ops: list[tuple[str, object]]) -> "ColumnBounds":
-        eq: list = []
-        low: tuple | None = None
-        high: tuple | None = None
-        for op, value in ops:
-            if op == "=":
-                if value not in eq:
-                    eq.append(value)
-            elif op in (">", ">="):
-                candidate = (value, op == ">=")
-                if low is None or _tighter_low(candidate, low):
-                    low = candidate
-            elif op in ("<", "<="):
-                candidate = (value, op == "<=")
-                if high is None or _tighter_high(candidate, high):
-                    high = candidate
-        return cls(eq=tuple(sorted(eq, key=repr)), low=low, high=high)
-
-    def covers(self, other: "ColumnBounds") -> bool:
-        """Does every point satisfying ``other`` also satisfy ``self``?"""
-        if self.eq:
-            # An equality bound covers only an identical bound set; any
-            # wider/narrower query bound must re-execute.
-            return self == other
-        if other.eq:
-            return all(self._contains_point(v) for v in other.eq)
-        if self.low is not None and not _low_covered(self.low, other.low):
-            return False
-        if self.high is not None and not _high_covered(self.high, other.high):
-            return False
-        return True
-
-    def _contains_point(self, value: object) -> bool:
-        if not is_numeric_literal(value):
-            # String/other equality points are only covered by an
-            # unbounded cached column (no range can be extracted for them).
-            return self.low is None and self.high is None
-        point = float(value)
-        if self.low is not None:
-            edge, inclusive = float(self.low[0]), self.low[1]
-            if point < edge or (point == edge and not inclusive):
-                return False
-        if self.high is not None:
-            edge, inclusive = float(self.high[0]), self.high[1]
-            if point > edge or (point == edge and not inclusive):
-                return False
-        return True
-
-
-def _tighter_low(a: tuple, b: tuple) -> bool:
-    """Is low bound ``a`` at least as tight as ``b``?"""
-    if a[0] != b[0]:
-        return a[0] > b[0]
-    return not a[1] and b[1]  # exclusive beats inclusive at the same value
-
-
-def _tighter_high(a: tuple, b: tuple) -> bool:
-    if a[0] != b[0]:
-        return a[0] < b[0]
-    return not a[1] and b[1]
-
-
-def _low_covered(cached: tuple, query: tuple | None) -> bool:
-    """Cached low edge admits every point the query's low edge admits."""
-    if query is None:
-        return False  # query reaches below any finite cached edge
-    if cached[0] != query[0]:
-        return float(cached[0]) < float(query[0])
-    return cached[1] or not query[1]
-
-
-def _high_covered(cached: tuple, query: tuple | None) -> bool:
-    if query is None:
-        return False
-    if cached[0] != query[0]:
-        return float(cached[0]) > float(query[0])
-    return cached[1] or not query[1]
-
 
 @dataclass(frozen=True)
 class NormalizedPlan:
@@ -190,7 +91,7 @@ class NormalizedPlan:
 
     fingerprint: tuple
     template: tuple
-    bounds: dict[str, ColumnBounds]
+    bounds: dict[str, LiteralBounds]
     bound_conjuncts: tuple[tuple[str, str, Literal], ...]
     refilterable: bool
     output_columns: dict[str, str]
@@ -285,28 +186,21 @@ def _plan_key(plan: algebra.LogicalPlan, extract: bool) -> tuple:
 
 
 def _extractable(conjunct: Expression) -> bool:
-    for _column, op, literal in oriented_bound_conjuncts(conjunct):
-        if op == "=":
-            return True
-        if op in _RANGE_OPS and is_numeric_literal(literal.value):
-            return True
-    return False
+    return bool(LiteralBounds.by_column(conjunct))
 
 
-def _spine_bound_conjuncts(
-    plan: algebra.LogicalPlan,
-) -> list[tuple[str, str, Literal]]:
-    """Extractable (column, op, literal) triples from the spine Selects."""
-    found: list[tuple[str, str, Literal]] = []
+def _spine_bounds(plan: algebra.LogicalPlan) -> Expression | None:
+    """The extractable bound conjuncts of the spine Selects, conjoined."""
+    found: list[Expression] = []
     node = plan
     while True:
         children = node.children()
         if len(children) != 1:
-            return found
+            return conjoin(found)
         if isinstance(node, algebra.Select):
-            for part in conjuncts(node.predicate):
-                if _extractable(part):
-                    found.extend(oriented_bound_conjuncts(part))
+            found.extend(
+                part for part in conjuncts(node.predicate) if _extractable(part)
+            )
         node = children[0]
 
 
@@ -343,19 +237,12 @@ def _output_column_map(plan: algebra.LogicalPlan) -> dict[str, str]:
 
 def normalize_plan(plan: algebra.LogicalPlan) -> NormalizedPlan:
     """Split a bound plan into (fingerprint, template, bounds) key material."""
-    triples = _spine_bound_conjuncts(plan)
-    by_column: dict[str, list[tuple[str, object]]] = {}
-    for column, op, literal in triples:
-        by_column.setdefault(column, []).append((op, literal.value))
-    bounds = {
-        column: ColumnBounds.from_conjuncts(ops)
-        for column, ops in by_column.items()
-    }
+    spine = _spine_bounds(plan)
     return NormalizedPlan(
         fingerprint=_plan_key(plan, extract=False),
         template=_plan_key(plan, extract=True),
-        bounds=bounds,
-        bound_conjuncts=tuple(triples),
+        bounds=LiteralBounds.by_column(spine),
+        bound_conjuncts=tuple(oriented_bound_conjuncts(spine)),
         refilterable=not _contains_blocking_node(plan),
         output_columns=_output_column_map(plan),
         base_tables=frozenset(plan.base_tables()),
@@ -516,7 +403,7 @@ class ResultCache:
         cached: NormalizedPlan, query: NormalizedPlan
     ) -> list[str] | None:
         """Columns to re-filter by, or None when the entry cannot serve."""
-        empty = ColumnBounds()
+        empty = LiteralBounds()
         columns = set(cached.bounds) | set(query.bounds)
         differing: list[str] = []
         for column in columns:

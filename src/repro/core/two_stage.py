@@ -39,7 +39,7 @@ from ..engine.errors import ExecutionError, PlanError
 from ..engine.expressions import Expression
 from ..engine.join_graph import QueryGraph, build_query_graph
 from ..engine.optimizer import optimize as standard_optimize
-from ..engine.predicates import oriented_literal_comparisons
+from ..engine.predicates import oriented_bound_conjuncts
 from ..engine.physical import (
     CancelToken,
     ExecStats,
@@ -216,9 +216,9 @@ def _infer_time_bound_predicates(
         if ad_table in graph.vertices:
             for predicate in graph.vertices[ad_table].predicates:
                 sources.extend(
-                    oriented_literal_comparisons(
-                        predicate, inference.ad_time_column
-                    )
+                    (op, literal)
+                    for column, op, literal in oriented_bound_conjuncts(predicate)
+                    if column == inference.ad_time_column
                 )
         for op, bound in sources:
             implied = inference.infer(op, bound)

@@ -32,11 +32,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .predicates import (
-    closed_int_bounds,
-    literal_bounds_by_column,
-    range_may_satisfy,
-)
+from .predicates import LiteralBounds
 from ..util.counters import Counters
 from ..util.lock_sanitizer import make_lock
 
@@ -137,7 +133,7 @@ class ChunkPlanner:
         prune: bool = True,
     ) -> ChunkPlan:
         """Prune the given candidate chunks and classify the survivors."""
-        bounds = literal_bounds_by_column(predicate) if prune else {}
+        bounds = LiteralBounds.by_column(predicate) if prune else {}
         catalog = self.database.chunk_stats
         cached = self.database.recycler.cached_uris()
         stored = self.database.chunk_store.uris()
@@ -174,7 +170,7 @@ class ChunkPlanner:
     # -- pruning -----------------------------------------------------------
 
     @staticmethod
-    def _prune_reason(stats, bounds: dict) -> str | None:
+    def _prune_reason(stats, bounds: dict[str, LiteralBounds]) -> str | None:
         """The column whose statistics exclude this chunk, or None.
 
         Chunks without statistics (or without a range for the bounded
@@ -184,16 +180,15 @@ class ChunkPlanner:
         """
         if stats is None:
             return None
-        for column, ops in bounds.items():
+        for column, column_bounds in bounds.items():
             column_range = stats.ranges.get(column)
-            if column_range is not None:
-                minimum, maximum = column_range
-                for op, value in ops:
-                    if not range_may_satisfy(op, value, minimum, maximum):
-                        return column
+            if column_range is not None and not column_bounds.may_overlap(
+                *column_range
+            ):
+                return column
             zones = stats.segment_zones
             if zones is not None and zones.attribute == column:
-                low, high = closed_int_bounds(ops)
+                low, high = column_bounds.int_range()
                 if (low is not None or high is not None) and not (
                     zones.prune_range(low, high)
                 ):

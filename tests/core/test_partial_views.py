@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.loading import prepare
 from repro.core.partial_views import _coalesce_runs
 from repro.core.schema import HOUR_MS
 from repro.data.ingv import EPOCH_2010_MS
@@ -162,3 +163,73 @@ class TestCoalesceRuns:
     def test_unsorted_input(self):
         keys = [("S", "C", 2 * HOUR_MS), ("S", "C", 0), ("S", "C", HOUR_MS)]
         assert _coalesce_runs(keys) == [("S", "C", 0, 3 * HOUR_MS)]
+
+
+# -- Algorithm 1's key space against the eagerly derived H --------------------
+
+T0 = EPOCH_2010_MS
+SELECT_H = (
+    "SELECT H.window_station, H.window_start_ts, H.window_max_val FROM H "
+    "WHERE {}"
+)
+ISK = "H.window_station = 'ISK'"
+WITHIN = f"H.window_start_ts >= {T0} AND H.window_start_ts < {T0 + 6 * HOUR_MS}"
+
+
+def _edge_cases():
+    for hour in (2, 3):
+        edge = T0 + hour * HOUR_MS
+        for offset, literal in (
+            ("", f"{edge}"),
+            (".5", f"{edge}.5"),
+            ("-0.5", f"{edge - 1}.5"),
+        ):
+            for op in ("<", "<=", ">", ">=", "="):
+                where = f"{ISK} AND H.window_start_ts {op} {literal} AND {WITHIN}"
+                yield pytest.param(where, id=f"{op}{hour:02d}h{offset}")
+
+
+EDGE = T0 + 3 * HOUR_MS
+SHAPES = {
+    "literal-left": f"{ISK} AND {EDGE}.5 > H.window_start_ts AND {WITHIN}",
+    "in-list": f"H.window_station IN ('ISK') AND H.window_start_ts < {EDGE}.5 "
+    f"AND {WITHIN}",
+    "or-stations": f"(H.window_station = 'ISK' OR H.window_station = 'FIAM') "
+    f"AND H.window_start_ts < {EDGE}.5 AND {WITHIN}",
+    "not": f"{ISK} AND NOT (H.window_start_ts >= {EDGE}.5) AND {WITHIN}",
+    "between": f"{ISK} AND H.window_start_ts BETWEEN {T0 + HOUR_MS}.5 "
+    f"AND {EDGE}.5",
+    "arithmetic": f"{ISK} AND H.window_start_ts + 0 < {EDGE}.5 AND {WITHIN}",
+}
+
+
+@pytest.fixture(scope="module")
+def lazy_and_eager(tiny_repo):
+    lazy, _ = prepare("lazy", tiny_repo[0])
+    eager, _ = prepare("eager_dmd", tiny_repo[0])
+    yield lazy, eager
+    lazy.close()
+    eager.close()
+
+
+def _rows(db, sql):
+    return sorted(tuple(row.values()) for row in db.query(sql).table.to_dicts())
+
+
+class TestKeySpaceMatchesEager:
+    """Lazy H answers equal eager_dmd's for every bound shape Algorithm 1
+    reads; each query starts from an empty H, so no earlier query can
+    supply a window the key space missed."""
+
+    @pytest.mark.parametrize(
+        "where",
+        [
+            *_edge_cases(),
+            *(pytest.param(where, id=name) for name, where in SHAPES.items()),
+        ],
+    )
+    def test_lazy_equals_eager_dmd(self, lazy_and_eager, where):
+        lazy, eager = lazy_and_eager
+        lazy.reset_derived_metadata()
+        sql = SELECT_H.format(where)
+        assert _rows(lazy, sql) == _rows(eager, sql)

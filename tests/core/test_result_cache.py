@@ -3,9 +3,10 @@
 import pytest
 
 from repro.core.loading import prepare
-from repro.core.result_cache import ColumnBounds, ResultCache, normalize_plan
+from repro.core.result_cache import ResultCache, normalize_plan
 from repro.core.two_stage import TwoStageOptions
 from repro.data.ingv import EPOCH_2010_MS
+from repro.engine.predicates import LiteralBounds
 from repro.workloads import QueryParams, t5_query
 
 HOUR_MS = 3600 * 1000
@@ -34,9 +35,11 @@ def cache_stats(db) -> dict:
 
 
 class TestColumnBounds:
+    """Subsumption on the shared per-column bounds type."""
+
     def covers(self, cached, query) -> bool:
-        return ColumnBounds.from_conjuncts(cached).covers(
-            ColumnBounds.from_conjuncts(query)
+        return LiteralBounds.from_conjuncts(cached).covers(
+            LiteralBounds.from_conjuncts(query)
         )
 
     def test_wider_range_covers_narrower(self):
@@ -66,8 +69,8 @@ class TestColumnBounds:
         assert not self.covers([("=", "ISK")], [])
 
     def test_redundant_conjuncts_canonicalize(self):
-        a = ColumnBounds.from_conjuncts([(">=", 5), (">=", 3)])
-        b = ColumnBounds.from_conjuncts([(">=", 5)])
+        a = LiteralBounds.from_conjuncts([(">=", 5), (">=", 3)])
+        b = LiteralBounds.from_conjuncts([(">=", 5)])
         assert a == b
 
 

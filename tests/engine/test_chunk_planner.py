@@ -14,11 +14,7 @@ from repro.engine.chunk_planner import (
 from repro.engine.column import Column
 from repro.engine.database import Database
 from repro.engine.expressions import BooleanOp, Comparison, col, lit
-from repro.engine.predicates import (
-    closed_int_bounds,
-    literal_bounds_by_column,
-    range_may_satisfy,
-)
+from repro.engine.predicates import LiteralBounds
 from repro.engine.table import Schema, Table
 from repro.engine.types import INT64, TIMESTAMP
 
@@ -41,21 +37,27 @@ def database(tmp_path):
     db.close()
 
 
+def bounds(*ops) -> LiteralBounds:
+    return LiteralBounds.from_conjuncts(ops)
+
+
 class TestPredicateHelpers:
     def test_range_may_satisfy_matrix(self):
-        assert range_may_satisfy(">", 5, 0, 10)
-        assert not range_may_satisfy(">", 10, 0, 10)
-        assert range_may_satisfy(">=", 10, 0, 10)
-        assert not range_may_satisfy(">=", 11, 0, 10)
-        assert range_may_satisfy("<", 1, 0, 10)
-        assert not range_may_satisfy("<", 0, 0, 10)
-        assert range_may_satisfy("<=", 0, 0, 10)
-        assert not range_may_satisfy("<=", -1, 0, 10)
-        assert range_may_satisfy("=", 10, 0, 10)
-        assert not range_may_satisfy("=", 11, 0, 10)
-        # Non-numeric and unknown operators never prune.
-        assert range_may_satisfy(">", "text", 0, 10)
-        assert range_may_satisfy("<>", 5, 0, 10)
+        assert bounds((">", 5)).may_overlap(0, 10)
+        assert not bounds((">", 10)).may_overlap(0, 10)
+        assert bounds((">=", 10)).may_overlap(0, 10)
+        assert not bounds((">=", 11)).may_overlap(0, 10)
+        assert bounds(("<", 1)).may_overlap(0, 10)
+        assert not bounds(("<", 0)).may_overlap(0, 10)
+        assert bounds(("<=", 0)).may_overlap(0, 10)
+        assert not bounds(("<=", -1)).may_overlap(0, 10)
+        assert bounds(("=", 10)).may_overlap(0, 10)
+        assert not bounds(("=", 11)).may_overlap(0, 10)
+        # Non-numeric literals and unknown operators never prune.
+        assert bounds((">", "text")).may_overlap(0, 10)
+        assert bounds(("=", "text")).may_overlap(0, 10)
+        unknown = Comparison("<>", col("D.sample_value"), lit(5))
+        assert LiteralBounds.by_column(unknown) == {}
 
     def test_literal_bounds_by_column_both_orientations(self):
         predicate = BooleanOp(
@@ -67,15 +69,24 @@ class TestPredicateHelpers:
                 Comparison("=", col("D.file_id"), col("S.file_id")),
             ],
         )
-        bounds = literal_bounds_by_column(predicate)
-        assert bounds["D.sample_time"] == [(">=", 100), ("<", 200)]
-        assert bounds["D.file_id"] == [("=", 7)]
-        assert literal_bounds_by_column(None) == {}
+        found = LiteralBounds.by_column(predicate)
+        assert found["D.sample_time"] == bounds((">=", 100), ("<", 200))
+        assert found["D.sample_time"].low == (100, True)
+        assert found["D.sample_time"].high == (200, False)
+        assert found["D.file_id"] == bounds(("=", 7))
+        assert set(found) == {"D.sample_time", "D.file_id"}
+        assert LiteralBounds.by_column(None) == {}
 
     def test_closed_int_bounds(self):
-        assert closed_int_bounds([(">", 9), ("<", 20)]) == (10, 19)
-        assert closed_int_bounds([("=", 5)]) == (5, 5)
-        assert closed_int_bounds([(">", 2.5)]) == (None, None)  # floats skip
+        assert bounds((">", 9), ("<", 20)).int_range() == (10, 19)
+        assert bounds(("=", 5)).int_range() == (5, 5)
+        # Fractional edges round inward: the low edge up, the high down.
+        assert bounds((">", 2.5)).int_range() == (3, None)
+        assert bounds((">=", 2.5), ("<=", 7.5)).int_range() == (3, 7)
+        assert bounds(("<", 7.5)).int_range() == (None, 7)
+        # A fractional point admits no integer.
+        low, high = bounds(("=", 2.5)).int_range()
+        assert low > high
 
 
 class TestPruning:
