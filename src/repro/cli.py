@@ -300,7 +300,7 @@ def _command_query(args: argparse.Namespace) -> int:
             return 0
         if args.clients > 1:
             return _run_concurrent_clients(db, args.sql, args.clients)
-        result = db.query(args.sql)
+        result, derivation = db.query_with_derivation(args.sql)
         for row in result.table.to_dicts()[: args.limit]:
             print(row)
         if result.table.num_rows > args.limit:
@@ -312,7 +312,8 @@ def _command_query(args: argparse.Namespace) -> int:
         )
         print(
             f"[{result.seconds * 1000:.1f}ms, "
-            f"{result.stats.chunks_loaded} chunk(s) loaded, "
+            f"{result.stats.chunks_loaded + derivation.chunks_loaded} "
+            "chunk(s) loaded, "
             f"{result.stats.chunks_from_cache} from cache{served}]"
         )
         return 0

@@ -204,7 +204,12 @@ class PartialViewManager:
         ts_low, ts_high = _bounds_on(where, ts_cols).int_range()
 
         pairs = self._station_channel_pairs(stations, channels)
-        # The integer range is closed; the key space's high edge is open.
+        # H is keyed by window start, so the first window the query can
+        # return starts at the low edge rounded up to an hour; the data
+        # span's own low edge rounds down below.  The integer range is
+        # closed; the key space's high edge is open.
+        if ts_low is not None:
+            ts_low = -(-ts_low // HOUR_MS) * HOUR_MS
         low_ms, high_ms = self._clip_to_data_span(
             ts_low, None if ts_high is None else ts_high + 1
         )

@@ -44,7 +44,6 @@ from ..engine.physical import (
     CancelToken,
     ExecStats,
     ExecutionContext,
-    drop_hidden_columns,
     execute_plan,
 )
 from ..engine.table import Table
@@ -367,7 +366,7 @@ class TwoStageCompiler:
         elapsed = time.perf_counter() - started
         stage_one = report.stage_boundary_perf - started
         return QueryResult(
-            table=drop_hidden_columns(result),
+            table=result,
             seconds=elapsed,
             stage_one_seconds=stage_one,
             stage_two_seconds=max(elapsed - stage_one, 0.0),

@@ -31,7 +31,7 @@ from .errors import (
     StorageError,
     TypeMismatchError,
 )
-from .physical import ExecutionContext, ExecStats, drop_hidden_columns, execute_plan
+from .physical import ExecutionContext, ExecStats, execute_plan
 from .recycler import Recycler
 from .storage import BufferPool, PagedColumnStore
 from .table import Field, Schema, Table, TableBuilder
@@ -71,6 +71,5 @@ __all__ = [
     "TableBuilder",
     "TableKind",
     "TypeMismatchError",
-    "drop_hidden_columns",
     "execute_plan",
 ]

@@ -43,22 +43,20 @@ __all__ = [
     "parse_ranges",
 ]
 
-_HIDDEN_MARKER = "#"
-
 
 def compute_column_ranges(table: Table) -> dict[str, tuple[float, float]]:
     """Exact ``{column: (min, max)}`` over the numeric columns of a table.
 
-    String and hidden (rowid) columns are skipped, as is any column whose
-    extrema are NaN (NaN bounds compare False against everything, which
-    the planner would read as "cannot satisfy" and wrongly prune); an
-    empty table yields no ranges.
+    String columns are skipped, as is any column whose extrema are NaN
+    (NaN bounds compare False against everything, which the planner would
+    read as "cannot satisfy" and wrongly prune); an empty table yields no
+    ranges.
     """
     ranges: dict[str, tuple[float, float]] = {}
     if table.num_rows == 0:
         return ranges
     for fld, column in zip(table.schema, table.columns):
-        if fld.dtype is STRING or _HIDDEN_MARKER in fld.name:
+        if fld.dtype is STRING:
             continue
         values = column.values
         low, high = float(np.min(values)), float(np.max(values))

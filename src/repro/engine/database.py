@@ -9,13 +9,13 @@ to.  It owns:
   disk (the eager variants page their big actual-data table so scans pay
   realistic I/O costs, reproducing the paper's memory cliff);
 * the :class:`~repro.engine.recycler.Recycler` caching lazily loaded chunks;
-* hash and join indexes built by the ``eager_index`` loading variant;
+* the hash and join indexes the ``eager_index`` loading variant builds
+  (measured for Fig. 6 and Table III; no query reads them);
 * a pluggable :class:`ChunkLoader` that knows how to extract one chunk of an
   external file repository into table rows (realized by the mseed reader).
 
-Base-table scans return tables with *qualified* column names
-(``F.station``) plus the hidden ``<T>.#rowid`` column used by join indexes;
-a loaded chunk carries the qualified names only.
+Base-table scans and loaded chunks alike carry exactly the table's
+columns under *qualified* names (``F.station``).
 """
 
 from __future__ import annotations
@@ -26,26 +26,20 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, Sequence
-
-import numpy as np
+from typing import Callable, Protocol
 
 from .catalog import Catalog
 from .chunk_planner import ChunkPlanner
 from .chunk_stats import ChunkStatsCatalog
 from .chunk_store import ChunkStore
-from .column import Column
 from .errors import CatalogError, ExecutionError
 from .indexes import HashIndex, JoinIndex
 from .recycler import Recycler
 from .storage import BufferPool, PagedColumnStore
-from .table import Field, Schema, Table
-from .types import INT64
+from .table import Schema, Table
 from ..util.lock_sanitizer import make_lock
 
 __all__ = ["ChunkDirectory", "ChunkLoader", "Database"]
-
-ROWID = "#rowid"
 
 # How often a query waiting on another query's identical scan wakes to
 # honor its own cancel token.
@@ -162,8 +156,8 @@ class Database:
         )
         self.chunk_loader: ChunkLoader | None = None
         # Per-chunk min/max statistics (seeded from headers at registration,
-        # enriched at first decode) and the planner that prunes and
-        # cost-orders stage-two chunk fetches against them.
+        # enriched at first decode) and the planner that prunes stage-two
+        # chunk fetches against them and predicts each one's serving tier.
         self.chunk_stats = ChunkStatsCatalog()
         self.chunk_planner = ChunkPlanner(self)
         # Identical chunk scans in flight at the same time run once
@@ -185,14 +179,11 @@ class Database:
     # -- scanning -----------------------------------------------------------
 
     def qualified_schema(self, table_name: str) -> Schema:
-        """The scan output schema of a base table (qualified + rowid)."""
-        base = self.catalog.table(table_name)
-        fields = list(base.schema.with_prefix(table_name).fields)
-        fields.append(Field(f"{table_name}.{ROWID}", INT64))
-        return Schema(fields)
+        """The scan output schema of a base table (its qualified columns)."""
+        return self.catalog.table(table_name).schema.with_prefix(table_name)
 
     def scan_base_table(self, table_name: str) -> Table:
-        """Materialize a base table with qualified names and rowids.
+        """Materialize a base table with qualified names.
 
         Paged tables are read through the buffer pool (cold scans hit disk);
         in-memory tables are shared without copying.
@@ -202,12 +193,7 @@ class Database:
             image = self.paged_store.read_table(table_name)
         else:
             image = base.data
-        qualified = image.with_prefix(table_name)
-        rowids = Column(INT64, np.arange(image.num_rows, dtype=np.int64))
-        return Table(
-            self.qualified_schema(table_name),
-            list(qualified.columns) + [rowids],
-        )
+        return image.with_prefix(table_name)
 
     # -- mutation -------------------------------------------------------------
 
@@ -298,8 +284,8 @@ class Database:
     def load_chunk(self, uri: str, table_name: str) -> Table:
         """Extract, transform and qualify one chunk (the chunk-access op).
 
-        The chunk is the loader's columns under qualified names and nothing
-        else: its rows have no base-table position, so no rowid.
+        The chunk is the loader's columns under qualified names, the same
+        schema a base-table scan of ``table_name`` has.
         """
         if self.chunk_loader is None:
             raise ExecutionError(
@@ -418,30 +404,6 @@ class Database:
 
     def _paged_image(self, table_name: str) -> Table:
         return self.paged_store.read_table(table_name)
-
-    def find_join_index_for(
-        self, pairs: Sequence[tuple[str, str]]
-    ) -> tuple[JoinIndex, bool] | None:
-        """Find a join index whose qualified keys equal the given equi pairs.
-
-        Returns ``(index, fk_on_left)`` or None.  ``pairs`` hold qualified
-        names with the left plan input first.
-        """
-        wanted = frozenset(pairs)
-        for join_index in self.join_indexes:
-            fk_qualified = [
-                f"{join_index.fk_table}.{c}" for c in join_index.fk_columns
-            ]
-            pk_qualified = [
-                f"{join_index.pk_table}.{c}" for c in join_index.pk_columns
-            ]
-            fk_left = frozenset(zip(fk_qualified, pk_qualified))
-            fk_right = frozenset(zip(pk_qualified, fk_qualified))
-            if wanted == fk_left:
-                return join_index, True
-            if wanted == fk_right:
-                return join_index, False
-        return None
 
     def index_nbytes(self) -> int:
         """Total footprint of all indexes (Table III's ``+keys`` delta)."""

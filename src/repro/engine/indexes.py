@@ -1,11 +1,11 @@
 """Index structures: hash primary-key indexes, FK join indexes, zonemaps.
 
 The *eager index* loading variant of the paper builds primary and foreign
-key indexes after loading; foreign-key indexes double as join indexes (the
-paper: "constructing the join index is actually computing the join itself",
-Section VI-C).  A :class:`JoinIndex` therefore materializes, for every row of
-the referencing table, the row id of its match in the referenced table — a
-hash join using it degenerates to a positional gather.
+key indexes after loading; foreign-key indexes are join indexes (the paper:
+"constructing the join index is actually computing the join itself",
+Section VI-C).  Building them is what that variant pays for declaring keys:
+Fig. 6's indexing time and Table III's ``+keys`` bytes.  No query reads
+them; every join runs as a hash join.
 
 :class:`ZoneMap` implements the per-chunk min/max summaries mentioned in the
 related-work discussion; we use them for the sub-chunk-granularity extension
@@ -19,44 +19,17 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .column import Column
 from .errors import CatalogError
 from .table import Table
 
-__all__ = ["HashIndex", "JoinIndex", "ZoneMap", "composite_key_codes"]
-
-
-def composite_key_codes(columns: Sequence[Column]) -> np.ndarray:
-    """Encode a multi-column key as a single int64 code array.
-
-    Values are factorized per column and combined positionally; codes are
-    only comparable within the arrays produced by a single call, so callers
-    encoding build and probe sides together must pass them concatenated.
-    """
-    if not columns:
-        raise CatalogError("composite key requires at least one column")
-    length = len(columns[0])
-    codes = np.zeros(length, dtype=np.int64)
-    for column in columns:
-        values = column.values
-        if values.dtype == object:
-            mapping: dict[Any, int] = {}
-            local = np.empty(length, dtype=np.int64)
-            for i, value in enumerate(values):
-                local[i] = mapping.setdefault(value, len(mapping))
-            cardinality = max(len(mapping), 1)
-        else:
-            uniques, local = np.unique(values, return_inverse=True)
-            cardinality = max(len(uniques), 1)
-        codes = codes * np.int64(cardinality) + local.astype(np.int64)
-    return codes
+__all__ = ["HashIndex", "JoinIndex", "ZoneMap"]
 
 
 class HashIndex:
     """A hash map from key tuples to row ids of one table.
 
-    Used to enforce primary keys (uniqueness) and to answer point lookups in
-    the partial-view covering test of Algorithm 1.
+    The primary-key index the eager_index variant builds and keeps in step
+    with inserts; :attr:`nbytes` is its share of Table III's ``+keys``.
     """
 
     def __init__(self, table_name: str, key_columns: Sequence[str]) -> None:
@@ -113,8 +86,9 @@ class JoinIndex:
     """Precomputed FK → PK row-id mapping (a materialized join).
 
     ``positions[i]`` is the row id in the referenced table matching row ``i``
-    of the referencing table, or -1 when the FK value dangles.  Queries that
-    join along the constraint replace the hash join with a gather.
+    of the referencing table, or -1 when the FK value dangles.  Building it
+    evaluates the join once; that cost and :attr:`nbytes` are what the
+    eager_index variant measures.
     """
 
     def __init__(
@@ -152,14 +126,6 @@ class JoinIndex:
     @property
     def nbytes(self) -> int:
         return int(self.positions.nbytes)
-
-    def matched_mask(self) -> np.ndarray:
-        return self.positions >= 0
-
-    def gather(self, pk_data: Table) -> Table:
-        """The referenced-side rows aligned with the referencing table."""
-        matched = self.positions[self.positions >= 0]
-        return pk_data.take(matched)
 
 
 @dataclass(frozen=True)

@@ -14,13 +14,6 @@ columns, joins run through :mod:`repro.engine.hashjoin`, and aggregation is
 bincount/ufunc based.  An :class:`ExecutionContext` carries the database
 handle (for scans, chunk loading and caches), the stage-result registry used
 by ``result-scan``, and the counters experiments read.
-
-Hidden columns: every base-table scan can emit a ``<T>.#rowid`` column so
-that join indexes (a positional FK→PK mapping) can replace hash joins when
-the eager_index loading variant built them; a join those indexes cover
-asks its children for both rowids.  Chunk scans never emit one (loaded
-rows have no base-table position).  Hidden columns are dropped by
-projections and final result delivery.
 """
 
 from __future__ import annotations
@@ -33,7 +26,6 @@ import numpy as np
 
 from . import algebra
 from .column import Column
-from .database import ROWID
 from .errors import ExecutionError, PlanError, QueryCancelled
 from .expressions import (
     Comparison,
@@ -50,17 +42,13 @@ from ..util.counters import Counters
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .database import Database
-    from .indexes import JoinIndex
 
 __all__ = [
     "CancelToken",
     "ExecStats",
     "ExecutionContext",
     "execute_plan",
-    "drop_hidden_columns",
 ]
-
-HIDDEN_MARKER = "#"
 
 
 class CancelToken:
@@ -104,7 +92,6 @@ class ExecStats(Counters):
     # fetched + chunks_shared == chunks planned.
     chunks_shared: int = 0
     joins_executed: int = 0
-    join_index_hits: int = 0
     rows_joined: int = 0
     # Result-recycler outcomes: the whole query was answered from a cached
     # result (exact repeat) or by re-filtering a covering one (subsumed).
@@ -127,18 +114,6 @@ class ExecutionContext:
     def check_cancelled(self) -> None:
         if self.cancel is not None:
             self.cancel.raise_if_cancelled()
-
-
-def is_hidden(name: str) -> bool:
-    return HIDDEN_MARKER in name
-
-
-def drop_hidden_columns(table: Table) -> Table:
-    """Remove engine-internal (rowid) columns before delivering results."""
-    visible = [n for n in table.schema.names if not is_hidden(n)]
-    if len(visible) == len(table.schema.names):
-        return table
-    return table.project(visible)
 
 
 def execute_plan(
@@ -296,12 +271,10 @@ def _execute_parallel_chunk_scan(
     ``chunks_shared``.  The version term keeps a scan issued after a
     write to F or S from joining one issued before it.
 
-    The scan emits only the needed columns.  Its schema is the base
-    table's, hidden rowid included, but a chunk holds only the loader's
-    columns: its rows have no base-table position for a join index to use.
+    The scan emits only the needed columns of its schema, which is the
+    base table's qualified columns, exactly what a chunk holds.
     """
-    visible = [name for name in plan.schema.names if not is_hidden(name)]
-    names = _kept(visible, needed)
+    names = _kept(plan.schema.names, needed)
     if not plan.uris:
         return Table.empty(plan.schema.select(names))
     predicate = plan.pushed_predicate
@@ -416,30 +389,19 @@ def _execute_join(
 ) -> Table:
     """Match keys on the key columns, then gather only what is read above.
 
-    The children are asked for the needed columns, the condition's columns
-    and, when a join index covers the equi pairs, both hidden rowids (the
-    index maps base-row positions).  The matched pairs then gather only
-    the needed and residual columns.
+    The children are asked for the needed columns and the condition's
+    columns; the matched pairs then gather only the needed and residual
+    columns.
     """
     pairs, residual = _split_condition_by_schema(
         plan.condition, plan.left.schema, plan.right.schema
     )
-    match = ctx.database.find_join_index_for(pairs) if pairs else None
-    rowids = (
-        [f"{match[0].fk_table}.{ROWID}", f"{match[0].pk_table}.{ROWID}"]
-        if match is not None
-        else []
-    )
-    child_need = _widen(needed, conjuncts(plan.condition), rowids)
+    child_need = _widen(needed, conjuncts(plan.condition))
     left = execute_plan(plan.left, ctx, child_need)
     right = execute_plan(plan.right, ctx, child_need)
     ctx.stats.joins_executed += 1
 
-    via_index = _try_join_index(left, right, match) if match else None
-    if via_index is not None:
-        left_rows, right_rows = via_index
-        ctx.stats.join_index_hits += 1
-    elif pairs:
+    if pairs:
         left_codes, right_codes = composite_codes_pair(
             [left.column(a) for a, _ in pairs], [right.column(b) for _, b in pairs]
         )
@@ -460,49 +422,6 @@ def _execute_join(
         joined = joined.filter(mask)
     ctx.stats.rows_joined += joined.num_rows
     return joined
-
-
-def _try_join_index(
-    left: Table, right: Table, match: "tuple[JoinIndex, bool]"
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Try to answer the equi join with a prebuilt FK→PK join index.
-
-    ``match`` is the index whose qualified FK/PK key columns are exactly
-    the join keys (:meth:`~repro.engine.database.Database.find_join_index_for`);
-    it applies when both inputs still carry the corresponding hidden rowid
-    columns with base-table positions.
-    """
-    join_index, fk_on_left = match
-    fk_rowid = f"{join_index.fk_table}.{ROWID}"
-    pk_rowid = f"{join_index.pk_table}.{ROWID}"
-    fk_side, pk_side = (left, right) if fk_on_left else (right, left)
-    if not (fk_side.schema.has(fk_rowid) and pk_side.schema.has(pk_rowid)):
-        return None
-
-    fk_rowids = fk_side.column(fk_rowid).values
-    pk_rowids = pk_side.column(pk_rowid).values
-    if len(pk_rowids) != len(np.unique(pk_rowids)):
-        # The PK side was expanded by an earlier join (one base row appears
-        # several times); the positional gather would pick only one copy.
-        return None
-
-    # positions: fk base row -> pk base row; translate to *current* row
-    # numbers of both inputs.
-    positions = join_index.positions
-    pk_lookup = np.full(int(positions.max(initial=-1)) + 1, -1, dtype=np.int64)
-    pk_in_range = pk_rowids[pk_rowids < len(pk_lookup)]
-    pk_lookup[pk_in_range] = np.flatnonzero(pk_rowids < len(pk_lookup))
-    matched_pk_base = positions[fk_rowids]
-    valid = matched_pk_base >= 0
-    matched_current = np.full(len(fk_rowids), -1, dtype=np.int64)
-    in_bounds = valid & (matched_pk_base < len(pk_lookup))
-    matched_current[in_bounds] = pk_lookup[matched_pk_base[in_bounds]]
-    keep = matched_current >= 0
-    fk_rows = np.flatnonzero(keep)
-    pk_rows = matched_current[keep]
-    if fk_on_left:
-        return fk_rows, pk_rows
-    return pk_rows, fk_rows
 
 
 # -- aggregation ------------------------------------------------------------------

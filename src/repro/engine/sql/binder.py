@@ -30,7 +30,6 @@ from ..expressions import (
     IsIn,
     Literal,
 )
-from ..physical import is_hidden
 from ..table import Table
 from ..types import STRING, TIMESTAMP, parse_timestamp
 from .ast_nodes import AggregateCall, SelectStatement
@@ -83,11 +82,7 @@ class Binder:
                 raise BindError(
                     "SELECT * cannot be combined with aggregation or GROUP BY"
                 )
-            outputs = [
-                (name, ColumnRef(name))
-                for name in schema.names
-                if not is_hidden(name)
-            ]
+            outputs = [(name, ColumnRef(name)) for name in schema.names]
             plan = algebra.Project(plan, outputs)
         else:
             bound_items = [
@@ -142,11 +137,11 @@ class Binder:
     # -- name resolution -----------------------------------------------------------
 
     def _resolve_name(self, raw: str, schema) -> str:
-        visible = [n for n in schema.names if not is_hidden(n)]
-        if raw in visible:
+        names = schema.names
+        if raw in names:
             return raw
         if "." not in raw:
-            matches = [n for n in visible if n.rsplit(".", 1)[-1] == raw]
+            matches = [n for n in names if n.rsplit(".", 1)[-1] == raw]
             if len(matches) == 1:
                 return matches[0]
             if len(matches) > 1:
@@ -154,7 +149,7 @@ class Binder:
                     f"ambiguous column {raw!r}: matches {sorted(matches)}"
                 )
         raise BindError(
-            f"unknown column {raw!r} (available: {sorted(visible)[:12]}...)"
+            f"unknown column {raw!r} (available: {sorted(names)[:12]}...)"
         )
 
     def _resolve_output_name(self, raw: str, schema) -> str:

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -87,6 +89,26 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "'s': 'ARCI'" in out
         assert "0 chunk(s) loaded" in out
+
+    def test_query_counts_the_chunks_its_derivation_loads(
+        self, tmp_path, capsys
+    ):
+        # A lazy H query derives its windows first (Algorithm 1); the
+        # chunks that derivation decodes are part of the query's loads.
+        base = str(tmp_path / "data")
+        main(["build", "--base", base, "--sf", "1"])
+        capsys.readouterr()
+        code = main(
+            [
+                "query", "--base", base, "--sf", "1",
+                "--sql", "SELECT H.window_start_ts, H.window_max_val FROM H "
+                "WHERE H.window_station = 'ISK' "
+                "AND H.window_start_ts < 1262311200000",
+            ]
+        )
+        assert code == 0
+        loaded = re.search(r"(\d+) chunk\(s\) loaded", capsys.readouterr().out)
+        assert loaded is not None and int(loaded.group(1)) > 0
 
     def test_query_concurrent_clients(self, tmp_path, capsys):
         base = str(tmp_path / "data")

@@ -59,6 +59,22 @@ class TestAlgorithmSteps:
         _, report = lazy_db.query_with_derivation(sql)
         assert report.psq_size <= 50
 
+    def test_key_space_starts_at_first_returnable_window(self, lazy_db):
+        # H is keyed by window start: ``> 03:00`` can return 04:00 and
+        # 05:00 only, so the 03:00 window must not be derived.
+        sql = (
+            "SELECT H.window_start_ts FROM H WHERE H.window_station = 'ISK' "
+            f"AND H.window_start_ts > {EPOCH_2010_MS + 3 * HOUR_MS} "
+            f"AND H.window_start_ts < {EPOCH_2010_MS + 6 * HOUR_MS}"
+        )
+        result, report = lazy_db.query_with_derivation(sql)
+        assert report.psq_size == 2
+        assert report.windows_inserted == 2
+        assert result.table.column("H.window_start_ts").to_list() == [
+            EPOCH_2010_MS + 4 * HOUR_MS,
+            EPOCH_2010_MS + 5 * HOUR_MS,
+        ]
+
     def test_unconstrained_station_enumerates_all_pairs(self, lazy_db):
         sql = f"""
             SELECT H.window_max_val FROM H

@@ -120,17 +120,6 @@ class TestJoinIndex:
         index = JoinIndex("fk", ["k"], "pk", ["k"])
         index.build(fk, pk)
         assert index.positions.tolist() == [2, 0, -1]
-        assert index.matched_mask().tolist() == [True, True, False]
-
-    def test_gather(self):
-        pk = Table.from_rows(
-            Schema.of(("k", INT64), ("name", STRING)), [(1, "a"), (2, "b")]
-        )
-        fk = Table.from_rows(Schema.of(("k", INT64)), [(2,), (1,), (2,)])
-        index = JoinIndex("fk", ["k"], "pk", ["k"])
-        index.build(fk, pk)
-        gathered = index.gather(pk)
-        assert gathered.column("name").to_list() == ["b", "a", "b"]
 
     def test_empty_sides(self):
         index = JoinIndex("fk", ["k"], "pk", ["k"])

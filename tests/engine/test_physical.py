@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.engine import algebra
-from repro.engine.catalog import ForeignKey, TableKind
+from repro.engine.catalog import TableKind
 from repro.engine.database import Database
 from repro.engine.expressions import (
     Arithmetic,
@@ -13,11 +13,7 @@ from repro.engine.expressions import (
     col,
     lit,
 )
-from repro.engine.physical import (
-    ExecutionContext,
-    drop_hidden_columns,
-    execute_plan,
-)
+from repro.engine.physical import ExecutionContext, execute_plan
 from repro.engine.table import Schema, Table
 from repro.engine.types import INT64, STRING
 
@@ -61,10 +57,11 @@ def scan(db, name):
 
 class TestScanSelectProject:
     def test_scan_emits_qualified_and_rowid(self, db):
+        """The scan emits exactly the table's qualified columns: no rowid."""
         result = execute_plan(scan(db, "users"), ExecutionContext(db))
-        assert "users.name" in result.schema.names
-        assert "users.#rowid" in result.schema.names
-        assert result.column("users.#rowid").to_list() == [0, 1, 2, 3]
+        assert result.schema.names == ("users.id", "users.name", "users.dept")
+        assert scan(db, "users").schema.names == result.schema.names
+        assert result.column("users.id").to_list() == [1, 2, 3, 4]
 
     def test_select(self, db):
         plan = algebra.Select(
@@ -80,11 +77,6 @@ class TestScanSelectProject:
         )
         result = execute_plan(plan, ExecutionContext(db))
         assert result.column("double_dept").to_list() == [20, 40, 20, 60]
-
-    def test_drop_hidden_columns(self, db):
-        result = execute_plan(scan(db, "users"), ExecutionContext(db))
-        cleaned = drop_hidden_columns(result)
-        assert all("#" not in n for n in cleaned.schema.names)
 
 
 class TestJoin:
@@ -175,93 +167,6 @@ class TestNeededColumns:
             self.users_depts(db), [], [algebra.AggregateSpec("COUNT", None, "n")]
         )
         assert execute_plan(plan, ExecutionContext(db)).to_dicts() == [{"n": 3}]
-
-
-class TestJoinIndexPath:
-    @pytest.fixture()
-    def indexed_db(self):
-        database = Database(buffer_pool_bytes=1 << 20)
-        database.catalog.create_table(
-            "pk",
-            Schema.of(("k", INT64), ("label", STRING)),
-            TableKind.METADATA,
-            primary_key=("k",),
-        )
-        database.catalog.create_table(
-            "fk",
-            Schema.of(("k", INT64), ("v", INT64)),
-            TableKind.ACTUAL,
-            foreign_keys=[ForeignKey(("k",), "pk", ("k",))],
-        )
-        database.insert(
-            "pk",
-            Table.from_rows(
-                database.catalog.table("pk").schema,
-                [(1, "one"), (2, "two"), (3, "three")],
-            ),
-        )
-        database.insert(
-            "fk",
-            Table.from_rows(
-                database.catalog.table("fk").schema,
-                [(1, 100), (3, 300), (3, 301), (9, 900)],
-            ),
-        )
-        database.build_foreign_key_indexes()
-        yield database
-        database.close()
-
-    def test_join_uses_index(self, indexed_db):
-        ctx = ExecutionContext(indexed_db)
-        plan = algebra.Join(
-            scan(indexed_db, "fk"),
-            scan(indexed_db, "pk"),
-            Comparison("=", col("fk.k"), col("pk.k")),
-        )
-        result = execute_plan(plan, ctx)
-        assert ctx.stats.join_index_hits == 1
-        assert result.num_rows == 3  # 9 dangles
-
-    def test_index_kept_when_the_rowids_are_not_needed_above(self, indexed_db):
-        ctx = ExecutionContext(indexed_db)
-        plan = algebra.Join(
-            scan(indexed_db, "fk"),
-            scan(indexed_db, "pk"),
-            Comparison("=", col("fk.k"), col("pk.k")),
-        )
-        result = execute_plan(plan, ctx, {"pk.label"})
-        assert ctx.stats.join_index_hits == 1
-        assert result.schema.names == ("pk.label",)
-        assert result.column("pk.label").to_list() == ["one", "three", "three"]
-
-    def test_index_result_matches_hash_join(self, indexed_db):
-        plan = algebra.Join(
-            scan(indexed_db, "fk"),
-            scan(indexed_db, "pk"),
-            Comparison("=", col("fk.k"), col("pk.k")),
-        )
-        via_index = execute_plan(plan, ExecutionContext(indexed_db))
-        indexed_db.join_indexes.clear()
-        via_hash = execute_plan(plan, ExecutionContext(indexed_db))
-        assert sorted(map(str, via_index.to_dicts())) == sorted(
-            map(str, via_hash.to_dicts())
-        )
-
-    def test_index_skipped_on_filtered_pk_duplicates(self, indexed_db):
-        # Duplicate the pk side rows via a self cross-join: the index path
-        # must bow out and the hash join produce the expanded result.
-        pk_twice = algebra.Union(
-            [scan(indexed_db, "pk"), scan(indexed_db, "pk")]
-        )
-        plan = algebra.Join(
-            scan(indexed_db, "fk"),
-            pk_twice,
-            Comparison("=", col("fk.k"), col("pk.k")),
-        )
-        ctx = ExecutionContext(indexed_db)
-        result = execute_plan(plan, ctx)
-        assert ctx.stats.join_index_hits == 0
-        assert result.num_rows == 6
 
 
 class TestAggregate:

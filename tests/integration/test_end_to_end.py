@@ -105,15 +105,9 @@ class TestApproachEquivalence:
         }
         reference = answers["eager_plain"]
         for name, answer in answers.items():
-            assert _rows_close(answer, reference), (
+            assert _rows_close(answer, reference, _tolerance(name)), (
                 f"{name} disagrees with eager_plain on {builder.__name__}"
             )
-
-    def test_eager_index_t4_uses_both_join_indexes(self, prepared_all, all_params):
-        """F⋈S in stage one and (F⋈S)⋈D in stage two both take the index
-        path: the rowids they need survive the column narrowing."""
-        result = prepared_all["eager_index"].query(t4_query(all_params))
-        assert result.stats.join_index_hits == 2
 
     def test_paper_query1(self, prepared_all):
         answers = {
@@ -121,8 +115,8 @@ class TestApproachEquivalence:
             for name, db in prepared_all.items()
         }
         reference = answers["eager_plain"]
-        for answer in answers.values():
-            assert _rows_close(answer, reference)
+        for name, answer in answers.items():
+            assert _rows_close(answer, reference, _tolerance(name)), name
 
     def test_paper_query2(self, prepared_all):
         answers = {
@@ -136,7 +130,14 @@ class TestApproachEquivalence:
             assert answer == reference
 
 
-def _rows_close(a, b):
+def _tolerance(approach):
+    """eager_index runs the same plans as eager_plain over the same paged
+    D (its indexes are measured, never read), so it must agree exactly."""
+    return 0.0 if approach == "eager_index" else 1e-9
+
+
+def _rows_close(a, b, rel=1e-9):
+    """Row-by-row equality, floats within ``rel`` (NaN equals NaN)."""
     if len(a) != len(b):
         return False
     for row_a, row_b in zip(a, b):
@@ -149,7 +150,7 @@ def _rows_close(a, b):
 
                 if math.isnan(va) and math.isnan(vb):
                     continue
-                if abs(va - vb) > 1e-9 * max(1.0, abs(va), abs(vb)):
+                if abs(va - vb) > rel * max(1.0, abs(va), abs(vb)):
                     return False
             elif va != vb:
                 return False

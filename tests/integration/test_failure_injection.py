@@ -112,11 +112,7 @@ class TestCachePoisoning:
     def test_cache_scan_degrades_to_chunk_access(self, small_repo):
         """A chunk evicted between planning and execution reloads inline."""
         from repro.engine.chunk_planner import TIER_RESIDENT
-        from repro.engine.physical import (
-            ExecutionContext,
-            drop_hidden_columns,
-            execute_plan,
-        )
+        from repro.engine.physical import ExecutionContext, execute_plan
 
         db = SommelierDB.create()
         db.register_repository(small_repo)
@@ -130,7 +126,7 @@ class TestCachePoisoning:
         assert chunk.uri == uri and chunk.tier == TIER_RESIDENT
         # Evicted after the planner predicted a recycler hit:
         db.database.recycler.invalidate(uri)
-        result = drop_hidden_columns(execute_plan(plan, ctx))
+        result = execute_plan(plan, ctx)
         assert result.to_dicts() == expected
         assert ctx.chunk_outcomes == {uri: "loaded"}
         assert ctx.stats.chunks_loaded == 1
