@@ -53,10 +53,6 @@ class RuleSet:
     r4_black_edges_last: bool = True
 
     @classmethod
-    def all_enabled(cls) -> "RuleSet":
-        return cls()
-
-    @classmethod
     def disabled(cls, *names: str) -> "RuleSet":
         """A rule set with the named rules switched off (``'r2'`` etc.)."""
         flags = {
@@ -90,11 +86,6 @@ class ColoredGraph:
         if reds == 0:
             return EdgeColor.BLACK
         return EdgeColor.BLUE
-
-    def edges_by_color(self, color: str) -> list[Edge]:
-        return [
-            e for e in self.graph.edges.values() if self.edge_color(e) == color
-        ]
 
 
 @dataclass

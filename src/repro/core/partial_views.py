@@ -112,10 +112,6 @@ class PartialViewManager:
         for station, channel, start in zip(stations, channels, starts):
             self._materialized.add((station, channel, int(start)))
 
-    @property
-    def materialized_keys(self) -> set[tuple[str, str, int]]:
-        return set(self._materialized)
-
     # -- Algorithm 1 ---------------------------------------------------------
 
     def ensure_for_query(self, plan: algebra.LogicalPlan) -> DerivationReport:

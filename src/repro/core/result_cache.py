@@ -98,10 +98,6 @@ class NormalizedPlan:
     base_tables: frozenset[str]
 
 
-def _expression_key(expression: Expression) -> tuple:
-    return expression.key()
-
-
 def _sorted_conjunct_keys(parts: list[Expression]) -> tuple:
     # AND is commutative over row sets; sorting by repr of the structural
     # key makes textually reordered WHERE clauses hash identically.

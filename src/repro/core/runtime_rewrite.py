@@ -113,30 +113,7 @@ def rewrite_actual_scans(
             if not uris:
                 return node
             return make_chunk_set(node, None)
-        return _rebuild(node, transform)
+        return node.with_children([transform(c) for c in node.children()])
 
     return transform(plan)
 
-
-def _rebuild(node: algebra.LogicalPlan, transform) -> algebra.LogicalPlan:
-    if isinstance(node, algebra.Select):
-        return algebra.Select(transform(node.child), node.predicate)
-    if isinstance(node, algebra.Project):
-        return algebra.Project(transform(node.child), node.outputs)
-    if isinstance(node, algebra.Join):
-        return algebra.Join(
-            transform(node.left), transform(node.right), node.condition
-        )
-    if isinstance(node, algebra.Aggregate):
-        return algebra.Aggregate(
-            transform(node.child), node.group_by, node.aggregates
-        )
-    if isinstance(node, algebra.Union):
-        return algebra.Union([transform(c) for c in node.children()])
-    if isinstance(node, algebra.Sort):
-        return algebra.Sort(transform(node.child), node.keys)
-    if isinstance(node, algebra.Limit):
-        return algebra.Limit(transform(node.child), node.count)
-    if isinstance(node, algebra.Distinct):
-        return algebra.Distinct(transform(node.child))
-    return node

@@ -38,7 +38,6 @@ from ..engine.database import Database
 from ..engine.errors import ExecutionError, PlanError
 from ..engine.expressions import Expression
 from ..engine.join_graph import QueryGraph, build_query_graph
-from ..engine.optimizer import optimize as standard_optimize
 from ..engine.predicates import oriented_bound_conjuncts
 from ..engine.physical import (
     CancelToken,
@@ -173,24 +172,7 @@ def _split_upper_chain(
     def rebuild(new_block: algebra.LogicalPlan) -> algebra.LogicalPlan:
         current = new_block
         for upper in reversed(spine):
-            if isinstance(upper, algebra.Project):
-                current = algebra.Project(current, upper.outputs)
-            elif isinstance(upper, algebra.Aggregate):
-                current = algebra.Aggregate(
-                    current, upper.group_by, upper.aggregates
-                )
-            elif isinstance(upper, algebra.Sort):
-                current = algebra.Sort(current, upper.keys)
-            elif isinstance(upper, algebra.Limit):
-                current = algebra.Limit(current, upper.count)
-            elif isinstance(upper, algebra.Distinct):
-                current = algebra.Distinct(current)
-            elif isinstance(upper, algebra.Select):
-                current = algebra.Select(current, upper.predicate)
-            else:
-                raise PlanError(
-                    f"unsupported upper-chain node {type(upper).__name__}"
-                )
+            current = upper.with_children([current])
         return current
 
     return rebuild, node
@@ -245,11 +227,17 @@ class TwoStageCompiler:
     def compile(self, plan: algebra.LogicalPlan) -> CompiledQuery:
         """Split a bound plan into stage one and stage two.
 
-        Optimizes, splits off the upper chain, colors the join graph and
-        orders the joins with R1–R4, then cuts the ordered plan at its
-        metadata branch.
+        Splits off the upper chain, colors the join graph and orders the
+        joins with R1–R4, then cuts the ordered plan at its metadata
+        branch.  The "usual compile-time optimizations (e.g. pushing down
+        selections and projections)" of Section III need no pass of their
+        own: the query graph puts every conjunct of the join block on its
+        vertex or edge, so the leaf plans of :func:`order_joins` carry the
+        pushed-down selections, and :func:`execute_plan` passes each
+        operator's needed columns down, which pushes projections down.
+        Conjuncts over literals only are not folded; they land on a
+        vertex like any other conjunct.
         """
-        plan = standard_optimize(plan)
         rebuild, join_block = _split_upper_chain(plan)
         graph = build_query_graph(join_block)
         if self.options.infer_time_bounds:
@@ -386,14 +374,6 @@ def _replace_subtree(
     """Rebuild ``plan`` with the (identity-matched) target swapped out."""
     if plan is target:
         return replacement
-    if isinstance(plan, algebra.Join):
-        return algebra.Join(
-            _replace_subtree(plan.left, target, replacement),
-            _replace_subtree(plan.right, target, replacement),
-            plan.condition,
-        )
-    if isinstance(plan, algebra.Select):
-        return algebra.Select(
-            _replace_subtree(plan.child, target, replacement), plan.predicate
-        )
-    return plan
+    return plan.with_children(
+        [_replace_subtree(c, target, replacement) for c in plan.children()]
+    )

@@ -2,12 +2,16 @@
 
 This package is the generic DBMS the paper's contribution plugs into:
 columns and tables (:mod:`column`, :mod:`table`), a catalog with data-kind
-classification (:mod:`catalog`), logical algebra and a rule-based optimizer
-(:mod:`algebra`, :mod:`optimizer`), vectorized physical operators
-(:mod:`physical`) with the one chunk-scan loop (:mod:`scan`), paged
-storage with a buffer pool (:mod:`storage`), the Recycler chunk cache
-(:mod:`recycler`), index structures (:mod:`indexes`) and a SQL front-end
-(:mod:`sql`).
+classification (:mod:`catalog`), logical algebra (:mod:`algebra`) and the
+query graph its join blocks are ordered over (:mod:`join_graph`),
+expressions and the literal-bound analysis shared by every pruning
+consumer (:mod:`expressions`, :mod:`predicates`), vectorized physical
+operators (:mod:`physical`, :mod:`hashjoin`) with the one chunk-scan loop
+(:mod:`scan`), the statistics-driven chunk planner (:mod:`chunk_planner`,
+:mod:`chunk_stats`), paged storage with a buffer pool (:mod:`storage`),
+the Recycler chunk cache and its spill store (:mod:`recycler`,
+:mod:`chunk_store`), index structures (:mod:`indexes`) and a SQL
+front-end (:mod:`sql`).
 
 The paper-specific machinery — two-stage execution, coloring rules,
 incremental metadata derivation — lives in :mod:`repro.core` and composes

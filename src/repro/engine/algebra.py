@@ -60,6 +60,14 @@ class LogicalPlan:
     def children(self) -> Sequence["LogicalPlan"]:
         return ()
 
+    def with_children(self, children: Sequence["LogicalPlan"]) -> "LogicalPlan":
+        """The same operator over new children (a leaf returns itself).
+
+        ``children`` matches :meth:`children` in number and order; every
+        plan rewrite rebuilds the nodes it passes through with this.
+        """
+        return self
+
     def base_tables(self) -> set[str]:
         """Names of every base table scanned in this subtree."""
         result: set[str] = set()
@@ -115,6 +123,10 @@ class Select(LogicalPlan):
     def children(self) -> Sequence[LogicalPlan]:
         return (self.child,)
 
+    def with_children(self, children: Sequence[LogicalPlan]) -> "Select":
+        (child,) = children
+        return Select(child, self.predicate)
+
     def describe(self) -> str:
         return f"Select({self.predicate!r})"
 
@@ -141,6 +153,10 @@ class Project(LogicalPlan):
     def children(self) -> Sequence[LogicalPlan]:
         return (self.child,)
 
+    def with_children(self, children: Sequence[LogicalPlan]) -> "Project":
+        (child,) = children
+        return Project(child, self.outputs)
+
     def describe(self) -> str:
         rendered = ", ".join(f"{n}={e!r}" for n, e in self.outputs)
         return f"Project({rendered})"
@@ -164,6 +180,10 @@ class Join(LogicalPlan):
 
     def children(self) -> Sequence[LogicalPlan]:
         return (self.left, self.right)
+
+    def with_children(self, children: Sequence[LogicalPlan]) -> "Join":
+        left, right = children
+        return Join(left, right, self.condition)
 
     @property
     def is_cross_product(self) -> bool:
@@ -232,6 +252,10 @@ class Aggregate(LogicalPlan):
     def children(self) -> Sequence[LogicalPlan]:
         return (self.child,)
 
+    def with_children(self, children: Sequence[LogicalPlan]) -> "Aggregate":
+        (child,) = children
+        return Aggregate(child, self.group_by, self.aggregates)
+
     def describe(self) -> str:
         keys = ", ".join(self.group_by) or "()"
         aggs = ", ".join(
@@ -266,6 +290,9 @@ class Union(LogicalPlan):
     def children(self) -> Sequence[LogicalPlan]:
         return tuple(self._children)
 
+    def with_children(self, children: Sequence[LogicalPlan]) -> "Union":
+        return Union(children)
+
     def describe(self) -> str:
         return f"UnionAll({len(self._children)} inputs)"
 
@@ -292,6 +319,10 @@ class Sort(LogicalPlan):
     def children(self) -> Sequence[LogicalPlan]:
         return (self.child,)
 
+    def with_children(self, children: Sequence[LogicalPlan]) -> "Sort":
+        (child,) = children
+        return Sort(child, self.keys)
+
     def describe(self) -> str:
         rendered = ", ".join(
             f"{k.name} {'ASC' if k.ascending else 'DESC'}" for k in self.keys
@@ -312,6 +343,10 @@ class Limit(LogicalPlan):
     def children(self) -> Sequence[LogicalPlan]:
         return (self.child,)
 
+    def with_children(self, children: Sequence[LogicalPlan]) -> "Limit":
+        (child,) = children
+        return Limit(child, self.count)
+
     def describe(self) -> str:
         return f"Limit({self.count})"
 
@@ -325,6 +360,10 @@ class Distinct(LogicalPlan):
 
     def children(self) -> Sequence[LogicalPlan]:
         return (self.child,)
+
+    def with_children(self, children: Sequence[LogicalPlan]) -> "Distinct":
+        (child,) = children
+        return Distinct(child)
 
 
 class EmptyRelation(LogicalPlan):
@@ -374,20 +413,13 @@ class ParallelChunkScan(LogicalPlan):
 
     def __init__(
         self,
-        chunks: "ChunkPlan | Sequence[str]",
+        plan: "ChunkPlan",
         table_name: str,
         schema: Schema,
         pushed_predicate: Expression | None = None,
         io_threads: int = 4,
     ) -> None:
-        from .chunk_planner import ChunkPlan
-
-        if isinstance(chunks, ChunkPlan):
-            self.plan = chunks
-        else:
-            # Plain URI lists (tests, ad-hoc callers) get an unplanned
-            # wrapper: nothing pruned, natural fetch order.
-            self.plan = ChunkPlan.trivial(list(chunks), table_name)
+        self.plan = plan
         self.table_name = table_name
         self.schema = schema
         self.pushed_predicate = pushed_predicate

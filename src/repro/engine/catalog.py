@@ -235,10 +235,6 @@ class Catalog:
 
     # -- introspection ----------------------------------------------------------
 
-    def total_nbytes(self) -> int:
-        """In-memory footprint of all base-table images."""
-        return sum(t.data.nbytes for t in self._tables.values())
-
     def describe(self) -> str:
         """Human-readable catalog summary (used by examples)."""
         lines = []

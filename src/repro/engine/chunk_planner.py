@@ -46,7 +46,6 @@ __all__ = ["PlannedChunk", "PrunedChunk", "ChunkPlan", "ChunkPlanner"]
 TIER_RESIDENT = "resident"
 TIER_SPILLED = "spilled"
 TIER_REMOTE = "remote"
-TIER_UNPLANNED = "unplanned"
 
 
 @dataclass(frozen=True)
@@ -71,7 +70,7 @@ class ChunkPlan:
 
     ``chunks`` is in assembly (stage-one URI) order: every executor
     fetches in it and result rows follow it, so execution stays
-    bit-identical across executors and to the unplanned path.
+    bit-identical across executors.
     """
 
     table_name: str
@@ -81,16 +80,6 @@ class ChunkPlan:
     @property
     def uris(self) -> tuple[str, ...]:
         return tuple(chunk.uri for chunk in self.chunks)
-
-    @classmethod
-    def trivial(cls, uris: Sequence[str], table_name: str) -> "ChunkPlan":
-        """An unplanned wrapper for callers that only have a URI list."""
-        return cls(
-            table_name=table_name,
-            chunks=tuple(
-                PlannedChunk(uri=uri, tier=TIER_UNPLANNED) for uri in uris
-            ),
-        )
 
     def describe(self) -> str:
         """Multi-line rendering for ``repro explain`` and debugging."""

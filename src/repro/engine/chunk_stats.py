@@ -96,8 +96,11 @@ class ChunkStats:
     ``ranges`` maps qualified column names to inclusive ``(min, max)``
     bounds.  ``enriched`` records whether the ranges come from a full
     decode (exact for every column) rather than headers only.
-    ``segment_zones`` is a per-segment time zone map (header-derived),
-    present only for registration-time entries of this process.
+    ``segment_zones`` is a per-segment time zone map, derived from the
+    headers at registration; :meth:`to_json` / :meth:`from_json` carry it
+    through a checkpoint, so a reopened database prunes by segment too.
+    It is None for a chunk never registered in this process or a
+    checkpoint, or when a persisted zone map was malformed.
     """
 
     uri: str

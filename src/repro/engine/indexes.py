@@ -40,14 +40,6 @@ class HashIndex:
         self._map: dict[tuple, list[int]] = {}
         self._rows_indexed = 0
 
-    @property
-    def num_keys(self) -> int:
-        return len(self._map)
-
-    @property
-    def rows_indexed(self) -> int:
-        return self._rows_indexed
-
     def build(self, table: Table) -> None:
         """(Re)build from scratch over the given table image."""
         self._map.clear()

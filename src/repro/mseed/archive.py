@@ -20,7 +20,6 @@ from __future__ import annotations
 import io
 import os
 import struct
-from dataclasses import dataclass
 
 from ..engine.errors import FormatError
 from .repository import ChunkInfo
@@ -156,13 +155,6 @@ def open_chunk(uri: str):
     except KeyError:
         raise FormatError(f"{path}: no archive entry {member!r}") from None
     return _SlicedFile(open(path, "rb"), offset, length)
-
-
-@dataclass(frozen=True)
-class _ArchiveEntry:
-    name: str
-    offset: int
-    length: int
 
 
 class ArchiveRepository:

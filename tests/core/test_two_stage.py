@@ -234,6 +234,70 @@ class TestSelectionPushdownIntoChunks:
         )
 
 
+def count_d(where: str, source: str = "D") -> str:
+    return f"SELECT COUNT(D.sample_value) AS n FROM {source} WHERE {where}"
+
+
+# (query, an equivalent query without the constant or repeated conjunct;
+# None when the answer counts no rows at all).
+UNFOLDED = {
+    "d-true": (count_d("1 = 1"), "SELECT COUNT(D.sample_value) AS n FROM D"),
+    "d-false": (count_d("1 = 2"), None),
+    "d-value-and-true": (
+        count_d("D.sample_value > 0 AND 1 = 1"),
+        count_d("D.sample_value > 0"),
+    ),
+    "dataview-false-or-station": (
+        count_d("1 = 2 OR F.station = 'ISK'", "dataview"),
+        count_d("F.station = 'ISK'", "dataview"),
+    ),
+    "f-string-true": (
+        "SELECT COUNT(F.station) AS n FROM F WHERE 'a' = 'a'",
+        "SELECT COUNT(F.station) AS n FROM F",
+    ),
+    "dataview-repeated-conjunct": (
+        count_d("F.station = 'ISK' AND F.station = 'ISK'", "dataview"),
+        count_d("F.station = 'ISK'", "dataview"),
+    ),
+}
+
+
+class TestUnfoldedConstants:
+    """Literal-only and repeated conjuncts are placed, not folded."""
+
+    @pytest.mark.parametrize("case", list(UNFOLDED))
+    def test_lazy_matches_eager_and_expected(self, lazy_db, eager_db, case):
+        sql, equivalent = UNFOLDED[case]
+        lazy = lazy_db.query(sql).table.to_dicts()
+        eager = eager_db.query(sql).table.to_dicts()
+        if equivalent is None:
+            expected = [{"n": 0}]
+        else:
+            expected = eager_db.query(equivalent).table.to_dicts()
+            assert expected[0]["n"] > 0
+        assert lazy == eager == expected
+
+    @pytest.mark.parametrize(
+        "case, constant",
+        [("d-true", "(1 = 1)"), ("d-false", "(1 = 2)"),
+         ("d-value-and-true", "(1 = 1)")],
+    )
+    def test_constant_reaches_the_pushed_predicate(
+        self, lazy_db, case, constant
+    ):
+        sql, _ = UNFOLDED[case]
+        compiled = lazy_db.compiler.compile(lazy_db.bind(sql))
+        rewritten, _ = lazy_db.compiler.plan_stage_two(compiled)
+        stack, scans = [rewritten], []
+        while stack:
+            node = stack.pop()
+            if isinstance(node, algebra.ParallelChunkScan):
+                scans.append(node)
+            stack.extend(node.children())
+        (scan,) = scans
+        assert constant in repr(scan.pushed_predicate)
+
+
 class TestEagerExecution:
     def test_single_stage_no_rewrite(self, eager_db, day_range):
         result = eager_db.query(t4(day_range))

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.engine import algebra
+from repro.engine.database import Database
 from repro.engine.errors import PlanError, TypeMismatchError
 from repro.engine.expressions import Comparison, col, lit
 from repro.engine.table import Schema
@@ -17,6 +18,15 @@ def schema():
 @pytest.fixture()
 def scan(schema):
     return algebra.Scan("T", schema)
+
+
+@pytest.fixture()
+def chunk_plan():
+    database = Database()
+    try:
+        yield database.chunk_planner.plan(["file:///x"], "T")
+    finally:
+        database.close()
 
 
 class TestValidation:
@@ -98,8 +108,8 @@ class TestIntrospection:
         join = algebra.Join(scan, other, None)
         assert join.base_tables() == {"T", "U"}
 
-    def test_base_tables_chunk_access(self, schema):
-        access = algebra.ParallelChunkScan(["file:///x"], "T", schema)
+    def test_base_tables_chunk_access(self, schema, chunk_plan):
+        access = algebra.ParallelChunkScan(chunk_plan, "T", schema)
         assert access.base_tables() == {"T"}
 
     def test_pretty_indents_children(self, scan):
@@ -134,3 +144,62 @@ class TestIntrospection:
         assert agg.schema.field("mean").dtype is FLOAT64
         assert agg.schema.field("total").dtype is FLOAT64
         assert agg.schema.field("lo").dtype is INT64
+
+
+def every_node(schema, chunk_plan) -> dict[str, algebra.LogicalPlan]:
+    """One instance of every plan node type, keyed by type name."""
+    scan = algebra.Scan("T", schema)
+    other = algebra.Scan("U", Schema.of(("U.k", INT64)))
+    predicate = Comparison(">", col("T.a"), lit(1))
+    nodes = [
+        scan,
+        algebra.EmptyRelation(schema),
+        algebra.ResultScan("qf", schema),
+        algebra.ParallelChunkScan(chunk_plan, "T", schema, predicate),
+        algebra.Select(scan, predicate),
+        algebra.Project(scan, [("x", col("T.c")), ("y", col("T.a"))]),
+        algebra.Join(scan, other, Comparison("=", col("T.a"), col("U.k"))),
+        algebra.Aggregate(
+            scan, ["T.b"], [algebra.AggregateSpec("MAX", col("T.c"), "hi")]
+        ),
+        algebra.Union([scan, scan]),
+        algebra.Sort(scan, [algebra.SortKey("T.a", ascending=False)]),
+        algebra.Limit(scan, 3),
+        algebra.Distinct(scan),
+    ]
+    return {type(node).__name__: node for node in nodes}
+
+
+NODE_TYPES = [
+    "Scan", "EmptyRelation", "ResultScan", "ParallelChunkScan", "Select",
+    "Project", "Join", "Aggregate", "Union", "Sort", "Limit", "Distinct",
+]
+
+
+class TestWithChildren:
+    def test_every_node_type_is_listed(self, schema, chunk_plan):
+        defined = {cls.__name__ for cls in algebra.LogicalPlan.__subclasses__()}
+        assert set(every_node(schema, chunk_plan)) == set(NODE_TYPES) == defined
+
+    @pytest.mark.parametrize("name", NODE_TYPES)
+    def test_rebuild_over_own_children_is_equivalent(
+        self, name, schema, chunk_plan
+    ):
+        node = every_node(schema, chunk_plan)[name]
+        rebuilt = node.with_children(node.children())
+        if not node.children():
+            assert rebuilt is node
+            return
+        assert rebuilt is not node
+        assert type(rebuilt) is type(node)
+        assert rebuilt.pretty() == node.pretty()
+        assert [(f.name, f.dtype) for f in rebuilt.schema] == [
+            (f.name, f.dtype) for f in node.schema
+        ]
+        assert list(rebuilt.children()) == list(node.children())
+
+    def test_rebuild_takes_the_new_children(self, scan):
+        narrowed = algebra.Select(scan, Comparison("=", col("T.a"), lit(1)))
+        rebuilt = algebra.Limit(scan, 3).with_children([narrowed])
+        assert rebuilt.child is narrowed
+        assert rebuilt.count == 3

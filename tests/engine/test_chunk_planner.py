@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from repro.engine.chunk_planner import (
-    ChunkPlan,
     ChunkPlanner,
     TIER_REMOTE,
     TIER_RESIDENT,
     TIER_SPILLED,
-    TIER_UNPLANNED,
 )
 from repro.engine.column import Column
 from repro.engine.database import Database
@@ -178,11 +176,6 @@ class TestTiersAndSchedule:
 
 
 class TestChunkPlanObject:
-    def test_trivial_wrapper(self):
-        plan = ChunkPlan.trivial(["u1", "u2"], "D")
-        assert plan.uris == ("u1", "u2")
-        assert all(c.tier == TIER_UNPLANNED for c in plan.chunks)
-
     def test_describe_lists_schedule_and_pruned(self, database):
         database.chunk_stats.observe_table("a", make_chunk([0], [0]))
         predicate = Comparison(">", col("D.sample_value"), lit(100))
@@ -198,6 +191,5 @@ class TestChunkPlanObject:
 
         plan = database.chunk_planner.plan(["u1", "u2"], "D", None)
         node = algebra.ParallelChunkScan(plan, "D", Schema([]))
+        assert node.plan is plan
         assert node.uris == ("u1", "u2")
-        legacy = algebra.ParallelChunkScan(["u1"], "D", Schema([]))
-        assert legacy.plan.chunks[0].tier == TIER_UNPLANNED

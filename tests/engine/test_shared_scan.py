@@ -186,10 +186,11 @@ class TestBitIdentity:
         uris = sorted(database.chunk_loader.file_ids)
         wide = database.qualified_schema("D")
         narrow = Schema(wide.fields[:2])
+        chunk_plan = database.chunk_planner.plan(uris, "D")
 
         def scan(schema):
             ctx = ExecutionContext(database)
-            plan = algebra.ParallelChunkScan(uris, "D", schema)
+            plan = algebra.ParallelChunkScan(chunk_plan, "D", schema)
             return execute_plan(plan, ctx), ctx.stats
 
         db.drop_caches()
