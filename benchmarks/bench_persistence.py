@@ -10,7 +10,9 @@ Two experiments motivated by the ROADMAP's "scale across restarts" item:
   cache-warm files; the decode itself is the only cost) and *remote*
   (the paper's network-attached INGV archive, modeled by the loader's
   per-chunk fetch latency — the regime where restarts without the
-  persistent tier hurt most).  Speedups compare stage-two seconds;
+  persistent tier hurt most).  Speedups compare stage-two seconds.
+  Each warm-restart row also records the checkpoint's size
+  (``catalog.json`` bytes) and the ``SommelierDB.open`` seconds;
 * **clients-tier** — N client threads drain a T4 workload with the
   working set (a) in the memory tier and (b) only in the disk tier right
   after a restart, showing what a restarted server's first wave of
@@ -95,7 +97,9 @@ def measure_restart(
 
     ``fetch_latency_ms`` models the paper's remote repository (0 = local
     files).  The warm-restart pass never calls the loader, so it pays
-    neither fetch nor decode.
+    neither fetch nor decode.  Returns both passes, the checkpoint's
+    ``catalog.json`` size in bytes and the seconds ``SommelierDB.open``
+    took.
     """
     db, _ = prepare(
         "lazy", repository, workdir=workdir,
@@ -104,11 +108,14 @@ def measure_restart(
     db.database.chunk_loader.io_delay_ms = fetch_latency_ms
     cold = run_queries(db, queries)
     db.close()  # checkpoints: catalog pointers + warm tier flushed to disk
+    catalog_bytes = os.path.getsize(os.path.join(workdir, "catalog.json"))
 
+    started = time.perf_counter()
     db = SommelierDB.open(workdir, options=TwoStageOptions(io_threads=io_threads))
+    open_s = time.perf_counter() - started
     warm = run_queries(db, queries)
     db.close()
-    return cold, warm
+    return cold, warm, catalog_bytes, open_s
 
 
 def measure_clients(db, queries: list[str], clients: int) -> float:
@@ -149,6 +156,7 @@ def run(args: argparse.Namespace) -> ReportTable:
         headers=[
             "experiment", "mode", "clients", "workers", "queries",
             "wall_s", "stage2_s", "loaded", "rehydrated", "speedup",
+            "catalog_B", "open_s",
         ],
     )
     results_identical = True
@@ -168,7 +176,7 @@ def run(args: argparse.Namespace) -> ReportTable:
         for regime, latency in regimes:
             for index, io_threads in enumerate(args.workers):
                 workdir = os.path.join(scratch, f"restart-{regime}{index}")
-                cold, warm = measure_restart(
+                cold, warm, catalog_bytes, open_s = measure_restart(
                     repository, queries, workdir, io_threads, latency
                 )
                 results_identical &= (
@@ -178,7 +186,7 @@ def run(args: argparse.Namespace) -> ReportTable:
                     "restart", f"cold ({regime})", 1, io_threads,
                     len(queries), round(cold["wall_s"], 4),
                     round(cold["stage2_s"], 4), cold["loaded"],
-                    cold["rehydrated"], 1.0,
+                    cold["rehydrated"], 1.0, "-", "-",
                 )
                 table.add_row(
                     "restart", f"warm restart ({regime})", 1, io_threads,
@@ -186,6 +194,7 @@ def run(args: argparse.Namespace) -> ReportTable:
                     round(warm["stage2_s"], 4), warm["loaded"],
                     warm["rehydrated"],
                     round(cold["stage2_s"] / max(warm["stage2_s"], 1e-9), 2),
+                    catalog_bytes, round(open_s, 4),
                 )
 
         # -- client sweep over memory vs disk tier ----------------------
@@ -203,7 +212,7 @@ def run(args: argparse.Namespace) -> ReportTable:
             table.add_row(
                 "clients-tier", "memory", clients, max(args.workers),
                 len(queries) * args.rounds, round(wall, 4), 0.0, 0, 0,
-                round(memory_baseline / wall, 2),
+                round(memory_baseline / wall, 2), "-", "-",
             )
         db.close()
         for clients in args.clients:
@@ -216,6 +225,7 @@ def run(args: argparse.Namespace) -> ReportTable:
                 "clients-tier", "disk (restart)", clients, max(args.workers),
                 len(queries) * args.rounds, round(wall, 4), 0.0, 0, 0,
                 round(memory_baseline / wall, 2) if memory_baseline else 1.0,
+                "-", "-",
             )
             db.close()
 
@@ -223,7 +233,9 @@ def run(args: argparse.Namespace) -> ReportTable:
         "restart: warm restart re-hydrates mmap-backed chunks from the "
         "on-disk store (no fetch, no Steim decode); speedup is cold/warm "
         "stage-two seconds at equal io_threads; remote = "
-        f"{args.fetch_latency_ms:g}ms modeled fetch per chunk"
+        f"{args.fetch_latency_ms:g}ms modeled fetch per chunk; catalog_B "
+        "is the checkpoint's catalog.json size, open_s the "
+        "SommelierDB.open seconds before the warm pass"
     )
     table.add_note(
         "clients-tier: throughput right after a restart (disk tier only) "

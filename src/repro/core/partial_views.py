@@ -49,6 +49,7 @@ from ..engine.expressions import (
 from ..engine.predicates import LiteralBounds, oriented_bound_conjuncts
 from ..engine.table import Table, TableBuilder
 from ..engine.types import TIMESTAMP as _TS
+from ..mseed.format import segment_end_ms
 from .query_types import references_derived_metadata
 from .schema import HOUR_MS, SommelierConfig, window_of_expression
 
@@ -246,9 +247,11 @@ class PartialViewManager:
         if s_data.num_rows == 0:
             return None, None
         starts = s_data.column("start_time").values
-        counts = s_data.column("sample_count").values
-        freqs = s_data.column("frequency").values
-        ends = starts + (counts * (1000.0 / freqs)).astype("int64")
+        ends = segment_end_ms(
+            starts,
+            s_data.column("sample_count").values,
+            s_data.column("frequency").values,
+        )
         data_low = int(starts.min())
         data_high = int(ends.max())
         low = data_low if ts_low is None else max(ts_low, data_low)

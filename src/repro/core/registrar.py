@@ -5,9 +5,11 @@ files, extracts the given metadata from the headers and bulk-loads it into
 ``F`` and ``S``.  Like MonetDB's implementation, extraction parallelizes
 over files (a thread pool; header reads are I/O bound).
 
-Actual data is *not* touched — this is the whole point.  The Registrar also
-installs the :class:`XseedChunkLoader` so that ``chunk-access`` operators
-can later ingest individual chunks on demand.
+Actual data is *not* touched — this is the whole point.  F and S are the
+one chunk catalog: :func:`index_chunks` derives from their rows the
+:class:`XseedChunkLoader`'s file ids (``chunk-access`` operators later
+ingest individual chunks through it) and the chunk statistics, at
+registration and again when a checkpoint is reopened.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from ..engine.indexes import ZoneMap
 from ..engine.table import Field, Schema, Table, TableBuilder
 from ..engine.types import INT64, TIMESTAMP
 from ..mseed import reader
+from ..mseed.format import segment_end_ms
 from ..mseed.repository import FileRepository
 
 # Unqualified schema of the rows a chunk contributes to table D.
@@ -39,7 +42,7 @@ _CHUNK_SCHEMA = Schema(
     ]
 )
 
-__all__ = ["RegistrarReport", "XseedChunkLoader", "Registrar"]
+__all__ = ["RegistrarReport", "XseedChunkLoader", "Registrar", "index_chunks"]
 
 
 @dataclass(frozen=True)
@@ -55,9 +58,10 @@ class RegistrarReport:
 class XseedChunkLoader:
     """Chunk-access strategy: full decode of one xseed file into D rows.
 
-    The loader owns the URI → file_id mapping established at registration
-    time (file ids are system-generated, which is why the paper can drop
-    FK verification for lazy loading: the keys are correct by construction).
+    The URI → file_id mapping lives in ``F``; :func:`index_chunks` gives
+    the loader its copy (file ids are system-generated, which is why the
+    paper can drop FK verification for lazy loading: the keys are correct
+    by construction).
 
     ``io_delay_ms`` models a remote repository (the paper's INGV archive
     sits on network storage): every chunk fetch blocks that long before
@@ -141,14 +145,12 @@ class Registrar:
         else:
             metadata = [reader.read_metadata(uri) for uri in uris]
 
-        loader = self._ensure_loader()
         next_file_id = self.database.table_num_rows("F")
         f_builder = TableBuilder(self.database.catalog.table("F").schema)
         s_builder = TableBuilder(self.database.catalog.table("S").schema)
         num_segments = 0
         for offset, (uri, file_meta) in enumerate(zip(uris, metadata)):
             file_id = next_file_id + offset
-            loader.assign(uri, file_id)
             volume = file_meta.volume
             f_builder.append_row(
                 (
@@ -174,9 +176,10 @@ class Registrar:
                     )
                 )
                 num_segments += 1
-            self._record_chunk_stats(uri, file_id, file_meta)
-        self.database.insert("F", f_builder.finish())
-        self.database.insert("S", s_builder.finish())
+        files, segments = f_builder.finish(), s_builder.finish()
+        self.database.insert("F", files)
+        self.database.insert("S", segments)
+        index_chunks(self.database, files, segments)
         elapsed = time.perf_counter() - started
         return RegistrarReport(
             num_files=len(uris),
@@ -185,49 +188,62 @@ class Registrar:
             metadata_bytes=self.database.metadata_nbytes(),
         )
 
-    def _record_chunk_stats(self, uri: str, file_id: int, file_meta) -> None:
-        """Seed the chunk-statistics catalog from the headers just read.
 
-        Header information yields *true bounds* without touching payloads:
-        the chunk's time span (every sample of a segment lies in
-        ``[start, end)``), its constant ``file_id`` and its segment-number
-        range — plus a per-segment time zone map for sub-chunk pruning
-        (a query window falling entirely into inter-segment gaps skips the
-        whole chunk).  Value ranges stay unknown until the first decode.
-        """
-        segments = file_meta.segments
-        if not segments:
-            return
-        ad_table = "D"
-        time_column = f"{ad_table}.sample_time"
-        zones = ZoneMap(time_column)
-        for segment in segments:
-            zones.add_zone(
-                segment.segment_no,
-                segment.start_time_ms,
-                max(segment.start_time_ms, segment.end_time_ms - 1),
-            )
-        ranges = {
-            time_column: (
-                float(min(s.start_time_ms for s in segments)),
-                float(max(s.end_time_ms for s in segments) - 1),
-            ),
-            f"{ad_table}.file_id": (float(file_id), float(file_id)),
-            f"{ad_table}.segment_no": (
-                float(min(s.segment_no for s in segments)),
-                float(max(s.segment_no for s in segments)),
-            ),
-        }
-        self.database.chunk_stats.record_registration(
-            uri,
-            ranges,
-            num_rows=file_meta.total_samples,
-            segment_zones=zones,
+def index_chunks(database: Database, files: Table, segments: Table) -> None:
+    """Derive the engine's chunk knowledge from rows of F and S.
+
+    Every ``(uri, file_id)`` of ``files`` goes to the installed
+    :class:`XseedChunkLoader` (installing one if missing), and every chunk
+    of ``segments`` gets header statistics: *true bounds* known without
+    touching payloads.  They are the chunk's time span (every sample of a
+    segment lies in ``[start, end)``), its constant ``file_id`` and its
+    segment-number range, plus a per-segment time zone map, so a query
+    window falling entirely into inter-segment gaps skips the chunk.
+    Value ranges stay unknown until the first decode.
+    """
+    loader = database.chunk_loader
+    if not isinstance(loader, XseedChunkLoader):
+        loader = XseedChunkLoader()
+        database.set_chunk_loader(loader)
+    uri_of = dict(
+        zip(
+            files.column("file_id").values.tolist(),
+            files.column("uri").values.tolist(),
         )
-
-    def _ensure_loader(self) -> XseedChunkLoader:
-        loader = self.database.chunk_loader
-        if not isinstance(loader, XseedChunkLoader):
-            loader = XseedChunkLoader()
-            self.database.set_chunk_loader(loader)
-        return loader
+    )
+    for file_id, uri in uri_of.items():
+        loader.assign(uri, file_id)
+    starts = segments.column("start_time").values
+    segment_ends = segment_end_ms(
+        starts,
+        segments.column("sample_count").values,
+        segments.column("frequency").values,
+    )
+    zones: dict[int, ZoneMap] = {}
+    ends: dict[int, int] = {}
+    for file_id, segment_no, start, end in zip(
+        segments.column("file_id").values.tolist(),
+        segments.column("segment_no").values.tolist(),
+        starts.tolist(),
+        segment_ends.tolist(),
+    ):
+        zones.setdefault(file_id, ZoneMap("D.sample_time")).add_zone(
+            segment_no, start, max(start, end - 1)
+        )
+        ends[file_id] = max(end, ends.get(file_id, end))
+    for file_id, chunk_zones in zones.items():
+        if file_id not in uri_of:
+            continue
+        entries = chunk_zones.entries()
+        numbers = [entry.zone_id for entry in entries]
+        ranges = {
+            "D.sample_time": (
+                float(min(entry.minimum for entry in entries)),
+                float(ends[file_id] - 1),
+            ),
+            "D.file_id": (float(file_id), float(file_id)),
+            "D.segment_no": (float(min(numbers)), float(max(numbers))),
+        }
+        database.chunk_stats.record_registration(
+            uri_of[file_id], ranges, segment_zones=chunk_zones
+        )

@@ -45,7 +45,7 @@ from ..mseed.repository import FileRepository
 from .partial_views import DerivationReport, PartialViewManager
 from .plan_cache import PlanCache
 from .query_types import QueryType, classify_plan
-from .registrar import Registrar, RegistrarReport, XseedChunkLoader
+from .registrar import Registrar, RegistrarReport, XseedChunkLoader, index_chunks
 from .result_cache import NormalizedPlan, ResultCache, normalize_plan
 from .schema import SommelierConfig, create_seismology_schema
 from .two_stage import (
@@ -60,8 +60,9 @@ from ..util.lock_sanitizer import make_lock
 
 __all__ = ["CompiledSQL", "SommelierDB"]
 
-# Durable catalog pointers: which chunks exist (loader URI→file-id map) and
-# where the given metadata lives, written atomically under the workdir.
+# Durable catalog pointers: where the given metadata lives (F and S, the
+# one chunk catalog) and the loader's modeled fetch latency, written
+# atomically under the workdir.
 CATALOG_POINTERS = "catalog.json"
 CATALOG_VERSION = 1
 # Given-metadata tables checkpointed through the paged store.  Derived
@@ -183,19 +184,24 @@ class SommelierDB:
         """Reopen a database over a persistent workdir — and come back warm.
 
         Restores the durable catalog pointers written by :meth:`checkpoint`
-        (the chunk loader's URI→file-id map, the given-metadata tables
-        F and S through the paged store, and the paged residency of any
-        table an eager preparation paged out), while the recycler's disk
-        tier picks up every chunk spilled or flushed by the previous
-        process: the first stage-two after a restart re-hydrates
+        (the given-metadata tables F and S through the paged store, and
+        the paged residency of any table an eager preparation paged out).
+        From F and S, :func:`~repro.core.registrar.index_chunks` rebuilds
+        the loader's URI→file-id map and the header statistics, as at
+        registration; decoded value ranges come from chunk-store
+        manifests.  The recycler's disk tier picks up every chunk spilled
+        or flushed by the previous process: the first stage-two after a
+        restart re-hydrates
         mmap-backed chunks instead of re-decoding Steim payloads.  An eager
         database comes back eager: its paged ``D`` is restored, so stage
         two scans it and loads no chunk.  Not restored: hash /
-        join indexes (rebuild with ``database.build_*_indexes``) and
-        derived metadata H (re-derived on demand).  A workdir without a
-        checkpoint opens as a fresh (unregistered) database.  Pointer keys
-        this build does not know (left by older builds) are ignored, and
-        workdir directories it does not own are never touched.
+        join indexes (rebuild with ``database.build_*_indexes``),
+        derived metadata H (re-derived on demand), and the value ranges of
+        a chunk in neither recycler tier at checkpoint.  A workdir without
+        a checkpoint opens as a fresh (unregistered) database.  Pointer
+        keys this build does not read (older builds' ``loader.file_ids``
+        and ``chunk_stats``) are ignored, and workdir directories it does
+        not own are never touched.
         """
         db = cls.create(
             workdir=workdir,
@@ -223,13 +229,7 @@ class SommelierDB:
         pointers: dict = {"version": CATALOG_VERSION, "tables": []}
         loader = self.database.chunk_loader
         if isinstance(loader, XseedChunkLoader):
-            pointers["loader"] = {
-                "io_delay_ms": loader.io_delay_ms,
-                "file_ids": dict(loader.file_ids),
-            }
-        # Per-chunk statistics ride in the same durable pointers file, so a
-        # reopened database prunes as well as the one that closed.
-        pointers["chunk_stats"] = self.database.chunk_stats.to_json()
+            pointers["loader"] = {"io_delay_ms": loader.io_delay_ms}
         for base in self.database.catalog.tables():
             if base.paged and self.database.paged_store.has_table(base.name):
                 # Pages are already on disk (page_out wrote them); record
@@ -267,13 +267,8 @@ class SommelierDB:
             return False
         loader_info = pointers.get("loader")
         if isinstance(loader_info, dict):
-            loader = XseedChunkLoader(
-                io_delay_ms=float(loader_info.get("io_delay_ms", 0.0))
-            )
-            for uri, file_id in loader_info.get("file_ids", {}).items():
-                loader.assign(uri, int(file_id))
-            self.database.set_chunk_loader(loader)
-        self.database.chunk_stats.load_json(pointers.get("chunk_stats"))
+            delay = float(loader_info.get("io_delay_ms", 0.0))
+            self.database.set_chunk_loader(XseedChunkLoader(io_delay_ms=delay))
         for spec in pointers.get("tables", []):
             name = spec["name"]
             base = self.database.catalog.table(name)
@@ -286,6 +281,8 @@ class SommelierDB:
                 base.truncate()
             else:
                 base.replace(self.database.paged_store.read_table(name))
+        catalog = self.database.catalog
+        index_chunks(self.database, catalog.table("F").data, catalog.table("S").data)
         return True
 
     def register_repository(

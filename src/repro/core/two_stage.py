@@ -35,7 +35,7 @@ from typing import Callable
 
 from ..engine import algebra
 from ..engine.database import Database
-from ..engine.errors import ExecutionError, PlanError
+from ..engine.errors import PlanError
 from ..engine.expressions import Expression
 from ..engine.join_graph import QueryGraph, build_query_graph
 from ..engine.predicates import oriented_bound_conjuncts
@@ -310,14 +310,10 @@ class TwoStageCompiler:
         else:
             # No metadata branch exposed the URI column — the paper's
             # only-AD case where "there is no alternative to paying the
-            # price for loading all AD anyway".
-            known = getattr(self.database.chunk_loader, "file_ids", None)
-            if known is None:
-                raise ExecutionError(
-                    "stage one lacks the chunk URI column and the chunk "
-                    "loader cannot enumerate chunks"
-                )
-            uris = sorted(known)
+            # price for loading all AD anyway": every chunk F names.
+            table_name, column = uri_column.split(".", 1)
+            base = self.database.catalog.table(table_name).data
+            uris = sorted(set(base.column(column).to_list()))
             report.used_all_chunks_fallback = True
         report.required_uris = list(uris)
         if any(

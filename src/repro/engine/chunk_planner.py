@@ -9,7 +9,8 @@ runtime rewrite turns that list into one chunk scan.  The
    A chunk whose min/max ranges (and, for the time attribute, per-segment
    zone map) cannot satisfy the query's literal bound conjuncts contributes
    no rows, so dropping it cannot change the result — the pushed predicate
-   would have filtered every row anyway.
+   would have filtered every row anyway.  A false conjunct over literals
+   alone (``1 = 2``) prunes every chunk the same way.
 2. **Classify** — each surviving chunk is labelled with the tier it is
    predicted to be served from: ``resident`` in the recycler's memory
    tier, ``spilled`` (mmap re-hydrate from the chunk store) or ``remote``
@@ -32,7 +33,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .predicates import LiteralBounds
+from .predicates import LiteralBounds, has_false_constant
 from ..util.counters import Counters
 from ..util.lock_sanitizer import make_lock
 
@@ -123,6 +124,7 @@ class ChunkPlanner:
     ) -> ChunkPlan:
         """Prune the given candidate chunks and classify the survivors."""
         bounds = LiteralBounds.by_column(predicate) if prune else {}
+        constant_false = prune and has_false_constant(predicate)
         catalog = self.database.chunk_stats
         cached = self.database.recycler.cached_uris()
         stored = self.database.chunk_store.uris()
@@ -130,9 +132,12 @@ class ChunkPlanner:
         kept: list[PlannedChunk] = []
         pruned: list[PrunedChunk] = []
         for uri in uris:
-            reason = (
-                self._prune_reason(catalog.get(uri), bounds) if bounds else None
-            )
+            if constant_false:
+                reason = "constant false"
+            elif bounds:
+                reason = self._prune_reason(catalog.get(uri), bounds)
+            else:
+                reason = None
             if reason is not None:
                 pruned.append(PrunedChunk(uri=uri, reason=reason))
             elif uri in cached:

@@ -6,8 +6,8 @@ designs (AsterixDB's per-partition filters, classic zone maps) instead keep
 cheap min/max summaries per storage unit so value predicates can skip whole
 units without touching them.  This module is that summary layer for chunks:
 
-* **registration-time** statistics come for free from the chunk headers the
-  Registrar already reads: the time span of the chunk's segments, its
+* **registration-time** statistics come for free from the header facts
+  ``F`` and ``S`` already hold: the time span of the chunk's segments, its
   ``file_id`` (a constant per chunk) and segment-number range, plus a
   per-segment :class:`~repro.engine.indexes.ZoneMap` over the time
   attribute for sub-chunk reasoning (gap queries);
@@ -18,10 +18,11 @@ units without touching them.  This module is that summary layer for chunks:
 Every stored range is a *true bound* over the chunk's rows — entries are
 only ever added from headers (authoritative for time/ids) or from a full
 decode (authoritative for everything), so pruning against them is safe.
-The catalog is thread-safe and JSON round-trippable (checkpoint/restore);
-decoded-chunk ranges additionally travel inside
-:class:`~repro.engine.chunk_store.ChunkStore` manifests so a reopened
-database recovers them without re-decoding anything.
+The catalog is thread-safe and has no serialized form of its own: a
+reopened database re-seeds the header statistics from the restored ``F``
+and ``S`` (:func:`~repro.core.registrar.index_chunks`), and decoded-chunk
+ranges travel inside :class:`~repro.engine.chunk_store.ChunkStore`
+manifests, so it recovers them without re-decoding anything.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CatalogError
 from .indexes import ZoneMap
 from .table import Table
 from .types import STRING
@@ -69,10 +69,9 @@ def compute_column_ranges(table: Table) -> dict[str, tuple[float, float]]:
 def parse_ranges(payload: object) -> dict[str, tuple[float, float]] | None:
     """Validate a persisted ``{column: [min, max]}`` mapping.
 
-    The one parser every sidecar reader shares (chunk-store manifests and
-    checkpoint entries).  Returns None for anything partial, malformed,
-    inverted or NaN-valued — a broken sidecar must read as *absent*,
-    never as wrong bounds.
+    The chunk store's manifest reader uses it.  Returns None for anything
+    partial, malformed, inverted or NaN-valued — a broken sidecar must
+    read as *absent*, never as wrong bounds.
     """
     if not isinstance(payload, dict):
         return None
@@ -96,70 +95,15 @@ class ChunkStats:
     ``ranges`` maps qualified column names to inclusive ``(min, max)``
     bounds.  ``enriched`` records whether the ranges come from a full
     decode (exact for every column) rather than headers only.
-    ``segment_zones`` is a per-segment time zone map, derived from the
-    headers at registration; :meth:`to_json` / :meth:`from_json` carry it
-    through a checkpoint, so a reopened database prunes by segment too.
-    It is None for a chunk never registered in this process or a
-    checkpoint, or when a persisted zone map was malformed.
+    ``segment_zones`` is a per-segment time zone map, derived from ``S``
+    at registration and again at reopen, so a reopened database prunes by
+    segment too.  It is None for a chunk ``S`` does not describe.
     """
 
     uri: str
     ranges: dict[str, tuple[float, float]] = field(default_factory=dict)
-    num_rows: int | None = None
     enriched: bool = False
     segment_zones: ZoneMap | None = None
-
-    def to_json(self) -> dict:
-        payload = {
-            "uri": self.uri,
-            "ranges": {k: [v[0], v[1]] for k, v in self.ranges.items()},
-            "num_rows": self.num_rows,
-            "enriched": self.enriched,
-        }
-        if self.segment_zones is not None:
-            payload["zones"] = {
-                "attribute": self.segment_zones.attribute,
-                "entries": [
-                    [entry.zone_id, entry.minimum, entry.maximum]
-                    for entry in self.segment_zones.entries()
-                ],
-            }
-        return payload
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "ChunkStats | None":
-        """Parse one persisted entry; None when partial or malformed.
-
-        Unknown keys are ignored, so checkpoint entries that still carry
-        a per-chunk decode cost (an older format) load unchanged.
-        """
-        try:
-            ranges = parse_ranges(dict(payload["ranges"]))
-            if ranges is None:
-                return None
-            rows = payload.get("num_rows")
-            return cls(
-                uri=str(payload["uri"]),
-                ranges=ranges,
-                num_rows=None if rows is None else int(rows),
-                enriched=bool(payload.get("enriched", False)),
-                segment_zones=cls._zones_from_json(payload.get("zones")),
-            )
-        except (KeyError, TypeError, ValueError, IndexError):
-            return None
-
-    @staticmethod
-    def _zones_from_json(payload: object) -> ZoneMap | None:
-        """Rebuild a persisted zone map; None on anything malformed."""
-        if not isinstance(payload, dict):
-            return None
-        try:
-            zones = ZoneMap(str(payload["attribute"]))
-            for zone_id, minimum, maximum in payload["entries"]:
-                zones.add_zone(int(zone_id), int(minimum), int(maximum))
-        except (KeyError, TypeError, ValueError, CatalogError):
-            return None
-        return zones
 
 
 class ChunkStatsCatalog:
@@ -186,7 +130,6 @@ class ChunkStatsCatalog:
         self,
         uri: str,
         ranges: dict[str, tuple[float, float]],
-        num_rows: int | None = None,
         segment_zones: ZoneMap | None = None,
     ) -> None:
         """Install header-derived statistics; never downgrades enrichment."""
@@ -199,7 +142,6 @@ class ChunkStatsCatalog:
             self._entries[uri] = ChunkStats(
                 uri=uri,
                 ranges=dict(ranges),
-                num_rows=num_rows,
                 enriched=False,
                 segment_zones=segment_zones,
             )
@@ -210,11 +152,18 @@ class ChunkStatsCatalog:
         Idempotent and cheap to call from hot paths: an already-enriched
         entry is left untouched without scanning the data.
         """
-        with self._lock:
-            existing = self._entries.get(uri)
-            if existing is not None and existing.enriched:
-                return False
-        ranges = compute_column_ranges(table)
+        if self.is_enriched(uri):
+            return False
+        return self.adopt_persisted(uri, compute_column_ranges(table))
+
+    def adopt_persisted(
+        self, uri: str, ranges: dict[str, tuple[float, float]]
+    ) -> bool:
+        """Install decode-derived ranges (from a decode or a store sidecar).
+
+        Returns False, changing nothing, when the chunk is already
+        enriched; header-derived zones are kept.
+        """
         with self._lock:
             existing = self._entries.get(uri)
             if existing is not None and existing.enriched:
@@ -222,68 +171,12 @@ class ChunkStatsCatalog:
             zones = existing.segment_zones if existing is not None else None
             self._entries[uri] = ChunkStats(
                 uri=uri,
-                ranges=ranges,
-                num_rows=table.num_rows,
+                ranges=dict(ranges),
                 enriched=True,
                 segment_zones=zones,
             )
         return True
 
-    def adopt_persisted(
-        self,
-        uri: str,
-        ranges: dict[str, tuple[float, float]],
-        num_rows: int | None = None,
-    ) -> None:
-        """Install decode-derived ranges recovered from a store sidecar."""
-        with self._lock:
-            existing = self._entries.get(uri)
-            if existing is not None and existing.enriched:
-                return
-            zones = existing.segment_zones if existing is not None else None
-            self._entries[uri] = ChunkStats(
-                uri=uri,
-                ranges=dict(ranges),
-                num_rows=num_rows,
-                enriched=True,
-                segment_zones=zones,
-            )
-
     def snapshot(self) -> dict[str, ChunkStats]:
         with self._lock:
             return dict(self._entries)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    # -- persistence (the checkpointed catalog pointers) -------------------
-
-    def to_json(self) -> list[dict]:
-        with self._lock:
-            return [entry.to_json() for entry in self._entries.values()]
-
-    def load_json(self, payload: object) -> int:
-        """Restore entries from a checkpoint; returns how many loaded.
-
-        Malformed entries are skipped — a partially written checkpoint can
-        only ever lose statistics, never invent wrong ones.
-        """
-        if not isinstance(payload, list):
-            return 0
-        loaded = 0
-        for item in payload:
-            if not isinstance(item, dict):
-                continue
-            entry = ChunkStats.from_json(item)
-            if entry is None:
-                continue
-            with self._lock:
-                existing = self._entries.get(entry.uri)
-                if existing is not None and existing.enriched:
-                    continue
-                if existing is not None and existing.segment_zones is not None:
-                    entry.segment_zones = existing.segment_zones
-                self._entries[entry.uri] = entry
-            loaded += 1
-        return loaded

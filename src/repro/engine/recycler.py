@@ -182,10 +182,11 @@ class Recycler:
             return uri in self._entries
 
     def cached_uris(self) -> set[str]:
-        """The set C of cached chunks used by rewrite rule (1).
+        """The set C of chunks resident in the memory tier.
 
-        Memory tier only: the rewrite plans a cheap ``cache-scan`` for these;
-        disk-tier entries are re-hydrated inside ``chunk-access`` instead.
+        The chunk planner reads it only to label a planned chunk
+        ``resident`` for ``repro explain``; every fetch asks the recycler
+        itself, which serves memory, then disk, then the loader.
         """
         with self._lock:
             return set(self._entries)

@@ -21,6 +21,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..engine.errors import FormatError
 
 __all__ = [
@@ -28,6 +30,7 @@ __all__ = [
     "VERSION",
     "VolumeHeader",
     "SegmentHeader",
+    "segment_end_ms",
     "VOLUME_HEADER_STRUCT",
     "SEGMENT_HEADER_STRUCT",
     "pack_volume_header",
@@ -65,6 +68,24 @@ class VolumeHeader:
     n_segments: int
 
 
+def segment_end_ms(start_time_ms, sample_count, frequency) -> np.ndarray:
+    """Exclusive end timestamp of segments of evenly spaced samples.
+
+    The one segment-end formula, elementwise over NumPy arrays (the rows
+    of ``S``) or scalars: the header property, the chunk statistics seeded
+    from ``S`` and Algorithm 1's data span all use it.  The span is
+    rounded half to even, as Python's ``round``; an empty segment, or one
+    without a positive frequency, ends where it starts.
+    """
+    count = np.asarray(sample_count)
+    freq = np.asarray(frequency, dtype=np.float64)
+    valid = (count != 0) & (freq > 0)
+    span = np.rint(count * 1000.0 / np.where(valid, freq, 1.0))
+    return np.asarray(start_time_ms, dtype=np.int64) + np.where(
+        valid, span, 0
+    ).astype(np.int64)
+
+
 @dataclass(frozen=True)
 class SegmentHeader:
     """Given metadata describing one contiguous time series in a chunk."""
@@ -78,10 +99,8 @@ class SegmentHeader:
     @property
     def end_time_ms(self) -> int:
         """Exclusive end timestamp of the segment."""
-        if self.sample_count == 0 or self.frequency <= 0:
-            return self.start_time_ms
-        return self.start_time_ms + int(
-            round(self.sample_count * 1000.0 / self.frequency)
+        return int(
+            segment_end_ms(self.start_time_ms, self.sample_count, self.frequency)
         )
 
 

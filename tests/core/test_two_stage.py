@@ -243,6 +243,7 @@ def count_d(where: str, source: str = "D") -> str:
 UNFOLDED = {
     "d-true": (count_d("1 = 1"), "SELECT COUNT(D.sample_value) AS n FROM D"),
     "d-false": (count_d("1 = 2"), None),
+    "d-value-and-false": (count_d("D.sample_value > 0 AND 1 = 2"), None),
     "d-value-and-true": (
         count_d("D.sample_value > 0 AND 1 = 1"),
         count_d("D.sample_value > 0"),
@@ -296,6 +297,30 @@ class TestUnfoldedConstants:
             stack.extend(node.children())
         (scan,) = scans
         assert constant in repr(scan.pushed_predicate)
+
+    @pytest.mark.parametrize("case", ["d-false", "d-value-and-false"])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_false_constant_fetches_no_chunk(
+        self, lazy_db, eager_db, case, warm
+    ):
+        sql, _ = UNFOLDED[case]
+        if warm:
+            lazy_db.query("SELECT COUNT(D.sample_value) AS n FROM D")
+        result = lazy_db.query(sql)
+        assert result.chunk_outcomes == {}
+        assert result.stats.chunks_loaded == 0
+        (plan,) = result.rewrite.chunk_plans
+        assert plan.chunks == ()
+        assert {p.reason for p in plan.pruned} == {"constant false"}
+        assert len(plan.pruned) == lazy_db.database.table_num_rows("F")
+        assert result.table.to_dicts() == eager_db.query(sql).table.to_dicts()
+
+    def test_false_constant_under_or_still_plans(self, lazy_db):
+        sql, _ = UNFOLDED["dataview-false-or-station"]
+        result = lazy_db.query(sql)
+        (plan,) = result.rewrite.chunk_plans
+        assert plan.pruned == ()
+        assert len(plan.chunks) == len(result.rewrite.required_uris) > 0
 
 
 class TestEagerExecution:

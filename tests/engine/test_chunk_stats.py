@@ -6,11 +6,7 @@ import os
 
 import numpy as np
 
-from repro.engine.chunk_stats import (
-    ChunkStats,
-    ChunkStatsCatalog,
-    compute_column_ranges,
-)
+from repro.engine.chunk_stats import ChunkStatsCatalog, compute_column_ranges
 from repro.engine.chunk_store import MANIFEST_NAME, ChunkStore
 from repro.engine.column import Column
 from repro.engine.indexes import ZoneMap
@@ -52,9 +48,7 @@ class TestComputeRanges:
 class TestCatalog:
     def test_registration_then_enrichment(self):
         catalog = ChunkStatsCatalog()
-        catalog.record_registration(
-            "u", {"D.sample_time": (0.0, 99.0)}, num_rows=10
-        )
+        catalog.record_registration("u", {"D.sample_time": (0.0, 99.0)})
         entry = catalog.get("u")
         assert not entry.enriched
         assert "D.sample_value" not in entry.ranges
@@ -71,102 +65,6 @@ class TestCatalog:
         catalog.record_registration("u", {"D.sample_time": (0.0, 1.0)})
         assert catalog.get("u").enriched
         assert catalog.get("u").ranges["D.sample_value"] == (1.0, 1.0)
-
-    def test_json_round_trip(self):
-        catalog = ChunkStatsCatalog()
-        zones = ZoneMap("D.sample_time")
-        zones.add_zone(0, 0, 4)
-        zones.add_zone(1, 8, 10)
-        catalog.record_registration(
-            "a", {"D.sample_time": (0.0, 10.0)}, segment_zones=zones
-        )
-        catalog.observe_table("b", make_table([3, 4], [7, 8]))
-        payload = json.loads(json.dumps(catalog.to_json()))
-        restored = ChunkStatsCatalog()
-        assert restored.load_json(payload) == 2
-        assert restored.get("a").ranges == {"D.sample_time": (0.0, 10.0)}
-        assert restored.get("b").enriched
-        assert restored.get("b").ranges["D.sample_value"] == (3.0, 4.0)
-        # Zone maps survive the checkpoint: gap pruning works after reopen.
-        restored_zones = restored.get("a").segment_zones
-        assert restored_zones is not None
-        assert restored_zones.attribute == "D.sample_time"
-        assert restored_zones.prune_range(5, 7) == []
-        assert restored_zones.prune_range(3, 9) == [0, 1]
-
-    def test_malformed_checkpoint_entries_skipped(self):
-        restored = ChunkStatsCatalog()
-        assert restored.load_json("garbage") == 0
-        assert (
-            restored.load_json(
-                [
-                    {"uri": "ok", "ranges": {"c": [1, 2]}},
-                    {"uri": "bad", "ranges": {"c": [2, 1]}},  # min > max
-                    {"ranges": {}},  # no uri
-                    {"uri": "bad2", "ranges": {"c": ["x", "y"]}},
-                    "not-a-dict",
-                ]
-            )
-            == 1
-        )
-        assert restored.get("ok") is not None
-        assert restored.get("bad") is None
-
-    def test_checkpoint_with_decode_costs_still_loads(self, tmp_path):
-        """Entries that still carry ``loading_cost`` (the format before
-        the planner's cost model was removed) restore whole and prune as
-        the same entries without it do."""
-        from repro.engine.database import Database
-        from repro.engine.expressions import BooleanOp, Comparison, col, lit
-
-        zones = {"attribute": "D.sample_time", "entries": [[0, 0, 4], [1, 8, 10]]}
-        legacy = [
-            {"uri": "low", "ranges": {"D.sample_value": [0.0, 10.0]},
-             "num_rows": 5, "enriched": True, "loading_cost": 0.2},
-            {"uri": "high", "ranges": {"D.sample_value": [50.0, 90.0],
-                                       "D.sample_time": [0.0, 10.0]},
-             "num_rows": 7, "enriched": True, "loading_cost": 0.2,
-             "zones": zones},
-            {"uri": "header", "ranges": {"D.sample_time": [0.0, 10.0]},
-             "num_rows": None, "enriched": False, "loading_cost": None,
-             "zones": zones},
-        ]
-        current = [
-            {k: v for k, v in entry.items() if k != "loading_cost"}
-            for entry in legacy
-        ]
-        value = Comparison(">", col("D.sample_value"), lit(20))
-        in_gap = BooleanOp("AND", [
-            Comparison(">=", col("D.sample_time"), lit(5)),
-            Comparison("<=", col("D.sample_time"), lit(7)),
-        ])
-        plans = []
-        for index, payload in enumerate((legacy, current)):
-            db = Database(workdir=str(tmp_path / f"db{index}"))
-            try:
-                assert db.chunk_stats.load_json(payload) == 3
-                for entry in payload:
-                    restored = db.chunk_stats.get(entry["uri"])
-                    assert restored.enriched == entry["enriched"]
-                    assert restored.num_rows == entry["num_rows"]
-                    assert restored.ranges == {
-                        k: tuple(v) for k, v in entry["ranges"].items()
-                    }
-                    if "zones" in entry:
-                        assert restored.segment_zones.prune_range(3, 9) == [0, 1]
-                        assert restored.segment_zones.prune_range(5, 7) == []
-                uris = [entry["uri"] for entry in payload]
-                plans.append(tuple(
-                    [p.uri for p in db.chunk_planner.plan(uris, "D", q).pruned]
-                    for q in (value, in_gap)
-                ))
-            finally:
-                db.close()
-        assert plans[0] == plans[1] == (["low"], ["high", "header"])
-
-    def test_from_json_rejects_partial(self):
-        assert ChunkStats.from_json({"uri": "u"}) is None
-        assert ChunkStats.from_json({"uri": "u", "ranges": 3}) is None
 
     def test_parse_ranges_rejects_nan_bounds(self):
         from repro.engine.chunk_stats import parse_ranges

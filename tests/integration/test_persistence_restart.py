@@ -49,7 +49,7 @@ class TestWarmRestart:
 
         reopened = SommelierDB.open(workdir)
         assert reopened.query(T1).table == expected
-        # The loader's URI → file-id map survived too.
+        # The loader's URI → file-id map is rebuilt from the restored F.
         loader = reopened.database.chunk_loader
         assert loader is not None and len(loader.file_ids) > 0
         reopened.close()
@@ -302,3 +302,168 @@ class TestShardedCheckpoint:
         assert _tree(shards_root) == before
         with open(pointers_path, encoding="utf-8") as handle:
             assert "sharding" not in json.load(handle)
+
+
+AD_COUNT = "SELECT COUNT(*) AS n FROM D WHERE {}"
+
+
+def chunk_plans(db, sql: str) -> list:
+    """Each rewritten scan's fetched URIs and pruned chunks (no tiers)."""
+    compiled = db.compiler.compile(db.bind(sql))
+    _, report = db.compiler.plan_stage_two(compiled)
+    return [(plan.uris, plan.pruned) for plan in report.chunk_plans]
+
+
+def gap_window(db) -> tuple[int, int]:
+    """A time window inside some chunk's gap between two segments."""
+    for entry in db.database.chunk_stats.snapshot().values():
+        zones = sorted(
+            (z.minimum, z.maximum) for z in entry.segment_zones.entries()
+        )
+        for (_, end), (start, _) in zip(zones, zones[1:]):
+            if start - end > 2:
+                return end + 1, start - 1
+    raise AssertionError("no chunk has a gap between segments")
+
+
+def stats_view(db) -> dict:
+    """Every chunk's statistics as plain, comparable values."""
+    return {
+        uri: (
+            entry.ranges,
+            entry.enriched,
+            [
+                (z.zone_id, z.minimum, z.maximum)
+                for z in entry.segment_zones.entries()
+            ],
+        )
+        for uri, entry in db.database.chunk_stats.snapshot().items()
+    }
+
+
+def fresh_answers(repository, queries) -> list:
+    fresh, _ = prepare("lazy", repository)
+    try:
+        return [fresh.query(sql).table for sql in queries]
+    finally:
+        fresh.close()
+
+
+class TestCheckpointHoldsNoChunkCopies:
+    """F and S are the one chunk catalog: the checkpoint stores no copy of
+    the loader's file ids or of the chunk statistics, and reopen rebuilds
+    both from the restored tables."""
+
+    def test_checkpoint_is_pointers_only(self, tiny_repo, tmp_path):
+        workdir = str(tmp_path / "db")
+        db, _ = prepare("lazy", tiny_repo[0], workdir=workdir)
+        expected_t1 = db.query(T1).table
+        expected_t4 = db.query(T4).table
+        db.query("SELECT COUNT(*) AS n FROM dataview")  # enrich every chunk
+        low, high = gap_window(db)
+        maxima = sorted(
+            e.ranges["D.sample_value"][1]
+            for e in db.database.chunk_stats.snapshot().values()
+        )
+        probes = [
+            AD_COUNT.format(
+                f"D.sample_time >= {low} AND D.sample_time <= {high}"
+            ),
+            AD_COUNT.format(f"D.sample_value > {maxima[len(maxima) // 2]}"),
+        ]
+        plans = [chunk_plans(db, sql) for sql in probes]
+        assert all(pruned for plan in plans for _, pruned in plan)
+        uris = db.database.catalog.table("F").data.column("uri").to_list()
+        db.close()
+
+        with open(os.path.join(workdir, "catalog.json"), encoding="utf-8") as f:
+            text = f.read()
+        pointers = json.loads(text)
+        assert set(pointers) == {"version", "loader", "tables"}
+        assert set(pointers["loader"]) == {"io_delay_ms"}
+        assert not [uri for uri in uris if uri in text]
+
+        reopened = SommelierDB.open(workdir)
+        try:
+            assert reopened.query(T1).table == expected_t1
+            warm = reopened.query(T4)
+            assert warm.table == expected_t4
+            assert warm.stats.chunks_loaded == 0
+            assert [chunk_plans(reopened, sql) for sql in probes] == plans
+        finally:
+            reopened.close()
+
+    def test_parent_format_checkpoint_keys_are_ignored(
+        self, tiny_repo, tmp_path
+    ):
+        """A version-1 checkpoint as older builds wrote it, whose
+        ``loader.file_ids`` and ``chunk_stats`` (entries still carrying a
+        ``loading_cost``) are wrong on purpose, opens with F/S-derived
+        state and answers as a fresh database does."""
+        workdir = str(tmp_path / "db")
+        db, _ = prepare("lazy", tiny_repo[0], workdir=workdir)
+        derived = stats_view(db)
+        uris = sorted(derived)
+        db.close()
+
+        path = os.path.join(workdir, "catalog.json")
+        with open(path, encoding="utf-8") as handle:
+            pointers = json.load(handle)
+        pointers["loader"]["file_ids"] = {
+            uri: 100 + index for index, uri in enumerate(uris)
+        }
+        pointers["chunk_stats"] = [
+            {
+                "uri": uri,
+                "ranges": {
+                    "D.sample_value": [1e9, 1e9 + 1],
+                    "D.sample_time": [0.0, 1.0],
+                },
+                "num_rows": 1,
+                "enriched": True,
+                "loading_cost": 0.2,
+                "zones": {"attribute": "D.sample_time", "entries": [[0, 0, 1]]},
+            }
+            for uri in uris
+        ]
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(pointers, handle)
+
+        queries = [T1, T4, AD_COUNT.format("D.sample_value > 0")]
+        reopened = SommelierDB.open(workdir)
+        try:
+            assert stats_view(reopened) == derived
+            f_data = reopened.database.catalog.table("F").data
+            assert dict(reopened.database.chunk_loader.file_ids) == dict(
+                zip(f_data.column("uri").to_list(),
+                    f_data.column("file_id").to_list())
+            )
+            got = [reopened.query(sql).table for sql in queries]
+        finally:
+            reopened.close()
+        assert got == fresh_answers(tiny_repo[0], queries)
+
+    def test_chunk_in_neither_tier_reopens_with_header_stats(
+        self, tiny_repo, tmp_path
+    ):
+        """What the checkpoint no longer keeps: value ranges of a chunk
+        decoded but resident in neither recycler tier at checkpoint."""
+        workdir = str(tmp_path / "db")
+        db, _ = prepare("lazy", tiny_repo[0], workdir=workdir)
+        header_only = stats_view(db)
+        value_sql = AD_COUNT.format("D.sample_value > 0")
+        expected = [db.query(sql).table for sql in (value_sql, T4)]
+        assert all(
+            entry.enriched
+            for entry in db.database.chunk_stats.snapshot().values()
+        )
+        db.drop_caches()
+        db.close()
+
+        reopened = SommelierDB.open(workdir)
+        try:
+            assert stats_view(reopened) == header_only
+            got = [reopened.query(sql).table for sql in (value_sql, T4)]
+        finally:
+            reopened.close()
+        assert got == expected

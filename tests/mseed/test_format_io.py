@@ -11,6 +11,7 @@ from repro.mseed.format import (
     SegmentHeader,
     VolumeHeader,
     pack_volume_header,
+    segment_end_ms,
     unpack_volume_header,
 )
 from repro.mseed.repository import FileRepository
@@ -59,6 +60,25 @@ class TestHeaderPacking:
 
     def test_segment_end_time_empty(self):
         assert SegmentHeader(0, 1000, 100.0, 0, 0).end_time_ms == 1000
+
+    def test_segment_end_rows_match_headers(self):
+        """Over arrays (rows of S) the formula gives each header's end:
+        half-even rounding, and no span without samples or frequency."""
+        rows = [
+            (1000, 200, 100.0),
+            (0, 1, 2000.0),  # 0.5 ms rounds to even: 0
+            (0, 3, 2000.0),  # 1.5 ms rounds to even: 2
+            (7, 1, 3.0),
+            (1000, 0, 100.0),
+            (1000, 5, 0.0),
+            (1000, 5, -1.0),
+        ]
+        starts, counts, freqs = (np.asarray(c) for c in zip(*rows))
+        ends = segment_end_ms(starts, counts, freqs)
+        assert ends.tolist() == [
+            SegmentHeader(0, start, freq, count, 0).end_time_ms
+            for start, count, freq in rows
+        ] == [3000, 0, 2, 340, 1000, 1000, 1000]
 
 
 class TestWriterReader:
