@@ -84,7 +84,6 @@ def thresholds_by_selectivity(db) -> list[tuple[float, int]]:
     maxima = sorted(
         entry.ranges["D.sample_value"][1]
         for entry in db.database.chunk_stats.snapshot().values()
-        if entry.enriched
     )
     total = len(maxima)
     pairs = []

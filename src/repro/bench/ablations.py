@@ -33,8 +33,6 @@ def run_ablation_rules(ctx: ExperimentContext) -> ReportTable:
         ("full rule set", TwoStageOptions()),
         ("no R2 (cross products)", TwoStageOptions(
             rules=RuleSet.disabled("r2"))),
-        ("no R4 (black last)", TwoStageOptions(
-            rules=RuleSet.disabled("r4"))),
         ("no time-bound inference", TwoStageOptions(
             infer_time_bounds=False)),
     ]

@@ -17,9 +17,11 @@ plus the red/black classification and emits a join tree satisfying the
 rules, with the metadata branch (``Qf``) identified.  The red sub-tree may
 be in any order (the paper allows bushy there); we use a greedy
 smallest-relation-first heuristic.  The black part is strictly linear
-(right-deep over the growing composite), per R3.
+(left-deep over the growing composite), so R3 holds by construction, and
+a vertex reachable over a blue edge always goes before one reachable only
+over black edges, so R4 does too.
 
-Each rule can be disabled individually — that is the ablation experiment
+R1 and R2 can be disabled individually — that is the ablation experiment
 showing the rule set is *minimal* ("for each rule there is a query that
 requires this rule to avoid loading unnecessary data").
 """
@@ -45,22 +47,16 @@ class EdgeColor:
 
 @dataclass(frozen=True)
 class RuleSet:
-    """Which of the paper's rules are active (all, by default)."""
+    """Which of the switchable rules R1 and R2 are active (both, by
+    default); R3 and R4 always hold."""
 
     r1_red_first: bool = True
     r2_red_cross_products: bool = True
-    r3_no_bushy_black: bool = True
-    r4_black_edges_last: bool = True
 
     @classmethod
     def disabled(cls, *names: str) -> "RuleSet":
-        """A rule set with the named rules switched off (``'r2'`` etc.)."""
-        flags = {
-            "r1": "r1_red_first",
-            "r2": "r2_red_cross_products",
-            "r3": "r3_no_bushy_black",
-            "r4": "r4_black_edges_last",
-        }
+        """A rule set with the named rules switched off (``'r1'``/``'r2'``)."""
+        flags = {"r1": "r1_red_first", "r2": "r2_red_cross_products"}
         kwargs = {}
         for name in names:
             if name not in flags:
@@ -197,46 +193,26 @@ def order_joins(
     else:
         leftover_red = []
 
-    # ---- Phase 2 (R3/R4): attach the remaining vertices linearly.
+    # ---- Phase 2 (R3/R4): attach the remaining vertices left-deep.
     plan = red_plan
     joined = set(red_joined)
     metadata_branch = red_plan
     pending = leftover_red + black
 
     def pick_next() -> str:
-        # Prefer vertices connected by any usable edge; among them prefer
-        # blue edges before black when R4 is on.
-        connected_blue: list[str] = []
-        connected_black: list[str] = []
-        for name in pending:
-            for edge in graph.edges_of(name):
-                if edge.other(name) not in joined:
-                    continue
-                color = colored.edge_color(edge)
-                if color == EdgeColor.BLACK:
-                    connected_black.append(name)
-                else:
-                    connected_blue.append(name)
-                break
-        if connected_blue:
-            return min(connected_blue, key=lambda n: (plans[n][1], n))
-        if connected_black and not rules.r4_black_edges_last:
-            return min(connected_black, key=lambda n: (plans[n][1], n))
-        if connected_black and not pending_has_blue():
-            return min(connected_black, key=lambda n: (plans[n][1], n))
-        if connected_black:
-            return min(connected_black, key=lambda n: (plans[n][1], n))
-        return min(pending, key=lambda n: (plans[n][1], n))  # cross product
+        # R4: a vertex with a blue (or red) edge into the composite goes
+        # before one whose edges into it are all black; a vertex with no
+        # such edge at all comes last, as a cross product.
+        def rank(name: str) -> tuple:
+            colors = {
+                colored.edge_color(edge)
+                for edge in graph.edges_of(name)
+                if edge.other(name) in joined
+            }
+            tier = 0 if colors - {EdgeColor.BLACK} else 1 if colors else 2
+            return tier, plans[name][1], name
 
-    def pending_has_blue() -> bool:
-        for name in pending:
-            for edge in graph.edges_of(name):
-                if (
-                    edge.other(name) in joined
-                    and colored.edge_color(edge) != EdgeColor.BLACK
-                ):
-                    return True
-        return False
+        return min(pending, key=rank)
 
     while pending:
         if plan is None:

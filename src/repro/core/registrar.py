@@ -6,10 +6,11 @@ files, extracts the given metadata from the headers and bulk-loads it into
 over files (a thread pool; header reads are I/O bound).
 
 Actual data is *not* touched — this is the whole point.  F and S are the
-one chunk catalog: :func:`index_chunks` derives from their rows the
+one chunk catalog: stage one reads them to decide which chunks a query
+needs, and :func:`index_chunks` derives from ``F`` the
 :class:`XseedChunkLoader`'s file ids (``chunk-access`` operators later
-ingest individual chunks through it) and the chunk statistics, at
-registration and again when a checkpoint is reopened.
+ingest individual chunks through it), at registration and again when a
+checkpoint is reopened.
 """
 
 from __future__ import annotations
@@ -25,11 +26,9 @@ import numpy as np
 from ..engine.column import Column
 from ..engine.database import Database
 from ..engine.errors import ExecutionError
-from ..engine.indexes import ZoneMap
 from ..engine.table import Field, Schema, Table, TableBuilder
 from ..engine.types import INT64, TIMESTAMP
 from ..mseed import reader
-from ..mseed.format import segment_end_ms
 from ..mseed.repository import FileRepository
 
 # Unqualified schema of the rows a chunk contributes to table D.
@@ -179,7 +178,7 @@ class Registrar:
         files, segments = f_builder.finish(), s_builder.finish()
         self.database.insert("F", files)
         self.database.insert("S", segments)
-        index_chunks(self.database, files, segments)
+        index_chunks(self.database, files)
         elapsed = time.perf_counter() - started
         return RegistrarReport(
             num_files=len(uris),
@@ -189,61 +188,15 @@ class Registrar:
         )
 
 
-def index_chunks(database: Database, files: Table, segments: Table) -> None:
-    """Derive the engine's chunk knowledge from rows of F and S.
-
-    Every ``(uri, file_id)`` of ``files`` goes to the installed
-    :class:`XseedChunkLoader` (installing one if missing), and every chunk
-    of ``segments`` gets header statistics: *true bounds* known without
-    touching payloads.  They are the chunk's time span (every sample of a
-    segment lies in ``[start, end)``), its constant ``file_id`` and its
-    segment-number range, plus a per-segment time zone map, so a query
-    window falling entirely into inter-segment gaps skips the chunk.
-    Value ranges stay unknown until the first decode.
-    """
+def index_chunks(database: Database, files: Table) -> None:
+    """Give the installed :class:`XseedChunkLoader` (installing one if
+    missing) every ``(uri, file_id)`` of rows of ``F``."""
     loader = database.chunk_loader
     if not isinstance(loader, XseedChunkLoader):
         loader = XseedChunkLoader()
         database.set_chunk_loader(loader)
-    uri_of = dict(
-        zip(
-            files.column("file_id").values.tolist(),
-            files.column("uri").values.tolist(),
-        )
-    )
-    for file_id, uri in uri_of.items():
-        loader.assign(uri, file_id)
-    starts = segments.column("start_time").values
-    segment_ends = segment_end_ms(
-        starts,
-        segments.column("sample_count").values,
-        segments.column("frequency").values,
-    )
-    zones: dict[int, ZoneMap] = {}
-    ends: dict[int, int] = {}
-    for file_id, segment_no, start, end in zip(
-        segments.column("file_id").values.tolist(),
-        segments.column("segment_no").values.tolist(),
-        starts.tolist(),
-        segment_ends.tolist(),
+    for uri, file_id in zip(
+        files.column("uri").values.tolist(),
+        files.column("file_id").values.tolist(),
     ):
-        zones.setdefault(file_id, ZoneMap("D.sample_time")).add_zone(
-            segment_no, start, max(start, end - 1)
-        )
-        ends[file_id] = max(end, ends.get(file_id, end))
-    for file_id, chunk_zones in zones.items():
-        if file_id not in uri_of:
-            continue
-        entries = chunk_zones.entries()
-        numbers = [entry.zone_id for entry in entries]
-        ranges = {
-            "D.sample_time": (
-                float(min(entry.minimum for entry in entries)),
-                float(ends[file_id] - 1),
-            ),
-            "D.file_id": (float(file_id), float(file_id)),
-            "D.segment_no": (float(min(numbers)), float(max(numbers))),
-        }
-        database.chunk_stats.record_registration(
-            uri_of[file_id], ranges, segment_zones=chunk_zones
-        )
+        loader.assign(uri, file_id)

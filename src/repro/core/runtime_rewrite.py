@@ -5,11 +5,12 @@ rewritten using the stage-one result::
 
     scan(a)  →  chunk-scan( planner(f ∈ result-scan(Qf)) )
 
-The chunk planner (:mod:`repro.engine.chunk_planner`) first *prunes* the
-stage-one chunk set against per-chunk min/max statistics — a chunk whose
-ranges cannot satisfy the scan's literal bound conjuncts contributes no
-rows, so skipping its fetch is free correctness-preserving work — then
-labels every surviving chunk with the tier it is predicted to be served
+Stage one has already decided everything the metadata knows (time,
+``file_id``, ``segment_no``).  The chunk planner
+(:mod:`repro.engine.chunk_planner`) then *prunes* the stage-one chunk set
+against decoded value ranges — a chunk whose ranges cannot satisfy the
+scan's literal bound conjuncts contributes no rows, so skipping its fetch
+is free correctness-preserving work — and labels every surviving chunk with the tier it is predicted to be served
 from (recycler-resident, spilled mmap, remote fetch+decode).  The
 resulting :class:`~repro.engine.chunk_planner.ChunkPlan` rides inside one
 :class:`~repro.engine.algebra.ParallelChunkScan`, whose serial
@@ -54,7 +55,6 @@ class RewriteReport:
     pruned_uris: list[str] = field(default_factory=list)
     chunk_plans: "list[ChunkPlan]" = field(default_factory=list)
     rewrote_scans: int = 0
-    used_all_chunks_fallback: bool = False
     # The actual data is already in D (an eager database): the scans were
     # left as compiled, so no chunk is planned or fetched.
     actual_resident: bool = False
@@ -75,7 +75,7 @@ def rewrite_actual_scans(
     """Replace scans of actual-data tables by planned chunk access paths.
 
     Every rewritten scan goes through the database's chunk planner: the
-    candidate URIs are pruned against per-chunk statistics (when
+    candidate URIs are pruned against decoded value ranges (when
     ``prune_chunks`` and a predicate allow it) and labelled with their
     predicted serving tier.  The surviving chunks become one
     :class:`~repro.engine.algebra.ParallelChunkScan` driven by that plan;
@@ -105,13 +105,9 @@ def rewrite_actual_scans(
             and node.child.table_name in actual
         ):
             report.rewrote_scans += 1
-            if not uris:
-                return node  # no chunk named and D is empty: 0 rows
             return make_chunk_set(node.child, node.predicate)
         if isinstance(node, algebra.Scan) and node.table_name in actual:
             report.rewrote_scans += 1
-            if not uris:
-                return node
             return make_chunk_set(node, None)
         return node.with_children([transform(c) for c in node.children()])
 

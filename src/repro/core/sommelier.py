@@ -186,13 +186,12 @@ class SommelierDB:
         Restores the durable catalog pointers written by :meth:`checkpoint`
         (the given-metadata tables F and S through the paged store, and
         the paged residency of any table an eager preparation paged out).
-        From F and S, :func:`~repro.core.registrar.index_chunks` rebuilds
-        the loader's URI→file-id map and the header statistics, as at
-        registration; decoded value ranges come from chunk-store
-        manifests.  The recycler's disk tier picks up every chunk spilled
-        or flushed by the previous process: the first stage-two after a
-        restart re-hydrates
-        mmap-backed chunks instead of re-decoding Steim payloads.  An eager
+        From F, :func:`~repro.core.registrar.index_chunks` rebuilds the
+        loader's URI→file-id map, as at registration; decoded value
+        ranges come from chunk-store manifests.  The recycler's disk tier
+        picks up every chunk spilled or flushed by the previous process:
+        the first stage-two after a restart re-hydrates mmap-backed chunks
+        instead of re-decoding Steim payloads.  An eager
         database comes back eager: its paged ``D`` is restored, so stage
         two scans it and loads no chunk.  Not restored: hash /
         join indexes (rebuild with ``database.build_*_indexes``),
@@ -281,8 +280,7 @@ class SommelierDB:
                 base.truncate()
             else:
                 base.replace(self.database.paged_store.read_table(name))
-        catalog = self.database.catalog
-        index_chunks(self.database, catalog.table("F").data, catalog.table("S").data)
+        index_chunks(self.database, self.database.catalog.table("F").data)
         return True
 
     def register_repository(
@@ -467,11 +465,12 @@ class SommelierDB:
     def explain_chunks(self, sql: str) -> str:
         """Run-time view of stage two: the chunk plan, without fetching.
 
-        Executes stage one and the runtime rewrite only, then renders each
-        rewritten scan's :class:`~repro.engine.chunk_planner.ChunkPlan` —
-        chunks pruned by statistics, then the chunks to fetch in fetch
-        (assembly) order with their predicted serving tier.  Backs
-        ``repro explain``.
+        Executes stage one and the runtime rewrite only, then renders how
+        many chunks stage one named (time, ``file_id`` and ``segment_no``
+        are decided there) and each rewritten scan's
+        :class:`~repro.engine.chunk_planner.ChunkPlan` — chunks pruned by
+        decoded value ranges, then the chunks to fetch in fetch (assembly)
+        order with their predicted serving tier.  Backs ``repro explain``.
         """
         compiled = self._compile_sql(sql, derive=False)[0].compiled
         _, report = self.compiler.plan_stage_two(compiled)
@@ -506,15 +505,13 @@ class SommelierDB:
 
     def planner_stats(self) -> dict:
         """Cumulative planner + prefetch counters (``repro cache``)."""
+        # Every tracked chunk is a decoded one, so the two counts agree.
+        decoded = len(self.database.chunk_stats)
         stats: dict = {
             "planner": self.database.chunk_planner.stats_snapshot(),
             "chunk_stats": {
-                "chunks_tracked": len(self.database.chunk_stats),
-                "chunks_enriched": sum(
-                    1
-                    for entry in self.database.chunk_stats.snapshot().values()
-                    if entry.enriched
-                ),
+                "chunks_tracked": decoded,
+                "chunks_enriched": decoded,
             },
         }
         if self.prefetcher is not None:

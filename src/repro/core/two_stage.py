@@ -19,7 +19,9 @@ times, concurrently too.
 It also performs *time-bound inference*: selection predicates on the
 actual-data time attribute imply bounds on segment metadata
 (``S.start_time`` / computed segment end), which is how stage one narrows
-the chunk set by time.
+the chunk set by time.  A query over actual data alone gets a metadata
+branch of its own, ``F.uri`` of ``F ⋈ σ(S)``, so stage one decides its
+chunks the same way.
 
 Every database runs this one program.  Whether step [01] rewrites is a
 fact about ``D``, not a setting: once an eager preparation has put the
@@ -31,12 +33,19 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Collection
 
 from ..engine import algebra
 from ..engine.database import Database
 from ..engine.errors import PlanError
-from ..engine.expressions import Expression
+from ..engine.expressions import (
+    Comparison,
+    Expression,
+    col,
+    conjoin,
+    referenced_columns,
+    rename_columns,
+)
 from ..engine.join_graph import QueryGraph, build_query_graph
 from ..engine.predicates import oriented_bound_conjuncts
 from ..engine.physical import (
@@ -62,8 +71,11 @@ class TwoStageOptions:
     ``io_threads`` sizes the shared decode pool of the morsel-style
     stage-two pipeline (1 = the serial per-chunk union).
 
-    ``prune_chunks`` lets the runtime optimizer drop chunks whose min/max
-    statistics cannot satisfy the query's literal predicates before any
+    ``infer_time_bounds`` lets stage one narrow the chunks by the segment
+    spans in ``S`` that literal bounds on the actual-data time imply.
+
+    ``prune_chunks`` lets the runtime optimizer drop chunks whose decoded
+    value ranges cannot satisfy the query's literal predicates before any
     fetch happens (results are unaffected by construction).
 
     ``prefetch`` enables the facade-level workload-aware prefetcher: after
@@ -178,35 +190,28 @@ def _split_upper_chain(
     return rebuild, node
 
 
-def _infer_time_bound_predicates(
-    graph: QueryGraph, config: SommelierConfig
-) -> int:
-    """Add segment-span predicates implied by AD time predicates (R-extra).
+def _inferred_time_bounds(
+    graph: QueryGraph, config: SommelierConfig, segment_tables: Collection[str]
+) -> list[Expression]:
+    """Segment-span predicates implied by AD time predicates (R-extra).
 
-    Returns the number of predicates added.  Only literal bounds are
-    considered; both orientations (column op literal / literal op column)
-    are handled.
+    Only inferences onto one of ``segment_tables`` are made, and only
+    literal bounds are considered; both orientations (column op literal /
+    literal op column) are handled.
     """
-    added = 0
+    implied: list[Expression] = []
     for inference in config.time_inference:
         target_table = inference.segment_start_column.split(".", 1)[0]
-        if target_table not in graph.vertices:
-            continue
-        sources: list[tuple[str, Expression]] = []
         ad_table = inference.ad_time_column.split(".", 1)[0]
-        if ad_table in graph.vertices:
-            for predicate in graph.vertices[ad_table].predicates:
-                sources.extend(
-                    (op, literal)
-                    for column, op, literal in oriented_bound_conjuncts(predicate)
-                    if column == inference.ad_time_column
-                )
-        for op, bound in sources:
-            implied = inference.infer(op, bound)
-            if implied is not None:
-                graph.add_predicate(implied)
-                added += 1
-    return added
+        if target_table not in segment_tables or ad_table not in graph.vertices:
+            continue
+        for predicate in graph.vertices[ad_table].predicates:
+            for column, op, literal in oriented_bound_conjuncts(predicate):
+                if column == inference.ad_time_column:
+                    bound = inference.infer(op, literal)
+                    if bound is not None:
+                        implied.append(bound)
+    return implied
 
 
 class TwoStageCompiler:
@@ -241,7 +246,10 @@ class TwoStageCompiler:
         rebuild, join_block = _split_upper_chain(plan)
         graph = build_query_graph(join_block)
         if self.options.infer_time_bounds:
-            _infer_time_bound_predicates(graph, self.config)
+            for bound in _inferred_time_bounds(
+                graph, self.config, graph.vertices
+            ):
+                graph.add_predicate(bound)
         red_tables = self.database.catalog.metadata_table_names()
         colored = ColoredGraph(graph, red_tables)
         ordered = order_joins(
@@ -257,9 +265,9 @@ class TwoStageCompiler:
             )
         elif ordered.metadata_branch is None:
             # AD-only query (outside the paper's focus, Section II-B): no
-            # metadata branch exists; stage one is a unit plan and the
-            # runtime optimizer falls back to loading every chunk.
-            qf_plan = algebra.EmptyRelation()
+            # metadata branch names the chunks, so stage one gets one of
+            # its own and ``Qs`` runs the whole plan.
+            qf_plan = self._chunk_branch(graph)
             qs_plan = rebuild(ordered.plan)
         else:
             qf_plan = ordered.metadata_branch
@@ -274,6 +282,60 @@ class TwoStageCompiler:
             qs_plan=qs_plan,
             join_order=tuple(ordered.join_order),
             two_stage=bool(colored.black_vertices),
+        )
+
+    def _chunk_branch(self, graph: QueryGraph) -> algebra.LogicalPlan:
+        """Stage one for a plan without a metadata branch: ``F.uri`` of
+        ``F ⋈ σ(S)``.
+
+        The join and the renaming follow the catalog's foreign keys from
+        the actual-data table ``D`` to ``S`` and from ``S`` to ``F``.  σ
+        holds the time predicates inferred from ``D``'s literal bounds,
+        and every ``D`` conjunct whose columns all lie in ``D``'s key to
+        ``S`` (``file_id``, ``segment_no``) or that names no column, with
+        the columns renamed onto ``S``.  Every conjunct still runs in
+        ``Qs``, so σ only narrows the chunks stage two reads.
+        """
+        catalog = self.database.catalog
+        uri_table = self.config.uri_column.split(".", 1)[0]
+        actual = next(
+            name for name in self.config.actual_tables if name in graph.vertices
+        )
+        to_segments, to_files = next(
+            (key, segment_key)
+            for key in catalog.table(actual).foreign_keys
+            for segment_key in catalog.table(key.ref_table).foreign_keys
+            if segment_key.ref_table == uri_table
+        )
+        segment_table = to_segments.ref_table
+        renames = {
+            f"{actual}.{column}": f"{segment_table}.{ref}"
+            for column, ref in zip(to_segments.columns, to_segments.ref_columns)
+        }
+        sigma = [
+            rename_columns(predicate, renames)
+            for predicate in graph.vertices[actual].predicates
+            if referenced_columns(predicate) <= renames.keys()
+        ]
+        if self.options.infer_time_bounds:
+            sigma += _inferred_time_bounds(graph, self.config, {segment_table})
+        segments: algebra.LogicalPlan = algebra.Scan(
+            segment_table, self.database.qualified_schema(segment_table)
+        )
+        if sigma:
+            segments = algebra.Select(segments, conjoin(sigma))
+        files = algebra.Scan(uri_table, self.database.qualified_schema(uri_table))
+        condition = conjoin(
+            [
+                Comparison(
+                    "=", col(f"{segment_table}.{column}"), col(f"{uri_table}.{ref}")
+                )
+                for column, ref in zip(to_files.columns, to_files.ref_columns)
+            ]
+        )
+        uri = self.config.uri_column
+        return algebra.Project(
+            algebra.Join(files, segments, condition), [(uri, col(uri))]
         )
 
     # -- execution ----------------------------------------------------------------
@@ -304,17 +366,7 @@ class TwoStageCompiler:
         if not compiled.two_stage:
             # Metadata-only query (T1/T2/T3): nothing to rewrite or load.
             return compiled.qs_plan, report
-        uri_column = self.config.uri_column
-        if stage_one.schema.has(uri_column):
-            uris = sorted(set(stage_one.column(uri_column).to_list()))
-        else:
-            # No metadata branch exposed the URI column — the paper's
-            # only-AD case where "there is no alternative to paying the
-            # price for loading all AD anyway": every chunk F names.
-            table_name, column = uri_column.split(".", 1)
-            base = self.database.catalog.table(table_name).data
-            uris = sorted(set(base.column(column).to_list()))
-            report.used_all_chunks_fallback = True
+        uris = sorted(set(stage_one.column(self.config.uri_column).to_list()))
         report.required_uris = list(uris)
         if any(
             self.database.table_num_rows(name) > 0

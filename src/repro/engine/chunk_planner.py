@@ -1,16 +1,16 @@
 """The statistics-driven chunk planner.
 
-Stage one of the two-stage model names the chunks a query *may* need; the
-runtime rewrite turns that list into one chunk scan.  The
-:class:`ChunkPlanner` sits between the two:
+Stage one of the two-stage model names the chunks a query *may* need,
+deciding from metadata everything headers know (time, ``file_id``,
+``segment_no``); the runtime rewrite turns that list into one chunk scan.
+The :class:`ChunkPlanner` sits between the two:
 
-1. **Prune** — each candidate chunk is tested against the per-chunk
-   statistics of :class:`~repro.engine.chunk_stats.ChunkStatsCatalog`.
-   A chunk whose min/max ranges (and, for the time attribute, per-segment
-   zone map) cannot satisfy the query's literal bound conjuncts contributes
-   no rows, so dropping it cannot change the result — the pushed predicate
-   would have filtered every row anyway.  A false conjunct over literals
-   alone (``1 = 2``) prunes every chunk the same way.
+1. **Prune** — each candidate chunk is tested against the decoded value
+   ranges of :class:`~repro.engine.chunk_stats.ChunkStatsCatalog`, which
+   no header holds.  A chunk whose min/max ranges cannot satisfy the
+   query's literal bound conjuncts contributes no rows, so dropping it
+   cannot change the result — the pushed predicate would have filtered
+   every row anyway.
 2. **Classify** — each surviving chunk is labelled with the tier it is
    predicted to be served from: ``resident`` in the recycler's memory
    tier, ``spilled`` (mmap re-hydrate from the chunk store) or ``remote``
@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .predicates import LiteralBounds, has_false_constant
+from .predicates import LiteralBounds
 from ..util.counters import Counters
 from ..util.lock_sanitizer import make_lock
 
@@ -124,7 +124,6 @@ class ChunkPlanner:
     ) -> ChunkPlan:
         """Prune the given candidate chunks and classify the survivors."""
         bounds = LiteralBounds.by_column(predicate) if prune else {}
-        constant_false = prune and has_false_constant(predicate)
         catalog = self.database.chunk_stats
         cached = self.database.recycler.cached_uris()
         stored = self.database.chunk_store.uris()
@@ -132,12 +131,9 @@ class ChunkPlanner:
         kept: list[PlannedChunk] = []
         pruned: list[PrunedChunk] = []
         for uri in uris:
-            if constant_false:
-                reason = "constant false"
-            elif bounds:
-                reason = self._prune_reason(catalog.get(uri), bounds)
-            else:
-                reason = None
+            reason = (
+                self._prune_reason(catalog.get(uri), bounds) if bounds else None
+            )
             if reason is not None:
                 pruned.append(PrunedChunk(uri=uri, reason=reason))
             elif uri in cached:
@@ -165,12 +161,11 @@ class ChunkPlanner:
 
     @staticmethod
     def _prune_reason(stats, bounds: dict[str, LiteralBounds]) -> str | None:
-        """The column whose statistics exclude this chunk, or None.
+        """The column whose decoded range excludes this chunk, or None.
 
-        Chunks without statistics (or without a range for the bounded
-        column) always survive: pruning only ever acts on known-true
-        bounds.  Value columns gain ranges only after the first full
-        decode; time/id columns have them from registration.
+        A chunk not yet decoded (no statistics), or without a range for
+        the bounded column, always survives: pruning only ever acts on
+        known-true bounds.
         """
         if stats is None:
             return None
@@ -180,13 +175,4 @@ class ChunkPlanner:
                 *column_range
             ):
                 return column
-            zones = stats.segment_zones
-            if zones is not None and zones.attribute == column:
-                low, high = column_bounds.int_range()
-                if (low is not None or high is not None) and not (
-                    zones.prune_range(low, high)
-                ):
-                    # Sub-chunk granularity: the query's window falls
-                    # entirely into gaps between this chunk's segments.
-                    return f"{column} (segment zones)"
         return None

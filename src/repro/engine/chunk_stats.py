@@ -1,28 +1,19 @@
-"""Per-chunk statistics: the planner's knowledge about unloaded data.
+"""Per-chunk statistics: decoded value ranges of unloaded data.
 
-The paper's runtime optimizer narrows stage two only by metadata time
-bounds; everything it keeps is fetched and decoded.  Storage-aware BDMS
-designs (AsterixDB's per-partition filters, classic zone maps) instead keep
-cheap min/max summaries per storage unit so value predicates can skip whole
-units without touching them.  This module is that summary layer for chunks:
+The paper's runtime optimizer narrows stage two only by metadata: stage
+one decides from ``F`` and ``S`` which chunks a query's time, ``file_id``
+and ``segment_no`` predicates need.  No header knows ``sample_value``,
+though.  Storage-aware BDMS designs (AsterixDB's per-partition filters,
+classic zone maps) keep cheap min/max summaries per storage unit so value
+predicates can skip whole units; this module is that summary for chunks.
+The first full decode of a chunk measures the exact min/max of every
+numeric column, and the chunk planner prunes against those ranges.
 
-* **registration-time** statistics come for free from the header facts
-  ``F`` and ``S`` already hold: the time span of the chunk's segments, its
-  ``file_id`` (a constant per chunk) and segment-number range, plus a
-  per-segment :class:`~repro.engine.indexes.ZoneMap` over the time
-  attribute for sub-chunk reasoning (gap queries);
-* **decode-time enrichment**: the first full decode of a chunk measures the
-  exact min/max of every numeric column (notably ``sample_value``, which no
-  header knows).  Enriched ranges unlock value-predicate pruning.
-
-Every stored range is a *true bound* over the chunk's rows — entries are
-only ever added from headers (authoritative for time/ids) or from a full
-decode (authoritative for everything), so pruning against them is safe.
-The catalog is thread-safe and has no serialized form of its own: a
-reopened database re-seeds the header statistics from the restored ``F``
-and ``S`` (:func:`~repro.core.registrar.index_chunks`), and decoded-chunk
-ranges travel inside :class:`~repro.engine.chunk_store.ChunkStore`
-manifests, so it recovers them without re-decoding anything.
+Every entry comes from a full decode, so every stored range is a *true
+bound* over the chunk's rows and pruning against it is safe.  The catalog
+is thread-safe and has no serialized form of its own: decoded ranges
+travel inside :class:`~repro.engine.chunk_store.ChunkStore` manifests, so
+a reopened database recovers them without re-decoding anything.
 """
 
 from __future__ import annotations
@@ -31,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .indexes import ZoneMap
 from .table import Table
 from .types import STRING
 from ..util.lock_sanitizer import make_lock
@@ -90,20 +80,14 @@ def parse_ranges(payload: object) -> dict[str, tuple[float, float]] | None:
 
 @dataclass
 class ChunkStats:
-    """Everything the planner knows about one chunk.
+    """Everything the planner knows about one decoded chunk.
 
     ``ranges`` maps qualified column names to inclusive ``(min, max)``
-    bounds.  ``enriched`` records whether the ranges come from a full
-    decode (exact for every column) rather than headers only.
-    ``segment_zones`` is a per-segment time zone map, derived from ``S``
-    at registration and again at reopen, so a reopened database prunes by
-    segment too.  It is None for a chunk ``S`` does not describe.
+    bounds, exact for every numeric column.
     """
 
     uri: str
     ranges: dict[str, tuple[float, float]] = field(default_factory=dict)
-    enriched: bool = False
-    segment_zones: ZoneMap | None = None
 
 
 class ChunkStatsCatalog:
@@ -123,34 +107,13 @@ class ChunkStatsCatalog:
 
     def is_enriched(self, uri: str) -> bool:
         with self._lock:
-            entry = self._entries.get(uri)
-            return entry is not None and entry.enriched
-
-    def record_registration(
-        self,
-        uri: str,
-        ranges: dict[str, tuple[float, float]],
-        segment_zones: ZoneMap | None = None,
-    ) -> None:
-        """Install header-derived statistics; never downgrades enrichment."""
-        with self._lock:
-            existing = self._entries.get(uri)
-            if existing is not None and existing.enriched:
-                if existing.segment_zones is None:
-                    existing.segment_zones = segment_zones
-                return
-            self._entries[uri] = ChunkStats(
-                uri=uri,
-                ranges=dict(ranges),
-                enriched=False,
-                segment_zones=segment_zones,
-            )
+            return uri in self._entries
 
     def observe_table(self, uri: str, table: Table) -> bool:
-        """Enrich from a decoded chunk; returns True when work was done.
+        """Record a decoded chunk's ranges; returns True when work was done.
 
-        Idempotent and cheap to call from hot paths: an already-enriched
-        entry is left untouched without scanning the data.
+        Idempotent and cheap to call from hot paths: a chunk already
+        recorded is left untouched without scanning the data.
         """
         if self.is_enriched(uri):
             return False
@@ -162,19 +125,12 @@ class ChunkStatsCatalog:
         """Install decode-derived ranges (from a decode or a store sidecar).
 
         Returns False, changing nothing, when the chunk is already
-        enriched; header-derived zones are kept.
+        recorded.
         """
         with self._lock:
-            existing = self._entries.get(uri)
-            if existing is not None and existing.enriched:
+            if uri in self._entries:
                 return False
-            zones = existing.segment_zones if existing is not None else None
-            self._entries[uri] = ChunkStats(
-                uri=uri,
-                ranges=dict(ranges),
-                enriched=True,
-                segment_zones=zones,
-            )
+            self._entries[uri] = ChunkStats(uri=uri, ranges=dict(ranges))
         return True
 
     def snapshot(self) -> dict[str, ChunkStats]:

@@ -155,9 +155,9 @@ class Database:
             os.path.join(workdir, "pages"), self.buffer_pool
         )
         self.chunk_loader: ChunkLoader | None = None
-        # Per-chunk min/max statistics (seeded from headers at registration,
-        # enriched at first decode) and the planner that prunes stage-two
-        # chunk fetches against them and predicts each one's serving tier.
+        # Per-chunk min/max statistics (recorded at first decode) and the
+        # planner that prunes stage-two chunk fetches against them and
+        # predicts each one's serving tier.
         self.chunk_stats = ChunkStatsCatalog()
         self.chunk_planner = ChunkPlanner(self)
         # Identical chunk scans in flight at the same time run once

@@ -13,7 +13,7 @@ Section III).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -41,6 +41,7 @@ __all__ = [
     "conjoin",
     "referenced_columns",
     "referenced_tables",
+    "rename_columns",
     "split_equi_join",
     "col",
     "lit",
@@ -324,6 +325,28 @@ def conjoin(parts: Sequence[Expression]) -> Expression | None:
 def referenced_columns(expression: Expression) -> set[str]:
     """All column names referenced anywhere in the expression."""
     return {n.name for n in expression.walk() if isinstance(n, ColumnRef)}
+
+
+def rename_columns(
+    expression: Expression, names: Mapping[str, str]
+) -> Expression:
+    """A copy of ``expression`` with column references renamed by ``names``."""
+    if isinstance(expression, ColumnRef):
+        return ColumnRef(names.get(expression.name, expression.name))
+    if isinstance(expression, (Comparison, Arithmetic)):
+        return type(expression)(
+            expression.op,
+            rename_columns(expression.left, names),
+            rename_columns(expression.right, names),
+        )
+    if isinstance(expression, BooleanOp):
+        return BooleanOp(
+            expression.op,
+            [rename_columns(operand, names) for operand in expression.operands],
+        )
+    if isinstance(expression, IsIn):
+        return IsIn(rename_columns(expression.operand, names), expression.options)
+    return expression
 
 
 def referenced_tables(expression: Expression) -> set[str]:

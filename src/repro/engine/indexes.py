@@ -1,4 +1,4 @@
-"""Index structures: hash primary-key indexes, FK join indexes, zonemaps.
+"""Index structures: hash primary-key indexes and FK join indexes.
 
 The *eager index* loading variant of the paper builds primary and foreign
 key indexes after loading; foreign-key indexes are join indexes (the paper:
@@ -6,23 +6,18 @@ key indexes after loading; foreign-key indexes are join indexes (the paper:
 Section VI-C).  Building them is what that variant pays for declaring keys:
 Fig. 6's indexing time and Table III's ``+keys`` bytes.  No query reads
 them; every join runs as a hash join.
-
-:class:`ZoneMap` implements the per-chunk min/max summaries mentioned in the
-related-work discussion; we use them for the sub-chunk-granularity extension
-(segment skipping inside a loaded chunk).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import CatalogError
 from .table import Table
 
-__all__ = ["HashIndex", "JoinIndex", "ZoneMap"]
+__all__ = ["HashIndex", "JoinIndex"]
 
 
 class HashIndex:
@@ -118,55 +113,3 @@ class JoinIndex:
     @property
     def nbytes(self) -> int:
         return int(self.positions.nbytes)
-
-
-@dataclass(frozen=True)
-class ZoneEntry:
-    """Min/max summary of one zone (chunk or segment)."""
-
-    zone_id: Any
-    minimum: Any
-    maximum: Any
-
-    def may_contain_range(self, low: Any | None, high: Any | None) -> bool:
-        """Can any value in [low, high] fall inside this zone?"""
-        if low is not None and self.maximum < low:
-            return False
-        if high is not None and self.minimum > high:
-            return False
-        return True
-
-
-class ZoneMap:
-    """Per-zone min/max summaries over one attribute.
-
-    A zone is an arbitrary caller-defined unit — a chunk file or a segment
-    within one.  ``prune_range`` returns only the zones a range predicate
-    could touch; the lazy loader uses this to skip whole segments.
-    """
-
-    def __init__(self, attribute: str) -> None:
-        self.attribute = attribute
-        self._entries: list[ZoneEntry] = []
-
-    def add_zone(self, zone_id: Any, minimum: Any, maximum: Any) -> None:
-        if minimum > maximum:
-            raise CatalogError("zone minimum exceeds maximum")
-        self._entries.append(ZoneEntry(zone_id, minimum, maximum))
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def entries(self) -> list[ZoneEntry]:
-        return list(self._entries)
-
-    def prune_range(self, low: Any | None, high: Any | None) -> list[Any]:
-        """Zone ids that may contain values in the inclusive range."""
-        return [
-            entry.zone_id
-            for entry in self._entries
-            if entry.may_contain_range(low, high)
-        ]
-
-    def prune_point(self, value: Any) -> list[Any]:
-        return self.prune_range(value, value)

@@ -4,8 +4,7 @@ Every consumer that turns literal predicates into bounds goes through this
 module, so they agree on orientation, edge inclusivity and rounding:
 
 * the chunk planner (:mod:`repro.engine.chunk_planner`) asks whether a
-  chunk's min/max statistics, or the integer window of its segment zone
-  map, can hold a qualifying row;
+  chunk's decoded min/max ranges can hold a qualifying row;
 * the semantic result cache (:mod:`repro.core.result_cache`) asks whether
   a cached result's bounds cover a new query's;
 * Algorithm 1 (:mod:`repro.core.partial_views`) asks which station and
@@ -13,9 +12,6 @@ module, so they agree on orientation, edge inclusivity and rounding:
   enumerate the DMd key space ``PSq``;
 * the compile-time optimizer (:mod:`repro.core.two_stage`) reads the raw
   oriented conjuncts to infer time bounds onto segment metadata.
-
-The chunk planner also asks :func:`has_false_constant` whether a conjunct
-over literals alone rules out every row.
 
 Only *literal* bounds are considered; both orientations (``column op
 literal`` and ``literal op column``) are normalized to column-on-the-left
@@ -32,23 +28,14 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .column import Column
 from .expressions import ColumnRef, Comparison, Expression, Literal, conjuncts
-from .table import Schema, Table
-from .types import INT64
 
 __all__ = [
     "LiteralBounds",
-    "has_false_constant",
     "oriented_bound_conjuncts",
 ]
 
 _BOUND_OPS = ("=", "<", "<=", ">", ">=")
-
-# One row to evaluate column-free conjuncts over.
-_ONE_ROW = Table(
-    Schema.of(("one", INT64)), [Column(INT64, np.zeros(1, np.int64))]
-)
 
 
 def _is_numeric(value: object) -> bool:
@@ -82,19 +69,6 @@ def oriented_bound_conjuncts(
             ):
                 yield oriented.left.name, oriented.op, oriented.right
                 break
-
-
-def has_false_constant(predicate: Expression | None) -> bool:
-    """Is some top-level conjunct free of columns and false?
-
-    Such a conjunct (``1 = 2``) is false on every row, so the whole
-    predicate admits none.
-    """
-    return any(
-        not any(isinstance(node, ColumnRef) for node in conjunct.walk())
-        and not conjunct.evaluate(_ONE_ROW)[0]
-        for conjunct in conjuncts(predicate)
-    )
 
 
 # A range edge is ``(value, inclusive)``.  High edges order as they are

@@ -8,9 +8,9 @@ Two access paths with very different costs:
 * :func:`read_samples` additionally decodes every payload — the expensive
   path that only runs for chunks a query actually needs.
   The engine always decodes a whole chunk, so the recycler can cache it;
-  sub-chunk skipping happens before any read, when the chunk planner
-  prunes a chunk whose segment headers (seeded as zone maps at
-  registration) miss the query's time window.
+  segment-grain skipping happens before any read, in stage one, which
+  never names a chunk none of whose segment headers (rows of ``S``) meets
+  the query's time window.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Tests for query-graph coloring and join-order rules R1–R4."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.coloring import (
     ColoredGraph,
@@ -11,7 +12,7 @@ from repro.core.coloring import (
 from repro.engine import algebra
 from repro.engine.errors import PlanError
 from repro.engine.expressions import Comparison, col, lit
-from repro.engine.join_graph import build_query_graph
+from repro.engine.join_graph import QueryGraph, build_query_graph
 from repro.engine.table import Schema
 from repro.engine.types import INT64
 
@@ -156,24 +157,6 @@ class TestOrderJoins:
         assert not ordered.used_cross_product
         assert ordered.metadata_branch.base_tables() == {"m1"}
 
-    def test_r4_black_edges_last(self):
-        # a1-a2 are joined by a black edge; a2 also reachable via blue from
-        # m1.  The blue edge must be preferred.
-        m1 = algebra.Scan("m1", schema_for("m1"))
-        a1 = algebra.Scan("a1", schema_for("a1"))
-        a2 = algebra.Scan("a2", schema_for("a2"))
-        plan = algebra.Join(
-            algebra.Join(m1, a1, Comparison("=", col("m1.k"), col("a1.k"))),
-            a2,
-            Comparison("=", col("a1.v"), col("a2.v")),
-        )
-        graph = build_query_graph(plan)
-        # add a blue edge m1-a2
-        graph.add_predicate(Comparison("=", col("m1.k"), col("a2.k")))
-        colored = ColoredGraph(graph, {"m1"})
-        ordered = order_joins(colored, sizes(a1=1000, a2=10))
-        assert ordered.join_order[0] == "m1"
-
     def test_local_predicates_attached_to_leaves(self):
         plan = algebra.Select(
             join_plan("m1", "a1"),
@@ -236,3 +219,66 @@ class TestOrderJoins:
         colored = ColoredGraph(graph, reds)
         ordered = order_joins(colored, sizes())
         assert black_subtree_is_linear(ordered.plan, reds)
+
+
+@st.composite
+def colored_graphs(draw):
+    """A random query graph over 2–6 vertices, each red or black, with
+    random equi-join edges (possibly disconnected) and random sizes."""
+    count = draw(st.integers(2, 6))
+    names = [f"v{index}" for index in range(count)]
+    red = {name for name in names if draw(st.booleans())}
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+    rows = {name: draw(st.integers(0, 1000)) for name in names}
+    graph = QueryGraph()
+    for name in names:
+        graph.add_vertex(name, schema_for(name))
+    for a, b in edges:
+        graph.add_predicate(Comparison("=", col(f"{a}.k"), col(f"{b}.k")))
+    return ColoredGraph(graph, red), rows
+
+
+def is_leaf(plan) -> bool:
+    if isinstance(plan, algebra.Select):
+        plan = plan.child
+    return isinstance(plan, algebra.Scan)
+
+
+class TestRulesHoldByConstruction:
+    """R3 and R4 are invariants of every ordering, not switches."""
+
+    @given(colored_graphs())
+    def test_left_deep_and_black_edges_last(self, case):
+        colored, rows = case
+        ordered = order_joins(colored, lambda name: rows[name])
+        composite = ordered.metadata_branch
+        if colored.red_vertices:
+            assert composite.base_tables() == colored.red_vertices
+        # R3: every join above the red composite adds one leaf.
+        node = ordered.plan
+        while node is not composite and isinstance(node, algebra.Join):
+            assert is_leaf(node.right)
+            node = node.left
+        assert node is composite or is_leaf(node)
+        # R4: replay the order after the composite; a vertex joined only
+        # over black edges means no pending vertex had a blue edge in.
+        graph = colored.graph
+        order = ordered.join_order
+
+        def colors(name, joined):
+            return {
+                colored.edge_color(edge)
+                for edge in graph.edges_of(name)
+                if edge.other(name) in joined
+            }
+
+        start = max(len(colored.red_vertices), 1)
+        for step in range(start, len(order)):
+            joined = set(order[:step])
+            if colors(order[step], joined) - {EdgeColor.BLACK}:
+                continue
+            assert not any(
+                colors(name, joined) - {EdgeColor.BLACK}
+                for name in order[step + 1:]
+            )

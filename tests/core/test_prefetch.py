@@ -233,4 +233,10 @@ class TestFacadeIntegration:
         stats = prefetch_db.planner_stats()
         assert "prefetch" in stats
         assert "planner" in stats
-        assert stats["chunk_stats"]["chunks_tracked"] == 8
+        # Statistics track decoded chunks only: none right after
+        # registration, then each chunk a query or a warm-up decoded.
+        assert stats["chunk_stats"]["chunks_tracked"] == 0
+        prefetch_db.query(day_sql(0))
+        prefetch_db.prefetcher.wait_idle()
+        counts = prefetch_db.planner_stats()["chunk_stats"]
+        assert counts["chunks_tracked"] == counts["chunks_enriched"] >= 1

@@ -5,100 +5,8 @@ import pytest
 from repro.core.loading import APPROACHES, prepare
 from repro.core.registrar import Registrar, XseedChunkLoader, index_chunks
 from repro.core.schema import create_seismology_schema
-from repro.data import SCALE_SMALL, build_or_reuse
 from repro.engine.database import Database
 from repro.engine.errors import ExecutionError
-from repro.mseed import reader
-
-
-def header_end(segment) -> int:
-    """A segment header's exclusive end, computed here on its own."""
-    if segment.sample_count == 0 or segment.frequency <= 0:
-        return segment.start_time_ms
-    return segment.start_time_ms + int(
-        round(segment.sample_count * 1000.0 / segment.frequency)
-    )
-
-
-def header_stats(uri: str, file_id: int):
-    """Oracle: a chunk's statistics computed straight from its headers."""
-    segments = reader.read_metadata(uri).segments
-    ranges = {
-        "D.sample_time": (
-            float(min(s.start_time_ms for s in segments)),
-            float(max(header_end(s) for s in segments) - 1),
-        ),
-        "D.file_id": (float(file_id), float(file_id)),
-        "D.segment_no": (
-            float(min(s.segment_no for s in segments)),
-            float(max(s.segment_no for s in segments)),
-        ),
-    }
-    zones = [
-        (s.segment_no, s.start_time_ms, max(s.start_time_ms, header_end(s) - 1))
-        for s in segments
-    ]
-    return ranges, False, zones
-
-
-def seeded_stats(database: Database) -> dict:
-    return {
-        uri: (
-            entry.ranges,
-            entry.enriched,
-            [
-                (z.zone_id, z.minimum, z.maximum)
-                for z in entry.segment_zones.entries()
-            ],
-        )
-        for uri, entry in database.chunk_stats.snapshot().items()
-    }
-
-
-@pytest.fixture(scope="module")
-def small_repo(repo_base):
-    """sf-3 small-scale repository: 48 files."""
-    return build_or_reuse(repo_base, 3, SCALE_SMALL)
-
-
-class TestIndexChunks:
-    """F and S seed the same chunk statistics the headers describe."""
-
-    @pytest.mark.parametrize(
-        "repo_fixture, chunks", [("tiny_repo", 8), ("small_repo", 48)]
-    )
-    def test_seeded_stats_equal_header_stats(
-        self, request, tmp_path, repo_fixture, chunks
-    ):
-        repository, _ = request.getfixturevalue(repo_fixture)
-        registered = Database(workdir=str(tmp_path / "registered"))
-        reindexed = Database(workdir=str(tmp_path / "reindexed"))
-        try:
-            create_seismology_schema(registered)
-            Registrar(registered, threads=1).register(repository)
-            f_data = registered.catalog.table("F").data
-            expected = {
-                uri: header_stats(uri, file_id)
-                for uri, file_id in zip(
-                    f_data.column("uri").to_list(),
-                    f_data.column("file_id").to_list(),
-                )
-            }
-            assert len(expected) == chunks
-            assert seeded_stats(registered) == expected
-            # The reopen path: the same tables, indexed into a database
-            # that never read a header.
-            create_seismology_schema(reindexed)
-            index_chunks(
-                reindexed, f_data, registered.catalog.table("S").data
-            )
-            assert seeded_stats(reindexed) == expected
-            assert dict(reindexed.chunk_loader.file_ids) == dict(
-                registered.chunk_loader.file_ids
-            )
-        finally:
-            registered.close()
-            reindexed.close()
 
 
 class TestRegistrar:
@@ -145,6 +53,27 @@ class TestRegistrar:
         assert len(ids) == 2 * first_count
         assert len(set(ids)) == len(ids)
         database.close()
+
+    def test_index_chunks_gives_the_loader_f_file_ids(self, tiny_repo, tmp_path):
+        """The reopen path: F alone rebuilds the loader registration built."""
+        registered = Database(workdir=str(tmp_path / "registered"))
+        reindexed = Database(workdir=str(tmp_path / "reindexed"))
+        try:
+            create_seismology_schema(registered)
+            Registrar(registered, threads=1).register(tiny_repo[0])
+            f_data = registered.catalog.table("F").data
+            index_chunks(reindexed, f_data)
+            assert dict(reindexed.chunk_loader.file_ids) == dict(
+                zip(f_data.column("uri").to_list(),
+                    f_data.column("file_id").to_list())
+            )
+            assert dict(reindexed.chunk_loader.file_ids) == dict(
+                registered.chunk_loader.file_ids
+            )
+            assert len(registered.chunk_stats) == 0  # nothing decoded yet
+        finally:
+            registered.close()
+            reindexed.close()
 
     def test_loader_rejects_unknown_table(self, lazy_db):
         loader = lazy_db.database.chunk_loader

@@ -107,12 +107,13 @@ class TestRewriteRule1:
         assert isinstance(rewritten, algebra.ParallelChunkScan)
         assert rewritten.pushed_predicate is predicate
 
-    def test_empty_uri_list_keeps_scan(self, lazy_db, scan_d):
+    def test_empty_uri_list_plans_no_chunk(self, lazy_db, scan_d):
         report = RewriteReport()
         rewritten = rewrite_actual_scans(
             scan_d, lazy_db.database, lazy_db.config, [], report
         )
-        assert isinstance(rewritten, algebra.Scan)
+        assert isinstance(rewritten, algebra.ParallelChunkScan)
+        assert rewritten.uris == ()
 
     def test_metadata_scans_untouched(self, lazy_db, uris):
         scan_f = algebra.Scan("F", lazy_db.database.qualified_schema("F"))
@@ -206,7 +207,7 @@ class TestStatisticsPruning:
         # bounds what any predicate can demand of it.
         lazy_db.database.load_chunk(uris[0], "D")
         stats = lazy_db.database.chunk_stats.get(uris[0])
-        assert stats is not None and stats.enriched
+        assert stats is not None
         _, high = stats.ranges["D.sample_value"]
         predicate = Comparison(">", col("D.sample_value"), lit(int(high) + 1))
         plan = algebra.Select(scan_d, predicate)
@@ -227,19 +228,6 @@ class TestStatisticsPruning:
         # Registration-time stats know nothing about sample values.
         assert report.pruned_uris == []
         assert list(rewritten.uris) == uris
-
-    def test_time_predicate_prunes_from_registration_stats(
-        self, lazy_db, scan_d, uris
-    ):
-        # No decode needed: header-derived time spans are true bounds.
-        predicate = Comparison("<", col("D.sample_time"), lit(0))
-        plan = algebra.Select(scan_d, predicate)
-        report = RewriteReport()
-        rewritten = rewrite_actual_scans(
-            plan, lazy_db.database, lazy_db.config, uris, report
-        )
-        assert sorted(report.pruned_uris) == sorted(uris)
-        assert rewritten.uris == ()
 
     def test_pruning_disabled_keeps_everything(self, lazy_db, scan_d, uris):
         predicate = Comparison("<", col("D.sample_time"), lit(0))

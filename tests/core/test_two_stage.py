@@ -309,10 +309,9 @@ class TestUnfoldedConstants:
         result = lazy_db.query(sql)
         assert result.chunk_outcomes == {}
         assert result.stats.chunks_loaded == 0
-        (plan,) = result.rewrite.chunk_plans
-        assert plan.chunks == ()
-        assert {p.reason for p in plan.pruned} == {"constant false"}
-        assert len(plan.pruned) == lazy_db.database.table_num_rows("F")
+        # Stage one carries the constant and names no chunk.
+        assert result.rewrite.required_uris == []
+        assert [plan.uris for plan in result.rewrite.chunk_plans] == [()]
         assert result.table.to_dicts() == eager_db.query(sql).table.to_dicts()
 
     def test_false_constant_under_or_still_plans(self, lazy_db):

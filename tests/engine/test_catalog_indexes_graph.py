@@ -7,7 +7,7 @@ from repro.engine.catalog import Catalog, ForeignKey, TableKind
 from repro.engine.database import Database
 from repro.engine.errors import CatalogError, ExecutionError, PlanError
 from repro.engine.expressions import BooleanOp, Comparison, col, lit
-from repro.engine.indexes import HashIndex, JoinIndex, ZoneMap
+from repro.engine.indexes import HashIndex, JoinIndex
 from repro.engine.join_graph import build_query_graph
 from repro.engine.table import Schema, Table
 from repro.engine.types import INT64, STRING
@@ -128,28 +128,6 @@ class TestJoinIndex:
             Table.empty(Schema.of(("k", INT64))),
         )
         assert index.num_rows == 0
-
-
-class TestZoneMap:
-    def test_prune_range(self):
-        zones = ZoneMap("ts")
-        zones.add_zone("z1", 0, 10)
-        zones.add_zone("z2", 20, 30)
-        zones.add_zone("z3", 5, 25)
-        assert zones.prune_range(12, 18) == ["z3"]
-        assert zones.prune_range(None, 4) == ["z1"]
-        assert zones.prune_range(26, None) == ["z2"]
-
-    def test_prune_point(self):
-        zones = ZoneMap("ts")
-        zones.add_zone("z1", 0, 10)
-        assert zones.prune_point(10) == ["z1"]
-        assert zones.prune_point(11) == []
-
-    def test_invalid_zone(self):
-        zones = ZoneMap("ts")
-        with pytest.raises(CatalogError):
-            zones.add_zone("bad", 5, 1)
 
 
 class TestQueryGraph:

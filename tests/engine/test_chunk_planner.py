@@ -90,9 +90,6 @@ class TestPredicateHelpers:
 class TestPruning:
     def test_value_bounds_prune_only_enriched(self, database):
         database.chunk_stats.observe_table("a", make_chunk([0, 50], [0, 1]))
-        database.chunk_stats.record_registration(
-            "b", {"D.sample_time": (0.0, 1.0)}
-        )
         predicate = Comparison(">", col("D.sample_value"), lit(100))
         plan = database.chunk_planner.plan(["a", "b"], "D", predicate)
         assert [p.uri for p in plan.pruned] == ["a"]
@@ -112,39 +109,15 @@ class TestPruning:
         assert plan.pruned == ()
 
     def test_equality_bound_prunes_disjoint_file_ids(self, database):
-        database.chunk_stats.record_registration(
-            "f0", {"D.file_id": (0.0, 0.0)}
-        )
-        database.chunk_stats.record_registration(
-            "f1", {"D.file_id": (1.0, 1.0)}
-        )
+        for file_id in (0, 1):
+            chunk = Table(
+                Schema.of(("D.file_id", INT64)),
+                [Column(INT64, np.full(2, file_id, dtype=np.int64))],
+            )
+            database.chunk_stats.observe_table(f"f{file_id}", chunk)
         predicate = Comparison("=", col("D.file_id"), lit(1))
         plan = database.chunk_planner.plan(["f0", "f1"], "D", predicate)
         assert plan.uris == ("f1",)
-
-    def test_segment_zone_gap_prunes_chunk(self, database):
-        from repro.engine.indexes import ZoneMap
-
-        zones = ZoneMap("D.sample_time")
-        zones.add_zone(0, 0, 99)
-        zones.add_zone(1, 200, 299)
-        database.chunk_stats.record_registration(
-            "gappy", {"D.sample_time": (0.0, 299.0)}, segment_zones=zones
-        )
-        inside_gap = BooleanOp(
-            "AND",
-            [
-                Comparison(">=", col("D.sample_time"), lit(120)),
-                Comparison("<", col("D.sample_time"), lit(180)),
-            ],
-        )
-        plan = database.chunk_planner.plan(["gappy"], "D", inside_gap)
-        assert [p.uri for p in plan.pruned] == ["gappy"]
-        assert "segment zones" in plan.pruned[0].reason
-        # A window overlapping a real segment keeps the chunk.
-        overlapping = Comparison(">=", col("D.sample_time"), lit(250))
-        plan = database.chunk_planner.plan(["gappy"], "D", overlapping)
-        assert plan.uris == ("gappy",)
 
     def test_planner_counters_accumulate(self, database):
         database.chunk_stats.observe_table("a", make_chunk([0], [0]))

@@ -1,5 +1,5 @@
-"""Chunk statistics: catalog semantics, ZoneMap sub-chunk skipping, and
-stats-sidecar round-trips through the ChunkStore crash-safety paths."""
+"""Chunk statistics: catalog semantics and stats-sidecar round-trips
+through the ChunkStore crash-safety paths."""
 
 import json
 import os
@@ -9,10 +9,8 @@ import numpy as np
 from repro.engine.chunk_stats import ChunkStatsCatalog, compute_column_ranges
 from repro.engine.chunk_store import MANIFEST_NAME, ChunkStore
 from repro.engine.column import Column
-from repro.engine.indexes import ZoneMap
 from repro.engine.table import Schema, Table
 from repro.engine.types import INT64, STRING, TIMESTAMP
-from repro.mseed import reader
 
 
 def make_table(values, times, stations=None) -> Table:
@@ -48,22 +46,19 @@ class TestComputeRanges:
 class TestCatalog:
     def test_registration_then_enrichment(self):
         catalog = ChunkStatsCatalog()
-        catalog.record_registration("u", {"D.sample_time": (0.0, 99.0)})
-        entry = catalog.get("u")
-        assert not entry.enriched
-        assert "D.sample_value" not in entry.ranges
+        assert catalog.get("u") is None
+        assert not catalog.is_enriched("u")
         catalog.observe_table("u", make_table([7, -7], [5, 50]))
         entry = catalog.get("u")
-        assert entry.enriched
+        assert catalog.is_enriched("u")
         assert entry.ranges["D.sample_value"] == (-7.0, 7.0)
 
     def test_enrichment_is_idempotent_and_sticky(self):
         catalog = ChunkStatsCatalog()
         assert catalog.observe_table("u", make_table([1], [1]))
         assert not catalog.observe_table("u", make_table([999], [999]))
-        # Re-registration must not downgrade decode-derived truth.
-        catalog.record_registration("u", {"D.sample_time": (0.0, 1.0)})
-        assert catalog.get("u").enriched
+        # A later sidecar must not replace decode-derived truth either.
+        assert not catalog.adopt_persisted("u", {"D.sample_value": (0.0, 1.0)})
         assert catalog.get("u").ranges["D.sample_value"] == (1.0, 1.0)
 
     def test_parse_ranges_rejects_nan_bounds(self):
@@ -86,75 +81,6 @@ class TestCatalog:
         ranges = compute_column_ranges(table)
         assert "D.weight" not in ranges  # NaN extrema would mis-prune
         assert ranges["D.sample_value"] == (1.0, 2.0)
-
-
-def segments_with_samples_in(uri: str, low: int, high: int) -> set[int]:
-    """Segments with a decoded sample time in ``[low, high]``: the oracle
-    header zone pruning must match."""
-    return {
-        s.header.segment_no
-        for s in reader.read_samples(uri)
-        if ((s.times_ms >= low) & (s.times_ms <= high)).any()
-    }
-
-
-class TestZoneMapSegmentSkipping:
-    """Sub-chunk granularity: per-segment zones skip inter-segment gaps."""
-
-    def test_zone_pruning_matches_sample_times(self, tiny_repo):
-        repository, _ = tiny_repo
-        uri = repository.list_chunks()[0].uri
-        meta = reader.read_metadata(uri)
-        zones = ZoneMap("D.sample_time")
-        for segment in meta.segments:
-            zones.add_zone(
-                segment.segment_no,
-                segment.start_time_ms,
-                segment.end_time_ms - 1,
-            )
-        assert len(zones) == len(meta.segments)
-        # A window covering only the second segment must keep exactly the
-        # segments that have a sample inside it.
-        target = meta.segments[1]
-        low = target.start_time_ms
-        high = target.end_time_ms - 1
-        kept = set(zones.prune_range(low, high))
-        assert kept == segments_with_samples_in(uri, low, high)
-
-    def test_gap_window_skips_every_segment(self, tiny_repo):
-        repository, _ = tiny_repo
-        uri = repository.list_chunks()[0].uri
-        meta = reader.read_metadata(uri)
-        zones = ZoneMap("D.sample_time")
-        gap = None
-        previous_end = None
-        for segment in meta.segments:
-            zones.add_zone(
-                segment.segment_no,
-                segment.start_time_ms,
-                segment.end_time_ms - 1,
-            )
-            if previous_end is not None and segment.start_time_ms > previous_end:
-                gap = (previous_end, segment.start_time_ms - 1)
-            previous_end = segment.end_time_ms
-        if gap is None:  # the synthetic split left no gap in this chunk
-            return
-        assert zones.prune_range(gap[0], gap[1]) == []
-        assert segments_with_samples_in(uri, gap[0], gap[1]) == set()
-
-    def test_registrar_installs_zones_and_ranges(self, lazy_db, tiny_repo):
-        repository, _ = tiny_repo
-        uri = repository.list_chunks()[0].uri
-        stats = lazy_db.database.chunk_stats.get(uri)
-        assert stats is not None and not stats.enriched
-        assert stats.segment_zones is not None
-        assert stats.segment_zones.attribute == "D.sample_time"
-        assert len(stats.segment_zones) > 0
-        assert set(stats.ranges) == {
-            "D.sample_time", "D.file_id", "D.segment_no",
-        }
-        low, high = stats.ranges["D.file_id"]
-        assert low == high  # one file id per chunk
 
 
 class TestStoreStatsSidecar:
@@ -217,6 +143,6 @@ class TestStoreStatsSidecar:
         second = Database(workdir=workdir)
         assert second.adopt_store_stats() == 1
         entry = second.chunk_stats.get("u")
-        assert entry.enriched
+        assert second.chunk_stats.is_enriched("u")
         assert entry.ranges["D.sample_value"] == (4.0, 8.0)
         second.close()

@@ -149,10 +149,10 @@ SCAN_CONFIGS = [
     )
 ] + [
     # The ablation values: no chunk pruning, no time-bound inference and
-    # join rules r2/r4 off.  Stage one names more chunks; rows stay equal.
+    # join rule r2 off.  Stage one names more chunks; rows stay equal.
     pytest.param(
         dict(io_threads=4, prune_chunks=False, infer_time_bounds=False,
-             rules=RuleSet.disabled("r2", "r4")),
+             rules=RuleSet.disabled("r2")),
         False, id="ablation-io4",
     ),
 ]

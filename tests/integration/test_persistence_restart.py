@@ -17,6 +17,7 @@ from repro.core.loading import prepare
 from repro.core.sommelier import SommelierDB
 from repro.core.two_stage import TwoStageOptions
 from repro.engine.errors import ExecutionError
+from repro.mseed.format import segment_end_ms
 
 T4 = (
     "SELECT COUNT(*) AS n, AVG(D.sample_value) AS mean FROM dataview "
@@ -314,29 +315,32 @@ def chunk_plans(db, sql: str) -> list:
     return [(plan.uris, plan.pruned) for plan in report.chunk_plans]
 
 
-def gap_window(db) -> tuple[int, int]:
-    """A time window inside some chunk's gap between two segments."""
-    for entry in db.database.chunk_stats.snapshot().values():
-        zones = sorted(
-            (z.minimum, z.maximum) for z in entry.segment_zones.entries()
+def gap_window(db) -> tuple[int, int, int]:
+    """``(file_id, low, high)``: a window inside a gap between two
+    segments of one chunk, read from ``S``."""
+    s_data = db.database.catalog.table("S").data
+    ends = segment_end_ms(
+        s_data.column("start_time").values,
+        s_data.column("sample_count").values,
+        s_data.column("frequency").values,
+    ).tolist()
+    rows = sorted(
+        zip(
+            s_data.column("file_id").to_list(),
+            s_data.column("start_time").to_list(),
+            ends,
         )
-        for (_, end), (start, _) in zip(zones, zones[1:]):
-            if start - end > 2:
-                return end + 1, start - 1
+    )
+    for (file_id, _, end), (next_id, start, _) in zip(rows, rows[1:]):
+        if next_id == file_id and start - end > 2:
+            return file_id, end + 1, start - 1
     raise AssertionError("no chunk has a gap between segments")
 
 
 def stats_view(db) -> dict:
-    """Every chunk's statistics as plain, comparable values."""
+    """Every chunk's decoded ranges as plain, comparable values."""
     return {
-        uri: (
-            entry.ranges,
-            entry.enriched,
-            [
-                (z.zone_id, z.minimum, z.maximum)
-                for z in entry.segment_zones.entries()
-            ],
-        )
+        uri: entry.ranges
         for uri, entry in db.database.chunk_stats.snapshot().items()
     }
 
@@ -360,7 +364,7 @@ class TestCheckpointHoldsNoChunkCopies:
         expected_t1 = db.query(T1).table
         expected_t4 = db.query(T4).table
         db.query("SELECT COUNT(*) AS n FROM dataview")  # enrich every chunk
-        low, high = gap_window(db)
+        file_id, low, high = gap_window(db)
         maxima = sorted(
             e.ranges["D.sample_value"][1]
             for e in db.database.chunk_stats.snapshot().values()
@@ -372,7 +376,15 @@ class TestCheckpointHoldsNoChunkCopies:
             AD_COUNT.format(f"D.sample_value > {maxima[len(maxima) // 2]}"),
         ]
         plans = [chunk_plans(db, sql) for sql in probes]
-        assert all(pruned for plan in plans for _, pruned in plan)
+        # Stage one leaves out the chunk whose gap holds the window, and
+        # decoded value ranges prune half the chunks.
+        f_data = db.database.catalog.table("F").data
+        gappy = f_data.column("uri").to_list()[
+            f_data.column("file_id").to_list().index(file_id)
+        ]
+        ((gap_uris, _),), ((_, value_pruned),) = plans
+        assert gap_uris and gappy not in gap_uris
+        assert value_pruned
         uris = db.database.catalog.table("F").data.column("uri").to_list()
         db.close()
 
@@ -403,7 +415,7 @@ class TestCheckpointHoldsNoChunkCopies:
         workdir = str(tmp_path / "db")
         db, _ = prepare("lazy", tiny_repo[0], workdir=workdir)
         derived = stats_view(db)
-        uris = sorted(derived)
+        uris = sorted(db.database.catalog.table("F").data.column("uri").to_list())
         db.close()
 
         path = os.path.join(workdir, "catalog.json")
@@ -443,26 +455,20 @@ class TestCheckpointHoldsNoChunkCopies:
             reopened.close()
         assert got == fresh_answers(tiny_repo[0], queries)
 
-    def test_chunk_in_neither_tier_reopens_with_header_stats(
-        self, tiny_repo, tmp_path
-    ):
-        """What the checkpoint no longer keeps: value ranges of a chunk
+    def test_chunk_in_neither_tier_reopens_undecoded(self, tiny_repo, tmp_path):
+        """What the checkpoint does not keep: value ranges of a chunk
         decoded but resident in neither recycler tier at checkpoint."""
         workdir = str(tmp_path / "db")
         db, _ = prepare("lazy", tiny_repo[0], workdir=workdir)
-        header_only = stats_view(db)
         value_sql = AD_COUNT.format("D.sample_value > 0")
         expected = [db.query(sql).table for sql in (value_sql, T4)]
-        assert all(
-            entry.enriched
-            for entry in db.database.chunk_stats.snapshot().values()
-        )
+        assert len(db.database.chunk_stats) == 8
         db.drop_caches()
         db.close()
 
         reopened = SommelierDB.open(workdir)
         try:
-            assert stats_view(reopened) == header_only
+            assert stats_view(reopened) == {}
             got = [reopened.query(sql).table for sql in (value_sql, T4)]
         finally:
             reopened.close()
