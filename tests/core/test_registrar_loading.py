@@ -5,8 +5,11 @@ import pytest
 from repro.core.loading import APPROACHES, prepare
 from repro.core.registrar import Registrar, XseedChunkLoader, index_chunks
 from repro.core.schema import create_seismology_schema
+from repro.core.sommelier import SommelierDB
+from repro.data import SCALE_SMALL, build_or_reuse
 from repro.engine.database import Database
 from repro.engine.errors import ExecutionError
+from repro.mseed import reader
 
 
 class TestRegistrar:
@@ -84,6 +87,80 @@ class TestRegistrar:
     def test_loader_rejects_unknown_uri(self, lazy_db):
         with pytest.raises(ExecutionError):
             lazy_db.database.chunk_loader.load("/nope.xseed", "D")
+
+
+def header_stats(uri: str, file_id: int):
+    """Oracle: a chunk's header facts read straight from its headers."""
+    segments = reader.read_metadata(uri).segments
+    return file_id, sorted(
+        (s.segment_no, s.start_time_ms, s.frequency, s.sample_count)
+        for s in segments
+    )
+
+
+def seeded_stats(database: Database) -> dict:
+    """The header facts registration seeds: ``F``'s file ids and ``S``'s
+    segment rows, per chunk; stage one prunes with these."""
+    f_data = database.catalog.table("F").data
+    s_data = database.catalog.table("S").data
+    uris = dict(
+        zip(f_data.column("file_id").to_list(), f_data.column("uri").to_list())
+    )
+    segments = {file_id: [] for file_id in uris}
+    for file_id, *segment in zip(
+        s_data.column("file_id").to_list(),
+        s_data.column("segment_no").to_list(),
+        s_data.column("start_time").to_list(),
+        s_data.column("frequency").to_list(),
+        s_data.column("sample_count").to_list(),
+    ):
+        segments[file_id].append(tuple(segment))
+    return {
+        uri: (file_id, sorted(segments[file_id]))
+        for file_id, uri in uris.items()
+    }
+
+
+@pytest.fixture(scope="module")
+def small_repo(repo_base):
+    """sf-3 small-scale repository: 48 files."""
+    return build_or_reuse(repo_base, 3, SCALE_SMALL)
+
+
+class TestIndexChunks:
+    """F and S seed the same chunk facts the headers describe."""
+
+    @pytest.mark.parametrize(
+        "repo_fixture, chunks", [("tiny_repo", 8), ("small_repo", 48)]
+    )
+    def test_seeded_stats_equal_header_stats(
+        self, request, tmp_path, repo_fixture, chunks
+    ):
+        repository, _ = request.getfixturevalue(repo_fixture)
+        workdir = str(tmp_path / "db")
+        registered, _ = prepare("lazy", repository, workdir=workdir)
+        try:
+            f_data = registered.database.catalog.table("F").data
+            expected = {
+                uri: header_stats(uri, file_id)
+                for uri, file_id in zip(
+                    f_data.column("uri").to_list(),
+                    f_data.column("file_id").to_list(),
+                )
+            }
+            assert len(expected) == chunks
+            assert seeded_stats(registered.database) == expected
+            file_ids = dict(registered.database.chunk_loader.file_ids)
+        finally:
+            registered.close()
+        # The reopen path: the same facts, in a database that never read
+        # a header.
+        reopened = SommelierDB.open(workdir)
+        try:
+            assert seeded_stats(reopened.database) == expected
+            assert dict(reopened.database.chunk_loader.file_ids) == file_ids
+        finally:
+            reopened.close()
 
 
 class TestLoadingApproaches:

@@ -229,6 +229,19 @@ class TestStatisticsPruning:
         assert report.pruned_uris == []
         assert list(rewritten.uris) == uris
 
+    def test_time_predicate_prunes_from_registration_stats(self, lazy_db):
+        # No decode needed: stage one reads the segment spans registration
+        # put in S, and names no chunk; the planner gets an empty list.
+        sql = "SELECT COUNT(*) AS n FROM D WHERE D.sample_time < 0"
+        compiled = lazy_db.compiler.compile(lazy_db.bind(sql))
+        rewritten, report = lazy_db.compiler.plan_stage_two(compiled)
+        assert report.required_uris == []
+        (scan,) = find_nodes(rewritten, algebra.ParallelChunkScan)
+        assert scan.uris == ()
+        result = lazy_db.query(sql)
+        assert result.stats.chunks_loaded == 0
+        assert result.table.to_dicts() == [{"n": 0}]
+
     def test_pruning_disabled_keeps_everything(self, lazy_db, scan_d, uris):
         predicate = Comparison("<", col("D.sample_time"), lit(0))
         plan = algebra.Select(scan_d, predicate)

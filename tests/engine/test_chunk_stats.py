@@ -6,11 +6,14 @@ import os
 
 import numpy as np
 
+from repro.engine import algebra
 from repro.engine.chunk_stats import ChunkStatsCatalog, compute_column_ranges
 from repro.engine.chunk_store import MANIFEST_NAME, ChunkStore
 from repro.engine.column import Column
+from repro.engine.physical import ExecutionContext, execute_plan
 from repro.engine.table import Schema, Table
 from repro.engine.types import INT64, STRING, TIMESTAMP
+from repro.mseed import reader
 
 
 def make_table(values, times, stations=None) -> Table:
@@ -81,6 +84,64 @@ class TestCatalog:
         ranges = compute_column_ranges(table)
         assert "D.weight" not in ranges  # NaN extrema would mis-prune
         assert ranges["D.sample_value"] == (1.0, 2.0)
+
+
+def segments_with_samples_in(uri: str, low: int, high: int) -> set[int]:
+    """Segments with a decoded sample time in ``[low, high]``: the oracle
+    segment skipping must match."""
+    return {
+        s.header.segment_no
+        for s in reader.read_samples(uri)
+        if ((s.times_ms >= low) & (s.times_ms <= high)).any()
+    }
+
+
+def segment_selection(plan: algebra.LogicalPlan) -> algebra.Select:
+    """The one selection on ``S`` in a stage-one plan."""
+    found = []
+
+    def visit(node):
+        if (
+            isinstance(node, algebra.Select)
+            and isinstance(node.child, algebra.Scan)
+            and node.child.table_name == "S"
+        ):
+            found.append(node)
+        for child in node.children():
+            visit(child)
+
+    visit(plan)
+    (selection,) = found
+    return selection
+
+
+class TestZoneMapSegmentSkipping:
+    """Sub-chunk granularity: stage one's selection on ``S`` keeps only
+    the segments whose header span meets a time window."""
+
+    def test_zone_pruning_matches_sample_times(self, lazy_db):
+        f_data = lazy_db.database.catalog.table("F").data
+        uri = f_data.column("uri")[0]
+        file_id = f_data.column("file_id")[0]
+        meta = reader.read_metadata(uri)
+        assert len(meta.segments) > 1
+        # A window covering only the second segment must keep exactly the
+        # segments that have a sample inside it.
+        target = meta.segments[1]
+        low = target.start_time_ms
+        high = target.end_time_ms - 1
+        sql = (
+            f"SELECT COUNT(*) AS n FROM D WHERE D.file_id = {file_id} "
+            f"AND D.sample_time >= {low} AND D.sample_time <= {high}"
+        )
+        compiled = lazy_db.compiler.compile(lazy_db.bind(sql))
+        segments = execute_plan(
+            segment_selection(compiled.qf_plan),
+            ExecutionContext(lazy_db.database),
+        )
+        kept = set(segments.column("S.segment_no").to_list())
+        assert kept == segments_with_samples_in(uri, low, high)
+        assert target.segment_no in kept
 
 
 class TestStoreStatsSidecar:
