@@ -451,14 +451,21 @@ class SommelierDB:
     # -- inspection -----------------------------------------------------------------
 
     def explain(self, sql: str) -> str:
-        """Compile-time view of a query: type, join order, MAL listing."""
+        """Compile-time view of a query: type, join order, the columns
+        stage one produces, MAL listing."""
         entry, _ = self._compile_sql(sql, derive=False)
         query_type = classify_plan(entry.plan, self.database.catalog)
         compiled = entry.compiled
+        reads = (
+            "all columns"
+            if compiled.qf_needed is None
+            else ", ".join(sorted(compiled.qf_needed))
+        )
         return (
             f"query type: {query_type.value}\n"
             f"join order: {' -> '.join(compiled.join_order)}\n"
             f"two-stage: {compiled.two_stage}\n"
+            f"stage one reads: {reads}\n"
             f"MAL program:\n{compiled.listing()}"
         )
 

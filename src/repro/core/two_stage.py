@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Collection
+from typing import AbstractSet, Callable, Collection
 
 from ..engine import algebra
 from ..engine.database import Database
@@ -52,6 +52,7 @@ from ..engine.physical import (
     CancelToken,
     ExecStats,
     ExecutionContext,
+    child_needs,
     execute_plan,
 )
 from ..engine.table import Table
@@ -136,12 +137,20 @@ class CompiledQuery:
     two, reading stage one back through ``ResultScan("qf")`` and still
     scanning the actual-data tables — rule (1) rewrites those per execution
     (:meth:`TwoStageCompiler.plan_stage_two`), never in place.
+
+    ``qf_needed`` is the columns stage one must produce: those ``Qs``
+    reads from ``ResultScan("qf")``, plus the URI column rule (1) reads
+    for a two-stage query; ``None`` when ``Qs`` reads every column (a
+    ``SELECT *``, or a ``DISTINCT`` right above the join).  It is derived
+    once, at compile time, so every execution reuses it, including those
+    served from the plan cache.
     """
 
     qf_plan: algebra.LogicalPlan
     qs_plan: algebra.LogicalPlan
     join_order: tuple[str, ...]
     two_stage: bool
+    qf_needed: frozenset[str] | None
 
     def listing(self) -> str:
         """The MAL-style program listing every execution follows."""
@@ -277,11 +286,16 @@ class TwoStageCompiler:
                 algebra.ResultScan("qf", ordered.metadata_branch.schema),
             )
             qs_plan = rebuild(qs_join)
+        two_stage = bool(colored.black_vertices)
+        qf_needed = _result_scan_need(qs_plan, "qf")
+        if qf_needed is not None and two_stage:
+            qf_needed |= {self.config.uri_column}
         return CompiledQuery(
             qf_plan=qf_plan,
             qs_plan=qs_plan,
             join_order=tuple(ordered.join_order),
-            two_stage=bool(colored.black_vertices),
+            two_stage=two_stage,
+            qf_needed=qf_needed,
         )
 
     def _chunk_branch(self, graph: QueryGraph) -> algebra.LogicalPlan:
@@ -345,8 +359,9 @@ class TwoStageCompiler:
     ) -> tuple[algebra.LogicalPlan, RewriteReport]:
         """Everything between the two stages: stage one, then rule (1).
 
-        Evaluates ``Qf`` into ``ctx.stage_results["qf"]``, marks the stage
-        boundary, records the chunks stage one named, and rewrites every
+        Evaluates ``Qf`` into ``ctx.stage_results["qf"]`` with only the
+        columns ``compiled.qf_needed`` names, marks the stage boundary,
+        records the chunks stage one named, and rewrites every
         actual-data scan of ``Qs`` into a planned chunk scan over them.
         Returns the rewritten ``Qs`` and a report new to this call; fetches
         no chunk, so ``repro explain`` stops here — the report carries the
@@ -360,7 +375,7 @@ class TwoStageCompiler:
         if ctx is None:
             ctx = ExecutionContext(self.database)
         report = RewriteReport()
-        stage_one = execute_plan(compiled.qf_plan, ctx)
+        stage_one = execute_plan(compiled.qf_plan, ctx, compiled.qf_needed)
         ctx.stage_results["qf"] = stage_one
         report.stage_boundary_perf = time.perf_counter()
         if not compiled.two_stage:
@@ -412,6 +427,32 @@ class TwoStageCompiler:
             join_order=list(compiled.join_order),
             two_stage=compiled.two_stage and not report.actual_resident,
         )
+
+
+def _result_scan_need(
+    plan: algebra.LogicalPlan, tag: str
+) -> frozenset[str] | None:
+    """The columns of ``ResultScan(tag)`` that ``plan``, evaluated whole,
+    reads.
+
+    Walks ``plan`` from its root, which reads everything, asking
+    :func:`~repro.engine.physical.child_needs` what each node reads from
+    its children, exactly as :func:`execute_plan` will.  The union over
+    every ``ResultScan(tag)``; ``None`` when one of them emits every
+    column, and empty when ``plan`` has none.
+    """
+    need: set[str] = set()
+    pending: list[tuple[algebra.LogicalPlan, AbstractSet[str] | None]] = [
+        (plan, None)
+    ]
+    while pending:
+        node, node_need = pending.pop()
+        if isinstance(node, algebra.ResultScan) and node.tag == tag:
+            if node_need is None or node_need.issuperset(node.schema.names):
+                return None
+            need.update(name for name in node.schema.names if name in node_need)
+        pending.extend(zip(node.children(), child_needs(node, node_need)))
+    return frozenset(need)
 
 
 def _replace_subtree(

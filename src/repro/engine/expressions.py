@@ -13,6 +13,7 @@ Section III).
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -84,6 +85,14 @@ class Expression:
         yield self
         for child in self.children():
             yield from child.walk()
+
+    @cached_property
+    def _columns(self) -> frozenset[str]:
+        # Expressions are immutable, so the executor, which asks every
+        # execution, walks each tree once.
+        return frozenset(
+            node.name for node in self.walk() if isinstance(node, ColumnRef)
+        )
 
     # Structural equality lets optimizer rules dedupe predicates.
     def key(self) -> tuple:
@@ -322,9 +331,9 @@ def conjoin(parts: Sequence[Expression]) -> Expression | None:
     return BooleanOp("AND", parts)
 
 
-def referenced_columns(expression: Expression) -> set[str]:
+def referenced_columns(expression: Expression) -> frozenset[str]:
     """All column names referenced anywhere in the expression."""
-    return {n.name for n in expression.walk() if isinstance(n, ColumnRef)}
+    return expression._columns
 
 
 def rename_columns(

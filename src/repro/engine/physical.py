@@ -4,10 +4,12 @@ The executor walks a :class:`~repro.engine.algebra.LogicalPlan` and
 materializes a :class:`~repro.engine.table.Table` per node — MonetDB-style
 bulk processing, which is what makes the paper's two-stage break between
 sub-plans natural.  Only the columns read above a node are materialized:
-each operator tells its children which columns its own expressions and
-its parent read (:func:`execute_plan`'s ``needed``), which is the
-projection pushdown of Section III done at execution time.  The plans
-themselves keep their full schemas.
+:func:`child_needs` asks each child for what is read above its parent
+plus what the parent's own expressions read (:func:`execute_plan`'s
+``needed``), which is the projection pushdown of Section III.  The plans
+themselves keep their full schemas.  Stage one of a two-stage query is
+evaluated with the columns stage two reads from it, which the compiler
+derives from the same rules.
 
 All heavy lifting is vectorized: selections evaluate predicates over whole
 columns, joins run through :mod:`repro.engine.hashjoin`, and aggregation is
@@ -47,6 +49,7 @@ __all__ = [
     "CancelToken",
     "ExecStats",
     "ExecutionContext",
+    "child_needs",
     "execute_plan",
 ]
 
@@ -126,43 +129,85 @@ def execute_plan(
     ``needed`` names the columns the caller reads; ``None`` means all of
     them (the root of a plan).  The result carries every needed column of
     the plan's schema and possibly others, but a node gathers, filters and
-    concatenates only what its parent reads; each operator derives its
-    children's need from its own expressions.  A node whose need is empty
-    still carries one column, so its row count survives (``COUNT(*)``).
+    concatenates only what its parent reads; :func:`child_needs` derives
+    its children's need from its own expressions.  A base or result scan
+    copies nothing and emits its table whole; a node that narrows keeps
+    one column when its need is empty, so its row count survives
+    (``COUNT(*)``).
     """
     ctx.check_cancelled()
+    children = plan.children()
+    inputs = (
+        [
+            execute_plan(child, ctx, need)
+            for child, need in zip(children, child_needs(plan, needed))
+        ]
+        if children
+        else ()
+    )
     if isinstance(plan, algebra.Scan):
-        return _execute_scan(plan, ctx, needed)
+        return _execute_scan(plan, ctx)
     if isinstance(plan, algebra.Select):
-        return _execute_select(plan, ctx, needed)
+        return _execute_select(plan, needed, *inputs)
     if isinstance(plan, algebra.Project):
-        return _execute_project(plan, ctx)
+        return _execute_project(plan, *inputs)
     if isinstance(plan, algebra.Join):
-        return _execute_join(plan, ctx, needed)
+        return _execute_join(plan, ctx, needed, *inputs)
     if isinstance(plan, algebra.Aggregate):
-        return _execute_aggregate(plan, ctx)
+        return _execute_aggregate(plan, *inputs)
     if isinstance(plan, algebra.Union):
-        tables = [execute_plan(child, ctx, needed) for child in plan.children()]
         names = [
             name
             for name in _kept(plan.schema.names, needed)
-            if all(table.schema.has(name) for table in tables)
+            if all(table.schema.has(name) for table in inputs)
         ]
-        return Table.concat_all([table.project(names) for table in tables])
+        return Table.concat_all([table.project(names) for table in inputs])
     if isinstance(plan, algebra.Sort):
-        return _execute_sort(plan, ctx, needed)
+        return _execute_sort(plan, needed, *inputs)
     if isinstance(plan, algebra.Limit):
-        child = execute_plan(plan.child, ctx, needed)
+        (child,) = inputs
         return child.slice(0, min(plan.count, child.num_rows))
     if isinstance(plan, algebra.Distinct):
-        return _execute_distinct(plan, ctx)
+        return _execute_distinct(*inputs)
     if isinstance(plan, algebra.EmptyRelation):
         return Table.empty(plan.schema)
     if isinstance(plan, algebra.ResultScan):
-        return _execute_result_scan(plan, ctx, needed)
+        return _execute_result_scan(plan, ctx)
     if isinstance(plan, algebra.ParallelChunkScan):
         return _execute_parallel_chunk_scan(plan, ctx, needed)
     raise PlanError(f"no physical implementation for {type(plan).__name__}")
+
+
+def child_needs(
+    plan: algebra.LogicalPlan, needed: AbstractSet[str] | None
+) -> list[AbstractSet[str] | None]:
+    """The columns each child of ``plan`` must emit, in child order.
+
+    ``needed`` is what ``plan``'s parent reads (``None``: everything).  A
+    child is asked for that plus the columns ``plan``'s own expressions
+    read; a projection or an aggregate reads only its own expressions, and
+    a distinct compares whole rows, so its child emits everything.  These
+    are the only projection-pushdown rules: :func:`execute_plan` asks each
+    child for its need with them, and the two-stage compiler derives stage
+    one's need from them at compile time.
+    """
+    if isinstance(plan, algebra.Select):
+        return [_widen(needed, [plan.predicate])]
+    if isinstance(plan, algebra.Project):
+        return [_widen(set(), [expression for _name, expression in plan.outputs])]
+    if isinstance(plan, algebra.Join):
+        need = _widen(needed, conjuncts(plan.condition))
+        return [need, need]
+    if isinstance(plan, algebra.Aggregate):
+        arguments = [s.argument for s in plan.aggregates if s.argument is not None]
+        return [_widen(set(), arguments, plan.group_by)]
+    if isinstance(plan, algebra.Sort):
+        return [_widen(needed, names=[key.name for key in plan.keys])]
+    if isinstance(plan, algebra.Distinct):
+        return [None]
+    # Union and Limit emit their children's columns as they are; the
+    # leaves have no children.
+    return [needed] * len(plan.children())
 
 
 def _kept(names: Sequence[str], needed: AbstractSet[str] | None) -> list[str]:
@@ -203,26 +248,25 @@ def _widen(
 # -- scans ---------------------------------------------------------------------
 
 
-def _execute_scan(
-    plan: algebra.Scan, ctx: ExecutionContext, needed: AbstractSet[str] | None
-) -> Table:
+# A base scan and a result scan copy nothing, so they emit their table
+# whole: the node above them narrows it where it filters or gathers.
+
+
+def _execute_scan(plan: algebra.Scan, ctx: ExecutionContext) -> Table:
     table = ctx.database.scan_base_table(plan.table_name)
     ctx.stats.rows_scanned += table.num_rows
-    return _narrowed(table, needed)
+    return table
 
 
 def _execute_result_scan(
-    plan: algebra.ResultScan,
-    ctx: ExecutionContext,
-    needed: AbstractSet[str] | None,
+    plan: algebra.ResultScan, ctx: ExecutionContext
 ) -> Table:
     try:
-        table = ctx.stage_results[plan.tag]
+        return ctx.stage_results[plan.tag]
     except KeyError:
         raise ExecutionError(
             f"result-scan: no stage result tagged {plan.tag!r}"
         ) from None
-    return _narrowed(table, needed)
 
 
 def _scan_local(
@@ -299,18 +343,15 @@ def _execute_parallel_chunk_scan(
 
 
 def _execute_select(
-    plan: algebra.Select, ctx: ExecutionContext, needed: AbstractSet[str] | None
+    plan: algebra.Select, needed: AbstractSet[str] | None, child: Table
 ) -> Table:
-    child = execute_plan(plan.child, ctx, _widen(needed, [plan.predicate]))
     mask = np.asarray(plan.predicate.evaluate(child), dtype=np.bool_)
     return _narrowed(child, needed).filter(mask)
 
 
-def _execute_project(plan: algebra.Project, ctx: ExecutionContext) -> Table:
-    expressions = [expression for _name, expression in plan.outputs]
-    child = execute_plan(plan.child, ctx, _widen(set(), expressions))
+def _execute_project(plan: algebra.Project, child: Table) -> Table:
     columns = []
-    for expression, fld in zip(expressions, plan.schema):
+    for (_name, expression), fld in zip(plan.outputs, plan.schema):
         values = expression.evaluate(child)
         if fld.dtype is STRING and not isinstance(values, np.ndarray):
             raise ExecutionError("projection produced a non-array value")
@@ -319,11 +360,8 @@ def _execute_project(plan: algebra.Project, ctx: ExecutionContext) -> Table:
 
 
 def _execute_sort(
-    plan: algebra.Sort, ctx: ExecutionContext, needed: AbstractSet[str] | None
+    plan: algebra.Sort, needed: AbstractSet[str] | None, child: Table
 ) -> Table:
-    child = execute_plan(
-        plan.child, ctx, _widen(needed, names=[key.name for key in plan.keys])
-    )
     if child.num_rows == 0:
         return child
     # lexsort sorts by the *last* key first; feed keys in reverse order.
@@ -343,8 +381,7 @@ def _execute_sort(
     return _narrowed(child, needed).take(indices)
 
 
-def _execute_distinct(plan: algebra.Distinct, ctx: ExecutionContext) -> Table:
-    child = execute_plan(plan.child, ctx)
+def _execute_distinct(child: Table) -> Table:
     if child.num_rows == 0:
         return child
     seen: set[tuple] = set()
@@ -385,20 +422,20 @@ def _split_condition_by_schema(
 
 
 def _execute_join(
-    plan: algebra.Join, ctx: ExecutionContext, needed: AbstractSet[str] | None
+    plan: algebra.Join,
+    ctx: ExecutionContext,
+    needed: AbstractSet[str] | None,
+    left: Table,
+    right: Table,
 ) -> Table:
     """Match keys on the key columns, then gather only what is read above.
 
-    The children are asked for the needed columns and the condition's
-    columns; the matched pairs then gather only the needed and residual
-    columns.
+    The children emit at least the needed and the condition's columns;
+    the matched pairs then gather only the needed and residual columns.
     """
     pairs, residual = _split_condition_by_schema(
         plan.condition, plan.left.schema, plan.right.schema
     )
-    child_need = _widen(needed, conjuncts(plan.condition))
-    left = execute_plan(plan.left, ctx, child_need)
-    right = execute_plan(plan.right, ctx, child_need)
     ctx.stats.joins_executed += 1
 
     if pairs:
@@ -478,9 +515,7 @@ def _aggregate_values(
     raise ExecutionError(f"unknown aggregate {function!r}")  # pragma: no cover
 
 
-def _execute_aggregate(plan: algebra.Aggregate, ctx: ExecutionContext) -> Table:
-    arguments = [s.argument for s in plan.aggregates if s.argument is not None]
-    child = execute_plan(plan.child, ctx, _widen(set(), arguments, plan.group_by))
+def _execute_aggregate(plan: algebra.Aggregate, child: Table) -> Table:
     if plan.group_by:
         return _grouped_aggregate(plan, child)
     return _scalar_aggregate(plan, child)

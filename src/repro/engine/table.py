@@ -206,10 +206,17 @@ class Table:
         return Table(self.schema, [c.slice(start, stop) for c in self.columns])
 
     def project(self, names: Sequence[str]) -> "Table":
-        """Keep only the named columns, in the given order (no data copy)."""
-        return Table(
-            self.schema.select(names), [self.column(n) for n in names]
-        )
+        """Keep only the named columns, in the given order (no data copy).
+
+        The columns are this table's, so they already match their fields
+        and each other's length; the result skips :meth:`__init__`'s
+        checks, which the executor would pay at every narrowing.
+        """
+        positions = [self.schema.index_of(name) for name in names]
+        table = object.__new__(Table)
+        table.schema = Schema([self.schema.fields[i] for i in positions])
+        table.columns = tuple(self.columns[i] for i in positions)
+        return table
 
     def rename(self, mapping: Mapping[str, str]) -> "Table":
         """Rename columns; names absent from the mapping are kept."""

@@ -10,7 +10,14 @@ from repro.core.loading import prepare
 from repro.core.two_stage import TwoStageOptions
 from repro.engine import algebra
 from repro.engine.chunk_planner import TIER_RESIDENT
-from repro.workloads import QUERY_BUILDERS, QueryParams, t1_query, t4_query
+from repro.workloads import (
+    QUERY1,
+    QUERY2,
+    QUERY_BUILDERS,
+    QueryParams,
+    t1_query,
+    t4_query,
+)
 
 MILLIS_PER_DAY = 24 * 3600 * 1000
 
@@ -78,6 +85,84 @@ class TestCompilation:
         sql = t1_query(QueryParams(station="ISK"))
         compiled = lazy_db.compiler.compile(lazy_db.bind(sql))
         assert not compiled.two_stage
+
+
+class TestStageOneNeed:
+    """``CompiledQuery.qf_needed``: the columns stage one produces."""
+
+    def need(self, db, sql):
+        return db.compiler.compile(db.bind(sql)).qf_needed
+
+    def test_select_star_needs_every_column(self, lazy_db):
+        sql = "SELECT * FROM gmdview WHERE F.station = 'ISK'"
+        assert self.need(lazy_db, sql) is None
+        assert "stage one reads: all columns" in lazy_db.explain(sql)
+
+    def test_distinct_above_the_join_needs_every_column(self, lazy_db):
+        # SQL puts the select list's projection under a DISTINCT, which
+        # bounds the need; right above the join, DISTINCT compares whole
+        # rows.
+        sql = "SELECT DISTINCT F.station FROM gmdview WHERE F.station = 'ISK'"
+        assert self.need(lazy_db, sql) == {"F.station"}
+        projection = lazy_db.bind(sql).child
+        distinct = algebra.Distinct(projection.child)
+        assert lazy_db.compiler.compile(distinct).qf_needed is None
+
+    def test_ad_only_chunk_branch_needs_the_uri(self, lazy_db):
+        sql = count_d("D.sample_time < '2010-01-01T06:00:00.000'")
+        assert self.need(lazy_db, sql) == {lazy_db.config.uri_column}
+
+    def test_two_stage_need_includes_the_uri(self, lazy_db):
+        sql = count_d("F.station = 'ISK'", "dataview")
+        compiled = lazy_db.compiler.compile(lazy_db.bind(sql))
+        uri = lazy_db.config.uri_column
+        assert uri not in compiled.qs_plan.pretty()
+        assert compiled.qf_needed == {uri, "S.file_id", "S.segment_no"}
+        assert (
+            f"stage one reads: {uri}, S.file_id, S.segment_no"
+            in lazy_db.explain(sql)
+        )
+
+    def test_plan_cache_hit_reuses_the_compiled_need(
+        self, lazy_db, monkeypatch
+    ):
+        compiler = lazy_db.compiler
+        compiled, executed = [], []
+        compile_, execute = compiler.compile, compiler.execute_compiled
+
+        def compiling(plan):
+            compiled.append(compile_(plan))
+            return compiled[-1]
+
+        def executing(query, cancel=None):
+            executed.append(query)
+            return execute(query, cancel)
+
+        monkeypatch.setattr(compiler, "compile", compiling)
+        monkeypatch.setattr(compiler, "execute_compiled", executing)
+        sql = count_d("F.station = 'ISK'", "dataview")
+        lazy_db.query(sql)
+        lazy_db.query(sql)
+        assert len(compiled) == 1
+        assert executed[0] is executed[1] is compiled[0]
+
+    @pytest.mark.parametrize(
+        "name", [*QUERY_BUILDERS, "QUERY1", "QUERY2"]
+    )
+    def test_rows_bit_identical_to_eager_dmd(
+        self, lazy_db, eager_dmd_db, two_day_range, name
+    ):
+        start, end = two_day_range
+        params = QueryParams(
+            station="FIAM", channel="HHZ", start_ms=start, end_ms=end
+        )
+        queries = {"QUERY1": QUERY1, "QUERY2": QUERY2}
+        sql = queries[name] if name in queries else QUERY_BUILDERS[name](params)
+        lazy = lazy_db.query(sql).table
+        eager = eager_dmd_db.query(sql).table
+        assert lazy.schema.names == eager.schema.names
+        # repr: NaN aggregates compare equal, floats bit for bit.
+        assert repr(list(lazy.rows())) == repr(list(eager.rows()))
 
 
 class TestCompiledQueryReuse:

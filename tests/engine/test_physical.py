@@ -140,12 +140,19 @@ class TestNeededColumns:
         for plan in (
             self.users_depts(db),
             algebra.Join(scan(db, "users"), scan(db, "depts"), None),
-            scan(db, "users"),
+            algebra.Select(
+                scan(db, "users"), Comparison(">", col("users.dept"), lit(15))
+            ),
         ):
             full = execute_plan(plan, ExecutionContext(db))
             narrow = execute_plan(plan, ExecutionContext(db), set())
             assert narrow.num_columns == 1
             assert narrow.num_rows == full.num_rows
+
+    def test_a_scan_emits_its_table_whole(self, db):
+        # A scan copies nothing; the node above it narrows.
+        table = execute_plan(scan(db, "users"), ExecutionContext(db), set())
+        assert table.schema.names == ("users.id", "users.name", "users.dept")
 
     def test_residual_columns_are_read_but_need_not_be_needed(self, db):
         plan = self.users_depts(

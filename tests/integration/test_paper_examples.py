@@ -80,6 +80,7 @@ GOLDEN_QUERY1_EXPLAIN = """\
 query type: T4
 join order: F -> S -> D
 two-stage: True
+stage one reads: F.uri, S.file_id, S.segment_no
 MAL program:
 [00] qf := eval
   Join((F.file_id = S.file_id))
@@ -108,6 +109,7 @@ GOLDEN_T1_EXPLAIN = """\
 query type: T1
 join order: F -> S
 two-stage: False
+stage one reads: F.station, S.frequency, S.sample_count, S.segment_no
 MAL program:
 [00] qf := eval
   Join((F.file_id = S.file_id))
